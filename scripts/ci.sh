@@ -23,6 +23,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch directory goes on one list that a single EXIT trap removes.
+cleanup_dirs=()
+trap 'rm -rf ${cleanup_dirs[@]+"${cleanup_dirs[@]}"}' EXIT
+# make_temp_dir VAR: creates a scratch directory, registers it for cleanup
+# and stores its path in VAR (no command substitution, so the
+# registration survives).
+make_temp_dir() {
+  local dir
+  dir=$(mktemp -d)
+  cleanup_dirs+=("$dir")
+  printf -v "$1" '%s' "$dir"
+}
+
 cmake -B build -S . -DSMT_WERROR=ON
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
@@ -33,7 +46,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # report validated by check_reports, the seeded-violation selftest, and
 # clang-tidy when available.
 ./build/tools/smt_lint
-lint_dir=$(mktemp -d)
+make_temp_dir lint_dir
 ./build/tools/smt_lint --format=json > "$lint_dir/lint.json"
 grep -q '"schema":"smt-lint-report/1"' "$lint_dir/lint.json"
 grep -q '"errors":0' "$lint_dir/lint.json"
@@ -57,7 +70,6 @@ grep -q '"outcome":"lint_failed"' "$lint_dir/sweep/sweep_index.json"
 ./build/tools/check_reports "$lint_dir/sweep/reports" \
   --metrics "$lint_dir/sweep/metrics.json" \
   --index "$lint_dir/sweep/sweep_index.json"
-rm -rf "$lint_dir"
 if command -v clang-tidy > /dev/null 2>&1; then
   cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   # shellcheck disable=SC2046
@@ -84,8 +96,7 @@ if [[ "${SMT_CI_FAST:-0}" != "1" ]]; then
     --target host_test metrics_test smt_sweep check_reports
   ./build-tsan/tests/host_test
   ./build-tsan/tests/metrics_test
-  tsan_sweep_dir=$(mktemp -d)
-  trap 'rm -rf "$tsan_sweep_dir"' EXIT
+  make_temp_dir tsan_sweep_dir
   # Metrics + tracing on under TSan: the registry and the on_attempt
   # trace collection are exactly the cross-thread surfaces it checks.
   ./build-tsan/tools/smt_sweep --jobs 4 --out "$tsan_sweep_dir" \
@@ -99,9 +110,8 @@ if [[ "${SMT_CI_FAST:-0}" != "1" ]]; then
 fi
 
 # Belt-and-braces: drive the cheapest bench with reporting on and validate.
-report_dir=$(mktemp -d)
-trace_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir"' EXIT
+make_temp_dir report_dir
+make_temp_dir trace_dir
 SMT_BENCH_REPORT_DIR="$report_dir" ./build/bench/ablation_sync > /dev/null
 ./build/tools/check_reports "$report_dir"
 
@@ -113,8 +123,7 @@ SMT_BENCH_REPORT_DIR="$report_dir" SMT_BENCH_TRACE_DIR="$trace_dir" \
 
 # Profiled run of the fig3 matmul bench: schema /3 reports whose per-PC
 # attributions must validate, annotate cleanly, and gate regressions.
-profile_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir"' EXIT
+make_temp_dir profile_dir
 SMT_BENCH_REPORT_DIR="$profile_dir" SMT_BENCH_PROFILE=1 \
   ./build/bench/fig3_matmul > /dev/null
 ./build/tools/check_reports "$profile_dir"
@@ -138,8 +147,7 @@ fi
 # Sweep orchestrator: a small manifest with an injected deadlock job must
 # exit nonzero yet still deliver a complete index and valid reports for
 # every job — failures are data, not process aborts.
-sweep_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir"' EXIT
+make_temp_dir sweep_dir
 if ./build/tools/smt_sweep --jobs 2 --out "$sweep_dir" \
     mm.serial.n64 selftest.deadlock bt.serial 2> "$sweep_dir/stderr.txt"; then
   echo "smt_sweep ignored an injected deadlock job" >&2
@@ -154,10 +162,8 @@ test "$(ls "$sweep_dir"/reports/*.json | wc -l)" -eq 3
 # Host observability: the same orchestrator with --metrics/--trace must
 # write a smt-sweep-metrics/1 snapshot that cross-checks against the
 # sweep index and a Perfetto-loadable Chrome trace of the workers.
-obs_dir=$(mktemp -d)
-hist_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir"' EXIT
+make_temp_dir obs_dir
+make_temp_dir hist_dir
 ./build/tools/smt_sweep --jobs 2 --out "$obs_dir" \
   --metrics "$obs_dir/metrics.json" \
   --trace "$obs_dir/trace/sweep.trace.json" \
@@ -185,9 +191,7 @@ fi
 # Interference attribution: a /4 report whose self+sibling sums must
 # reproduce the stall counters bit-exactly (validated by check_reports),
 # and report_diff must accept a self-diff of the interference section.
-inter_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir"' EXIT
+make_temp_dir inter_dir
 SMT_BENCH_REPORT_DIR="$inter_dir" SMT_BENCH_INTERFERENCE=1 \
   ./build/bench/ablation_sync > /dev/null
 grep -q '"schema":"smt-run-report/4"' "$inter_dir"/*.json
@@ -198,9 +202,7 @@ inter_report=$(ls "$inter_dir"/*.json | head -1)
 # Pipeline lifetime traces: a pipeview'd fig3 matmul run must drop a
 # non-empty, window-bounded Kanata file beside each report (the C/C=
 # cycle advances must sum to no more than the configured window).
-pview_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir"' EXIT
+make_temp_dir pview_dir
 SMT_BENCH_REPORT_DIR="$pview_dir" SMT_BENCH_PIPEVIEW=1 \
   SMT_BENCH_PIPEVIEW_WINDOW=0:20000 \
   ./build/bench/fig3_matmul > /dev/null
@@ -218,10 +220,7 @@ awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
 # end-to-end proof of the determinism contract the cache rests on: a
 # key collision, a nondeterministic kernel, or host state leaking into
 # reports would all surface here.
-cache_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir" "$explain_dir" \
-  "$cache_dir"' EXIT
+make_temp_dir cache_dir
 ./build/tools/smt_sweep --quiet --out "$cache_dir/cold" \
   --cache "$cache_dir/store" \
   --metrics "$cache_dir/cold/metrics.json" > /dev/null
@@ -255,9 +254,7 @@ grep -q '"cache.verify_failed":0' "$cache_dir/audit/metrics.json"
 # Post-mortem flight recorder: an injected deadlock must leave a core
 # dump the smt_explain diagnoser renders into an explanation naming the
 # actual death cycle and the lost wake-up.
-explain_dir=$(mktemp -d)
-trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir" "$explain_dir"' EXIT
+make_temp_dir explain_dir
 ./build/tools/smt_sweep --quiet --out "$explain_dir" selftest.deadlock \
   || true
 dump="$explain_dir/dumps/selftest.deadlock.dump.json"

@@ -12,10 +12,8 @@
 
 namespace smt::core {
 
-void FlightRecorder::on_retire_uop(CpuId cpu, const cpu::DynUop& uop,
-                                   int uops) {
-  (void)uops;
-  const Cycle now = core_.now();
+void FlightRecorder::on_retire(CpuId cpu, const cpu::DynUop& uop,
+                               int /*uops*/, Cycle now) {
   recent_[idx(cpu)].push({now, uop.pc});
   // Snapshot both contexts on a global cycle grid (not per-CPU retirement
   // counts), so the sampling points are deterministic and shared.

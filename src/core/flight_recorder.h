@@ -9,10 +9,10 @@
 // wait-for edges into an `smt-core-dump/1` JSON document attached to the
 // RunOutcome — the input of the `smt_explain` diagnosis CLI.
 //
-// Like every observer in this codebase it is pure: it only reads
-// simulation state from retire-time hooks, never touches a counter, and
-// skips the per-cycle issue-block scan entirely (wants_issue_blocks() is
-// false), so a flight-recorded run is counter-bit-identical to a bare one
+// Like every observer on the core's bus it is pure: it only reads
+// simulation state from the retire hook, never touches a counter, and
+// leaves the per-cycle issue-block scan off (wants_issue_blocks() keeps
+// its false default), so a flight-recorded run is counter-bit-identical to a bare one
 // and the dump for a given (workload, config) is byte-deterministic.
 #pragma once
 
@@ -46,13 +46,8 @@ class FlightRecorder : public cpu::PipelineObserver {
   }
   const isa::Program* program(CpuId cpu) const { return progs_[idx(cpu)]; }
 
-  // Only retirement is consumed; everything else is a no-op, and the
-  // issue-block scan is skipped entirely for flight-recorder-only runs.
-  void on_issue(CpuId, cpu::IssuePort, uint32_t) override {}
-  void on_block(CpuId, cpu::BlockReason, uint32_t, Cycle) override {}
-  void on_demand_miss(CpuId, uint32_t, bool) override {}
-  void on_retire_uop(CpuId cpu, const cpu::DynUop& uop, int uops) override;
-  bool wants_issue_blocks() const override { return false; }
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   struct RetiredEntry {
     Cycle cycle = 0;

@@ -24,7 +24,8 @@ void Machine::enable_telemetry(const trace::TelemetryConfig& cfg) {
   SMT_CHECK_MSG(telemetry_ == nullptr, "telemetry already enabled");
   telemetry_ =
       std::make_shared<trace::Telemetry>(cfg, counters_, core_.now());
-  core_.set_telemetry(&telemetry_->recorder(), &telemetry_->sampler());
+  core_.add_observer(&telemetry_->recorder());
+  core_.set_sampler(&telemetry_->sampler());
   if (cfg.pc_profile && pc_profiler_ == nullptr) enable_pc_profiler();
 }
 
@@ -36,7 +37,7 @@ void Machine::enable_pc_profiler() {
       pc_profiler_->set_program(static_cast<CpuId>(i), *programs_[i]);
     }
   }
-  attach_pipeline_observers();
+  core_.add_observer(pc_profiler_.get());
 }
 
 void Machine::enable_race_detector() {
@@ -47,7 +48,7 @@ void Machine::enable_race_detector() {
       race_detector_->set_program(static_cast<CpuId>(i), *programs_[i]);
     }
   }
-  attach_pipeline_observers();
+  core_.add_observer(race_detector_.get());
 }
 
 void Machine::enable_interference() {
@@ -55,7 +56,7 @@ void Machine::enable_interference() {
                 "interference profiler already enabled");
   interference_ = std::make_shared<profile::InterferenceProfiler>();
   hierarchy_.set_track_interference(true);
-  attach_pipeline_observers();
+  core_.add_observer(interference_.get());
 }
 
 void Machine::finalize_interference() const {
@@ -75,7 +76,7 @@ void Machine::enable_pipeview(const trace::PipeViewConfig& cfg) {
       pipeview_->set_program(static_cast<CpuId>(i), *programs_[i]);
     }
   }
-  core_.set_pipeview(pipeview_.get());
+  core_.add_observer(pipeview_.get());
 }
 
 void Machine::enable_flight_recorder() {
@@ -87,79 +88,7 @@ void Machine::enable_flight_recorder() {
       flight_recorder_->set_program(static_cast<CpuId>(i), *programs_[i]);
     }
   }
-  attach_pipeline_observers();
-}
-
-void Machine::attach_pipeline_observers() {
-  tee_.children.clear();
-  if (pc_profiler_ != nullptr) tee_.children.push_back(pc_profiler_.get());
-  if (race_detector_ != nullptr) tee_.children.push_back(race_detector_.get());
-  if (interference_ != nullptr) tee_.children.push_back(interference_.get());
-  if (flight_recorder_ != nullptr) {
-    tee_.children.push_back(flight_recorder_.get());
-  }
-  if (tee_.children.empty()) {
-    core_.set_pipeline_observer(nullptr);
-  } else if (tee_.children.size() == 1) {
-    core_.set_pipeline_observer(tee_.children.front());
-  } else {
-    core_.set_pipeline_observer(&tee_);
-  }
-}
-
-void Machine::ObserverTee::on_issue(CpuId cpu, cpu::IssuePort port,
-                                    uint32_t pc) {
-  for (cpu::PipelineObserver* c : children) c->on_issue(cpu, port, pc);
-}
-
-void Machine::ObserverTee::on_block(CpuId cpu, cpu::BlockReason reason,
-                                    uint32_t pc, Cycle cycles) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_block(cpu, reason, pc, cycles);
-  }
-}
-
-void Machine::ObserverTee::on_interference(CpuId cpu, cpu::BlockReason reason,
-                                           bool sibling, int port,
-                                           Cycle cycles) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_interference(cpu, reason, sibling, port, cycles);
-  }
-}
-
-bool Machine::ObserverTee::wants_issue_blocks() const {
-  for (const cpu::PipelineObserver* c : children) {
-    if (c->wants_issue_blocks()) return true;
-  }
-  return false;
-}
-
-void Machine::ObserverTee::on_demand_miss(CpuId cpu, uint32_t pc,
-                                          bool l2_miss) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_demand_miss(cpu, pc, l2_miss);
-  }
-}
-
-void Machine::ObserverTee::on_retire_uop(CpuId cpu, const cpu::DynUop& uop,
-                                         int uops) {
-  for (cpu::PipelineObserver* c : children) c->on_retire_uop(cpu, uop, uops);
-}
-
-void Machine::ObserverTee::on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                                           cpu::GuestAccess kind,
-                                           uint64_t value) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_guest_access(cpu, pc, addr, kind, value);
-  }
-}
-
-void Machine::ObserverTee::on_ipi_send(CpuId cpu) {
-  for (cpu::PipelineObserver* c : children) c->on_ipi_send(cpu);
-}
-
-void Machine::ObserverTee::on_ipi_wake(CpuId cpu) {
-  for (cpu::PipelineObserver* c : children) c->on_ipi_wake(cpu);
+  core_.add_observer(flight_recorder_.get());
 }
 
 void Machine::load_program(CpuId cpu, isa::Program prog,

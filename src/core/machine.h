@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "analysis/race_detector.h"
 #include "common/types.h"
@@ -78,8 +77,8 @@ class Machine {
 
   /// Attaches the happens-before race detector (read-only pipeline
   /// observer; see src/analysis/race_detector.h). Call before running;
-  /// enabling never perturbs any counter. Coexists with the per-PC
-  /// profiler (both observers are fanned out). Sync words and extents are
+  /// enabling never perturbs any counter. Coexists with every other
+  /// observer on the core's bus. Sync words and extents are
   /// configured by the caller (core::try_run_workload feeds it the
   /// workload's MemInfo); lock words are picked up automatically from
   /// each loaded program's annotations.
@@ -97,7 +96,7 @@ class Machine {
   /// the process-global telemetry default has `interference` set (bench
   /// binaries with SMT_BENCH_INTERFERENCE=1). Call before running;
   /// enabling never perturbs any counter. Coexists with every other
-  /// observer (fanned out through the tee).
+  /// observer on the core's bus.
   void enable_interference();
 
   /// Copies the hierarchy's L2 sibling-eviction counts into the
@@ -127,8 +126,8 @@ class Machine {
 
   /// Attaches the post-mortem flight recorder (read-only pipeline
   /// observer; see src/core/flight_recorder.h). Call before running;
-  /// enabling never perturbs any counter — it skips the issue-block scan
-  /// entirely unless another attached observer wants it.
+  /// enabling never perturbs any counter, and it leaves the issue-block
+  /// scan off unless another attached observer wants it.
   void enable_flight_recorder();
 
   /// The attached flight recorder (null when disabled).
@@ -163,32 +162,6 @@ class Machine {
   Cycle cycles() const { return core_.now(); }
 
  private:
-  /// Fans the single cpu::Core observer slot out to every enabled
-  /// observer (per-PC profiler, race detector, interference profiler,
-  /// flight recorder). Raw pointers back into the owning Machine's
-  /// shared_ptrs.
-  struct ObserverTee final : cpu::PipelineObserver {
-    std::vector<cpu::PipelineObserver*> children;
-
-    void on_issue(CpuId cpu, cpu::IssuePort port, uint32_t pc) override;
-    void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
-                  Cycle cycles) override;
-    void on_interference(CpuId cpu, cpu::BlockReason reason, bool sibling,
-                         int port, Cycle cycles) override;
-    bool wants_issue_blocks() const override;
-    void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) override;
-    void on_retire_uop(CpuId cpu, const cpu::DynUop& uop,
-                       int uops) override;
-    void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                         cpu::GuestAccess kind, uint64_t value) override;
-    void on_ipi_send(CpuId cpu) override;
-    void on_ipi_wake(CpuId cpu) override;
-  };
-
-  /// Points core_ at the single enabled observer, or at the tee over all
-  /// of them (null when none is enabled).
-  void attach_pipeline_observers();
-
   MachineConfig cfg_;
   mem::SimMemory memory_;
   mem::CacheHierarchy hierarchy_;
@@ -199,7 +172,6 @@ class Machine {
   std::shared_ptr<profile::InterferenceProfiler> interference_;
   std::shared_ptr<trace::PipeViewRecorder> pipeview_;
   std::shared_ptr<FlightRecorder> flight_recorder_;
-  ObserverTee tee_;
   cpu::Core core_;
   std::array<std::optional<isa::Program>, kNumLogicalCpus> programs_;
 };

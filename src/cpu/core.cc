@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "trace/pipeview.h"
-#include "trace/recorder.h"
 #include "trace/sampler.h"
 
 namespace smt::cpu {
@@ -13,39 +11,6 @@ namespace smt::cpu {
 using isa::Opcode;
 using isa::UnitClass;
 using perfmon::Event;
-
-const char* name(IssuePort p) {
-  switch (p) {
-    case IssuePort::kAlu0:   return "alu0";
-    case IssuePort::kAlu1:   return "alu1";
-    case IssuePort::kFp:     return "fp";
-    case IssuePort::kFpMove: return "fp_move";
-    case IssuePort::kLoad:   return "load";
-    case IssuePort::kStore:  return "store";
-  }
-  return "?";
-}
-
-const char* name(BlockReason r) {
-  switch (r) {
-    case BlockReason::kStoreBuffer:  return "store_buffer";
-    case BlockReason::kRob:          return "rob";
-    case BlockReason::kLoadQueue:    return "load_queue";
-    case BlockReason::kUopQueueFull: return "uop_queue_full";
-    case BlockReason::kPortConflict: return "port_conflict";
-    case BlockReason::kDividerBusy:  return "divider_busy";
-  }
-  return "?";
-}
-
-const char* name(GuestAccess k) {
-  switch (k) {
-    case GuestAccess::kLoad:  return "load";
-    case GuestAccess::kStore: return "store";
-    case GuestAccess::kXchg:  return "xchg";
-  }
-  return "?";
-}
 
 const char* name(RunTermination t) {
   switch (t) {
@@ -182,7 +147,9 @@ void Core::mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
                                bool is_load, uint32_t pc) {
   if (out.served_by != mem::ServedBy::kL1) {
     ctr_.add(cpu, Event::kL1Misses);
-    if (pipe_ != nullptr) pipe_->on_demand_miss(cpu, pc, out.l2_miss);
+    for (PipelineObserver* o : observers_) {
+      o->on_demand_miss(cpu, pc, out.l2_miss, now_);
+    }
   }
   if (out.served_by == mem::ServedBy::kL2 ||
       out.served_by == mem::ServedBy::kMemory) {
@@ -191,7 +158,6 @@ void Core::mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
   if (out.l2_miss) {
     ctr_.add(cpu, Event::kL2Misses);
     if (is_load) ctr_.add(cpu, Event::kL2ReadMisses);
-    if (trace_ != nullptr) trace_->on_l2_miss(cpu, now_);
   }
 }
 
@@ -251,14 +217,13 @@ void Core::update_modes(Thread& t, CpuId cpu) {
         t.ipi_pending = false;
         t.mode = TMode::kWaking;
         t.mode_until = now_ + cfg_.halt_wake_cost;
-        if (trace_ != nullptr) trace_->on_ipi_wake(cpu, now_);
-        if (pipe_ != nullptr) pipe_->on_ipi_wake(cpu);
+        for (PipelineObserver* o : observers_) o->on_ipi_wake(cpu, now_);
       }
       break;
     case TMode::kWaking:
       if (now_ >= t.mode_until) {
         t.mode = TMode::kRunning;
-        if (trace_ != nullptr) trace_->on_halt_exit(cpu, now_);
+        for (PipelineObserver* o : observers_) o->on_halt_exit(cpu, now_);
       }
       break;
     case TMode::kExiting:
@@ -286,7 +251,8 @@ int Core::retire_thread(Thread& t, CpuId cpu) {
     const DynUop& u = e.uop;
 
     ctr_.add(cpu, Event::kInstrRetired);
-    ctr_.add(cpu, Event::kUopsRetired, u.op == Opcode::kXchg ? 2 : 1);
+    const int uops = u.op == Opcode::kXchg ? 2 : 1;
+    ctr_.add(cpu, Event::kUopsRetired, uops);
     if (u.is_branch) ctr_.add(cpu, Event::kBranchesRetired);
     if (u.is_load && !u.is_prefetch) ctr_.add(cpu, Event::kLoadsRetired);
     if (u.is_store) ctr_.add(cpu, Event::kStoresRetired);
@@ -317,11 +283,7 @@ int Core::retire_thread(Thread& t, CpuId cpu) {
       // The store-buffer entry stays occupied until the drain completes.
     }
 
-    if (observer_ != nullptr) observer_->on_retire(cpu, u);
-    if (pipe_ != nullptr) {
-      pipe_->on_retire_uop(cpu, u, u.op == Opcode::kXchg ? 2 : 1);
-    }
-    if (pview_ != nullptr) pview_->on_retire(cpu, u.uid, now_);
+    for (PipelineObserver* o : observers_) o->on_retire(cpu, u, uops, now_);
 
     ++t.head;
     ++retired;
@@ -458,10 +420,8 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     if (has_port) {
       ++port_issued_[idx(cpu)][static_cast<int>(port)];
     }
-    if (pipe_ != nullptr && has_port) pipe_->on_issue(cpu, port, u.pc);
-    if (pview_ != nullptr) {
-      pview_->on_issue(cpu, u.uid, has_port ? static_cast<int>(port) : -1,
-                       now_, done);
+    for (PipelineObserver* o : observers_) {
+      o->on_issue(cpu, u, has_port ? static_cast<int>(port) : -1, done, now_);
     }
     --budget;
     return true;
@@ -485,7 +445,7 @@ void Core::scan_issue_blocks() {
     Thread& t = threads_[i];
     const CpuId cpu = static_cast<CpuId>(i);
     const int sib = 1 - i;
-    t.issue_blocked = false;
+    t.issue_block.active = false;
     const int window = sched_window_limit(cpu);
     int examined = 0;
     for (uint64_t seq = t.head; seq != t.next && examined < window; ++seq) {
@@ -561,11 +521,7 @@ void Core::scan_issue_blocks() {
         }
         if (port < 0) sibling = uops_issued_[sib] > 0;
       }
-      t.issue_blocked = true;
-      t.issue_block_reason = reason;
-      t.issue_block_pc = e.uop.pc;
-      t.issue_block_sibling = sibling;
-      t.issue_block_port = port;
+      t.issue_block = {true, reason, e.uop.pc, sibling, port};
       break;
     }
   }
@@ -575,31 +531,32 @@ void Core::scan_issue_blocks() {
 // Stage 4: dispatch (allocation)
 // ---------------------------------------------------------------------------
 
+Core::Block Core::alloc_block(const Thread& t, CpuId cpu) const {
+  if (t.uq.empty()) return {};
+  const DynUop& u = t.uq.front();
+  if (t.rob_occupancy() >= static_cast<size_t>(rob_limit(cpu))) {
+    return {true, BlockReason::kRob, u.pc,
+            partitioned(cpu) &&
+                t.rob_occupancy() < static_cast<size_t>(cfg_.rob_size)};
+  }
+  if (u.is_load && !u.is_prefetch && t.lq_used >= lq_limit(cpu)) {
+    return {true, BlockReason::kLoadQueue, u.pc,
+            partitioned(cpu) && t.lq_used < cfg_.load_queue_size};
+  }
+  if (u.is_store && t.sb_used >= sb_limit(cpu)) {
+    return {true, BlockReason::kStoreBuffer, u.pc,
+            partitioned(cpu) && t.sb_used < cfg_.store_buffer_size};
+  }
+  return {};
+}
+
 int Core::dispatch_thread(Thread& t, CpuId cpu) {
-  reclaim_store_buffer(t);
   int dispatched = 0;
-  t.stall = StallReason::kNone;
+  t.alloc_stall = {};
   while (dispatched < cfg_.dispatch_width && !t.uq.empty()) {
+    t.alloc_stall = alloc_block(t, cpu);
+    if (t.alloc_stall.active) break;
     const DynUop& u = t.uq.front();
-    if (t.rob_occupancy() >= static_cast<size_t>(rob_limit(cpu))) {
-      t.stall = StallReason::kRob;
-      t.stall_pc = u.pc;
-      t.stall_sibling = partitioned(cpu) &&
-                        t.rob_occupancy() < static_cast<size_t>(cfg_.rob_size);
-      break;
-    }
-    if (u.is_load && !u.is_prefetch && t.lq_used >= lq_limit(cpu)) {
-      t.stall = StallReason::kLoadQueue;
-      t.stall_pc = u.pc;
-      t.stall_sibling = partitioned(cpu) && t.lq_used < cfg_.load_queue_size;
-      break;
-    }
-    if (u.is_store && t.sb_used >= sb_limit(cpu)) {
-      t.stall = StallReason::kStoreBuffer;
-      t.stall_pc = u.pc;
-      t.stall_sibling = partitioned(cpu) && t.sb_used < cfg_.store_buffer_size;
-      break;
-    }
 
     RobEntry& e = t.rob[t.next % cfg_.rob_size];
     e.uop = u;
@@ -632,7 +589,7 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     t.uq.pop_front();
     ++dispatched;
     ctr_.add(cpu, Event::kDispatchedUops);
-    if (pview_ != nullptr) pview_->on_dispatch(cpu, e.uop.uid, now_);
+    for (PipelineObserver* o : observers_) o->on_dispatch(cpu, e.uop, now_);
   }
   return dispatched;
 }
@@ -682,29 +639,20 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
       add_dep_reg(in.mem.index);
     }
 
-    // Telemetry watchpoints on annotated sync words (barrier flags, lock
-    // words): observed at functional-execution time, when the stored /
-    // exchanged value is known. Pure observation — no simulation state or
-    // counter is touched.
-    if (trace_ != nullptr && u.is_store && trace_->watches(r.addr)) {
-      if (in.op == Opcode::kXchg) {
-        trace_->on_xchg(cpu, r.addr, r.loaded, now_);
-      } else {
-        trace_->on_store(cpu, r.addr, mem_.read_u64(r.addr), now_);
-      }
-    }
-
-    // Guest-access observer hook (happens-before race detection): raised
-    // here because functional execution at fetch time makes the call
-    // sequence an exact sequentially consistent interleaving of both
-    // contexts' accesses. Read-only, like the telemetry watchpoints.
-    if (pipe_ != nullptr && (u.is_load || u.is_store) && !u.is_prefetch) {
+    // Guest-access hook (happens-before race detection, sync-word
+    // watchpoints): raised here because functional execution at fetch
+    // time makes the call sequence an exact sequentially consistent
+    // interleaving of both contexts' accesses, with the stored / exchanged
+    // value known. Pure observation — no simulation state is touched.
+    if (!observers_.empty() && (u.is_load || u.is_store) && !u.is_prefetch) {
       const GuestAccess kind = in.op == Opcode::kXchg ? GuestAccess::kXchg
                                : u.is_store           ? GuestAccess::kStore
                                                       : GuestAccess::kLoad;
       const uint64_t value =
           kind == GuestAccess::kStore ? mem_.read_u64(r.addr) : r.loaded;
-      pipe_->on_guest_access(cpu, u.pc, r.addr, kind, value);
+      for (PipelineObserver* o : observers_) {
+        o->on_guest_access(cpu, u.pc, r.addr, kind, value, now_);
+      }
     }
 
     // Memory-order-violation (spin-exit) modelling.
@@ -718,7 +666,7 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
 
     t.uq.push_back(u);
     ++fetched;
-    if (pview_ != nullptr) pview_->on_fetch(cpu, u.uid, u.pc, now_);
+    for (PipelineObserver* o : observers_) o->on_fetch(cpu, u, now_);
 
     switch (r.special) {
       case ExecResult::Special::kPause:
@@ -728,12 +676,11 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
         return fetched;
       case ExecResult::Special::kHalt:
         t.mode = TMode::kHalting;
-        if (trace_ != nullptr) trace_->on_halt_enter(cpu, now_);
+        for (PipelineObserver* o : observers_) o->on_halt_enter(cpu, now_);
         return fetched;
       case ExecResult::Special::kIpi:
         ctr_.add(cpu, Event::kIpisSent);
-        if (trace_ != nullptr) trace_->on_ipi_send(cpu, now_);
-        if (pipe_ != nullptr) pipe_->on_ipi_send(cpu);
+        for (PipelineObserver* o : observers_) o->on_ipi_send(cpu, now_);
         deliver_ipi(other(cpu));
         break;
       default:
@@ -806,69 +753,36 @@ bool Core::step_cycle() {
   }
   // Attribution-only: find which PC (if any) is issue-blocked this cycle.
   // Must run after the issue stage so the result reflects final port state.
-  if (pipe_ != nullptr && pipe_->wants_issue_blocks()) scan_issue_blocks();
+  if (scan_issue_blocks_) scan_issue_blocks();
 
   // Dispatch: the allocator serves one context per cycle (alternating); a
   // context that has nothing queued — or whose next uop cannot allocate
-  // (resources full) — donates the slot to its sibling.
+  // (resources full) — donates the slot to its sibling. Both contexts are
+  // classified first; the one not served keeps its blockage as this
+  // cycle's allocation stall (for stall accounting), the served one
+  // re-classifies as it dispatches.
   {
-    auto can_dispatch_one = [this](int i) {
+    for (int i = 0; i < kNumLogicalCpus; ++i) {
       Thread& t = threads_[i];
-      if (t.uq.empty()) return false;
-      reclaim_store_buffer(t);
-      const DynUop& u = t.uq.front();
-      const CpuId cpu = static_cast<CpuId>(i);
-      if (t.rob_occupancy() >= static_cast<size_t>(rob_limit(cpu))) {
-        return false;
-      }
-      if (u.is_load && !u.is_prefetch && t.lq_used >= lq_limit(cpu)) {
-        return false;
-      }
-      if (u.is_store && t.sb_used >= sb_limit(cpu)) return false;
-      return true;
+      if (!t.uq.empty()) reclaim_store_buffer(t);
+      t.alloc_stall = alloc_block(t, static_cast<CpuId>(i));
+    }
+    const auto can_dispatch = [this](int i) {
+      return !threads_[i].uq.empty() && !threads_[i].alloc_stall.active;
     };
     const int pref = static_cast<int>(now_ % 2);
-    const int ti = can_dispatch_one(pref)        ? pref
-                   : can_dispatch_one(1 - pref)  ? 1 - pref
-                                                 : -1;
-    if (ti >= 0) {
-      if (dispatch_thread(threads_[ti], static_cast<CpuId>(ti)) > 0) {
-        any = true;
-      }
-    }
-    // Record resource blockage for both contexts (for stall accounting),
-    // including the one not served this cycle.
-    for (int i = 0; i < kNumLogicalCpus; ++i) {
-      if (i == ti) continue;
-      Thread& t = threads_[i];
-      t.stall = StallReason::kNone;
-      if (t.uq.empty()) continue;
-      reclaim_store_buffer(t);
-      const DynUop& u = t.uq.front();
-      const CpuId cpu = static_cast<CpuId>(i);
-      if (t.rob_occupancy() >= static_cast<size_t>(rob_limit(cpu))) {
-        t.stall = StallReason::kRob;
-        t.stall_pc = u.pc;
-        t.stall_sibling =
-            partitioned(cpu) &&
-            t.rob_occupancy() < static_cast<size_t>(cfg_.rob_size);
-      } else if (u.is_load && !u.is_prefetch && t.lq_used >= lq_limit(cpu)) {
-        t.stall = StallReason::kLoadQueue;
-        t.stall_pc = u.pc;
-        t.stall_sibling = partitioned(cpu) && t.lq_used < cfg_.load_queue_size;
-      } else if (u.is_store && t.sb_used >= sb_limit(cpu)) {
-        t.stall = StallReason::kStoreBuffer;
-        t.stall_pc = u.pc;
-        t.stall_sibling =
-            partitioned(cpu) && t.sb_used < cfg_.store_buffer_size;
-      }
+    const int ti = can_dispatch(pref)        ? pref
+                   : can_dispatch(1 - pref)  ? 1 - pref
+                                             : -1;
+    if (ti >= 0 && dispatch_thread(threads_[ti], static_cast<CpuId>(ti)) > 0) {
+      any = true;
     }
   }
 
   // Fetch: one context per cycle (alternating), donated when blocked.
   {
     const int pref = static_cast<int>(now_ % 2);
-    for (int i = 0; i < kNumLogicalCpus; ++i) threads_[i].uq_full = false;
+    for (Thread& t : threads_) t.uq_full.active = false;
     for (int k = 0; k < 2; ++k) {
       const int ti = (pref + k) % 2;
       Thread& t = threads_[ti];
@@ -878,11 +792,10 @@ bool Core::step_cycle() {
         // The slot is donated; the cycle is attributed to
         // kUopQueueFullCycles in record_cycle_counters so the count
         // replays exactly across event-skip windows.
-        t.uq_full = true;
-        t.uq_full_pc = t.arch.pc;
-        t.uq_full_sibling =
-            partitioned(static_cast<CpuId>(ti)) &&
-            t.uq.size() < static_cast<size_t>(cfg_.uop_queue_size);
+        t.uq_full = {true, BlockReason::kUopQueueFull, t.arch.pc,
+                     partitioned(static_cast<CpuId>(ti)) &&
+                         t.uq.size() <
+                             static_cast<size_t>(cfg_.uop_queue_size)};
         continue;
       }
       const TMode mode_before = t.mode;
@@ -924,50 +837,27 @@ void Core::record_cycle_counters(Cycle first, Cycle n) {
       ctr_.add(cpu, Event::kFetchStallCycles,
                std::min(t.fetch_stall_until, first + n) - first);
     }
-    if (t.mode == TMode::kRunning && t.uq_full) {
+    if (t.mode == TMode::kRunning && t.uq_full.active) {
       ctr_.add(cpu, Event::kUopQueueFullCycles, n);
-      if (pipe_ != nullptr) {
-        pipe_->on_block(cpu, BlockReason::kUopQueueFull, t.uq_full_pc, n);
-        pipe_->on_interference(cpu, BlockReason::kUopQueueFull,
-                               t.uq_full_sibling, -1, n);
-      }
+      notify_block(cpu, t.uq_full, first, n);
     }
-    switch (t.stall) {
-      case StallReason::kRob:
-        ctr_.add(cpu, Event::kResourceStallCycles, n);
-        ctr_.add(cpu, Event::kRobStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kRob, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kRob, t.stall_sibling, -1,
-                                 n);
-        }
-        break;
-      case StallReason::kLoadQueue:
-        ctr_.add(cpu, Event::kResourceStallCycles, n);
-        ctr_.add(cpu, Event::kLoadQueueStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kLoadQueue, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kLoadQueue,
-                                 t.stall_sibling, -1, n);
-        }
-        break;
-      case StallReason::kStoreBuffer:
-        ctr_.add(cpu, Event::kResourceStallCycles, n);
-        ctr_.add(cpu, Event::kStoreBufferStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kStoreBuffer, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kStoreBuffer,
-                                 t.stall_sibling, -1, n);
-        }
-        break;
-      default:
-        break;
+    if (t.alloc_stall.active) {
+      const BlockReason r = t.alloc_stall.reason;
+      ctr_.add(cpu, Event::kResourceStallCycles, n);
+      ctr_.add(cpu,
+               r == BlockReason::kRob         ? Event::kRobStallCycles
+               : r == BlockReason::kLoadQueue ? Event::kLoadQueueStallCycles
+                                              : Event::kStoreBufferStallCycles,
+               n);
+      notify_block(cpu, t.alloc_stall, first, n);
     }
-    if (pipe_ != nullptr && t.issue_blocked) {
-      pipe_->on_block(cpu, t.issue_block_reason, t.issue_block_pc, n);
-      pipe_->on_interference(cpu, t.issue_block_reason, t.issue_block_sibling,
-                             t.issue_block_port, n);
-    }
+    if (t.issue_block.active) notify_block(cpu, t.issue_block, first, n);
+  }
+}
+
+void Core::notify_block(CpuId cpu, const Block& b, Cycle first, Cycle n) {
+  for (PipelineObserver* o : observers_) {
+    o->on_block(cpu, b.reason, b.pc, b.sibling, b.port, n, first);
   }
 }
 
@@ -1044,11 +934,11 @@ constexpr uint64_t kCancelPollPeriod = 4096;
 
 }  // namespace
 
-RunResult Core::try_run(Cycle max_cycles) {
+RunResult Core::run_until(Cycle max_cycles, bool (Core::*stop)() const) {
   const Cycle deadline = now_ + max_cycles;
   last_retire_cycle_ = now_;
   uint64_t iter = 0;
-  while (!all_done()) {
+  while (!(this->*stop)()) {
     if (cancel_ && (++iter % kCancelPollPeriod) == 0 && cancel_()) {
       return {RunTermination::kCancelled, "cancelled by host watchdog"};
     }
@@ -1076,36 +966,28 @@ RunResult Core::try_run(Cycle max_cycles) {
   return {};
 }
 
+RunResult Core::try_run(Cycle max_cycles) {
+  return run_until(max_cycles, &Core::all_done);
+}
+
 void Core::run(Cycle max_cycles) {
   const RunResult r = try_run(max_cycles);
   SMT_CHECK_MSG(r.ok(), r.message.c_str());
 }
 
-CpuId Core::run_until_any_done(Cycle max_cycles) {
-  const Cycle deadline = now_ + max_cycles;
-  last_retire_cycle_ = now_;
-  while (true) {
-    for (int i = 0; i < kNumLogicalCpus; ++i) {
-      if (threads_[i].prog != nullptr && threads_[i].mode == TMode::kDone) {
-        return static_cast<CpuId>(i);
-      }
-    }
-    const bool any = step_cycle();
-    if (!any && cfg_.event_skip) {
-      const Cycle next = next_event_cycle();
-      SMT_CHECK_MSG(next != kNoFutureEvent, kDeadlockAsleepMsg);
-      if (next > now_ + 1) {
-        record_skipped_window(now_ + 1, next - now_ - 1);
-        now_ = next;
-        continue;
-      }
-    }
-    ++now_;
-    sample_up_to(now_);
-    SMT_CHECK_MSG(now_ - last_retire_cycle_ < cfg_.watchdog_cycles,
-                  kDeadlockWatchdogMsg);
-    SMT_CHECK_MSG(now_ < deadline, kMaxCyclesMsg);
+bool Core::any_done() const {
+  for (const Thread& t : threads_) {
+    if (t.prog != nullptr && t.mode == TMode::kDone) return true;
   }
+  return false;
+}
+
+CpuId Core::run_until_any_done(Cycle max_cycles) {
+  const RunResult r = run_until(max_cycles, &Core::any_done);
+  SMT_CHECK_MSG(r.ok(), r.message.c_str());
+  int i = 0;
+  while (!done(static_cast<CpuId>(i))) ++i;
+  return static_cast<CpuId>(i);
 }
 
 }  // namespace smt::cpu

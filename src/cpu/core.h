@@ -28,6 +28,15 @@
 // next event (outstanding miss completion, pause/halt timer, store drain),
 // bulk-accumulating the per-cycle counters, so halt-synchronized workloads
 // simulate quickly.
+//
+// Instruments attach through one observer bus (cpu/observer.h): a single
+// list filled by add_observer(), fanned out at every hook site — fetch,
+// dispatch, issue, retire, demand misses, guest accesses, halt/IPI
+// transitions, and one merged on_block per stalled cycle carrying the
+// self-vs-sibling blame and the contended port. With the list empty each
+// site costs one emptiness test. The counter sampler stays outside the
+// bus (set_sampler): it is a clock that splits event-skip windows at its
+// boundaries, not an event sink.
 #pragma once
 
 #include <array>
@@ -40,6 +49,7 @@
 #include "common/types.h"
 #include "cpu/arch_state.h"
 #include "cpu/config.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 #include "mem/hierarchy.h"
 #include "mem/sim_memory.h"
@@ -47,72 +57,9 @@
 
 namespace smt::trace {
 class CounterSampler;
-class PipeViewRecorder;
-class TraceRecorder;
 }  // namespace smt::trace
 
 namespace smt::cpu {
-
-/// One dynamic uop flowing through the backend.
-struct DynUop {
-  // Monotonic per-core id, assigned at fetch in program order across both
-  // contexts (deterministic: the counter advances whether or not any
-  // observer is attached). Keys the pipeline-lifetime trace.
-  uint64_t uid = 0;
-  uint32_t pc = 0;
-  isa::Opcode op = isa::Opcode::kNop;
-  isa::UnitClass unit = isa::UnitClass::kNone;
-  isa::RegId dst = isa::kNoReg;
-  isa::RegId dep_regs[4];  // register sources (incl. address regs)
-  int ndep_regs = 0;
-  Addr addr = 0;
-  bool is_load = false;     // holds a load-queue entry
-  bool is_store = false;    // holds a store-buffer entry
-  bool is_prefetch = false;
-  bool prefetch_to_l1 = false;
-  bool is_branch = false;
-};
-
-/// Observer invoked for every retired uop; the Pin-analog profiler in
-/// src/profile attaches through this.
-class RetireObserver {
- public:
-  virtual ~RetireObserver() = default;
-  virtual void on_retire(CpuId cpu, const DynUop& uop) = 0;
-};
-
-/// Issue ports of the modeled backend, at the granularity the paper's
-/// Table 1 / Figure 6 reason about: the two double-speed ALUs (logical,
-/// shift and branch uops are restricted to ALU0), the single shared FP
-/// issue port (FP add/mul/div plus the complex integer unit), the FP-move
-/// path, and the load / store-address ports.
-enum class IssuePort : uint8_t {
-  kAlu0,
-  kAlu1,
-  kFp,      // shared FP complex port (fadd/fmul/fdiv/imul/idiv)
-  kFpMove,
-  kLoad,
-  kStore,   // store-address generation
-};
-inline constexpr int kNumIssuePorts = 6;
-
-/// Why the backend could not make forward progress on a uop this cycle.
-/// The first four mirror the allocator/frontend stall counters; the last
-/// two are issue-stage conditions that have no per-CPU counter but are
-/// attributable per PC (the ALU0 serialization the paper's §5.3 reasons
-/// about shows up as kPortConflict on the mask instructions).
-enum class BlockReason : uint8_t {
-  kStoreBuffer,
-  kRob,
-  kLoadQueue,
-  kUopQueueFull,
-  kPortConflict,  // ready to issue, but the port (or issue slots) were taken
-  kDividerBusy,   // ready to issue, but the unpipelined divider is occupied
-};
-inline constexpr int kNumBlockReasons = 6;
-
-const char* name(IssuePort p);
-const char* name(BlockReason r);
 
 /// Sentinel of next_event_cycle(): no context has any scheduled future
 /// event — every bound context is asleep with no wake-up pending, i.e.
@@ -135,76 +82,6 @@ struct RunResult {
   std::string message;  // empty on kDone; the would-be abort text otherwise
 
   bool ok() const { return termination == RunTermination::kDone; }
-};
-
-/// Kind of a guest memory access as seen by PipelineObserver::
-/// on_guest_access (prefetches are not reported — they have no
-/// architectural effect).
-enum class GuestAccess : uint8_t {
-  kLoad,   // load / fload
-  kStore,  // store / fstore
-  kXchg,   // atomic exchange (reads and writes the word)
-};
-const char* name(GuestAccess k);
-
-/// Pure observer of the backend's issue, stall and miss activity — the
-/// attachment point of the per-PC attribution profiler
-/// (profile::PcProfiler) and the happens-before race detector
-/// (analysis::RaceDetector). Like the telemetry instruments, it is
-/// read-only: attaching one never perturbs a counter, and every callback
-/// replays bit-identically under event-skip fast-forward (on_block is
-/// raised from record_cycle_counters with the frozen per-thread blocking
-/// state, so a skipped window attributes exactly like single-cycle
-/// stepping; guest accesses and IPIs only ever happen in stepped cycles).
-class PipelineObserver {
- public:
-  virtual ~PipelineObserver() = default;
-  /// A uop from `pc` won an issue slot on `port` this cycle. Uops with no
-  /// execution unit (nop/pause/halt/ipi/exit) consume issue bandwidth but
-  /// no port and are not reported.
-  virtual void on_issue(CpuId cpu, IssuePort port, uint32_t pc) = 0;
-  /// The oldest blocked uop of `cpu`, from `pc`, spent `cycles` cycles
-  /// blocked for `reason` (bulk-reported across event-skip windows).
-  virtual void on_block(CpuId cpu, BlockReason reason, uint32_t pc,
-                        Cycle cycles) = 0;
-  /// Interference attribution twin of on_block: raised at the exact same
-  /// points with the same `cycles`, plus the self-vs-sibling classification
-  /// — `sibling` is true when the stall would not have happened without the
-  /// other context (a partitioned structure the uop would fit into at full
-  /// size, a port the sibling reserved this cycle, a divider mid-operation
-  /// on a sibling divide). For kPortConflict `port` names the contended
-  /// IssuePort (as an int), or -1 when the uop lost to issue-bandwidth
-  /// exhaustion rather than a specific port; -1 for every other reason.
-  /// Summing self+sibling per reason therefore reproduces the stall
-  /// counters bit-exactly, under both event_skip modes. Default no-op.
-  virtual void on_interference(CpuId cpu, BlockReason reason, bool sibling,
-                               int port, Cycle cycles) {
-    (void)cpu, (void)reason, (void)sibling, (void)port, (void)cycles;
-  }
-  /// Observers that never consume on_block/on_interference for the
-  /// issue-stage reasons may return false to skip the per-cycle
-  /// scan_issue_blocks pass (the flight recorder does; attribution
-  /// observers keep the default).
-  virtual bool wants_issue_blocks() const { return true; }
-  /// A demand access by `pc` missed L1 (`l2_miss` = it also missed L2).
-  /// Raised at the same points as the kL1Misses/kL2Misses counters.
-  virtual void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) = 0;
-  /// A uop from `pc` retired; `uops` is its retired-uop count (2 for the
-  /// load+store halves of xchg), matching kUopsRetired exactly.
-  virtual void on_retire_uop(CpuId cpu, const DynUop& uop, int uops) = 0;
-  /// A guest load/store/xchg executed functionally at `addr` (raised at
-  /// fetch time, where the functional interpreter runs, in exact
-  /// sequentially-consistent interleaving order). `value` is the value
-  /// read (loads, and the old word for xchg) or the value stored.
-  /// Default no-op so observers that don't track memory stay unchanged.
-  virtual void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                               GuestAccess kind, uint64_t value) {
-    (void)cpu, (void)pc, (void)addr, (void)kind, (void)value;
-  }
-  /// `cpu` executed an ipi instruction (wake-up sent to the sibling).
-  virtual void on_ipi_send(CpuId cpu) { (void)cpu; }
-  /// A halted `cpu` consumed a pending IPI and began waking.
-  virtual void on_ipi_wake(CpuId cpu) { (void)cpu; }
 };
 
 class Core {
@@ -241,7 +118,8 @@ class Core {
 
   /// Runs until the first bound context exits (used by the co-execution
   /// stream experiments, which measure CPI over the fully-overlapped
-  /// window). Returns the id of the finished context.
+  /// window). Returns the id of the finished context. The same loop as
+  /// try_run with an earlier stop; aborts like run() on its failures.
   CpuId run_until_any_done(Cycle max_cycles = 4'000'000'000ull);
 
   bool done(CpuId cpu) const { return threads_[idx(cpu)].mode == TMode::kDone; }
@@ -249,29 +127,20 @@ class Core {
 
   Cycle now() const { return now_; }
 
-  void set_retire_observer(RetireObserver* obs) { observer_ = obs; }
-
-  /// Attaches the per-PC attribution observer (may be null to detach).
-  /// A pure observer with the same guarantees as the telemetry
-  /// instruments: zero cost when detached (every hook is a null check),
-  /// and no counter or simulation state is ever perturbed when attached.
-  void set_pipeline_observer(PipelineObserver* obs) { pipe_ = obs; }
-
-  /// Attaches the pipeline-lifetime trace recorder (may be null to
-  /// detach). Pure observer: uop ids advance deterministically whether or
-  /// not a recorder is attached, so recording never perturbs a counter.
-  void set_pipeview(trace::PipeViewRecorder* pv) { pview_ = pv; }
-
-  /// Attaches the optional telemetry instruments (either may be null).
-  /// Both are pure observers: with them attached, every perf counter stays
-  /// bit-identical to an un-instrumented run — the sampler only makes the
-  /// core split its bulk event-skip accumulation at window boundaries
-  /// (an exact transformation), and the recorder only reads state.
-  void set_telemetry(trace::TraceRecorder* recorder,
-                     trace::CounterSampler* sampler) {
-    trace_ = recorder;
-    sampler_ = sampler;
+  /// Adds `obs` to the observer bus (not owned; it must outlive the run).
+  /// Every hook site fans out over the attached observers in attachment
+  /// order. Attaching never perturbs a counter or the simulation; its
+  /// wants_issue_blocks() is read here, once.
+  void add_observer(PipelineObserver* obs) {
+    observers_.push_back(obs);
+    scan_issue_blocks_ = scan_issue_blocks_ || obs->wants_issue_blocks();
   }
+
+  /// Attaches the windowed counter sampler (may be null to detach). Not a
+  /// bus client: the core must call it at every window boundary and split
+  /// its bulk event-skip accumulation there (an exact transformation), so
+  /// every counter stays bit-identical to an unsampled run.
+  void set_sampler(trace::CounterSampler* sampler) { sampler_ = sampler; }
 
   /// Architectural state inspection (tests).
   const ArchState& arch(CpuId cpu) const { return threads_[idx(cpu)].arch; }
@@ -303,7 +172,20 @@ class Core {
     kDone,
   };
 
-  enum class StallReason : uint8_t { kNone, kRob, kLoadQueue, kStoreBuffer };
+  /// Why a context's oldest blocked uop could not advance this cycle —
+  /// one record per pipeline stage (allocation, frontend, issue), consumed
+  /// by record_cycle_counters to raise on_block. Every field is constant
+  /// within an event-skip window (occupancies, partitioning, port state
+  /// and divider ownership are frozen, and every deadline that could
+  /// change them is a next_event_cycle candidate), so replaying a record
+  /// over n cycles equals per-cycle recomputation.
+  struct Block {
+    bool active = false;
+    BlockReason reason = BlockReason::kRob;
+    uint32_t pc = 0;       // the blocked uop (or next fetch PC)
+    bool sibling = false;  // only the other context made it block
+    int port = -1;         // contended IssuePort for kPortConflict, else -1
+  };
 
   struct RobEntry {
     DynUop uop;
@@ -330,41 +212,18 @@ class Core {
     int sb_used = 0;
     std::vector<Cycle> sb_drain_free_at;
     bool ipi_pending = false;
-    StallReason stall = StallReason::kNone;
-    // PC of the uop the allocator could not move when stall != kNone
-    // (the oldest blocked uop, always uq.front()); consumed by
-    // record_cycle_counters for per-PC stall attribution.
-    uint32_t stall_pc = 0;
-    // Sibling-blame bit for the allocation stall: the uop would have fit
-    // into the full (unpartitioned) structure, so only the sibling's
-    // half-share made it stall. Constant within an event-skip window
-    // (occupancies and partitioning are frozen), so it replays exactly.
-    bool stall_sibling = false;
+    // Allocation stall of uq.front() (ROB / load queue / store buffer);
+    // sibling-blamed when the uop would fit the full, unpartitioned
+    // structure.
+    Block alloc_stall;
     // Set by the fetch stage when this context donated its slot because
-    // the uop queue was full; consumed by record_cycle_counters so the
-    // attribution replays exactly across event-skip windows.
-    bool uq_full = false;
-    // PC of the next instruction to fetch when uq_full was set (the
-    // oldest instruction blocked at the frontend).
-    uint32_t uq_full_pc = 0;
-    // Sibling-blame bit for the frontend stall (queue would accept the
-    // fetch group at full size).
-    bool uq_full_sibling = false;
-    // Issue-stage blocking state, recomputed after the issue stage of
-    // every stepped cycle (only while a PipelineObserver is attached):
-    // the oldest dependence-ready but unissued uop in the scheduler
-    // window, and why it could not issue. Within an event-skip window the
-    // predicate is constant (ports are untouched in no-activity cycles
-    // and divider-busy expiry is a next-event candidate), so
-    // record_cycle_counters replays it bit-identically.
-    bool issue_blocked = false;
-    BlockReason issue_block_reason = BlockReason::kPortConflict;
-    uint32_t issue_block_pc = 0;
-    // Interference classification of the issue block: did the sibling
-    // cause it (port it reserved this cycle, divider running its divide),
-    // and which port was contended (-1 = divider or raw issue bandwidth).
-    bool issue_block_sibling = false;
-    int issue_block_port = -1;
+    // the uop queue was full (pc = the next instruction to fetch);
+    // sibling-blamed when the queue would accept it at full size.
+    Block uq_full;
+    // Oldest dependence-ready but unissued uop in the scheduler window,
+    // recomputed after the issue stage of every stepped cycle while an
+    // attached observer wants issue blocks (scan_issue_blocks).
+    Block issue_block;
     // Recent-load/-store rings for memory-order-violation detection.
     static constexpr int kRlSize = 8;
     static constexpr int kRsSize = 16;
@@ -401,6 +260,10 @@ class Core {
   int uq_limit(CpuId cpu) const;
   bool dep_ready(const Thread& t, uint64_t seq) const;
   void reclaim_store_buffer(Thread& t);
+  /// Classifies the allocation stall of `t`'s next uop (inactive when the
+  /// uop queue is empty or the uop fits) — the one copy of the ROB / load
+  /// queue / store buffer gate shared by dispatch and stall accounting.
+  Block alloc_block(const Thread& t, CpuId cpu) const;
   void deliver_ipi(CpuId target);
   /// Accumulates the per-cycle counters for the `n` cycles [first, first+n).
   /// Called with (now_, 1) at the end of every stepped cycle and with the
@@ -408,6 +271,7 @@ class Core {
   /// bit-identical either way (regression-tested), because within a
   /// no-activity window every per-cycle predicate is provably constant.
   void record_cycle_counters(Cycle first, Cycle n);
+  void notify_block(CpuId cpu, const Block& b, Cycle first, Cycle n);
   /// record_cycle_counters for a skipped window, split at counter-sampler
   /// boundaries so each sampling window receives exactly the cycles it
   /// covers (bit-identical to single-cycle stepping).
@@ -416,9 +280,14 @@ class Core {
   /// all cycles < t to be accounted). No-op without a sampler.
   void sample_up_to(Cycle t);
   Cycle next_event_cycle() const;
-  /// Recomputes Thread::issue_blocked/issue_block_* for both contexts
-  /// (called after the issue stage; only while a PipelineObserver is
-  /// attached — the scan is read-only).
+  /// The shared run loop of try_run and run_until_any_done: steps (and
+  /// event-skips) until `stop` holds or a failure ends the run.
+  RunResult run_until(Cycle max_cycles, bool (Core::*stop)() const);
+  /// True once some bound context has exited.
+  bool any_done() const;
+  /// Recomputes Thread::issue_block for both contexts (called after the
+  /// issue stage; only while an observer wants issue blocks — the scan is
+  /// read-only).
   void scan_issue_blocks();
   void mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
                            bool is_load, uint32_t pc);
@@ -429,10 +298,8 @@ class Core {
   mem::SimMemory& mem_;
   perfmon::PerfCounters& ctr_;
   std::function<bool()> cancel_;  // host cancellation predicate (may be empty)
-  RetireObserver* observer_ = nullptr;
-  PipelineObserver* pipe_ = nullptr;
-  trace::PipeViewRecorder* pview_ = nullptr;
-  trace::TraceRecorder* trace_ = nullptr;
+  std::vector<PipelineObserver*> observers_;  // the observer bus
+  bool scan_issue_blocks_ = false;  // some observer wants issue blocks
   trace::CounterSampler* sampler_ = nullptr;
 
   std::array<Thread, kNumLogicalCpus> threads_;

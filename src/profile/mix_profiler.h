@@ -3,15 +3,15 @@
 // The paper instruments application binaries with Pin and breaks the
 // dynamic instruction mix down by the execution subunit each instruction
 // uses, explaining e.g. the ALU0 serialization of the mask-heavy MM code.
-// Here the profiler attaches to the simulator's retire stage and performs
-// the same classification on the uop stream.
+// Here the profiler rides the core's observer bus, consumes the retire
+// hook, and performs the same classification on the uop stream.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-#include "cpu/core.h"
+#include "cpu/observer.h"
 #include "isa/opcode.h"
 
 namespace smt::profile {
@@ -36,9 +36,10 @@ const char* name(Subunit s);
 /// Maps an execution-unit class to its Table-1 category.
 Subunit subunit_of(isa::UnitClass u);
 
-class MixProfiler : public cpu::RetireObserver {
+class MixProfiler final : public cpu::PipelineObserver {
  public:
-  void on_retire(CpuId cpu, const cpu::DynUop& uop) override;
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   uint64_t total(CpuId cpu) const { return total_[idx(cpu)]; }
   uint64_t count(CpuId cpu, Subunit s) const {

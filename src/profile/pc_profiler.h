@@ -29,7 +29,7 @@
 #include <map>
 #include <string>
 
-#include "cpu/core.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 
 namespace smt::profile {
@@ -44,13 +44,17 @@ struct PcStats {
   std::array<uint64_t, cpu::kNumIssuePorts> port_uops{};  // issued, by port
 };
 
-class PcProfiler : public cpu::PipelineObserver {
+class PcProfiler final : public cpu::PipelineObserver {
  public:
-  void on_issue(CpuId cpu, cpu::IssuePort port, uint32_t pc) override;
-  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
-                Cycle cycles) override;
-  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) override;
-  void on_retire_uop(CpuId cpu, const cpu::DynUop& uop, int uops) override;
+  bool wants_issue_blocks() const override { return true; }
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int port, Cycle done,
+                Cycle now) override;
+  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc, bool sibling,
+                int port, Cycle cycles, Cycle now) override;
+  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                      Cycle now) override;
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   /// Remember the program loaded on `cpu` so reports can carry per-PC
   /// disassembly and stay self-contained.

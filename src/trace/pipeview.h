@@ -1,8 +1,8 @@
 // PipeViewRecorder: per-uop pipeline lifetime traces in Kanata format.
 //
-// The core stamps every dynamic uop at each stage boundary — fetch,
-// dispatch (allocation into the ROB), issue (port reservation) and retire
-// — and the recorder serializes the lifetimes as a Kanata 0004 log, the
+// A client of the core's observer bus (cpu/observer.h): it stamps every
+// dynamic uop at each stage boundary — fetch, dispatch (allocation into
+// the ROB), issue (port reservation) and retire — and serializes the lifetimes as a Kanata 0004 log, the
 // format the Konata pipeline viewer renders: one lane per uop, stages
 // F → Ds → X → Cm → retire, lanes colored by logical CPU (Kanata's thread
 // id), with the issue port in the mouse-over label. SMT port stealing is
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 
 namespace smt::trace {
@@ -38,7 +39,7 @@ struct PipeViewConfig {
   size_t max_uops = 1u << 20;  ///< memory backstop on dense windows
 };
 
-class PipeViewRecorder {
+class PipeViewRecorder final : public cpu::PipelineObserver {
  public:
   explicit PipeViewRecorder(const PipeViewConfig& cfg = {}) : cfg_(cfg) {}
 
@@ -50,13 +51,13 @@ class PipeViewRecorder {
     progs_[idx(cpu)] = prog;
   }
 
-  // --- core hooks (called by cpu::Core when attached) --------------------
-  void on_fetch(CpuId cpu, uint64_t uid, uint32_t pc, Cycle now);
-  void on_dispatch(CpuId cpu, uint64_t uid, Cycle now);
-  /// `port` is the reserved IssuePort as an int, or -1 for portless uops
-  /// (nop/pause/halt/ipi); `done` is the execution-complete cycle.
-  void on_issue(CpuId cpu, uint64_t uid, int port, Cycle now, Cycle done);
-  void on_retire(CpuId cpu, uint64_t uid, Cycle now);
+  // --- observer-bus hooks: the four stage stamps --------------------------
+  void on_fetch(CpuId cpu, const cpu::DynUop& uop, Cycle now) override;
+  void on_dispatch(CpuId cpu, const cpu::DynUop& uop, Cycle now) override;
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int port, Cycle done,
+                Cycle now) override;
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   /// Serializes the captured lifetimes as a Kanata 0004 log. Only uops
   /// with a complete fetch→retire lifetime inside the window are emitted.

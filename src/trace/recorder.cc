@@ -103,7 +103,9 @@ void TraceRecorder::close_burst(int cpu) {
         TraceKind::kL2MissBurst});
 }
 
-void TraceRecorder::on_l2_miss(CpuId cpu, Cycle now) {
+void TraceRecorder::on_demand_miss(CpuId cpu, uint32_t /*pc*/, bool l2_miss,
+                                   Cycle now) {
+  if (!l2_miss) return;
   BurstState& b = burst_[idx(cpu)];
   if (b.open && now >= b.last && now - b.last <= l2_burst_gap_) {
     b.last = now;
@@ -117,22 +119,33 @@ void TraceRecorder::on_l2_miss(CpuId cpu, Cycle now) {
   b.count = 1;
 }
 
-void TraceRecorder::on_store(CpuId cpu, Addr addr, uint64_t value, Cycle now) {
+void TraceRecorder::on_guest_access(CpuId cpu, uint32_t /*pc*/, Addr addr,
+                                    cpu::GuestAccess kind, uint64_t value,
+                                    Cycle now) {
+  if (kind == cpu::GuestAccess::kLoad) return;
   const auto it = watch_.find(addr);
   if (it == watch_.end()) return;
   const WatchSlot& slot = it->second;
   const Annotation& ann = anns_[slot.ann];
   if (ann.kind == Annotation::Kind::kLock) {
-    // Only the release path stores to a lock word directly (acquisition
-    // goes through xchg); a zero store while held closes the span.
     LockState& l = locks_[slot.ann];
-    if (value == 0 && l.held) {
+    if (kind == cpu::GuestAccess::kXchg) {
+      // Test-and-set acquire: the exchange that reads 0 owns the lock.
+      if (value == 0 && !l.held) {
+        l.held = true;
+        l.since = now;
+        l.owner = static_cast<int16_t>(idx(cpu));
+      }
+    } else if (value == 0 && l.held) {
+      // Only the release path stores to a lock word directly (acquisition
+      // goes through xchg); a zero store while held closes the span.
       l.held = false;
       push({l.since, now, 0, l.owner, static_cast<int16_t>(slot.ann),
             TraceKind::kLockHeld});
     }
     return;
   }
+  if (kind == cpu::GuestAccess::kXchg) return;  // barrier flags are stored
 
   // Barrier arrival: the store publishes this thread's episode counter.
   BarrierState& b = barriers_[slot.ann];
@@ -155,20 +168,6 @@ void TraceRecorder::on_store(CpuId cpu, Addr addr, uint64_t value, Cycle now) {
       push({now, now, e, -1, static_cast<int16_t>(slot.ann),
             TraceKind::kSprHandoff});
     }
-  }
-}
-
-void TraceRecorder::on_xchg(CpuId cpu, Addr addr, uint64_t loaded, Cycle now) {
-  const auto it = watch_.find(addr);
-  if (it == watch_.end()) return;
-  const WatchSlot& slot = it->second;
-  if (anns_[slot.ann].kind != Annotation::Kind::kLock) return;
-  // Test-and-set acquire: the exchange that reads 0 owns the lock.
-  LockState& l = locks_[slot.ann];
-  if (loaded == 0 && !l.held) {
-    l.held = true;
-    l.since = now;
-    l.owner = static_cast<int16_t>(idx(cpu));
   }
 }
 

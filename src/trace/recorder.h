@@ -1,9 +1,10 @@
 // TraceRecorder: cycle-stamped event timeline of one simulated run.
 //
-// The core (and, through address annotations, the sync primitives and the
-// SPR prefetch runner) feed it events as they happen: halt entry/exit,
-// IPI send/wake, barrier arrivals paired into episode spans, lock
-// acquire/release paired into held spans, and L2-miss bursts. Events live
+// A client of the core's observer bus (cpu/observer.h): halt entry/exit
+// and IPI send/wake arrive as hooks, L2-miss bursts are built from the
+// demand-miss hook, and — through address annotations registered by the
+// sync primitives and the SPR prefetch runner — guest stores and xchgs on
+// watched words pair into barrier episode spans and lock held spans. Events live
 // in a bounded ring buffer (oldest dropped first, with a drop count), and
 // are serialized as Chrome trace-event JSON — loadable in Perfetto or
 // chrome://tracing — by trace/telemetry.h.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cpu/observer.h"
 
 namespace smt::trace {
 
@@ -57,7 +59,7 @@ struct Annotation {
   bool spr = false;  ///< barrier throttles an SPR prefetcher (handoffs)
 };
 
-class TraceRecorder {
+class TraceRecorder final : public cpu::PipelineObserver {
  public:
   explicit TraceRecorder(size_t capacity, Cycle l2_burst_gap);
 
@@ -67,20 +69,19 @@ class TraceRecorder {
   int annotate_lock(Addr lock_addr, std::string name);
   const std::vector<Annotation>& annotations() const { return anns_; }
 
-  /// True if `addr` is an annotated word — lets the core skip the value
-  /// read-back for the (vast majority of) unwatched stores.
-  bool watches(Addr addr) const { return watch_.count(addr) > 0; }
-
-  // --- event feeds (called by cpu::Core while simulating) ----------------
-  void on_halt_enter(CpuId cpu, Cycle now);
-  void on_halt_exit(CpuId cpu, Cycle now);
-  void on_ipi_send(CpuId cpu, Cycle now);
-  void on_ipi_wake(CpuId cpu, Cycle now);
-  void on_l2_miss(CpuId cpu, Cycle now);
-  /// A store of `value` to an annotated address retired functionally.
-  void on_store(CpuId cpu, Addr addr, uint64_t value, Cycle now);
-  /// An xchg on an annotated address; `loaded` is the value it read.
-  void on_xchg(CpuId cpu, Addr addr, uint64_t loaded, Cycle now);
+  // --- observer-bus hooks (raised by cpu::Core while simulating) ---------
+  void on_halt_enter(CpuId cpu, Cycle now) override;
+  void on_halt_exit(CpuId cpu, Cycle now) override;
+  void on_ipi_send(CpuId cpu, Cycle now) override;
+  void on_ipi_wake(CpuId cpu, Cycle now) override;
+  /// Misses that went to memory (`l2_miss`) group into bursts.
+  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                      Cycle now) override;
+  /// Stores and xchgs on annotated words drive the barrier and lock
+  /// spans (`value`: the word stored, or the old word an xchg read).
+  void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
+                       cpu::GuestAccess kind, uint64_t value,
+                       Cycle now) override;
 
   /// Closes still-open spans (bursts, halts, held locks) at `end`.
   void finalize(Cycle end);

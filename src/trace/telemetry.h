@@ -7,8 +7,9 @@
 // A Machine owns at most one Telemetry, created either explicitly via
 // Machine::enable_telemetry() or implicitly when the process-global
 // default (set_global_telemetry, wired to SMT_BENCH_TRACE_DIR by
-// bench/bench_util.h) is enabled. Disabled telemetry costs nothing: the
-// core holds null pointers and every hook is a branch on them. Enabled
+// bench/bench_util.h) is enabled. Disabled telemetry costs nothing:
+// neither instrument is attached to the core (the recorder rides the
+// observer bus, the sampler the core's sampler slot). Enabled
 // telemetry never perturbs a measurement: both instruments are read-only
 // observers of the counters and the simulation state (asserted
 // bit-for-bit in trace_test).

@@ -885,5 +885,40 @@ TEST(EventSkip, StorePressureCountsIdentically) {
   check_skip_equivalence(p, nullptr);
 }
 
+// ---------------------------------------------------------------------------
+// run_until_any_done shares try_run's loop
+// ---------------------------------------------------------------------------
+
+TEST(Runner, RunUntilAnyDoneIsIdenticalAcrossEventSkip) {
+  // Divider-bound streams leave skip windows before the first exit: the
+  // same context must finish first, at the same cycle, with the same
+  // counters whether those windows are skipped or stepped.
+  const isa::Program p0 = idiv_chain(6, 150);
+  const isa::Program p1 = fdiv_chain(6, 300);
+  MachineConfig skip_cfg;
+  skip_cfg.core.event_skip = true;
+  Machine skip{skip_cfg};
+  MachineConfig step_cfg;
+  step_cfg.core.event_skip = false;
+  Machine step{step_cfg};
+  CpuId first[2];
+  int i = 0;
+  for (Machine* m : {&skip, &step}) {
+    m->load_program(kC0, p0);
+    m->load_program(kC1, p1);
+    first[i++] = m->run_until_any_done();
+  }
+  EXPECT_EQ(first[0], first[1]);
+  EXPECT_FALSE(skip.core().all_done());
+  expect_identical_counters(skip, step);
+}
+
+TEST(RunnerDeath, RunUntilAnyDoneAbortsOnAnExhaustedBudget) {
+  Machine m;
+  m.load_program(kC0, fadd_chain(6, 20000));
+  m.load_program(kC1, fadd_chain(6, 20000));
+  EXPECT_DEATH(m.run_until_any_done(100), "max_cycles exceeded");
+}
+
 }  // namespace
 }  // namespace smt

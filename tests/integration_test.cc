@@ -81,7 +81,7 @@ TEST(CounterInvariants, ClassCountsPartitionRetired) {
   kernels::MatMulWorkload w(p);
   Machine m{MachineConfig{}};
   profile::MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().add_observer(&prof);
   w.setup(m);
   m.load_program(CpuId::kCpu0, w.programs()[0]);
   m.run();

@@ -7,7 +7,6 @@
 #include "kernels/matmul.h"
 #include "profile/delinquent.h"
 #include "profile/mix_profiler.h"
-#include "profile/pc_profiler.h"
 
 namespace smt::profile {
 namespace {
@@ -41,7 +40,7 @@ TEST(MixProfiler, CountsMatchPerfCounters) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().add_observer(&prof);
   w.setup(m);
   m.load_program(CpuId::kCpu0, w.programs()[0]);
   m.run();
@@ -65,7 +64,7 @@ TEST(MixProfiler, MmHasTheMaskedLayoutSignature) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().add_observer(&prof);
   w.setup(m);
   m.load_program(CpuId::kCpu0, w.programs()[0]);
   m.run();
@@ -94,7 +93,7 @@ TEST(MixProfiler, SprPrefetcherHasNoFpArithmetic) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().add_observer(&prof);
   w.setup(m);
   auto progs = w.programs();
   m.load_program(CpuId::kCpu0, progs[0]);
@@ -106,56 +105,11 @@ TEST(MixProfiler, SprPrefetcherHasNoFpArithmetic) {
   EXPECT_GT(prof.count(CpuId::kCpu1, Subunit::kLoad), 0u);  // prefetches
 }
 
-TEST(PcProfiler, PerPcCountsSumToMixProfilerAndCounters) {
-  // The per-PC attribution must be a refinement of the Table-1 mix: on the
-  // SPR matmul, grouping each context's per-PC retired-instruction counts
-  // by the PC's execution subunit reproduces the MixProfiler totals
-  // exactly, and the per-PC retired-uop counts sum to kUopsRetired. Both
-  // observers ride the same run (separate observer slots).
-  MatMulParams p;
-  p.n = 16;
-  p.tile = 4;
-  p.mode = MmMode::kTlpPfetch;
-  MatMulWorkload w(p);
-  core::Machine m{};
-  MixProfiler mix;
-  PcProfiler pcs;
-  m.core().set_retire_observer(&mix);
-  m.core().set_pipeline_observer(&pcs);
-  w.setup(m);
-  auto progs = w.programs();
-  m.load_program(CpuId::kCpu0, progs[0]);
-  m.load_program(CpuId::kCpu1, progs[1]);
-  m.run();
-  EXPECT_TRUE(w.verify(m));
-  for (int c = 0; c < kNumLogicalCpus; ++c) {
-    const CpuId cpu = static_cast<CpuId>(c);
-    const isa::Program& prog = progs[static_cast<size_t>(c)];
-    uint64_t by_subunit[static_cast<int>(Subunit::kNumSubunits)] = {};
-    uint64_t instrs = 0;
-    uint64_t uops = 0;
-    for (const auto& [pc, s] : pcs.pcs(cpu)) {
-      ASSERT_LT(pc, prog.size());
-      const Subunit su = subunit_of(isa::unit_class(prog.at(pc).op));
-      by_subunit[static_cast<int>(su)] += s.retired_instrs;
-      instrs += s.retired_instrs;
-      uops += s.retired_uops;
-    }
-    for (int s = 0; s < static_cast<int>(Subunit::kNumSubunits); ++s) {
-      EXPECT_EQ(by_subunit[s], mix.count(cpu, static_cast<Subunit>(s)))
-          << "cpu" << c << " subunit " << name(static_cast<Subunit>(s));
-    }
-    EXPECT_EQ(instrs,
-              m.counters().get(cpu, perfmon::Event::kInstrRetired));
-    EXPECT_EQ(uops, m.counters().get(cpu, perfmon::Event::kUopsRetired));
-  }
-}
-
 TEST(MixProfiler, ResetClearsState) {
   MixProfiler prof;
   cpu::DynUop u;
   u.unit = isa::UnitClass::kFpAdd;
-  prof.on_retire(CpuId::kCpu0, u);
+  prof.on_retire(CpuId::kCpu0, u, 1, 0);
   EXPECT_EQ(prof.total(CpuId::kCpu0), 1u);
   prof.reset();
   EXPECT_EQ(prof.total(CpuId::kCpu0), 0u);

@@ -22,6 +22,7 @@ namespace smt {
 namespace {
 
 using core::MachineConfig;
+using cpu::GuestAccess;
 using core::RunStats;
 using kernels::MatMulParams;
 using kernels::MatMulWorkload;
@@ -156,12 +157,14 @@ TEST(TraceRecorder, PairsLockAcquireAndRelease) {
   TraceRecorder rec(64, 0);
   const Addr lock = 0x1000;
   const int ann = rec.annotate_lock(lock, "l");
-  EXPECT_TRUE(rec.watches(lock));
-  EXPECT_FALSE(rec.watches(lock + 8));
 
-  rec.on_xchg(kC1, lock, /*loaded=*/1, 10);  // contended attempt: not held
-  rec.on_xchg(kC1, lock, /*loaded=*/0, 20);  // acquire
-  rec.on_store(kC1, lock, /*value=*/0, 50);  // release
+  // Contended attempt (reads 1): not held.
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kXchg, /*value=*/1, 10);
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kXchg, 0, 20);  // acquire
+  // Loads and unwatched words never touch the spans.
+  rec.on_guest_access(kC0, 0, lock, GuestAccess::kLoad, 0, 30);
+  rec.on_guest_access(kC0, 0, lock + 8, GuestAccess::kXchg, 0, 35);
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kStore, 0, 50);  // release
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kLockHeld), 1);
   for (const TraceEvent& e : evs) {
@@ -177,7 +180,7 @@ TEST(TraceRecorder, FinalizeClosesHeldLock) {
   TraceRecorder rec(64, 0);
   const Addr lock = 0x2000;
   rec.annotate_lock(lock, "l");
-  rec.on_xchg(kC0, lock, 0, 5);
+  rec.on_guest_access(kC0, 0, lock, GuestAccess::kXchg, 0, 5);
   rec.finalize(100);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kLockHeld), 1);
@@ -191,8 +194,8 @@ TEST(TraceRecorder, PairsBarrierEpisodes) {
   const int ann = rec.annotate_barrier(f0, f1, "b", /*spr=*/true);
 
   // Episode 1: cpu0 arrives first (stores episode counter 1), cpu1 later.
-  rec.on_store(kC0, f0, 1, 10);
-  rec.on_store(kC1, f1, 1, 40);
+  rec.on_guest_access(kC0, 0, f0, GuestAccess::kStore, 1, 10);
+  rec.on_guest_access(kC1, 0, f1, GuestAccess::kStore, 1, 40);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kBarrierEpisode), 1);
   ASSERT_EQ(count_kind(evs, TraceKind::kBarrierWait), 1);
@@ -214,10 +217,11 @@ TEST(TraceRecorder, PairsBarrierEpisodes) {
 
 TEST(TraceRecorder, GroupsL2MissBursts) {
   TraceRecorder rec(64, /*l2_burst_gap=*/50);
-  rec.on_l2_miss(kC0, 100);
-  rec.on_l2_miss(kC0, 120);
-  rec.on_l2_miss(kC0, 140);
-  rec.on_l2_miss(kC0, 500);  // beyond the gap: new burst
+  rec.on_demand_miss(kC0, 0, /*l2_miss=*/true, 100);
+  rec.on_demand_miss(kC0, 0, true, 120);
+  rec.on_demand_miss(kC0, 0, /*l2_miss=*/false, 130);  // L1-only: ignored
+  rec.on_demand_miss(kC0, 0, true, 140);
+  rec.on_demand_miss(kC0, 0, true, 500);  // beyond the gap: new burst
   rec.finalize(600);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kL2MissBurst), 2);
