@@ -12,19 +12,18 @@
 //   SMT_BENCH_REPORT_DIR=dir  write a RunReport JSON artifact per recorded
 //                             run into `dir` (see core/run_report.h)
 //   SMT_BENCH_TRACE_DIR=dir   enable time-resolved telemetry on every run:
-//                             reports gain a `timeseries` section (schema
-//                             smt-run-report/2) and a Chrome trace-event
-//                             file *.trace.json — loadable in Perfetto —
-//                             lands in `dir` per recorded run
+//                             reports gain a `timeseries` section and a
+//                             Chrome trace-event file *.trace.json —
+//                             loadable in Perfetto — lands in `dir` per
+//                             recorded run
 //   SMT_BENCH_PROFILE=1       enable the per-PC attribution profiler on
 //                             every run: reports gain a `profile` section
-//                             (hotspots + port occupancy, schema
-//                             smt-run-report/3; see tools/smt_annotate)
+//                             (hotspots + port occupancy; see
+//                             tools/smt_annotate)
 //   SMT_BENCH_INTERFERENCE=1  enable the SMT interference profiler on
 //                             every run: reports gain an `interference`
 //                             section (self- vs sibling-blamed stall
-//                             cycles per resource, schema
-//                             smt-run-report/4; see tools/smt_explain)
+//                             cycles per resource; see tools/smt_explain)
 //   SMT_BENCH_PIPEVIEW=1      enable per-uop pipeline lifetime traces: a
 //                             Kanata file *.kanata — loadable in the
 //                             Konata viewer — lands beside each report
@@ -108,7 +107,7 @@ inline const std::string& report_dir() {
 
 /// Directory for Chrome trace-event artifacts, or "" when tracing is off.
 /// A nonempty value also enables process-global telemetry (see bench_main),
-/// which upgrades the RunReport artifacts to schema smt-run-report/2.
+/// which adds a `timeseries` section to the RunReport artifacts.
 inline const std::string& trace_dir() {
   static const std::string dir = [] {
     const char* v = std::getenv("SMT_BENCH_TRACE_DIR");

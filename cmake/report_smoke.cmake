@@ -1,9 +1,11 @@
 # Smoke test driver: run a bench binary with report emission enabled —
 # and, when TRACE_DIR is given, with telemetry enabled too; when PROFILE
-# is set, with the per-PC profiler on — then validate the artifacts with
-# check_reports. Invoked by ctest (see tools/CMakeLists.txt) as:
+# is set, with the per-PC profiler on; when INTERFERENCE is set, with
+# interference attribution on — then validate the artifacts with
+# check_reports. When ANNOTATE is given, smt_annotate must also accept
+# one emitted report. Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DBENCH=... -DCHECKER=... -DREPORT_DIR=... [-DTRACE_DIR=...]
-#     [-DPROFILE=1] -P report_smoke.cmake
+#     [-DPROFILE=1] [-DINTERFERENCE=1] [-DANNOTATE=...] -P report_smoke.cmake
 file(REMOVE_RECURSE "${REPORT_DIR}")
 file(MAKE_DIRECTORY "${REPORT_DIR}")
 
@@ -15,6 +17,9 @@ if(TRACE_DIR)
 endif()
 if(PROFILE)
   set(ENV{SMT_BENCH_PROFILE} "1")
+endif()
+if(INTERFERENCE)
+  set(ENV{SMT_BENCH_INTERFERENCE} "1")
 endif()
 execute_process(COMMAND "${BENCH}" RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)
@@ -29,4 +34,15 @@ else()
 endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "artifacts failed validation: ${rc}")
+endif()
+
+if(ANNOTATE)
+  file(GLOB reports "${REPORT_DIR}/*.json")
+  list(SORT reports)
+  list(GET reports 0 report)
+  execute_process(COMMAND "${ANNOTATE}" "${report}" --top 5
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "smt_annotate rejected ${report}: ${rc}")
+  endif()
 endif()

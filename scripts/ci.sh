@@ -115,13 +115,14 @@ make_temp_dir trace_dir
 SMT_BENCH_REPORT_DIR="$report_dir" ./build/bench/ablation_sync > /dev/null
 ./build/tools/check_reports "$report_dir"
 
-# Same bench with tracing on: schema /2 reports + Chrome trace-event files.
+# Same bench with tracing on: reports with a timeseries section + Chrome
+# trace-event files.
 rm -rf "$report_dir" && mkdir -p "$report_dir"
 SMT_BENCH_REPORT_DIR="$report_dir" SMT_BENCH_TRACE_DIR="$trace_dir" \
   ./build/bench/ablation_sync > /dev/null
 ./build/tools/check_reports "$report_dir" "$trace_dir"
 
-# Profiled run of the fig3 matmul bench: schema /3 reports whose per-PC
+# Profiled run of the fig3 matmul bench: reports whose per-PC
 # attributions must validate, annotate cleanly, and gate regressions.
 make_temp_dir profile_dir
 SMT_BENCH_REPORT_DIR="$profile_dir" SMT_BENCH_PROFILE=1 \
@@ -188,13 +189,14 @@ if ./build/tools/smt_history check --sweep "$hist_dir/perturbed" \
   exit 1
 fi
 
-# Interference attribution: a /4 report whose self+sibling sums must
-# reproduce the stall counters bit-exactly (validated by check_reports),
-# and report_diff must accept a self-diff of the interference section.
+# Interference attribution: a report with an interference section whose
+# self+sibling sums must reproduce the stall counters bit-exactly
+# (validated by check_reports), and report_diff must accept a self-diff
+# of the interference section.
 make_temp_dir inter_dir
 SMT_BENCH_REPORT_DIR="$inter_dir" SMT_BENCH_INTERFERENCE=1 \
   ./build/bench/ablation_sync > /dev/null
-grep -q '"schema":"smt-run-report/4"' "$inter_dir"/*.json
+grep -q '"interference":\[' "$inter_dir"/*.json
 ./build/tools/check_reports "$inter_dir"
 inter_report=$(ls "$inter_dir"/*.json | head -1)
 ./build/tools/report_diff "$inter_report" "$inter_report"

@@ -9,6 +9,19 @@
 
 namespace smt {
 
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::string text;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return std::nullopt;
+  return text;
+}
+
 bool write_text_file(const std::string& path, std::string_view content) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();

@@ -1,12 +1,19 @@
-// Small file-output helpers shared by the artifact writers (run reports,
-// Chrome traces, sweep indexes): text output with directory creation, and
-// collision-free mapping of registry keys to filename fragments.
+// Small file helpers shared by the artifact writers and readers (run
+// reports, Chrome traces, sweep indexes, cache objects): whole-file text
+// input and output with directory creation, and collision-free mapping of
+// registry keys to filename fragments.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace smt {
+
+/// The whole content of `path`, or std::nullopt when it cannot be opened
+/// or read. Logs nothing: callers decide whether a missing file is an
+/// error, and how to report it.
+std::optional<std::string> read_text_file(const std::string& path);
 
 /// Writes `content` to `path`, creating missing parent directories first.
 /// Returns false — after logging the reason to stderr — if the directory

@@ -141,6 +141,28 @@ const JsonValue* JsonValue::find(const std::string& k) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
+bool has_number(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_number();
+}
+
+double number_or(const JsonValue& obj, const std::string& key,
+                 double fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_number() ? v->number : fallback;
+}
+
+double number_or(const JsonValue* obj, const std::string& key,
+                 double fallback) {
+  return obj != nullptr ? number_or(*obj, key, fallback) : fallback;
+}
+
+std::string string_or(const JsonValue& obj, const std::string& key,
+                      const std::string& fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_string() ? v->string : fallback;
+}
+
 namespace {
 
 class Parser {

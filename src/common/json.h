@@ -77,6 +77,21 @@ struct JsonValue {
   const JsonValue* find(const std::string& k) const;
 };
 
+/// True when `obj` has a number member `key`.
+bool has_number(const JsonValue& obj, const std::string& key);
+
+/// obj[key] when it is a number, else `fallback`. The pointer form also
+/// yields `fallback` for a null `obj`, so an absent sub-object reads as
+/// all-`fallback` (report sections treat absent counts as zero).
+double number_or(const JsonValue& obj, const std::string& key,
+                 double fallback);
+double number_or(const JsonValue* obj, const std::string& key,
+                 double fallback);
+
+/// obj[key] when it is a string, else `fallback`.
+std::string string_or(const JsonValue& obj, const std::string& key,
+                      const std::string& fallback);
+
 /// Parses a complete JSON document; std::nullopt on any syntax error or
 /// trailing garbage.
 std::optional<JsonValue> parse_json(std::string_view text);

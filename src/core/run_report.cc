@@ -188,8 +188,9 @@ void write_profile(JsonWriter& w, const profile::PcProfiler& prof,
   w.end_array();
 
   // Per-cycle issue caps for each port (the double-speed ALUs fire twice a
-  // cycle; the FP/move/load/store ports once). Validators bound occupancy
-  // by cap * cycles, and smt_annotate computes utilization against them.
+  // cycle; the FP/move/load/store ports once). check_run_report bounds
+  // occupancy by cap * cycles, and smt_annotate computes utilization
+  // against them.
   w.key("port_caps_per_cycle");
   std::array<uint64_t, cpu::kNumIssuePorts> caps{};
   caps[static_cast<int>(cpu::IssuePort::kAlu0)] =
@@ -225,8 +226,9 @@ void write_interference(JsonWriter& w,
         prof.stats(static_cast<CpuId>(i));
     w.begin_object();
     w.kv("cpu", i);
-    // Invariant checked by check_reports: self + sibling per reason
-    // equals the corresponding stall counter of this CPU bit-exactly.
+    // Invariant checked by core::check_run_report: self + sibling per
+    // reason equals the corresponding stall counter of this CPU
+    // bit-exactly.
     w.key("self");
     write_block_reason_map(w, s.self);
     w.key("sibling");
@@ -254,22 +256,9 @@ RunReport RunReport::from(const RunStats& stats) {
 }
 
 std::string RunReport::to_json() const {
-  // Reports from telemetry-enabled runs carry the windowed counter
-  // time-series and advertise schema /2; plain runs stay on /1 so
-  // existing artifact consumers are unaffected. Profiled runs carry a
-  // `profile` section and advertise /3 (timeseries optional there);
-  // interference-attributed runs carry an `interference` section and
-  // advertise /4 (profile and timeseries both optional there).
-  const bool timeseries = stats.telemetry != nullptr &&
-                          !stats.telemetry->sampler().windows().empty();
-  const bool profiled = stats.pc_profile != nullptr;
-  const bool interference = stats.interference != nullptr;
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", interference  ? "smt-run-report/4"
-                 : profiled    ? "smt-run-report/3"
-                 : timeseries  ? "smt-run-report/2"
-                               : "smt-run-report/1");
+  w.kv("schema", "smt-run-report/1");
   w.kv("workload", stats.workload);
   w.kv("cycles", static_cast<uint64_t>(stats.cycles));
   w.kv("verified", stats.verified);
@@ -311,17 +300,20 @@ std::string RunReport::to_json() const {
                   : 0.0);
   w.end_object();
 
-  if (timeseries) {
+  // One schema: each optional section below is present exactly when its
+  // instrument was attached (the time series also needs a closed window).
+  if (stats.telemetry != nullptr &&
+      !stats.telemetry->sampler().windows().empty()) {
     w.key("timeseries");
     write_timeseries(w, stats.telemetry->sampler());
   }
 
-  if (profiled) {
+  if (stats.pc_profile != nullptr) {
     w.key("profile");
     write_profile(w, *stats.pc_profile, stats.config.core);
   }
 
-  if (interference) {
+  if (stats.interference != nullptr) {
     w.key("interference");
     write_interference(w, *stats.interference);
   }

@@ -5,23 +5,46 @@
 // (see bench/bench_util.h) so results are comparable across configs and
 // revisions without scraping stdout tables.
 //
-// JSON schema (versioned by the "schema" member):
+// JSON schema. This comment is its one description; its invariants live
+// in core/report_check.h. Every report carries the same schema string;
+// the three trailing sections are optional, each present exactly when
+// its instrument was attached to the run:
 //   {
-//     "schema": "smt-run-report/1",   // "/2" when "timeseries" is present
+//     "schema": "smt-run-report/1",
 //     "workload": "...", "cycles": N, "verified": true,
 //     "config": { "core": {...}, "mem": {...} },
 //     "cpus": [ { "cpu": 0,
 //                 "events": { "<event name>": N, ... },   // all counters
 //                 "breakdown": { "total": N, "active": N, ... } }, ... ],
 //     "totals": { "instr_retired": N, "uops_retired": N, "ipc": X },
-//     "timeseries": {                 // schema /2 only: windowed counter
-//       "window_cycles": W,           // time-series from trace::Telemetry
+//
+//     "timeseries": {                 // telemetry (trace::Telemetry):
+//       "window_cycles": W,           // windowed counter deltas
 //       "windows": [ { "begin": B, "end": E,
 //                      "cpus": [ { "cpu": 0,
 //                                  "events": {  // nonzero deltas only
 //                                    "<event name>": N, ... } }, ... ] },
-//                    ... ] }          // windows tile [0, cycles) exactly;
-//   }                                 // per-event sums equal the totals
+//                    ... ] },         // windows tile [0, cycles) exactly;
+//                                     // per-event sums equal the totals
+//     "profile": {                    // per-PC profiler (profile::PcProfiler)
+//       "hotspots": [ { "cpu": 0,
+//                       "pcs": [ { "pc": P, "disasm": "...",
+//                                  "retired_instrs": N, "retired_uops": N,
+//                                  "l1_misses": N, "l2_misses": N,
+//                                  "stalls": { "<block reason>": N, ... },
+//                                  "ports": { "<issue port>": N, ... } },
+//                                ... ] }, ... ],
+//       "port_occupancy": [ { "cpu": 0, "ports": {...} }, ... ],
+//       "port_caps_per_cycle": { "<issue port>": N, ... } },
+//     "interference": [               // interference profiler
+//       { "cpu": 0,                   // (profile::InterferenceProfiler)
+//         "self": { "<block reason>": N, ... },      // stall cycles by
+//         "sibling": { "<block reason>": N, ... },   // who caused them
+//         "port_conflict": { "self": { "<issue port>": N, ...,
+//                                      "issue_bandwidth": N },
+//                            "sibling": {...} },
+//         "l2_sibling_evictions": N }, ... ]
+//   }
 #pragma once
 
 #include <string>

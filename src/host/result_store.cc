@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/hash.h"
@@ -20,14 +18,6 @@ namespace smt::host {
 namespace {
 
 constexpr char kMetaSchema[] = "smt-result-cache/1";
-
-std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 std::string meta_json(const ResultKey& key, const CachedResult& r) {
   JsonWriter w;
@@ -102,7 +92,7 @@ std::string ResultStore::object_dir(const ResultKey& key) const {
 
 std::optional<CachedResult> ResultStore::load(const ResultKey& key) const {
   const fs::path dir = object_dir(key);
-  const auto meta_bytes = read_file(dir / "meta.json");
+  const auto meta_bytes = read_text_file(dir / "meta.json");
   if (!meta_bytes.has_value()) return std::nullopt;
   const auto meta = parse_json(*meta_bytes);
   if (!meta.has_value() || !meta->is_object()) return std::nullopt;
@@ -164,11 +154,11 @@ std::optional<CachedResult> ResultStore::load(const ResultKey& key) const {
   r.message = *message;
   r.cycles = static_cast<Cycle>(cycles->number);
   r.verified = verified;
-  auto report = read_file(dir / "report.json");
+  auto report = read_text_file(dir / "report.json");
   if (!report.has_value() || report->empty()) return std::nullopt;
   r.report_json = std::move(*report);
   if (has_dump) {
-    auto dump = read_file(dir / "dump.json");
+    auto dump = read_text_file(dir / "dump.json");
     if (!dump.has_value() || dump->empty()) return std::nullopt;
     r.dump_json = std::move(*dump);
   }

@@ -43,9 +43,14 @@
 
 namespace smt::host {
 
-/// The newest run-report schema the writer can emit. Part of every
-/// result key: bump it (in lockstep with core::RunReport::to_json) and
-/// every previously stored object becomes unreachable.
+/// The report-format epoch: part of every result key, so changing it
+/// makes every previously stored object unreachable. Change it whenever
+/// the bytes core::RunReport::to_json writes for a sweep job change. It is
+/// not the schema string: reports say "smt-run-report/1" since the
+/// version ladder (/1 to /4, picked by which optional sections were
+/// attached) was retired, and the epoch keeps its last ladder value
+/// because sweep jobs never attach those sections, so their report bytes
+/// did not change and caches filled before that still hit.
 inline constexpr char kReportEpoch[] = "smt-run-report/4";
 
 struct ResultKey {

@@ -18,7 +18,7 @@
 //   - L2 capacity: demand L2 misses on lines the sibling's fills evicted
 //     (tracked by mem::CacheHierarchy, copied in by the Machine).
 //
-// Hard invariant (checked by tools/check_reports and
+// Hard invariant (checked by core::check_run_report and
 // tests/interference_test.cc): per reason, self + sibling cycles equal
 // the corresponding stall counter bit-exactly, under both event_skip
 // modes — on_block is raised by cpu::Core::record_cycle_counters at the

@@ -34,11 +34,11 @@ struct TelemetryConfig {
   /// Two L2 misses at most this many cycles apart belong to one burst.
   Cycle l2_burst_gap = 64;
   /// Attach the per-PC attribution profiler (src/profile/pc_profiler.h;
-  /// run reports gain a `profile` section and move to schema /3).
+  /// run reports gain a `profile` section).
   /// Independent of `enabled`: profiling without time-series is valid.
   bool pc_profile = false;
   /// Attach the SMT interference profiler (src/profile/interference.h;
-  /// run reports gain an `interference` section and move to schema /4).
+  /// run reports gain an `interference` section).
   /// Independent of `enabled`, like pc_profile. Wired to
   /// SMT_BENCH_INTERFERENCE by bench/bench_util.h.
   bool interference = false;

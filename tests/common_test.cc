@@ -219,6 +219,37 @@ TEST(Json, IntegralDoublesStayCompact) {
   EXPECT_EQ(w.str(), "2");  // shortest-form search must not bloat easy values
 }
 
+TEST(Json, AccessorsFallBackOnAbsentOrMistypedMembers) {
+  const auto v = parse_json(R"({"n":3,"s":"x","o":{"k":1}})");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_TRUE(has_number(*v, "n"));
+  EXPECT_FALSE(has_number(*v, "s"));
+  EXPECT_EQ(number_or(*v, "n", -1.0), 3.0);
+  EXPECT_EQ(number_or(*v, "s", -1.0), -1.0);
+  EXPECT_EQ(number_or(*v, "absent", -1.0), -1.0);
+  EXPECT_EQ(number_or(v->find("o"), "k", 0.0), 1.0);
+  EXPECT_EQ(number_or(v->find("absent"), "k", 7.0), 7.0);  // null object
+  EXPECT_EQ(string_or(*v, "s", "?"), "x");
+  EXPECT_EQ(string_or(*v, "n", "?"), "?");
+}
+
+// ---------------------------------------------------------------------------
+// Whole-file text I/O
+// ---------------------------------------------------------------------------
+
+TEST(TextFile, ReadReturnsWhatWriteStored) {
+  const std::string path = testing::TempDir() + "/text_file_test/a.txt";
+  const std::string content("line one\n\0binary\xff tail", 22);
+  ASSERT_TRUE(write_text_file(path, content));
+  EXPECT_EQ(read_text_file(path), content);
+}
+
+TEST(TextFile, ReadOfMissingOrDirectoryPathIsNullopt) {
+  EXPECT_EQ(read_text_file(testing::TempDir() + "/no/such/file"),
+            std::nullopt);
+  EXPECT_EQ(read_text_file(testing::TempDir()), std::nullopt);
+}
+
 // ---------------------------------------------------------------------------
 // Artifact-key sanitization
 // ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ CachedResult sample_result() {
   r.message = "all contexts halted";
   r.cycles = 4242;
   r.verified = false;
-  r.report_json = "{\"schema\":\"smt-run-report/4\",\"cycles\":4242}";
+  r.report_json = "{\"schema\":\"smt-run-report/1\",\"cycles\":4242}";
   r.dump_json = "{\"schema\":\"smt-core-dump/1\"}";
   return r;
 }

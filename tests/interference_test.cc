@@ -13,6 +13,7 @@
 
 #include "common/json.h"
 #include "core/machine.h"
+#include "core/report_check.h"
 #include "core/run_report.h"
 #include "cpu/core.h"
 #include "kernels/matmul.h"
@@ -169,17 +170,18 @@ TEST(Interference, SelfPlusSiblingSumsMatchStallCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Report surface: attributed runs serialize as schema /4.
+// Report surface: attributed runs carry an `interference` section.
 // ---------------------------------------------------------------------------
 
-TEST(Interference, AttributedReportCarriesSchema4Interference) {
+TEST(Interference, AttributedReportCarriesInterferenceSection) {
   const SimRun r = run_spr_matmul(/*attributed=*/true, /*event_skip=*/true);
   const std::string json =
       core::report_from_machine(*r.m, "spr_matmul", true).to_json();
   const auto v = parse_json(json);
   ASSERT_TRUE(v.has_value());
   ASSERT_TRUE(v->is_object());
-  EXPECT_EQ(v->find("schema")->string, "smt-run-report/4");
+  EXPECT_EQ(v->find("schema")->string, "smt-run-report/1");
+  EXPECT_EQ(core::check_run_report(*v), std::nullopt);
   const JsonValue* inter = v->find("interference");
   ASSERT_NE(inter, nullptr);
   ASSERT_TRUE(inter->is_array());
@@ -197,7 +199,7 @@ TEST(Interference, AttributedReportCarriesSchema4Interference) {
     }
   }
 
-  // A plain machine still reports schema /1 with no interference key.
+  // A plain machine reports the same schema with no interference key.
   const SimRun plain = run_spr_matmul(/*attributed=*/false,
                                       /*event_skip=*/true);
   const std::string plain_json =

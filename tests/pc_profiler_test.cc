@@ -12,6 +12,7 @@
 
 #include "common/json.h"
 #include "core/machine.h"
+#include "core/report_check.h"
 #include "core/run_report.h"
 #include "cpu/core.h"
 #include "isa/opcode.h"
@@ -231,10 +232,10 @@ TEST(PcProfiler, Alu0TrafficConcentratesOnMaskInstructions) {
 }
 
 // ---------------------------------------------------------------------------
-// Report surface: profiled runs serialize as schema /3.
+// Report surface: profiled runs carry a `profile` section.
 // ---------------------------------------------------------------------------
 
-TEST(PcProfiler, ProfiledReportCarriesSchema3Profile) {
+TEST(PcProfiler, ProfiledReportCarriesProfileSection) {
   const SimRun r = run_spr_matmul(/*profiled=*/true, /*event_skip=*/true,
                                /*halt_barriers=*/false);
   const core::RunReport rep =
@@ -243,7 +244,8 @@ TEST(PcProfiler, ProfiledReportCarriesSchema3Profile) {
   const auto v = parse_json(json);
   ASSERT_TRUE(v.has_value());
   ASSERT_TRUE(v->is_object());
-  EXPECT_EQ(v->find("schema")->string, "smt-run-report/3");
+  EXPECT_EQ(v->find("schema")->string, "smt-run-report/1");
+  EXPECT_EQ(core::check_run_report(*v), std::nullopt);
   const JsonValue* prof = v->find("profile");
   ASSERT_NE(prof, nullptr);
   for (const char* key : {"hotspots", "port_occupancy",
@@ -261,7 +263,7 @@ TEST(PcProfiler, ProfiledReportCarriesSchema3Profile) {
   ASSERT_NE(disasm, nullptr);
   EXPECT_FALSE(disasm->string.empty());
 
-  // An unprofiled machine still reports schema /1.
+  // An unprofiled machine reports the same schema without the section.
   const SimRun plain = run_spr_matmul(/*profiled=*/false, /*event_skip=*/true,
                                    /*halt_barriers=*/false);
   const std::string plain_json =

@@ -1,16 +1,24 @@
 // Tests for the structured run-report layer: the minimal JSON
-// writer/parser, the top-down cycle-accounting derivation, and the
-// RunReport JSON artifact every bench binary emits.
+// writer/parser, the top-down cycle-accounting derivation, the
+// RunReport JSON artifact every bench binary emits, and the report
+// validator (core::check_run_report) that check_reports shares.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "common/io.h"
 #include "common/json.h"
 #include "core/machine.h"
+#include "core/report_check.h"
 #include "core/run_report.h"
 #include "isa/asm_builder.h"
+#include "kernels/matmul.h"
 #include "perfmon/cycle_accounting.h"
 #include "perfmon/events.h"
+#include "trace/telemetry.h"
 
 namespace smt {
 namespace {
@@ -207,14 +215,9 @@ TEST(RunReport, WriteJsonFileRoundTrips) {
   const core::RunReport r = sample_report();
   const std::string path = testing::TempDir() + "/report_test.json";
   ASSERT_TRUE(r.write_json_file(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_TRUE(f != nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  const auto v = parse_json(text);
+  const std::optional<std::string> text = read_text_file(path);
+  ASSERT_TRUE(text.has_value());
+  const auto v = parse_json(*text);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->find("workload")->string, "sample.fadd");
 }
@@ -237,6 +240,135 @@ TEST(RunReport, WriteJsonFileFailsCleanlyOnUnwritablePath) {
   ASSERT_TRUE(f != nullptr);
   std::fclose(f);
   EXPECT_FALSE(r.write_json_file(blocker + "/report.json"));
+}
+
+// ---------------------------------------------------------------------------
+// Report validator
+// ---------------------------------------------------------------------------
+
+// One report with every optional section: the two-context SPR matmul
+// (n=16) with telemetry, the per-PC profiler and interference attribution
+// all attached.
+JsonValue report_with_every_section() {
+  kernels::MatMulParams p;
+  p.n = 16;
+  p.tile = 4;
+  p.mode = kernels::MmMode::kTlpPfetch;
+  kernels::MatMulWorkload w(p);
+  Machine m;
+  trace::TelemetryConfig tc;
+  tc.enabled = true;
+  tc.sample_window = 256;
+  m.enable_telemetry(tc);
+  m.enable_pc_profiler();
+  m.enable_interference();
+  w.setup(m);
+  const std::vector<isa::Program> progs = w.programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  m.run();
+  EXPECT_TRUE(w.verify(m));
+  const auto v =
+      parse_json(core::report_from_machine(m, "spr_matmul", true).to_json());
+  EXPECT_TRUE(v.has_value());
+  return v.value_or(JsonValue{});
+}
+
+// Mutable member access for perturbing a parsed report.
+JsonValue& member(JsonValue& obj, const std::string& key) {
+  return obj.object.at(key);
+}
+
+// Sets obj[key] (created when absent, as for nonzero-only window deltas)
+// to `value`.
+void set_number(JsonValue& obj, const std::string& key, double value) {
+  JsonValue& v = obj.object[key];
+  v.type = JsonValue::Type::kNumber;
+  v.number = value;
+}
+
+TEST(ReportCheck, AcceptsAReportWithEverySection) {
+  const JsonValue v = report_with_every_section();
+  EXPECT_EQ(v.find("schema")->string, "smt-run-report/1");
+  for (const char* section : {"timeseries", "profile", "interference"}) {
+    EXPECT_NE(v.find(section), nullptr) << section;
+  }
+  EXPECT_EQ(core::check_run_report(v), std::nullopt);
+}
+
+TEST(ReportCheck, EachPerturbedInvariantIsNamed) {
+  const JsonValue base = report_with_every_section();
+  ASSERT_EQ(core::check_run_report(base), std::nullopt);
+  const double cycles = number_or(base, "cycles", 0.0);
+  ASSERT_GT(cycles, 0.0);
+
+  const struct {
+    const char* what;
+    std::function<void(JsonValue&)> perturb;
+    std::vector<std::string> finding_names;
+  } cases[] = {
+      {"one window delta",
+       [](JsonValue& r) {
+         JsonValue& events = member(member(member(r, "timeseries"),
+                                           "windows").array[0],
+                                    "cpus").array[0];
+         JsonValue& deltas = member(events, "events");
+         set_number(deltas, "instr_retired",
+                    number_or(deltas, "instr_retired", 0.0) + 1);
+       },
+       {"cpu0 instr_retired", "window deltas"}},
+      {"one per-PC retired_uops",
+       [](JsonValue& r) {
+         JsonValue& pc = member(member(member(r, "profile"), "hotspots")
+                                    .array[0],
+                                "pcs").array[0];
+         set_number(pc, "retired_uops", number_or(pc, "retired_uops", 0) + 1);
+       },
+       {"cpu0 uops_retired", "per-PC sum"}},
+      {"port_occupancy over cap x cycles",
+       [cycles](JsonValue& r) {
+         // Keep the per-PC sum equal to the occupancy so that only the
+         // cap bound (alu0 fires twice a cycle) can trip.
+         JsonValue& prof = member(r, "profile");
+         JsonValue& pc_ports = member(
+             member(member(prof, "hotspots").array[0], "pcs").array[0],
+             "ports");
+         JsonValue& occ = member(member(prof, "port_occupancy").array[0],
+                                 "ports");
+         const double extra = 2 * cycles + 1;
+         set_number(pc_ports, "alu0", number_or(pc_ports, "alu0", 0) + extra);
+         set_number(occ, "alu0", number_or(occ, "alu0", 0) + extra);
+       },
+       {"port alu0 occupancy", "exceeds cap"}},
+      {"one interference self stall",
+       [](JsonValue& r) {
+         JsonValue& self = member(member(r, "interference").array[0], "self");
+         set_number(self, "rob", number_or(self, "rob", 0) + 1);
+       },
+       {"cpu0 rob_stall_cycles", "self+sibling"}},
+      {"one port_conflict port",
+       [cycles](JsonValue& r) {
+         JsonValue& ports = member(
+             member(member(r, "interference").array[0], "port_conflict"),
+             "self");
+         set_number(ports, "fp", cycles + 1);
+       },
+       {"cpu0 self port fp", "exceeds"}},
+      {"another document's schema",
+       [](JsonValue& r) { member(r, "schema").string = "smt-core-dump/1"; },
+       {"schema"}},
+  };
+  for (const auto& c : cases) {
+    JsonValue r = base;
+    c.perturb(r);
+    const std::optional<std::string> finding = core::check_run_report(r);
+    ASSERT_TRUE(finding.has_value()) << c.what;
+    for (const std::string& name : c.finding_names) {
+      EXPECT_NE(finding->find(name), std::string::npos)
+          << c.what << ": " << *finding;
+    }
+  }
 }
 
 }  // namespace

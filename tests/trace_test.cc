@@ -9,6 +9,7 @@
 
 #include "common/json.h"
 #include "core/machine.h"
+#include "core/report_check.h"
 #include "core/run_report.h"
 #include "core/runner.h"
 #include "kernels/matmul.h"
@@ -416,23 +417,25 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   EXPECT_TRUE(saw_episode);
 }
 
-TEST(Telemetry, TracedReportUsesSchema2WithTimeseries) {
+TEST(Telemetry, TracedReportCarriesTimeseriesSection) {
   const RunStats traced = run_spr_matmul(true, true, false);
   const auto doc =
       parse_json(core::RunReport::from(traced).to_json());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->find("schema")->string, "smt-run-report/2");
+  EXPECT_EQ(doc->find("schema")->string, "smt-run-report/1");
   const JsonValue* ts = doc->find("timeseries");
   ASSERT_NE(ts, nullptr);
   EXPECT_EQ(ts->find("window_cycles")->number, 256.0);
   EXPECT_FALSE(ts->find("windows")->array.empty());
+  EXPECT_EQ(core::check_run_report(*doc), std::nullopt);
 
-  // Untraced runs keep the /1 schema with no timeseries section.
+  // Untraced runs carry the same schema with no timeseries section.
   const RunStats plain = run_spr_matmul(false, true, false);
   const auto doc1 = parse_json(core::RunReport::from(plain).to_json());
   ASSERT_TRUE(doc1.has_value());
   EXPECT_EQ(doc1->find("schema")->string, "smt-run-report/1");
   EXPECT_EQ(doc1->find("timeseries"), nullptr);
+  EXPECT_EQ(core::check_run_report(*doc1), std::nullopt);
 }
 
 }  // namespace

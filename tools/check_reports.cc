@@ -3,22 +3,10 @@
 //   $ check_reports <report-dir> [trace-dir]
 //                   [--metrics <metrics.json> --index <sweep_index.json>]
 //
-// Every *.json in <report-dir> must parse as a RunReport of schema
-// smt-run-report/1, /2, /3 or /4 and carry the required fields (per-CPU
-// events + cycle breakdown). Schema /2 reports additionally carry a
-// `timeseries` section whose per-window counter deltas are checked to sum
-// exactly to the end-of-run per-CPU totals — the key invariant of the
-// windowed sampler under both event-skip modes. Schema /3 reports carry a
-// `profile` section (timeseries optional) whose per-PC attributions are
-// checked to sum exactly to the counter totals (retired instrs/uops,
-// L1/L2 misses, the four counter-backed stall reasons) and whose port
-// occupancy is bounded by the per-cycle port caps times run cycles.
-// Schema /4 reports carry an `interference` section (profile/timeseries
-// optional) whose self+sibling stall attributions are checked to sum
-// exactly to the four counter-backed stall counters, whose port-conflict
-// decomposition must sum to the port_conflict reason totals, and whose
-// per-port blame is bounded by the run cycle count (one blocked uop is
-// tracked per context per cycle).
+// Every *.json in <report-dir> must parse as a smt-run-report/1 document
+// that passes core::check_run_report (src/core/report_check.h): the
+// required fields plus the exact-sum invariants of whichever optional
+// timeseries/profile/interference sections it carries.
 //
 // With --dumps <dir>, every *.json there must parse as an
 // smt-core-dump/1 post-mortem document (per-CPU architectural state,
@@ -41,429 +29,45 @@
 // Validation findings are printed as plain per-file stderr lines (they
 // are the tool's product); operational failures (unreadable paths, bad
 // usage) go through the structured logger. Exit status: 0 ok; 1 any
-// validation finding (or an empty scan); 2 usage error; 3 I/O error.
-#include <cmath>
+// validation finding (or an empty scan); 2 usage error; 3 I/O error (an
+// unreadable path or artifact; outranks findings).
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
+#include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/types.h"
-#include "cpu/core.h"
-#include "perfmon/events.h"
+#include "core/report_check.h"
 
 namespace fs = std::filesystem;
 
 namespace {
 
-bool has_number(const smt::JsonValue& obj, const char* key) {
-  const smt::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number();
-}
-
-double number_or(const smt::JsonValue& obj, const std::string& key,
-                 double fallback) {
-  const smt::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-// Checks that summing every window's per-CPU deltas reproduces the
-// end-of-run totals in `cpus` exactly (deltas are nonzero-only, so an
-// absent key counts as zero).
-bool check_timeseries(const fs::path& path, const smt::JsonValue& ts,
-                      const smt::JsonValue& cpus) {
-  if (!has_number(ts, "window_cycles") ||
-      ts.find("window_cycles")->number <= 0) {
-    std::fprintf(stderr, "%s: timeseries missing positive window_cycles\n",
-                 path.c_str());
-    return false;
+std::optional<smt::JsonValue> load_json_object(const fs::path& path,
+                                               bool* io_error) {
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
+    smt::log::error("cannot read", {{"path", path.string()}});
+    *io_error = true;
+    return std::nullopt;
   }
-  const smt::JsonValue* windows = ts.find("windows");
-  if (windows == nullptr || !windows->is_array()) {
-    std::fprintf(stderr, "%s: timeseries missing windows array\n",
-                 path.c_str());
-    return false;
-  }
-  // sums[cpu][event]
-  double sums[smt::kNumLogicalCpus][smt::perfmon::kNumEventValues] = {};
-  double prev_end = -1.0;
-  for (const smt::JsonValue& win : windows->array) {
-    if (!has_number(win, "begin") || !has_number(win, "end")) {
-      std::fprintf(stderr, "%s: window missing begin/end\n", path.c_str());
-      return false;
-    }
-    const double begin = win.find("begin")->number;
-    const double end = win.find("end")->number;
-    if (end <= begin || (prev_end >= 0.0 && begin != prev_end)) {
-      std::fprintf(stderr, "%s: windows not contiguous/increasing\n",
-                   path.c_str());
-      return false;
-    }
-    prev_end = end;
-    const smt::JsonValue* wcpus = win.find("cpus");
-    if (wcpus == nullptr || !wcpus->is_array() ||
-        wcpus->array.size() != static_cast<size_t>(smt::kNumLogicalCpus)) {
-      std::fprintf(stderr, "%s: window \"cpus\" is not a %d-entry array\n",
-                   path.c_str(), smt::kNumLogicalCpus);
-      return false;
-    }
-    for (size_t i = 0; i < wcpus->array.size(); ++i) {
-      const smt::JsonValue* events = wcpus->array[i].find("events");
-      if (events == nullptr || !events->is_object()) {
-        std::fprintf(stderr, "%s: window cpu entry missing events\n",
-                     path.c_str());
-        return false;
-      }
-      for (int e = 0; e < smt::perfmon::kNumEventValues; ++e) {
-        const char* name =
-            smt::perfmon::name(static_cast<smt::perfmon::Event>(e));
-        sums[i][e] += number_or(*events, name, 0.0);
-      }
-    }
-  }
-  for (size_t i = 0; i < cpus.array.size(); ++i) {
-    const smt::JsonValue* events = cpus.array[i].find("events");
-    for (int e = 0; e < smt::perfmon::kNumEventValues; ++e) {
-      const char* name =
-          smt::perfmon::name(static_cast<smt::perfmon::Event>(e));
-      const double total = number_or(*events, name, 0.0);
-      if (sums[i][e] != total) {
-        std::fprintf(stderr,
-                     "%s: cpu%zu %s: window deltas sum to %.0f, total %.0f\n",
-                     path.c_str(), i, name, sums[i][e], total);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// Reads map[key] treating a missing key as 0 but rejecting non-objects.
-double map_value(const smt::JsonValue* m, const char* key) {
-  return m != nullptr && m->is_object() ? number_or(*m, key, 0.0) : 0.0;
-}
-
-// Checks the /3 `profile` section: per-CPU per-PC attributions must sum
-// exactly to the counter totals wherever a counter backs the quantity, and
-// port occupancy must both equal the per-PC port sums and respect the
-// per-cycle issue caps.
-bool check_profile(const fs::path& path, const smt::JsonValue& prof,
-                   const smt::JsonValue& cpus, double cycles) {
-  const smt::JsonValue* hotspots = prof.find("hotspots");
-  const smt::JsonValue* occupancy = prof.find("port_occupancy");
-  const smt::JsonValue* caps = prof.find("port_caps_per_cycle");
-  if (hotspots == nullptr || !hotspots->is_array() ||
-      hotspots->array.size() != static_cast<size_t>(smt::kNumLogicalCpus) ||
-      occupancy == nullptr || !occupancy->is_array() ||
-      occupancy->array.size() != static_cast<size_t>(smt::kNumLogicalCpus) ||
-      caps == nullptr || !caps->is_object()) {
-    std::fprintf(stderr,
-                 "%s: profile missing hotspots/port_occupancy/"
-                 "port_caps_per_cycle\n",
-                 path.c_str());
-    return false;
-  }
-  // Total port occupancy across both contexts, for the shared-cap bound.
-  double port_sum_all[smt::cpu::kNumIssuePorts] = {};
-  for (size_t i = 0; i < cpus.array.size(); ++i) {
-    const smt::JsonValue* events = cpus.array[i].find("events");
-    const smt::JsonValue* pcs = hotspots->array[i].find("pcs");
-    if (pcs == nullptr || !pcs->is_array()) {
-      std::fprintf(stderr, "%s: hotspots cpu%zu missing pcs array\n",
-                   path.c_str(), i);
-      return false;
-    }
-    double instrs = 0, uops = 0, l1 = 0, l2 = 0;
-    double stall_sums[smt::cpu::kNumBlockReasons] = {};
-    double port_sums[smt::cpu::kNumIssuePorts] = {};
-    for (const smt::JsonValue& entry : pcs->array) {
-      if (!has_number(entry, "pc") || entry.find("disasm") == nullptr) {
-        std::fprintf(stderr, "%s: hotspot entry missing pc/disasm\n",
-                     path.c_str());
-        return false;
-      }
-      instrs += number_or(entry, "retired_instrs", 0.0);
-      uops += number_or(entry, "retired_uops", 0.0);
-      l1 += number_or(entry, "l1_misses", 0.0);
-      l2 += number_or(entry, "l2_misses", 0.0);
-      for (int r = 0; r < smt::cpu::kNumBlockReasons; ++r) {
-        stall_sums[r] += map_value(
-            entry.find("stalls"),
-            smt::cpu::name(static_cast<smt::cpu::BlockReason>(r)));
-      }
-      for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-        port_sums[p] +=
-            map_value(entry.find("ports"),
-                      smt::cpu::name(static_cast<smt::cpu::IssuePort>(p)));
-      }
-    }
-    // Counter-backed attributions must sum to the counters, exactly.
-    const struct {
-      const char* counter;
-      double sum;
-    } exact[] = {
-        {"instr_retired", instrs},
-        {"uops_retired", uops},
-        {"l1_misses", l1},
-        {"l2_misses", l2},
-        {"rob_stall_cycles", stall_sums[static_cast<int>(
-                                 smt::cpu::BlockReason::kRob)]},
-        {"load_queue_stall_cycles",
-         stall_sums[static_cast<int>(smt::cpu::BlockReason::kLoadQueue)]},
-        {"store_buffer_stall_cycles",
-         stall_sums[static_cast<int>(smt::cpu::BlockReason::kStoreBuffer)]},
-        {"uop_queue_full_cycles",
-         stall_sums[static_cast<int>(smt::cpu::BlockReason::kUopQueueFull)]},
-    };
-    for (const auto& [counter, sum] : exact) {
-      const double total = number_or(*events, counter, 0.0);
-      if (sum != total) {
-        std::fprintf(stderr,
-                     "%s: cpu%zu %s: per-PC sum %.0f != counter %.0f\n",
-                     path.c_str(), i, counter, sum, total);
-        return false;
-      }
-    }
-    // Per-PC port sums must reproduce the port_occupancy section.
-    const smt::JsonValue* occ = occupancy->array[i].find("ports");
-    for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-      const char* pname =
-          smt::cpu::name(static_cast<smt::cpu::IssuePort>(p));
-      const double occ_v = map_value(occ, pname);
-      if (port_sums[p] != occ_v) {
-        std::fprintf(stderr,
-                     "%s: cpu%zu port %s: per-PC sum %.0f != occupancy "
-                     "%.0f\n",
-                     path.c_str(), i, pname, port_sums[p], occ_v);
-        return false;
-      }
-      port_sum_all[p] += occ_v;
-    }
-  }
-  // The ports are shared between the contexts: combined occupancy cannot
-  // exceed the per-cycle cap over the whole run.
-  for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-    const char* pname = smt::cpu::name(static_cast<smt::cpu::IssuePort>(p));
-    const double cap = number_or(*caps, pname, 0.0);
-    if (cap <= 0) {
-      std::fprintf(stderr, "%s: port cap for %s missing/nonpositive\n",
-                   path.c_str(), pname);
-      return false;
-    }
-    if (port_sum_all[p] > cap * cycles) {
-      std::fprintf(stderr,
-                   "%s: port %s occupancy %.0f exceeds cap %.0f x %.0f "
-                   "cycles\n",
-                   path.c_str(), pname, port_sum_all[p], cap, cycles);
-      return false;
-    }
-  }
-  return true;
-}
-
-// Checks the /4 `interference` section: per reason, self + sibling cycles
-// must reproduce the corresponding stall counter exactly (the tentpole
-// invariant of the interference profiler); the port-conflict decomposition
-// must sum to the port_conflict reason totals; and no single port's blame
-// can exceed the run cycle count (at most one blocked uop is tracked per
-// context per cycle).
-bool check_interference(const fs::path& path, const smt::JsonValue& inter,
-                        const smt::JsonValue& cpus, double cycles) {
-  if (!inter.is_array() ||
-      inter.array.size() != static_cast<size_t>(smt::kNumLogicalCpus)) {
-    std::fprintf(stderr, "%s: \"interference\" is not a %d-entry array\n",
-                 path.c_str(), smt::kNumLogicalCpus);
-    return false;
-  }
-  // The counter backing each counter-backed BlockReason (the issue-stage
-  // reasons port_conflict/divider_busy have no per-CPU counter).
-  const struct {
-    smt::cpu::BlockReason reason;
-    const char* counter;
-  } backed[] = {
-      {smt::cpu::BlockReason::kStoreBuffer, "store_buffer_stall_cycles"},
-      {smt::cpu::BlockReason::kRob, "rob_stall_cycles"},
-      {smt::cpu::BlockReason::kLoadQueue, "load_queue_stall_cycles"},
-      {smt::cpu::BlockReason::kUopQueueFull, "uop_queue_full_cycles"},
-  };
-  for (size_t i = 0; i < inter.array.size(); ++i) {
-    const smt::JsonValue& entry = inter.array[i];
-    const smt::JsonValue* self = entry.find("self");
-    const smt::JsonValue* sibling = entry.find("sibling");
-    const smt::JsonValue* pc = entry.find("port_conflict");
-    if (self == nullptr || !self->is_object() || sibling == nullptr ||
-        !sibling->is_object() || pc == nullptr || !pc->is_object() ||
-        !has_number(entry, "l2_sibling_evictions")) {
-      std::fprintf(stderr,
-                   "%s: interference cpu%zu missing self/sibling/"
-                   "port_conflict/l2_sibling_evictions\n",
-                   path.c_str(), i);
-      return false;
-    }
-    const smt::JsonValue* events = cpus.array[i].find("events");
-    for (const auto& [reason, counter] : backed) {
-      const char* rname = smt::cpu::name(reason);
-      const double sum =
-          map_value(self, rname) + map_value(sibling, rname);
-      const double total = number_or(*events, counter, 0.0);
-      if (sum != total) {
-        std::fprintf(stderr,
-                     "%s: cpu%zu %s: self+sibling sum %.0f != counter %.0f\n",
-                     path.c_str(), i, counter, sum, total);
-        return false;
-      }
-    }
-    // The port decomposition (ports + the issue_bandwidth bucket) must
-    // account for every port_conflict cycle, side by side.
-    const char* conflict = smt::cpu::name(smt::cpu::BlockReason::kPortConflict);
-    const struct {
-      const char* side;
-      const smt::JsonValue* map;
-      const smt::JsonValue* reasons;  // map whose port_conflict is the total
-    } sides[] = {{"self", pc->find("self"), self},
-                 {"sibling", pc->find("sibling"), sibling}};
-    for (const auto& [side, map, reasons] : sides) {
-      if (map == nullptr || !map->is_object()) {
-        std::fprintf(stderr, "%s: cpu%zu port_conflict missing %s map\n",
-                     path.c_str(), i, side);
-        return false;
-      }
-      double sum = map_value(map, "issue_bandwidth");
-      for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-        const char* pname =
-            smt::cpu::name(static_cast<smt::cpu::IssuePort>(p));
-        const double v = map_value(map, pname);
-        if (v > cycles) {
-          std::fprintf(stderr,
-                       "%s: cpu%zu %s port %s blame %.0f exceeds %.0f "
-                       "cycles\n",
-                       path.c_str(), i, side, pname, v, cycles);
-          return false;
-        }
-        sum += v;
-      }
-      const double total = map_value(reasons, conflict);
-      if (sum != total) {
-        std::fprintf(stderr,
-                     "%s: cpu%zu port_conflict %s sums to %.0f, reason "
-                     "total %.0f\n",
-                     path.c_str(), i, side, sum, total);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool check_report(const fs::path& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = smt::parse_json(ss.str());
+  auto v = smt::parse_json(*text);
   if (!v.has_value() || !v->is_object()) {
     std::fprintf(stderr, "%s: does not parse as a JSON object\n",
                  path.c_str());
-    return false;
+    return std::nullopt;
   }
-  const smt::JsonValue* schema = v->find("schema");
-  if (schema == nullptr || (schema->string != "smt-run-report/1" &&
-                            schema->string != "smt-run-report/2" &&
-                            schema->string != "smt-run-report/3" &&
-                            schema->string != "smt-run-report/4")) {
-    std::fprintf(stderr, "%s: missing/unknown schema\n", path.c_str());
-    return false;
-  }
-  const bool v2 = schema->string == "smt-run-report/2";
-  const bool v3 = schema->string == "smt-run-report/3";
-  const bool v4 = schema->string == "smt-run-report/4";
-  for (const char* key : {"workload", "cycles", "verified", "config",
-                          "cpus", "totals"}) {
-    if (v->find(key) == nullptr) {
-      std::fprintf(stderr, "%s: missing \"%s\"\n", path.c_str(), key);
-      return false;
-    }
-  }
-  const smt::JsonValue* cpus = v->find("cpus");
-  if (!cpus->is_array() ||
-      cpus->array.size() != static_cast<size_t>(smt::kNumLogicalCpus)) {
-    std::fprintf(stderr, "%s: \"cpus\" is not a %d-entry array\n",
-                 path.c_str(), smt::kNumLogicalCpus);
-    return false;
-  }
-  for (const smt::JsonValue& cpu : cpus->array) {
-    const smt::JsonValue* events = cpu.find("events");
-    const smt::JsonValue* bd = cpu.find("breakdown");
-    if (events == nullptr || bd == nullptr) {
-      std::fprintf(stderr, "%s: cpu entry missing events/breakdown\n",
-                   path.c_str());
-      return false;
-    }
-    for (int e = 0; e < smt::perfmon::kNumEventValues; ++e) {
-      const char* name =
-          smt::perfmon::name(static_cast<smt::perfmon::Event>(e));
-      if (!has_number(*events, name)) {
-        std::fprintf(stderr, "%s: events missing \"%s\"\n", path.c_str(),
-                     name);
-        return false;
-      }
-    }
-    for (const char* key :
-         {"total", "active", "halted", "fetch_stalled", "resource_stalled",
-          "stall_rob", "stall_load_queue", "stall_store_buffer",
-          "memory_bound", "issue_bound", "flowing", "cpi", "ipc"}) {
-      if (!has_number(*bd, key)) {
-        std::fprintf(stderr, "%s: breakdown missing \"%s\"\n", path.c_str(),
-                     key);
-        return false;
-      }
-    }
-  }
-  const smt::JsonValue* ts = v->find("timeseries");
-  if (v2 && (ts == nullptr || !ts->is_object())) {
-    std::fprintf(stderr, "%s: schema /2 but no timeseries object\n",
-                 path.c_str());
-    return false;
-  }
-  // /2 requires timeseries; /3 and /4 may carry it (profiled/attributed +
-  // traced run); /1 must not.
-  if (!v2 && !v3 && !v4 && ts != nullptr) {
-    std::fprintf(stderr, "%s: schema /1 must not carry timeseries\n",
-                 path.c_str());
-    return false;
-  }
-  if (ts != nullptr && !check_timeseries(path, *ts, *cpus)) return false;
-  const smt::JsonValue* prof = v->find("profile");
-  if (v3 && (prof == nullptr || !prof->is_object())) {
-    std::fprintf(stderr, "%s: schema /3 but no profile object\n",
-                 path.c_str());
-    return false;
-  }
-  // /3 requires profile; /4 may carry it; /1 and /2 must not.
-  if (!v3 && !v4 && prof != nullptr) {
-    std::fprintf(stderr, "%s: schema /%s must not carry profile\n",
-                 path.c_str(), v2 ? "2" : "1");
-    return false;
-  }
-  if (prof != nullptr &&
-      !check_profile(path, *prof, *cpus, number_or(*v, "cycles", 0.0))) {
-    return false;
-  }
-  const smt::JsonValue* inter = v->find("interference");
-  if (v4 && inter == nullptr) {
-    std::fprintf(stderr, "%s: schema /4 but no interference section\n",
-                 path.c_str());
-    return false;
-  }
-  if (!v4 && inter != nullptr) {
-    std::fprintf(stderr, "%s: only schema /4 may carry interference\n",
-                 path.c_str());
-    return false;
-  }
-  if (v4 && !check_interference(path, *inter, *cpus,
-                                number_or(*v, "cycles", 0.0))) {
+  return v;
+}
+
+bool check_report(const fs::path& path, bool* io_error) {
+  const auto v = load_json_object(path, io_error);
+  if (!v.has_value()) return false;
+  if (const auto finding = smt::core::check_run_report(*v)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), finding->c_str());
     return false;
   }
   return true;
@@ -473,16 +77,9 @@ bool check_report(const fs::path& path) {
 // src/core/flight_recorder.h): failure outcome, per-CPU architectural
 // state with a cycle-monotonic retirement ring, well-formed wait states
 // and wait-for edges.
-bool check_dump(const fs::path& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = smt::parse_json(ss.str());
-  if (!v.has_value() || !v->is_object()) {
-    std::fprintf(stderr, "%s: does not parse as a JSON object\n",
-                 path.c_str());
-    return false;
-  }
+bool check_dump(const fs::path& path, bool* io_error) {
+  const auto v = load_json_object(path, io_error);
+  if (!v.has_value()) return false;
   const smt::JsonValue* schema = v->find("schema");
   if (schema == nullptr || schema->string != "smt-core-dump/1") {
     std::fprintf(stderr, "%s: missing/unknown schema\n", path.c_str());
@@ -577,16 +174,9 @@ bool check_dump(const fs::path& path) {
 // Validates one Chrome trace-event document: object form, `traceEvents`
 // array, every event an object with name/ph/pid/tid/ts of the right
 // types, complete ("X") events carrying a nonnegative dur.
-bool check_trace(const fs::path& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = smt::parse_json(ss.str());
-  if (!v.has_value() || !v->is_object()) {
-    std::fprintf(stderr, "%s: does not parse as a JSON object\n",
-                 path.c_str());
-    return false;
-  }
+bool check_trace(const fs::path& path, bool* io_error) {
+  const auto v = load_json_object(path, io_error);
+  if (!v.has_value()) return false;
   const smt::JsonValue* events = v->find("traceEvents");
   if (events == nullptr || !events->is_array() || events->array.empty()) {
     std::fprintf(stderr, "%s: missing/empty traceEvents array\n",
@@ -610,25 +200,6 @@ bool check_trace(const fs::path& path) {
     }
   }
   return true;
-}
-
-std::optional<smt::JsonValue> load_json_object(const fs::path& path,
-                                               bool* io_error) {
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open", {{"path", path.string()}});
-    *io_error = true;
-    return std::nullopt;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  auto v = smt::parse_json(ss.str());
-  if (!v.has_value() || !v->is_object()) {
-    std::fprintf(stderr, "%s: does not parse as a JSON object\n",
-                 path.c_str());
-    return std::nullopt;
-  }
-  return v;
 }
 
 // Validates one smt-lint-report/1 document (smt_lint --format=json):
@@ -950,11 +521,11 @@ bool check_sweep_metrics(const fs::path& metrics_path,
   return ok;
 }
 
-// Scans `dir` for files ending in `suffix` and runs `fn` on each;
-// returns {checked, bad}.
+// Scans `dir` for files ending in `suffix` and runs `fn` on each (an
+// unreadable file sets *io_error); returns {checked, bad}.
 template <typename Fn>
 std::pair<int, int> scan(const fs::path& dir, const std::string& suffix,
-                         bool exclude_traces, Fn fn) {
+                         bool exclude_traces, Fn fn, bool* io_error) {
   int checked = 0, bad = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -967,7 +538,7 @@ std::pair<int, int> scan(const fs::path& dir, const std::string& suffix,
         name.compare(name.size() - 11, 11, ".trace.json") == 0)
       continue;
     ++checked;
-    if (!fn(entry.path())) ++bad;
+    if (!fn(entry.path(), io_error)) ++bad;
   }
   return {checked, bad};
 }
@@ -1021,6 +592,7 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
 
   int bad = 0;
+  bool io_error = false;
   if (!dirs.empty()) {
     const fs::path dir = dirs[0];
     if (!fs::is_directory(dir)) {
@@ -1028,7 +600,7 @@ int main(int argc, char** argv) {
       return 3;
     }
     auto [checked, dir_bad] = scan(dir, ".json", /*exclude_traces=*/true,
-                                   check_report);
+                                   check_report, &io_error);
     if (checked == 0) {
       std::fprintf(stderr, "%s: no report artifacts found\n", dir.c_str());
       return 1;
@@ -1043,7 +615,8 @@ int main(int argc, char** argv) {
       return 3;
     }
     auto [tchecked, tbad] = scan(tdir, ".trace.json",
-                                 /*exclude_traces=*/false, check_trace);
+                                 /*exclude_traces=*/false, check_trace,
+                                 &io_error);
     if (tchecked == 0) {
       std::fprintf(stderr, "%s: no trace artifacts found\n", tdir.c_str());
       return 1;
@@ -1052,11 +625,9 @@ int main(int argc, char** argv) {
     bad += tbad;
   }
   if (!metrics_file.empty()) {
-    bool io_error = false;
     if (check_sweep_metrics(metrics_file, index_file, &io_error)) {
       std::printf("metrics snapshot consistent with sweep index\n");
     } else {
-      if (io_error) return 3;
       ++bad;
     }
   }
@@ -1067,7 +638,7 @@ int main(int argc, char** argv) {
       return 3;
     }
     auto [dchecked, dbad] = scan(ddir, ".json", /*exclude_traces=*/false,
-                                 check_dump);
+                                 check_dump, &io_error);
     if (dchecked == 0) {
       std::fprintf(stderr, "%s: no core-dump artifacts found\n",
                    ddir.c_str());
@@ -1077,13 +648,12 @@ int main(int argc, char** argv) {
     bad += dbad;
   }
   if (!lint_report_file.empty()) {
-    bool io_error = false;
     if (check_lint_report(lint_report_file, &io_error)) {
       std::printf("lint report valid\n");
     } else {
-      if (io_error) return 3;
       ++bad;
     }
   }
+  if (io_error) return 3;
   return bad == 0 ? 0 : 1;
 }

@@ -2,12 +2,12 @@
 //
 //   $ report_diff <a.json> <b.json> [--rel-tol R] [--abs-tol A]
 //
-// Compares two RunReport artifacts (any mix of schemas /1, /2, /3, /4):
+// Compares two RunReport artifacts (any mix of optional sections):
 // cycles, every per-CPU counter, the cycle-accounting breakdown, the
-// totals section — when both reports are profiled (/3+), the per-PC
+// totals section — when both carry a `profile` section, the per-PC
 // hotspot attributions (retired uops, total stall cycles, L2 misses; a PC
 // absent on one side counts as zero there) — and, when both carry an
-// interference section (/4), the per-CPU self/sibling stall attributions
+// `interference` section, the per-CPU self/sibling stall attributions
 // per resource plus the L2 sibling-eviction counts, gated by the same
 // relative/absolute thresholds.
 //
@@ -23,12 +23,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 
+#include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/types.h"
@@ -37,12 +36,6 @@
 namespace {
 
 using smt::JsonValue;
-
-double number_or(const JsonValue& obj, const std::string& key,
-                 double fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
 
 struct Gate {
   double rel_tol = 0.02;
@@ -65,15 +58,13 @@ struct Gate {
 // Loads one report; on failure sets *fail_rc to 3 (unreadable) or 1 (not
 // a run report) so main can exit with the right class.
 std::optional<JsonValue> load(const char* path, int* fail_rc) {
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open", {{"path", path}});
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
+    smt::log::error("cannot read", {{"path", path}});
     *fail_rc = 3;
     return std::nullopt;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  auto v = smt::parse_json(ss.str());
+  auto v = smt::parse_json(*text);
   if (!v.has_value() || !v->is_object() || v->find("schema") == nullptr) {
     smt::log::error("not a run report", {{"path", path}});
     *fail_rc = 1;
@@ -82,7 +73,7 @@ std::optional<JsonValue> load(const char* path, int* fail_rc) {
   return v;
 }
 
-// Per-(cpu,pc) hotspot triple used for the /3 comparison.
+// Per-(cpu,pc) hotspot triple used for the profile comparison.
 struct HotspotRow {
   double uops = 0;
   double stall_cycles = 0;
@@ -193,9 +184,9 @@ int main(int argc, char** argv) {
   }
 
   // Hotspot attributions, when both sides carry a profile.
-  const bool a3 = a->find("profile") != nullptr;
-  const bool b3 = b->find("profile") != nullptr;
-  if (a3 && b3) {
+  const bool a_prof = a->find("profile") != nullptr;
+  const bool b_prof = b->find("profile") != nullptr;
+  if (a_prof && b_prof) {
     const auto ra = hotspot_rows(*a);
     auto rb = hotspot_rows(*b);
     for (const auto& [key, row] : ra) {
@@ -211,12 +202,12 @@ int main(int argc, char** argv) {
       gate.compare(key + ".stall_cycles", 0.0, row.stall_cycles);
       gate.compare(key + ".l2_misses", 0.0, row.l2_misses);
     }
-  } else if (a3 != b3) {
-    std::printf("note: only one report is profiled (/3); hotspots not "
+  } else if (a_prof != b_prof) {
+    std::printf("note: only one report carries a profile; hotspots not "
                 "compared\n");
   }
 
-  // Interference attributions, when both sides carry them (/4). Every
+  // Interference attributions, when both sides carry them. Every
   // numeric leaf is compared under the same relative-threshold gate:
   // self/sibling cycles per reason, the port-conflict decomposition and
   // the L2 sibling-eviction count.
@@ -236,8 +227,7 @@ int main(int argc, char** argv) {
           char label[96];
           std::snprintf(label, sizeof label, "cpu%zu.interference.%s.%s", i,
                         side, reason.c_str());
-          gate.compare(label, av.number,
-                       bm != nullptr ? number_or(*bm, reason, 0.0) : 0.0);
+          gate.compare(label, av.number, number_or(bm, reason, 0.0));
         }
       }
       const JsonValue* apc = ac.find("port_conflict");
@@ -253,8 +243,7 @@ int main(int argc, char** argv) {
             std::snprintf(label, sizeof label,
                           "cpu%zu.interference.port_conflict.%s.%s", i,
                           side.c_str(), port.c_str());
-            gate.compare(label, av.number,
-                         bm != nullptr ? number_or(*bm, port, 0.0) : 0.0);
+            gate.compare(label, av.number, number_or(bm, port, 0.0));
           }
         }
       }
@@ -265,7 +254,7 @@ int main(int argc, char** argv) {
                    number_or(bc, "l2_sibling_evictions", 0.0));
     }
   } else if ((ai != nullptr) != (bi != nullptr)) {
-    std::printf("note: only one report carries interference (/4); not "
+    std::printf("note: only one report carries interference; not "
                 "compared\n");
   }
 

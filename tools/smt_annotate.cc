@@ -2,10 +2,10 @@
 //
 //   $ smt_annotate <report.json> [--cpu N] [--top K] [--predict]
 //
-// Joins the `profile` section of a schema smt-run-report/3 artifact (per-PC
-// retired uops, issue-port occupancy, stall cycles by blocking reason,
-// L1/L2 misses — see src/profile/pc_profiler.h) with the disassembly the
-// report carries, printing for each logical CPU:
+// Joins the `profile` section of a run report (per-PC retired uops,
+// issue-port occupancy, stall cycles by blocking reason, L1/L2 misses —
+// see src/profile/pc_profiler.h) with the disassembly the report carries,
+// printing for each logical CPU:
 //
 //   * a Table-1-style port-utilization table: uops issued down each port
 //     and the port's utilization against its per-cycle cap — the lens that
@@ -21,25 +21,25 @@
 // static CPI lower bound (analysis/static_perf.h) next to each CPU's
 // measured occupancy — the advisor's prediction against what the
 // cycle-accurate core actually did. Exit status: 0 ok; 1 if the file is
-// not a schema /3 report (or its profile section is malformed); 2 usage
-// error; 3 unreadable input.
+// not a valid run report (core::check_run_report) or carries no profile
+// section; 2 usage error; 3 unreadable input.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/static_perf.h"
+#include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/types.h"
 #include "core/machine.h"
+#include "core/report_check.h"
 #include "core/workload.h"
 #include "cpu/config.h"
 #include "cpu/core.h"
@@ -48,16 +48,6 @@
 namespace {
 
 using smt::JsonValue;
-
-double number_or(const JsonValue& obj, const std::string& key,
-                 double fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-double map_value(const JsonValue* m, const char* key) {
-  return m != nullptr && m->is_object() ? number_or(*m, key, 0.0) : 0.0;
-}
 
 const char* port_name(int p) {
   return smt::cpu::name(static_cast<smt::cpu::IssuePort>(p));
@@ -104,38 +94,33 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open", {{"path", path}});
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
+    smt::log::error("cannot read", {{"path", path}});
     return 3;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = smt::parse_json(ss.str());
-  if (!v.has_value() || !v->is_object()) {
-    smt::log::error("does not parse as a JSON object", {{"path", path}});
+  const auto v = smt::parse_json(*text);
+  if (!v.has_value()) {
+    smt::log::error("does not parse as JSON", {{"path", path}});
     return 1;
   }
-  const JsonValue* schema = v->find("schema");
-  if (schema == nullptr || schema->string != "smt-run-report/3") {
+  if (const auto finding = smt::core::check_run_report(*v)) {
+    smt::log::error("not a valid run report",
+                    {{"path", path}, {"finding", *finding}});
+    return 1;
+  }
+  // check_run_report vouches for the section's shape: per-CPU hotspots
+  // (each with a pcs array) and occupancy arrays, and positive caps.
+  const JsonValue* prof = v->find("profile");
+  if (prof == nullptr) {
     smt::log::error(
-        "not a profiled report (schema /3 required; run the bench with "
-        "SMT_BENCH_PROFILE=1)",
+        "no profile section (run the bench with SMT_BENCH_PROFILE=1)",
         {{"path", path}});
     return 1;
   }
-  const JsonValue* prof = v->find("profile");
-  const JsonValue* hotspots = prof != nullptr ? prof->find("hotspots")
-                                              : nullptr;
-  const JsonValue* occupancy =
-      prof != nullptr ? prof->find("port_occupancy") : nullptr;
-  const JsonValue* caps =
-      prof != nullptr ? prof->find("port_caps_per_cycle") : nullptr;
-  if (hotspots == nullptr || !hotspots->is_array() || occupancy == nullptr ||
-      !occupancy->is_array() || caps == nullptr) {
-    smt::log::error("malformed profile section", {{"path", path}});
-    return 1;
-  }
+  const JsonValue* hotspots = prof->find("hotspots");
+  const JsonValue* occupancy = prof->find("port_occupancy");
+  const JsonValue* caps = prof->find("port_caps_per_cycle");
   const double cycles = number_or(*v, "cycles", 0.0);
   const JsonValue* workload = v->find("workload");
   std::printf("annotated profile: %s  (%.0f cycles)\n",
@@ -165,20 +150,18 @@ int main(int argc, char** argv) {
 
   double cap[smt::cpu::kNumIssuePorts];
   for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-    cap[p] = map_value(caps, port_name(p));
-    if (cap[p] <= 0) cap[p] = 1;
+    cap[p] = number_or(caps, port_name(p), 0.0);
   }
 
   for (size_t c = 0; c < hotspots->array.size(); ++c) {
     if (only_cpu.has_value() && static_cast<size_t>(*only_cpu) != c) continue;
     const JsonValue* pcs = hotspots->array[c].find("pcs");
-    if (pcs == nullptr || !pcs->is_array()) continue;
 
     // Port-utilization table (Table-1 style, per logical CPU).
     const JsonValue* occ = occupancy->array[c].find("ports");
     smt::TextTable ports({"port", "uops", "uops/cycle", "util%"});
     for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-      const double uops = map_value(occ, port_name(p));
+      const double uops = number_or(occ, port_name(p), 0.0);
       ports.add_row({port_name(p), smt::fmt_count(static_cast<uint64_t>(uops)),
                      smt::fmt(cycles > 0 ? uops / cycles : 0.0, 3),
                      smt::fmt(cycles > 0 ? 100.0 * uops / (cap[p] * cycles)
@@ -216,13 +199,13 @@ int main(int argc, char** argv) {
       r.l1 = number_or(entry, "l1_misses", 0.0);
       r.l2 = number_or(entry, "l2_misses", 0.0);
       for (int p = 0; p < smt::cpu::kNumIssuePorts; ++p) {
-        r.ports[p] = map_value(entry.find("ports"), port_name(p));
+        r.ports[p] = number_or(entry.find("ports"), port_name(p), 0.0);
         // A double-speed port delivers cap[p] uops per cycle, so uops/cap
         // estimates the cycles this PC had the port busy.
         r.port_cycles += r.ports[p] / cap[p];
       }
       for (int s = 0; s < smt::cpu::kNumBlockReasons; ++s) {
-        r.stalls[s] = map_value(entry.find("stalls"), reason_name(s));
+        r.stalls[s] = number_or(entry.find("stalls"), reason_name(s), 0.0);
       }
       total_port_cycles += r.port_cycles;
       rows.push_back(std::move(r));

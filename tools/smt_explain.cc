@@ -9,10 +9,10 @@
 // between the two contexts, and a one-paragraph verdict (e.g. "both
 // contexts are waiting on each other — a lost wake-up cycle").
 //
-// When a companion RunReport with an interference section (schema
-// smt-run-report/4, enable via SMT_BENCH_INTERFERENCE=1) is also given,
-// the diagnosis is extended with the top sibling-blamed stall resources
-// per CPU and what machine parameter each one implicates.
+// When a companion RunReport with an `interference` section (enable via
+// SMT_BENCH_INTERFERENCE=1) is also given, the diagnosis is extended with
+// the top sibling-blamed stall resources per CPU and what machine
+// parameter each one implicates.
 //
 // Exit status: 0 when a diagnosis was printed; 1 when an input is not a
 // valid dump/report; 2 on usage errors; 3 when a file cannot be read.
@@ -20,13 +20,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
 
@@ -38,27 +37,14 @@ constexpr int kExitBadInput = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-double number_or(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-std::string string_or(const JsonValue& obj, const char* key,
-                      const std::string& fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->string : fallback;
-}
-
 std::optional<JsonValue> load_json(const char* path, int* fail_rc) {
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open", {{"path", path}});
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
+    smt::log::error("cannot read", {{"path", path}});
     *fail_rc = kExitIo;
     return std::nullopt;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  auto v = smt::parse_json(ss.str());
+  auto v = smt::parse_json(*text);
   if (!v.has_value() || !v->is_object()) {
     smt::log::error("not a JSON object", {{"path", path}});
     *fail_rc = kExitBadInput;
@@ -240,7 +226,7 @@ int main(int argc, char** argv) {
         "the run was cut off at cycle %" PRIu64
         " by its cycle budget. The recent-retired rings above show "
         "whether it was still making progress (raise the budget) or "
-        "crawling (check the interference section of a /4 report).\n",
+        "crawling (check the interference section of its run report).\n",
         cycle);
   } else if (outcome == "race_detected") {
     std::printf(
@@ -260,8 +246,8 @@ int main(int argc, char** argv) {
     const JsonValue* inter = report->find("interference");
     if (inter == nullptr || !inter->is_array()) {
       std::printf(
-          "\nnote: %s carries no interference section (need schema "
-          "smt-run-report/4; run with SMT_BENCH_INTERFERENCE=1)\n",
+          "\nnote: the sibling-blame ranking needs an `interference` "
+          "section; %s has none (run with SMT_BENCH_INTERFERENCE=1)\n",
           report_path);
     } else {
       std::printf("\nsibling-blamed stalls (from %s):\n", report_path);

@@ -45,10 +45,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,14 +127,12 @@ struct SweepRun {
 };
 
 std::optional<JsonValue> load_json(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open", {{"path", path.string()}});
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
+    smt::log::error("cannot read", {{"path", path.string()}});
     return std::nullopt;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  auto v = smt::parse_json(ss.str());
+  auto v = smt::parse_json(*text);
   if (!v.has_value()) {
     smt::log::error("does not parse as JSON", {{"path", path.string()}});
     return std::nullopt;
@@ -294,16 +290,14 @@ std::string stable_run_id(const JsonValue& jobs) {
 std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
                                                 std::string* default_run_id) {
   const fs::path index_path = fs::path(dir) / "sweep_index.json";
-  std::ifstream in(index_path);
-  if (!in) {
-    smt::log::error("cannot open sweep index",
+  const std::optional<std::string> raw_index =
+      smt::read_text_file(index_path);
+  if (!raw_index.has_value()) {
+    smt::log::error("cannot read sweep index",
                     {{"path", index_path.string()}});
     return std::nullopt;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string raw_index = ss.str();
-  const auto v = smt::parse_json(raw_index);
+  const auto v = smt::parse_json(*raw_index);
   if (!v.has_value() || !v->is_object()) {
     smt::log::error("sweep index does not parse",
                     {{"path", index_path.string()}});
@@ -319,7 +313,7 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
   }
   *default_run_id = stable_run_id(*jobs);
   if (default_run_id->empty()) {
-    *default_run_id = smt::fnv1a64_hex(raw_index);
+    *default_run_id = smt::fnv1a64_hex(*raw_index);
   }
 
   std::vector<SweepRun> runs;

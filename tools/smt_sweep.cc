@@ -96,7 +96,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -308,15 +307,13 @@ bool load_resume_index(const std::string& out_dir,
                        bool* found) {
   *found = false;
   const std::string path = out_dir + "/sweep_index.json";
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = smt::read_text_file(path);
+  if (!text.has_value()) {
     smt::log::info("no prior index to resume from; running all jobs",
                    {{"path", path}});
     return true;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto v = smt::parse_json(ss.str());
+  const auto v = smt::parse_json(*text);
   if (!v.has_value() || !v->is_object()) {
     smt::log::error("prior index does not parse", {{"path", path}});
     return false;
