@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "analysis/absint.h"
@@ -77,22 +76,14 @@ Diagnostic warning(Check c, uint32_t pc, std::string msg) {
   return make_diag(c, Severity::kWarning, pc, std::move(msg));
 }
 
-/// Fills Diagnostic::block, deduplicates, and orders deterministically
-/// (stable sort by pc, then check, then severity, then message).
+/// Fills Diagnostic::block, deduplicates, and stable-sorts into the
+/// canonical order.
 void finalize(const Cfg& g, std::vector<Diagnostic>* diags) {
   for (Diagnostic& d : *diags) {
     d.block =
         d.pc < g.block_of.size() ? g.block_of[d.pc] : 0;
   }
-  std::stable_sort(diags->begin(), diags->end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     if (a.pc != b.pc) return a.pc < b.pc;
-                     if (a.check != b.check) return a.check < b.check;
-                     if (a.severity != b.severity) {
-                       return a.severity < b.severity;
-                     }
-                     return a.message < b.message;
-                   });
+  std::stable_sort(diags->begin(), diags->end(), diagnostic_before);
   diags->erase(std::unique(diags->begin(), diags->end(),
                            [](const Diagnostic& a, const Diagnostic& b) {
                              return a.pc == b.pc && a.check == b.check &&
@@ -166,45 +157,54 @@ uint32_t reg_writes(const Instr& in) {
 
 namespace {
 
+/// Must-written registers: a RegId bitmask of the registers every path
+/// has written. Join is intersection, so unreachable (its identity) is
+/// every register. The entry needs no special case when a loop branches
+/// back to instruction 0: every path starts from `entry_`, so the
+/// back edge's state already contains it.
+class WrittenDomain {
+ public:
+  using State = uint32_t;
+
+  WrittenDomain(const isa::Program& p, const Cfg& g, uint32_t entry)
+      : p_(p), g_(g), entry_(entry) {}
+
+  State entry() const { return entry_; }
+  State unreachable() const { return kAllRegs; }
+  bool join(State* into, State from) const {
+    const State j = *into & from;
+    const bool grew = j != *into;
+    *into = j;
+    return grew;
+  }
+  void widen(State* into, State prev) const { *into &= prev; }
+  bool equal(State a, State b) const { return a == b; }
+  State transfer(uint32_t b, State s) const {
+    for (uint32_t pc = g_.blocks[b].begin; pc < g_.blocks[b].end; ++pc) {
+      s |= reg_writes(p_.at(pc));
+    }
+    return s;
+  }
+  State edge(uint32_t /*from*/, uint32_t /*to*/, State s) const { return s; }
+
+ private:
+  const isa::Program& p_;
+  const Cfg& g_;
+  State entry_;
+};
+
 void check_uninit_reads(const isa::Program& p, const Cfg& g,
                         uint32_t assumed_written,
                         std::vector<Diagnostic>* out) {
-  const size_t nb = g.blocks.size();
-  // Must-be-written analysis: in[b] = ∩ out[pred]; top = all registers.
-  std::vector<uint32_t> in(nb, kAllRegs), outset(nb, kAllRegs);
-  in[0] = assumed_written;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t b = 0; b < nb; ++b) {
-      if (!g.blocks[b].reachable) continue;
-      // The entry block always keeps the entry contract: execution
-      // reaches it at least once with only assumed_written defined, even
-      // when a loop branches back to instruction 0.
-      uint32_t s = kAllRegs;
-      for (uint32_t pr : g.blocks[b].preds) {
-        if (g.blocks[pr].reachable) s &= outset[pr];
-      }
-      if (b == 0) s = assumed_written;
-      in[b] = s;
-      for (uint32_t pc = g.blocks[b].begin; pc < g.blocks[b].end; ++pc) {
-        s |= reg_writes(p.at(pc));
-      }
-      if (s != outset[b]) {
-        outset[b] = s;
-        changed = true;
-      }
-    }
-  }
-  // Report each offending pc once, with the offending registers.
-  std::set<uint32_t> seen;
-  for (size_t b = 0; b < nb; ++b) {
+  Fixpoint<WrittenDomain> fp(g, WrittenDomain(p, g, assumed_written));
+  fp.solve();
+  for (uint32_t b = 0; b < g.blocks.size(); ++b) {
     if (!g.blocks[b].reachable) continue;
-    uint32_t s = in[b];
+    uint32_t s = fp.in(b);
     for (uint32_t pc = g.blocks[b].begin; pc < g.blocks[b].end; ++pc) {
       const Instr& instr = p.at(pc);
       const uint32_t missing = reg_reads(instr) & ~s;
-      if (missing != 0 && seen.insert(pc).second) {
+      if (missing != 0) {
         std::ostringstream os;
         os << "read of never-written register";
         for (int r = 0; r < isa::kNumRegs; ++r) {
@@ -252,132 +252,197 @@ void check_sync_regions(const isa::Program& p,
   }
 }
 
-/// Lock-pairing dataflow per annotated lock word. Lattice:
-///   kBottom < {kFree, kHeld} < kConflict
+// ---------------------------------------------------------------------------
+// Lock analysis: one domain behind both lock-pairing and lock-order.
+// ---------------------------------------------------------------------------
+
+/// Per-word lattice: kBottom < {kFree, kHeld} < kConflict. A word is
+/// may-held when it is kHeld or kConflict.
 enum class LockState : uint8_t { kBottom, kFree, kHeld, kConflict };
 
-LockState meet(LockState a, LockState b) {
+LockState join_lock(LockState a, LockState b) {
   if (a == LockState::kBottom) return b;
   if (b == LockState::kBottom) return a;
   if (a == b) return a;
   return LockState::kConflict;
 }
 
-void check_lock_pairing(const isa::Program& p, const Cfg& g,
-                        std::vector<Diagnostic>* out) {
-  // Group ops by lock word.
-  std::map<Addr, std::vector<const LockOp*>> by_addr;
+bool may_hold(LockState s) {
+  return s == LockState::kHeld || s == LockState::kConflict;
+}
+
+bool well_formed(const LockOp& op, const isa::Program& p) {
+  return op.end <= p.size() && op.begin < op.end;
+}
+
+std::string lock_word(Addr a) {
+  std::ostringstream os;
+  os << "lock word 0x" << std::hex << a;
+  return os.str();
+}
+
+/// (held, acquired) lock-word pair observed at an acquire site.
+struct OrderedPair {
+  Addr held = 0;
+  Addr acquired = 0;
+  uint32_t pc = 0;  // the acquire's begin
+};
+
+/// What a replay of the converged lock analysis observes.
+struct LockFindings {
+  std::vector<Diagnostic> diags;   // lock-pairing
+  std::vector<OrderedPair> pairs;  // every (may-held, acquired) pair
+};
+
+/// One LockState per annotated lock word (words_, sorted by address).
+/// An op completes when control leaves its range through its end: on a
+/// step from a pc inside [begin, end) to exactly `end`. Inside an
+/// acquire's spin loop the lock is still free — the retry back edge and
+/// the not-yet-taken success branch both stay at the pre-state; only
+/// reaching the instruction after the range completes the acquire. (Both
+/// emitters are structured this way: success lands on the label bound at
+/// the end of the region.) Ops completing on one step apply in
+/// annotation order.
+class LockDomain {
+ public:
+  using State = std::vector<LockState>;
+
+  LockDomain(const isa::Program& p, const Cfg& g) : p_(p), g_(g) {
+    for (const LockOp& op : p.lock_ops()) {
+      if (well_formed(op, p)) words_.push_back(op.addr);
+    }
+    std::sort(words_.begin(), words_.end());
+    words_.erase(std::unique(words_.begin(), words_.end()), words_.end());
+    for (const LockOp& op : p.lock_ops()) {
+      if (!well_formed(op, p)) continue;
+      const auto w = std::lower_bound(words_.begin(), words_.end(), op.addr);
+      ends_at_[op.end].push_back(
+          {&op, static_cast<size_t>(w - words_.begin())});
+    }
+  }
+
+  bool empty() const { return words_.empty(); }
+
+  State entry() const { return State(words_.size(), LockState::kFree); }
+  State unreachable() const {
+    return State(words_.size(), LockState::kBottom);
+  }
+  bool join(State* into, const State& from) const {
+    bool grew = false;
+    for (size_t w = 0; w < into->size(); ++w) {
+      const LockState j = join_lock((*into)[w], from[w]);
+      grew |= j != (*into)[w];
+      (*into)[w] = j;
+    }
+    return grew;
+  }
+  void widen(State* into, const State& prev) const { join(into, prev); }
+  bool equal(const State& a, const State& b) const { return a == b; }
+  State transfer(uint32_t b, State s) const {
+    return body(b, std::move(s), nullptr);
+  }
+  State edge(uint32_t from, uint32_t to, State s) const {
+    step(g_.blocks[from].end - 1, g_.blocks[to].begin, &s, nullptr);
+    return s;
+  }
+
+  /// Walks the converged solution once: every completion on every
+  /// reachable edge and inside every reachable block, and every exit.
+  void replay(const Fixpoint<LockDomain>& fp, LockFindings* f) const {
+    for (uint32_t b = 0; b < g_.blocks.size(); ++b) {
+      if (!g_.blocks[b].reachable) continue;
+      for (const uint32_t pr : g_.blocks[b].preds) {
+        if (!g_.blocks[pr].reachable) continue;
+        State s = fp.out(pr);
+        step(g_.blocks[pr].end - 1, g_.blocks[b].begin, &s, f);
+      }
+      body(b, fp.in(b), f);
+    }
+  }
+
+ private:
+  struct Completion {
+    const LockOp* op;
+    size_t word;
+  };
+
+  /// Applies every op completing on the step from_pc -> to_pc; `f`, when
+  /// set, records what each completion's pre-state implies.
+  void step(uint32_t from_pc, uint32_t to_pc, State* s,
+            LockFindings* f) const {
+    const auto it = ends_at_.find(to_pc);
+    if (it == ends_at_.end()) return;
+    for (const Completion& c : it->second) {
+      const LockOp& op = *c.op;
+      if (from_pc < op.begin || from_pc >= op.end) continue;
+      if (f != nullptr) record(op, c.word, *s, f);
+      (*s)[c.word] = op.acquire ? LockState::kHeld : LockState::kFree;
+    }
+  }
+
+  /// Walks block `b` from `s`, applying completions that fall mid-block
+  /// (sequential flow from pc-1 inside the range).
+  State body(uint32_t b, State s, LockFindings* f) const {
+    for (uint32_t pc = g_.blocks[b].begin; pc < g_.blocks[b].end; ++pc) {
+      if (pc != g_.blocks[b].begin) step(pc - 1, pc, &s, f);
+      if (f == nullptr || p_.at(pc).op != Opcode::kExit) continue;
+      for (size_t w = 0; w < s.size(); ++w) {
+        if (may_hold(s[w])) {
+          f->diags.push_back(error(Check::kLockPairing, pc,
+                                   lock_word(words_[w]) +
+                                       " may still be held at exit"));
+        }
+      }
+    }
+    return s;
+  }
+
+  /// Diagnoses the pre-state `before` of `op` on `word`; an acquire also
+  /// pairs `op.addr` with every other may-held word.
+  void record(const LockOp& op, size_t word, const State& before,
+              LockFindings* f) const {
+    const std::string lock = lock_word(op.addr);
+    std::string msg;
+    if (before[word] == LockState::kConflict) {
+      msg = (op.acquire ? "acquire of " : "release of ") + lock +
+            " with inconsistent lock state on joining paths";
+    } else if (op.acquire && before[word] == LockState::kHeld) {
+      msg = "double acquire of " + lock;
+    } else if (!op.acquire && before[word] == LockState::kFree) {
+      msg = "release of " + lock + " that is not held";
+    }
+    if (!msg.empty()) {
+      f->diags.push_back(error(Check::kLockPairing, op.begin, std::move(msg)));
+    }
+    if (!op.acquire) return;
+    for (size_t w = 0; w < before.size(); ++w) {
+      if (w != word && may_hold(before[w])) {
+        f->pairs.push_back({words_[w], op.addr, op.begin});
+      }
+    }
+  }
+
+  const isa::Program& p_;
+  const Cfg& g_;
+  std::vector<Addr> words_;
+  std::map<uint32_t, std::vector<Completion>> ends_at_;
+};
+
+/// Solves the lock domain and replays the solution. Malformed
+/// annotations are reported and otherwise ignored.
+LockFindings analyze_locks(const isa::Program& p, const Cfg& g) {
+  LockFindings f;
   for (const LockOp& op : p.lock_ops()) {
-    if (op.end > p.size() || op.begin >= op.end) {
-      out->push_back(error(Check::kLockPairing, op.begin,
-                           "malformed lock-op annotation"));
-      continue;
-    }
-    by_addr[op.addr].push_back(&op);
-  }
-
-  for (const auto& [addr, ops] : by_addr) {
-    // An op's effect applies when control leaves its range through its
-    // end: on any edge from a pc inside [begin, end) to exactly `end`.
-    // Inside an acquire's spin loop the lock is still free — the retry
-    // back edge and the not-yet-taken success branch both stay at the
-    // pre-state; only reaching the instruction after the range completes
-    // the acquire. (Both emitters are structured this way: success lands
-    // on the label bound at the end of the region.)
-    std::map<uint32_t, const LockOp*> ends_at;  // op.end -> op
-    for (const LockOp* op : ops) ends_at[op->end] = op;
-
-    const size_t nb = g.blocks.size();
-    std::vector<LockState> in(nb, LockState::kBottom);
-    std::vector<LockState> outset(nb, LockState::kBottom);
-
-    // Diagnose the pre-state `s` right before `op` completes, then return
-    // the completed state.
-    auto apply = [&, addr = addr](const LockOp* op, LockState s,
-                                  std::vector<Diagnostic>* diags) {
-      if (diags != nullptr) {
-        if (s == LockState::kConflict) {
-          std::ostringstream os;
-          os << (op->acquire ? "acquire" : "release") << " of lock word 0x"
-             << std::hex << addr
-             << " with inconsistent lock state on joining paths";
-          diags->push_back(error(Check::kLockPairing, op->begin, os.str()));
-        } else if (op->acquire && s == LockState::kHeld) {
-          std::ostringstream os;
-          os << "double acquire of lock word 0x" << std::hex << addr;
-          diags->push_back(error(Check::kLockPairing, op->begin, os.str()));
-        } else if (!op->acquire && s == LockState::kFree) {
-          std::ostringstream os;
-          os << "release of lock word 0x" << std::hex << addr
-             << " that is not held";
-          diags->push_back(error(Check::kLockPairing, op->begin, os.str()));
-        }
-      }
-      return op->acquire ? LockState::kHeld : LockState::kFree;
-    };
-
-    // Walks block `b` from state `s`, applying completions that fall
-    // mid-block (sequential flow from pc-1 inside the range).
-    auto transfer = [&, addr = addr](size_t b, LockState s,
-                                     std::vector<Diagnostic>* diags) {
-      for (uint32_t pc = g.blocks[b].begin; pc < g.blocks[b].end; ++pc) {
-        if (pc != g.blocks[b].begin) {
-          auto it = ends_at.find(pc);
-          if (it != ends_at.end() && pc > it->second->begin) {
-            s = apply(it->second, s, diags);
-          }
-        }
-        if (diags != nullptr && p.at(pc).op == Opcode::kExit &&
-            (s == LockState::kHeld || s == LockState::kConflict)) {
-          std::ostringstream os;
-          os << "lock word 0x" << std::hex << addr
-             << " may still be held at exit";
-          diags->push_back(error(Check::kLockPairing, pc, os.str()));
-        }
-      }
-      return s;
-    };
-
-    // In-state of `b`: meet over reachable predecessors, applying the
-    // completion effect on edges that leave an op range into its end.
-    auto in_state = [&](size_t b, std::vector<Diagnostic>* diags) {
-      LockState s = b == 0 ? LockState::kFree : LockState::kBottom;
-      const auto it = ends_at.find(g.blocks[b].begin);
-      for (uint32_t pr : g.blocks[b].preds) {
-        const BasicBlock& pb = g.blocks[pr];
-        if (!pb.reachable) continue;
-        LockState e = outset[pr];
-        if (it != ends_at.end()) {
-          const uint32_t last_pc = pb.end - 1;
-          if (last_pc >= it->second->begin && last_pc < it->second->end) {
-            e = apply(it->second, e, diags);
-          }
-        }
-        s = meet(s, e);
-      }
-      return s;
-    };
-
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t b = 0; b < nb; ++b) {
-        if (!g.blocks[b].reachable) continue;
-        in[b] = in_state(b, nullptr);
-        const LockState s = transfer(b, in[b], nullptr);
-        if (s != outset[b]) {
-          outset[b] = s;
-          changed = true;
-        }
-      }
-    }
-    // Reporting pass over the converged solution (finalize() dedupes).
-    for (size_t b = 0; b < nb; ++b) {
-      if (!g.blocks[b].reachable) continue;
-      in_state(b, out);
-      transfer(b, in[b], out);
+    if (!well_formed(op, p)) {
+      f.diags.push_back(error(Check::kLockPairing, op.begin,
+                              "malformed lock-op annotation"));
     }
   }
+  Fixpoint<LockDomain> fp(g, LockDomain(p, g));
+  if (fp.domain().empty()) return f;
+  fp.solve();
+  fp.domain().replay(fp, &f);
+  return f;
 }
 
 void check_extents(const isa::Program& p, const Cfg& g,
@@ -488,7 +553,8 @@ std::vector<Diagnostic> lint_program(const isa::Program& p,
   const IntervalAnalysis ia = analyze_intervals(p, g);
   check_uninit_reads(p, g, opt.assumed_written, &diags);
   check_sync_regions(p, &diags);
-  check_lock_pairing(p, g, &diags);
+  const LockFindings locks = analyze_locks(p, g);
+  diags.insert(diags.end(), locks.diags.begin(), locks.diags.end());
   check_extents(p, g, ia, opt, &diags);
   check_reachability(p, g, &diags);
   finalize(g, &diags);
@@ -503,152 +569,6 @@ namespace {
 
 bool is_barrier_region(const SyncRegion& r) {
   return r.what.rfind("barrier_wait", 0) == 0;
-}
-
-/// May-held lockset domain for the fixpoint engine: the set of lock
-/// words possibly held at a block boundary, with the same
-/// completion-on-range-exit convention as the lock-pairing dataflow.
-class LocksetDomain {
- public:
-  struct State {
-    bool feasible = false;
-    std::vector<Addr> held;  // sorted
-  };
-
-  LocksetDomain(const isa::Program& p, const Cfg& g) : p_(p), g_(g) {
-    for (const LockOp& op : p.lock_ops()) {
-      if (op.end > p.size() || op.begin >= op.end) continue;
-      ends_at_[op.end].push_back(&op);
-    }
-  }
-
-  State entry() const { return {true, {}}; }
-  State unreachable() const { return {}; }
-
-  bool join(State* into, const State& from) const {
-    if (!from.feasible) return false;
-    if (!into->feasible) {
-      *into = from;
-      return true;
-    }
-    std::vector<Addr> u;
-    std::set_union(into->held.begin(), into->held.end(), from.held.begin(),
-                   from.held.end(), std::back_inserter(u));
-    if (u == into->held) return false;
-    into->held = std::move(u);
-    return true;
-  }
-
-  void widen(State* into, const State& prev) const {
-    State copy = prev;  // finite lattice: widening is just join
-    join(&copy, *into);
-    *into = std::move(copy);
-  }
-
-  bool equal(const State& a, const State& b) const {
-    if (a.feasible != b.feasible) return false;
-    return !a.feasible || a.held == b.held;
-  }
-
-  State transfer(uint32_t block, State in) const {
-    if (!in.feasible) return in;
-    for (uint32_t pc = g_.blocks[block].begin + 1; pc < g_.blocks[block].end;
-         ++pc) {
-      const auto it = ends_at_.find(pc);
-      if (it == ends_at_.end()) continue;
-      for (const LockOp* op : it->second) {
-        if (pc > op->begin) apply(op, &in);
-      }
-    }
-    return in;
-  }
-
-  State edge(uint32_t from, uint32_t to, State out) const {
-    if (!out.feasible) return out;
-    const auto it = ends_at_.find(g_.blocks[to].begin);
-    if (it != ends_at_.end()) {
-      const uint32_t last_pc = g_.blocks[from].end - 1;
-      for (const LockOp* op : it->second) {
-        if (last_pc >= op->begin && last_pc < op->end) apply(op, &out);
-      }
-    }
-    return out;
-  }
-
-  static void apply(const LockOp* op, State* s) {
-    const auto it =
-        std::lower_bound(s->held.begin(), s->held.end(), op->addr);
-    if (op->acquire) {
-      if (it == s->held.end() || *it != op->addr) s->held.insert(it, op->addr);
-    } else if (it != s->held.end() && *it == op->addr) {
-      s->held.erase(it);
-    }
-  }
-
- private:
-  const isa::Program& p_;
-  const Cfg& g_;
-  std::map<uint32_t, std::vector<const LockOp*>> ends_at_;
-};
-
-/// (held, acquired) lock-word pair observed at an acquire site.
-struct OrderedPair {
-  Addr held = 0;
-  Addr acquired = 0;
-  uint32_t pc = 0;  // the acquire's begin
-};
-
-/// Every (already-held, newly-acquired) pair of one program, from the
-/// converged may-held lockset.
-std::vector<OrderedPair> lock_order_pairs(const isa::Program& p,
-                                          const Cfg& g) {
-  std::vector<OrderedPair> pairs;
-  if (p.lock_ops().empty()) return pairs;
-  LocksetDomain dom(p, g);
-  Fixpoint<LocksetDomain> fp(g, LocksetDomain(p, g));
-  fp.solve();
-  std::map<uint32_t, std::vector<const LockOp*>> ends_at;
-  for (const LockOp& op : p.lock_ops()) {
-    if (op.end > p.size() || op.begin >= op.end) continue;
-    ends_at[op.end].push_back(&op);
-  }
-  const auto record = [&](const LocksetDomain::State& before,
-                          const LockOp* op) {
-    if (!op->acquire || !before.feasible) return;
-    for (const Addr h : before.held) {
-      if (h != op->addr) pairs.push_back({h, op->addr, op->begin});
-    }
-  };
-  for (uint32_t b = 0; b < g.blocks.size(); ++b) {
-    if (!g.blocks[b].reachable) continue;
-    // Completions on incoming edges: the pre-state is the pred's out.
-    const auto eit = ends_at.find(g.blocks[b].begin);
-    if (eit != ends_at.end()) {
-      for (const uint32_t pr : g.blocks[b].preds) {
-        if (!g.blocks[pr].reachable) continue;
-        const uint32_t last_pc = g.blocks[pr].end - 1;
-        for (const LockOp* op : eit->second) {
-          if (last_pc >= op->begin && last_pc < op->end) {
-            record(fp.out(pr), op);
-          }
-        }
-      }
-    }
-    // Mid-block completions.
-    LocksetDomain::State s = fp.in(b);
-    if (!s.feasible) continue;
-    for (uint32_t pc = g.blocks[b].begin + 1; pc < g.blocks[b].end; ++pc) {
-      const auto it = ends_at.find(pc);
-      if (it == ends_at.end()) continue;
-      for (const LockOp* op : it->second) {
-        if (pc > op->begin) {
-          record(s, op);
-          LocksetDomain::apply(op, &s);
-        }
-      }
-    }
-  }
-  return pairs;
 }
 
 }  // namespace
@@ -708,7 +628,7 @@ std::vector<std::vector<Diagnostic>> lint_concurrency(
       }
     }
 
-    pairs[i] = lock_order_pairs(p, g);
+    pairs[i] = analyze_locks(p, g).pairs;
   }
 
   // Barrier episodes must agree across every participating program.
@@ -752,6 +672,13 @@ std::vector<std::vector<Diagnostic>> lint_concurrency(
     if (!programs[i].empty()) finalize(cfgs[i], &diags[i]);
   }
   return diags;
+}
+
+bool diagnostic_before(const Diagnostic& a, const Diagnostic& b) {
+  if (a.pc != b.pc) return a.pc < b.pc;
+  if (a.check != b.check) return a.check < b.check;
+  if (a.severity != b.severity) return a.severity < b.severity;
+  return a.message < b.message;
 }
 
 size_t count_severity(const std::vector<Diagnostic>& diags, Severity s) {

@@ -7,8 +7,8 @@
 // before a single cycle is simulated:
 //
 //   uninit-read        a path reaches a register read with no prior write
-//                      (must-dataflow over the CFG; registers listed in
-//                      LintOptions::assumed_written are exempt)   [error]
+//                      (must-written register dataflow; registers listed
+//                      in LintOptions::assumed_written are exempt) [error]
 //   sync-region-write  an instruction inside an emitter-annotated
 //                      SyncRegion writes a register outside the region's
 //                      declared may_write set (register discipline) [error]
@@ -16,8 +16,7 @@
 //                      contains no pause instruction             [warning]
 //   lock-pairing       double acquire, release without acquire, lock held
 //                      at exit, or inconsistent lock state where paths
-//                      join (per annotated lock word, 4-value dataflow)
-//                                                                  [error]
+//                      join (the lock domain below)               [error]
 //   out-of-extent      a store/xchg whose address range — from the
 //                      interval analysis (analysis/absint.h) — falls
 //                      outside the workload's registered extents: error
@@ -37,6 +36,17 @@
 //                      in opposite orders while holding the other — a
 //                      potential deadlock the FastTrack detector can only
 //                      see if the interleaving actually deadlocks [error]
+//
+// Every dataflow check is a domain of the one fixpoint engine,
+// analysis::Fixpoint (analysis/absint.h): uninit-read solves a
+// must-written register bitmask, out-of-extent reads the interval
+// analysis, and lock-pairing and lock-order share one lock domain that
+// holds {bottom, free, held, conflict} per annotated lock word. A LockOp
+// completes on a step from a pc inside [begin, end) to exactly `end`
+// (ops completing on one step apply in annotation order); a word is
+// may-held when it is held or conflict. One replay of the lock solution
+// yields both the pairing diagnostics and the (held, acquired) pairs
+// lock-order compares across programs.
 //
 // The lint never aborts on malformed programs — every defect is returned
 // as a diagnostic — but it does abort (SMT_CHECK) on an opcode it cannot
@@ -118,6 +128,10 @@ std::vector<Diagnostic> lint_program(const isa::Program& p,
 /// Result [i] holds the diagnostics attributed to programs[i].
 std::vector<std::vector<Diagnostic>> lint_concurrency(
     const std::vector<isa::Program>& programs);
+
+/// The canonical diagnostic order: by pc, then check, then severity, then
+/// message.
+bool diagnostic_before(const Diagnostic& a, const Diagnostic& b);
 
 /// Counts diagnostics of the given severity.
 size_t count_severity(const std::vector<Diagnostic>& diags, Severity s);

@@ -1,5 +1,6 @@
 #include "host/experiments.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -340,6 +341,30 @@ std::vector<std::string> default_manifest() {
     if (d.in_default_manifest) names.push_back(d.name);
   }
   return names;
+}
+
+WorkloadLint lint_workload(core::Workload& w) {
+  core::Machine m;
+  w.setup(m);
+  analysis::LintOptions opt;
+  const core::MemInfo mi = w.mem_info();
+  for (const auto* regions : {&mi.data, &mi.sync}) {
+    for (const auto& r : *regions) {
+      opt.extents.push_back({r.base, r.bytes, r.name});
+    }
+  }
+  opt.extents_complete = mi.complete;
+  WorkloadLint out;
+  out.programs = w.programs();
+  out.diags = analysis::lint_concurrency(out.programs);
+  for (size_t i = 0; i < out.programs.size(); ++i) {
+    std::vector<analysis::Diagnostic>& d = out.diags[i];
+    const std::vector<analysis::Diagnostic> own =
+        analysis::lint_program(out.programs[i], opt);
+    d.insert(d.end(), own.begin(), own.end());
+    std::stable_sort(d.begin(), d.end(), analysis::diagnostic_before);
+  }
+  return out;
 }
 
 }  // namespace smt::host

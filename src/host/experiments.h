@@ -17,8 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lint.h"
 #include "common/types.h"
 #include "core/workload.h"
+#include "isa/program.h"
 
 namespace smt::host {
 
@@ -51,6 +53,20 @@ const ExperimentDef* find_experiment(const std::string& name);
 
 /// The names of every default-manifest experiment, in registry order.
 std::vector<std::string> default_manifest();
+
+/// One workload's programs and their static verifier findings.
+struct WorkloadLint {
+  std::vector<isa::Program> programs;
+  /// diags[i]: programs[i]'s analysis::lint_program findings (with the
+  /// workload's registered extents) and its analysis::lint_concurrency
+  /// findings, merged in the canonical analysis::diagnostic_before order.
+  std::vector<std::vector<analysis::Diagnostic>> diags;
+};
+
+/// Sets `w` up on a fresh machine and lints every program it emits: the
+/// one lint driver behind smt_lint, smt_sweep --lint and the registry
+/// gate test.
+WorkloadLint lint_workload(core::Workload& w);
 
 namespace detail {
 /// SMT_CHECKs that no two definitions share a name and that every name

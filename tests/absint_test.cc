@@ -2,8 +2,16 @@
 // (join/meet/widen algebra and monotonicity), the per-opcode transfer
 // functions, branch-edge refinement, effective-address evaluation, the
 // converged whole-program analyses (intervals, loop structure), and the
-// never-aborts property over malformed and pseudo-random programs.
+// never-aborts property over malformed and pseudo-random programs, and
+// the lint's uninit-read, lock-pairing and lock-order findings against a
+// path-enumeration oracle on generated lock-annotated programs.
+#include <array>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/absint.h"
@@ -11,6 +19,7 @@
 #include "analysis/lint.h"
 #include "gtest/gtest.h"
 #include "isa/asm_builder.h"
+#include "isa/disasm.h"
 
 namespace smt::analysis {
 namespace {
@@ -465,14 +474,23 @@ TEST(Robustness, MalformedSeedsDegradeGracefully) {
   }
 }
 
+/// Deterministic LCG behind the generated-program tests.
+class Lcg {
+ public:
+  explicit Lcg(uint64_t seed) : seed_(seed) {}
+  uint64_t operator()() {
+    seed_ = seed_ * 6364136223846793005ull + 1442695040888963407ull;
+    return seed_ >> 33;
+  }
+
+ private:
+  uint64_t seed_;
+};
+
 TEST(Robustness, PseudoRandomProgramsNeverAbort) {
   // Deterministic LCG fuzz: structurally arbitrary (but decodable)
   // programs through the full analysis stack.
-  uint64_t seed = 0x9e3779b97f4a7c15ull;
-  const auto next = [&seed] {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    return seed >> 33;
-  };
+  Lcg next(0x9e3779b97f4a7c15ull);
   for (int trial = 0; trial < 200; ++trial) {
     const size_t len = 1 + next() % 16;
     std::vector<Instr> code(len);
@@ -499,6 +517,244 @@ TEST(Robustness, PseudoRandomProgramsNeverAbort) {
     analyze_everything(
         isa::Program("fuzz" + std::to_string(trial), std::move(code)));
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Path-enumeration oracle for the lint's dataflow checks
+// ---------------------------------------------------------------------------
+
+constexpr Addr kLockWords[] = {0x8000, 0x8040, 0x8080};
+constexpr size_t kNumLockWords = sizeof(kLockWords) / sizeof(kLockWords[0]);
+
+size_t word_index(Addr a) {
+  size_t w = 0;
+  while (kLockWords[w] != a) ++w;
+  return w;
+}
+
+std::string lock_word(Addr a) {
+  std::ostringstream os;
+  os << "lock word 0x" << std::hex << a;
+  return os.str();
+}
+
+/// A loop-free program of at most 12 instructions (forward branches only,
+/// one exit at the end) carrying 1-4 random well-formed lock-op
+/// annotations. Cfg::build does not end a block at an exit, so an exit
+/// mid-block would let the CFG (though not the paths) fall through it.
+isa::Program loop_free_locked_program(Lcg& next, int trial) {
+  const size_t len = 2 + next() % 11;
+  std::vector<Instr> code(len);
+  for (size_t pc = 0; pc + 1 < len; ++pc) {
+    Instr& in = code[pc];
+    const auto reg = [&next] { return static_cast<isa::RegId>(next() % 4); };
+    const auto forward = [&] {
+      return static_cast<int32_t>(pc + 1 + next() % (len - 1 - pc));
+    };
+    switch (next() % 6) {
+      case 0:
+        in.op = Opcode::kIMovImm;
+        in.rd = reg();
+        break;
+      case 1:
+        in.op = Opcode::kIAdd;
+        in.rd = reg();
+        in.rs1 = reg();
+        in.rs2 = reg();
+        break;
+      case 2:
+        in.op = Opcode::kBr;
+        in.rs1 = reg();
+        in.use_imm = true;
+        in.target = forward();
+        break;
+      case 3:
+        in.op = Opcode::kJmp;
+        in.target = forward();
+        break;
+      case 4:
+        in.op = Opcode::kIMov;
+        in.rd = reg();
+        in.rs1 = reg();
+        break;
+      default:
+        in.op = Opcode::kNop;
+        break;
+    }
+  }
+  code[len - 1].op = Opcode::kExit;
+  std::vector<isa::LockOp> ops(1 + next() % 4);
+  for (isa::LockOp& op : ops) {
+    op.begin = static_cast<uint32_t>(next() % len);
+    op.end = static_cast<uint32_t>(op.begin + 1 + next() % (len - op.begin));
+    op.addr = kLockWords[next() % kNumLockWords];
+    op.acquire = next() % 2 == 0;
+  }
+  return isa::Program("gen" + std::to_string(trial), std::move(code), {},
+                      std::move(ops));
+}
+
+/// Takes every ordered pair of lock words in turn, so a sibling's
+/// lock-order findings expose its full may-held set at each acquire.
+isa::Program every_lock_order() {
+  std::vector<Instr> code;
+  std::vector<isa::LockOp> ops;
+  for (const Addr a : kLockWords) {
+    for (const Addr b : kLockWords) {
+      if (a == b) continue;
+      const Addr seq[] = {a, b, b, a};
+      for (int k = 0; k < 4; ++k) {
+        const auto pc = static_cast<uint32_t>(code.size());
+        code.emplace_back();
+        ops.push_back({pc, pc + 1, seq[k], k < 2});
+      }
+    }
+  }
+  code.emplace_back();
+  code.back().op = Opcode::kExit;
+  return isa::Program("orders", std::move(code), {}, std::move(ops));
+}
+
+using Findings = std::set<std::pair<uint32_t, std::string>>;
+
+struct OracleFindings {
+  Findings uninit;
+  Findings pairing;
+  Findings order;  // against every_lock_order()
+};
+
+/// Enumerates every path from pc 0. Register state: written mask. Lock
+/// state: held bit per word; an op completes on a step from a pc inside
+/// [begin, end) to exactly `end`, ops on one step in annotation order.
+OracleFindings enumerate_paths(const isa::Program& p, uint32_t assumed) {
+  constexpr uint8_t kFree = 1, kHeld = 2;  // value-set bits
+  using Values = std::array<uint8_t, kNumLockWords>;
+  const size_t n = p.size();
+  std::vector<bool> reached(n, false);
+  std::vector<uint32_t> must(n, ~0u);
+  std::vector<Values> at(n, Values{});
+  // Per-word value sets right before op k completes on a step from pc.
+  std::map<std::pair<size_t, uint32_t>, Values> before;
+  struct Path {
+    uint32_t pc;
+    uint32_t written;
+    std::array<bool, kNumLockWords> held;
+  };
+  std::vector<Path> stack{{0, assumed, {}}};
+  const auto add = [](Values* v, const std::array<bool, kNumLockWords>& h) {
+    for (size_t w = 0; w < kNumLockWords; ++w) (*v)[w] |= h[w] ? kHeld : kFree;
+  };
+  while (!stack.empty()) {
+    const Path path = stack.back();
+    stack.pop_back();
+    const uint32_t pc = path.pc;
+    reached[pc] = true;
+    must[pc] &= path.written;
+    add(&at[pc], path.held);
+    const Instr& in = p.at(pc);
+    std::vector<uint32_t> succs;
+    if (in.op == Opcode::kBr) {
+      succs = {static_cast<uint32_t>(in.target), pc + 1};
+    } else if (in.op == Opcode::kJmp) {
+      succs = {static_cast<uint32_t>(in.target)};
+    } else if (in.op != Opcode::kExit) {
+      succs = {pc + 1};
+    }
+    for (const uint32_t to : succs) {
+      Path q{to, path.written | reg_writes(in), path.held};
+      for (size_t k = 0; k < p.lock_ops().size(); ++k) {
+        const isa::LockOp& op = p.lock_ops()[k];
+        if (op.end != to || pc < op.begin || pc >= op.end) continue;
+        add(&before[{k, pc}], q.held);
+        q.held[word_index(op.addr)] = op.acquire;
+      }
+      stack.push_back(q);
+    }
+  }
+
+  OracleFindings f;
+  for (uint32_t pc = 0; pc < n; ++pc) {
+    if (!reached[pc]) continue;
+    const uint32_t missing = reg_reads(p.at(pc)) & ~must[pc];
+    if (missing != 0) {
+      std::ostringstream os;
+      os << "read of never-written register";
+      for (int r = 0; r < isa::kNumIRegs; ++r) {
+        if (missing & (1u << r)) os << " r" << r;
+      }
+      os << " in `" << isa::disasm(p.at(pc)) << "`";
+      f.uninit.insert({pc, os.str()});
+    }
+    if (p.at(pc).op != Opcode::kExit) continue;
+    for (size_t w = 0; w < kNumLockWords; ++w) {
+      if (at[pc][w] & kHeld) {
+        f.pairing.insert(
+            {pc, lock_word(kLockWords[w]) + " may still be held at exit"});
+      }
+    }
+  }
+  for (const auto& [key, values] : before) {
+    const isa::LockOp& op = p.lock_ops()[key.first];
+    const size_t word = word_index(op.addr);
+    const std::string verb = op.acquire ? "acquire" : "release";
+    if (values[word] == (kFree | kHeld)) {
+      f.pairing.insert({op.begin, verb + " of " + lock_word(op.addr) +
+                                      " with inconsistent lock state on "
+                                      "joining paths"});
+    } else if (op.acquire && values[word] == kHeld) {
+      f.pairing.insert({op.begin, "double acquire of " + lock_word(op.addr)});
+    } else if (!op.acquire && values[word] == kFree) {
+      f.pairing.insert(
+          {op.begin, "release of " + lock_word(op.addr) + " that is not held"});
+    }
+    if (!op.acquire) continue;
+    for (size_t w = 0; w < kNumLockWords; ++w) {
+      if (w == word || !(values[w] & kHeld)) continue;
+      std::ostringstream os;
+      os << "acquires lock word 0x" << std::hex << op.addr
+         << " while holding 0x" << kLockWords[w]
+         << ", but sibling `orders` acquires them in the opposite order "
+            "(potential deadlock)";
+      f.order.insert({op.begin, os.str()});
+    }
+  }
+  return f;
+}
+
+Findings of_check(const std::vector<Diagnostic>& diags, Check c) {
+  Findings out;
+  for (const Diagnostic& d : diags) {
+    if (d.check == c) out.insert({d.pc, d.message});
+  }
+  return out;
+}
+
+TEST(Oracle, LintMatchesPathEnumerationOnLoopFreeLockPrograms) {
+  Lcg next(0x853c49e6748fea9bull);
+  const isa::Program orders = every_lock_order();
+  size_t seen_uninit = 0, seen_pairing = 0, seen_order = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const isa::Program p = loop_free_locked_program(next, trial);
+    LintOptions opt;
+    opt.assumed_written = static_cast<uint32_t>(next() % 16);
+    const OracleFindings want = enumerate_paths(p, opt.assumed_written);
+    const std::vector<Diagnostic> diags = lint_program(p, opt);
+    const std::vector<std::vector<Diagnostic>> conc =
+        lint_concurrency({p, orders});
+    const std::string listing = format_diagnostics(p, diags) +
+                                format_diagnostics(p, conc[0]);
+    EXPECT_EQ(of_check(diags, Check::kUninitRead), want.uninit) << listing;
+    EXPECT_EQ(of_check(diags, Check::kLockPairing), want.pairing) << listing;
+    EXPECT_EQ(of_check(conc[0], Check::kLockOrder), want.order) << listing;
+    seen_uninit += want.uninit.size();
+    seen_pairing += want.pairing.size();
+    seen_order += want.order.size();
+  }
+  // The generator must exercise every compared finding.
+  EXPECT_GT(seen_uninit, 50u);
+  EXPECT_GT(seen_pairing, 50u);
+  EXPECT_GT(seen_order, 20u);
 }
 
 }  // namespace

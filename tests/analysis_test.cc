@@ -4,6 +4,7 @@
 // determinism, the cross-program concurrency checks, the classification
 // guard over the full opcode set, the emitter scratch-alias checks, and
 // the registry-wide lint-clean gate.
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <tuple>
@@ -634,26 +635,66 @@ TEST(LintRegistry, EveryExperimentProgramIsLintClean) {
   unsetenv("SMT_SELFTEST_LINT_BREAK");
   int programs = 0;
   for (const host::ExperimentDef& def : host::experiments()) {
-    const std::unique_ptr<core::Workload> w = def.make();
-    core::Machine m;
-    w->setup(m);
-    LintOptions opt;
-    const core::MemInfo mi = w->mem_info();
-    for (const auto& r : mi.data) opt.extents.push_back({r.base, r.bytes, r.name});
-    for (const auto& r : mi.sync) opt.extents.push_back({r.base, r.bytes, r.name});
-    opt.extents_complete = mi.complete;
-    const std::vector<isa::Program> ps = w->programs();
-    const auto conc = lint_concurrency(ps);
-    for (size_t i = 0; i < ps.size(); ++i) {
+    const host::WorkloadLint lint = host::lint_workload(*def.make());
+    for (size_t i = 0; i < lint.programs.size(); ++i) {
       ++programs;
-      std::vector<Diagnostic> d = lint_program(ps[i], opt);
-      d.insert(d.end(), conc[i].begin(), conc[i].end());
       // Zero errors *and* zero warnings: the figure suite is fully clean.
-      EXPECT_TRUE(d.empty()) << def.name << ":\n"
-                             << analysis::format_diagnostics(ps[i], d);
+      EXPECT_TRUE(lint.diags[i].empty())
+          << def.name << ":\n"
+          << analysis::format_diagnostics(lint.programs[i], lint.diags[i]);
     }
   }
   EXPECT_GT(programs, 40);  // the registry is the full figure suite
+}
+
+/// Two programs taking locks 0x8040 and 0x8080 in opposite orders; the
+/// first also reads a never-written register at pc 0.
+class LockOrderPairWorkload : public core::Workload {
+ public:
+  const std::string& name() const override { return name_; }
+  void setup(core::Machine&) override {}
+  std::vector<isa::Program> programs() const override {
+    AsmBuilder a("first");
+    a.iaddi(IReg::R0, IReg::R1, 1);  // R1 never written
+    sync::emit_lock_acquire(a, 0x8040, IReg::R2, sync::SpinKind::kPause);
+    sync::emit_lock_acquire(a, 0x8080, IReg::R2, sync::SpinKind::kPause);
+    sync::emit_lock_release(a, 0x8080, IReg::R2);
+    sync::emit_lock_release(a, 0x8040, IReg::R2);
+    a.exit();
+    AsmBuilder b("second");
+    sync::emit_lock_acquire(b, 0x8080, IReg::R2, sync::SpinKind::kPause);
+    sync::emit_lock_acquire(b, 0x8040, IReg::R2, sync::SpinKind::kPause);
+    sync::emit_lock_release(b, 0x8040, IReg::R2);
+    sync::emit_lock_release(b, 0x8080, IReg::R2);
+    b.exit();
+    return {a.take(), b.take()};
+  }
+  bool verify(const core::Machine&) const override { return true; }
+
+ private:
+  std::string name_ = "lock-order-pair";
+};
+
+TEST(LintWorkload, MergesPerProgramAndCrossProgramFindingsInCanonicalOrder) {
+  LockOrderPairWorkload w;
+  const host::WorkloadLint lint = host::lint_workload(w);
+  ASSERT_EQ(lint.programs.size(), 2u);
+  ASSERT_EQ(lint.diags.size(), 2u);
+  // The per-program finding (pc 0) precedes the cross-program one even
+  // though lint_concurrency's findings are gathered first.
+  const std::vector<Diagnostic>& first = lint.diags[0];
+  ASSERT_EQ(first.size(), 2u) << analysis::format_diagnostics(
+      lint.programs[0], first);
+  EXPECT_EQ(first[0].check, Check::kUninitRead);
+  EXPECT_EQ(first[0].pc, 0u);
+  EXPECT_EQ(first[1].check, Check::kLockOrder);
+  EXPECT_GT(first[1].pc, 0u);
+  for (const std::vector<Diagnostic>& d : lint.diags) {
+    EXPECT_TRUE(std::is_sorted(d.begin(), d.end(),
+                               analysis::diagnostic_before));
+  }
+  ASSERT_EQ(lint.diags[1].size(), 1u);
+  EXPECT_EQ(lint.diags[1][0].check, Check::kLockOrder);
 }
 
 }  // namespace

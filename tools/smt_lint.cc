@@ -2,12 +2,15 @@
 //
 // Usage:
 //   smt_lint [NAME...]    lint every experiment in the host registry (or
-//                         only the named ones): build each workload on a
-//                         fresh machine, run analysis::lint_program over
-//                         every emitted program with the workload's
-//                         registered extents, then the cross-program
-//                         concurrency checks (analysis::lint_concurrency).
-//                         Exit 0 iff no error-severity diagnostics.
+//                         only the named ones) through host::lint_workload:
+//                         each workload is built on a fresh machine, every
+//                         emitted program is run through
+//                         analysis::lint_program with the workload's
+//                         registered extents, then through the
+//                         cross-program concurrency checks
+//                         (analysis::lint_concurrency). Exit 0 iff no
+//                         error-severity diagnostics; 2 when a NAME is not
+//                         in the registry.
 //   --werror              treat warnings as errors for the exit status
 //   --format=json         emit a versioned smt-lint-report/1 document on
 //                         stdout instead of the text listing
@@ -22,15 +25,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "core/machine.h"
-#include "core/workload.h"
 #include "host/experiments.h"
 #include "isa/asm_builder.h"
 #include "sync/primitives.h"
@@ -39,7 +39,6 @@ namespace {
 
 using smt::analysis::Check;
 using smt::analysis::Diagnostic;
-using smt::analysis::Extent;
 using smt::analysis::LintOptions;
 using smt::analysis::Severity;
 using smt::isa::AsmBuilder;
@@ -47,31 +46,6 @@ using smt::isa::BrCond;
 using smt::isa::IReg;
 using smt::isa::Label;
 using smt::isa::Mem;
-
-LintOptions options_for(const smt::core::Workload& w) {
-  LintOptions opt;
-  const smt::core::MemInfo mi = w.mem_info();
-  for (const auto& r : mi.data) opt.extents.push_back({r.base, r.bytes, r.name});
-  for (const auto& r : mi.sync) opt.extents.push_back({r.base, r.bytes, r.name});
-  opt.extents_complete = mi.complete;
-  return opt;
-}
-
-/// Merges per-program and cross-program diagnostics back into the
-/// canonical order (the same key lint_program sorts by).
-void merge(std::vector<Diagnostic>* into, std::vector<Diagnostic> extra) {
-  into->insert(into->end(), std::make_move_iterator(extra.begin()),
-               std::make_move_iterator(extra.end()));
-  std::stable_sort(into->begin(), into->end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     if (a.pc != b.pc) return a.pc < b.pc;
-                     if (a.check != b.check) return a.check < b.check;
-                     if (a.severity != b.severity) {
-                       return a.severity < b.severity;
-                     }
-                     return a.message < b.message;
-                   });
-}
 
 struct RegistryResult {
   size_t errors = 0;
@@ -82,6 +56,14 @@ struct RegistryResult {
 
 int lint_registry(const std::vector<std::string>& names, bool json,
                   bool werror) {
+  bool unknown = false;
+  for (const std::string& name : names) {
+    if (smt::host::find_experiment(name) == nullptr) {
+      smt::log::error("unknown experiment", {{"name", name}});
+      unknown = true;
+    }
+  }
+  if (unknown) return 2;
   RegistryResult total;
   smt::JsonWriter w;
   if (json) {
@@ -96,34 +78,26 @@ int lint_registry(const std::vector<std::string>& names, bool json,
       continue;
     }
     ++total.experiments;
-    const std::unique_ptr<smt::core::Workload> wl = def.make();
-    smt::core::Machine m;
-    wl->setup(m);
-    const LintOptions opt = options_for(*wl);
-    const std::vector<smt::isa::Program>& programs = wl->programs();
-    std::vector<std::vector<Diagnostic>> diags =
-        smt::analysis::lint_concurrency(programs);
-    diags.resize(programs.size());
+    const smt::host::WorkloadLint lint = smt::host::lint_workload(*def.make());
     if (json) {
       w.begin_object();
       w.kv("name", def.name);
       w.key("programs");
       w.begin_array();
     }
-    for (size_t i = 0; i < programs.size(); ++i) {
-      const smt::isa::Program& p = programs[i];
+    for (size_t i = 0; i < lint.programs.size(); ++i) {
+      const smt::isa::Program& p = lint.programs[i];
+      const std::vector<Diagnostic>& diags = lint.diags[i];
       ++total.programs;
-      merge(&diags[i], smt::analysis::lint_program(p, opt));
-      total.errors +=
-          smt::analysis::count_severity(diags[i], Severity::kError);
+      total.errors += smt::analysis::count_severity(diags, Severity::kError);
       total.warnings +=
-          smt::analysis::count_severity(diags[i], Severity::kWarning);
+          smt::analysis::count_severity(diags, Severity::kWarning);
       if (json) {
         w.begin_object();
         w.kv("name", p.name());
         w.key("diagnostics");
         w.begin_array();
-        for (const Diagnostic& d : diags[i]) {
+        for (const Diagnostic& d : diags) {
           w.begin_object();
           w.kv("check", smt::analysis::name(d.check));
           w.kv("severity", smt::analysis::name(d.severity));
@@ -134,8 +108,8 @@ int lint_registry(const std::vector<std::string>& names, bool json,
         }
         w.end_array();
         w.end_object();
-      } else if (!diags[i].empty()) {
-        std::fputs(smt::analysis::format_diagnostics(p, diags[i]).c_str(),
+      } else if (!diags.empty()) {
+        std::fputs(smt::analysis::format_diagnostics(p, diags).c_str(),
                    stdout);
       }
     }
@@ -143,10 +117,6 @@ int lint_registry(const std::vector<std::string>& names, bool json,
       w.end_array();
       w.end_object();
     }
-  }
-  if (total.experiments == 0) {
-    smt::log::error("no experiment matched");
-    return 2;
   }
   const bool fail = total.errors > 0 || (werror && total.warnings > 0);
   if (json) {

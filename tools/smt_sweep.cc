@@ -51,7 +51,7 @@
 //                     deterministic mid-sweep-kill injection the resume
 //                     tests use.
 //   --lint            static pre-run gate: run the abstract-interpretation
-//                     verifier (analysis::lint_program + lint_concurrency)
+//                     verifier (host::lint_workload, as smt_lint does)
 //                     over every job's emitted programs before the pool
 //                     starts. A job with any error-severity diagnostic is
 //                     never simulated: it lands in the index as the
@@ -593,34 +593,17 @@ int main(int argc, char** argv) {
   if (opt.lint) {
     for (size_t i = 0; i < defs.size(); ++i) {
       const ExperimentDef& def = *defs[i];
-      const std::unique_ptr<smt::core::Workload> w = def.make();
-      smt::core::Machine m;
-      w->setup(m);
-      smt::analysis::LintOptions lo;
-      const smt::core::MemInfo mi = w->mem_info();
-      for (const auto& r : mi.data) {
-        lo.extents.push_back({r.base, r.bytes, r.name});
-      }
-      for (const auto& r : mi.sync) {
-        lo.extents.push_back({r.base, r.bytes, r.name});
-      }
-      lo.extents_complete = mi.complete;
-      const std::vector<smt::isa::Program>& programs = w->programs();
-      std::vector<std::vector<smt::analysis::Diagnostic>> diags =
-          smt::analysis::lint_concurrency(programs);
-      diags.resize(programs.size());
+      const smt::host::WorkloadLint lint =
+          smt::host::lint_workload(*def.make());
       size_t errors = 0;
-      for (size_t pi = 0; pi < programs.size(); ++pi) {
-        const std::vector<smt::analysis::Diagnostic> d =
-            smt::analysis::lint_program(programs[pi], lo);
-        diags[pi].insert(diags[pi].end(), d.begin(), d.end());
+      for (size_t pi = 0; pi < lint.programs.size(); ++pi) {
         errors += smt::analysis::count_severity(
-            diags[pi], smt::analysis::Severity::kError);
-        if (!diags[pi].empty()) {
-          std::fputs(
-              smt::analysis::format_diagnostics(programs[pi], diags[pi])
-                  .c_str(),
-              stderr);
+            lint.diags[pi], smt::analysis::Severity::kError);
+        if (!lint.diags[pi].empty()) {
+          std::fputs(smt::analysis::format_diagnostics(lint.programs[pi],
+                                                       lint.diags[pi])
+                         .c_str(),
+                     stderr);
         }
       }
       if (errors > 0) {
