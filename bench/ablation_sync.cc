@@ -89,9 +89,9 @@ Outcome run_experiment(WaitKind kind) {
   }
 
   m.run();
-  Results::instance().put(std::string("sync.") + name(kind),
-                          stats_from(m, std::string("sync.") + name(kind),
-                                     /*verified=*/true));
+  const std::string key = std::string("sync.") + name(kind);
+  Results::instance().put(key,
+                          core::stats_from_machine(m, key, /*verified=*/true));
   Outcome o;
   o.worker_cycles = m.counters().get(CpuId::kCpu0, Event::kCyclesActive);
   o.waiter_uops = m.counters().get(CpuId::kCpu1, Event::kUopsRetired);

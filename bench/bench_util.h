@@ -131,25 +131,6 @@ inline std::string sanitize_key(const std::string& key) {
   return sanitize_artifact_key(key);
 }
 
-/// Builds RunStats directly from a machine a bench drove by hand (the
-/// run_workload path fills these automatically).
-inline core::RunStats stats_from(const core::Machine& m, std::string name,
-                                 bool verified) {
-  core::RunStats s;
-  s.workload = std::move(name);
-  s.cycles = m.cycles();
-  s.events = m.counters().snapshot();
-  s.verified = verified;
-  s.config = m.config();
-  s.telemetry = m.telemetry();
-  if (s.telemetry != nullptr) s.telemetry->finalize(m.cycles());
-  s.pc_profile = m.pc_profiler();
-  m.finalize_interference();
-  s.interference = m.interference();
-  s.pipeview = m.pipeview();
-  return s;
-}
-
 /// Registry of named measurements filled during the benchmark run and
 /// consumed by the table printers afterwards.
 ///

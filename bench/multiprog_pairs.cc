@@ -93,7 +93,8 @@ void register_all() {
       m.run();
       const bool ok = app.workload->verify(m);
       SMT_CHECK(ok);
-      Results::instance().put(solo_key(a), stats_from(m, solo_key(a), ok));
+      Results::instance().put(solo_key(a),
+                              core::stats_from_machine(m, solo_key(a), ok));
       Results::instance().put_value(
           solo_key(a),
           static_cast<double>(
@@ -115,7 +116,8 @@ void register_all() {
         // Measure over the fully-overlapped window (first finisher), like
         // the stream pair experiments; CPI of app A is the victim metric.
         m.run_until_any_done();
-        Results::instance().put(k, stats_from(m, k, /*verified=*/true));
+        Results::instance().put(
+            k, core::stats_from_machine(m, k, /*verified=*/true));
         Results::instance().put_value(
             k, static_cast<double>(
                    m.counters().get(CpuId::kCpu0, Event::kCyclesActive)) /

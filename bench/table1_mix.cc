@@ -42,7 +42,7 @@ Column profile_workload(W& w, CpuId view, const std::string& key) {
   m.run();
   const bool ok = w.verify(m);
   SMT_CHECK_MSG(ok, "workload verification failed");
-  Results::instance().put(key, stats_from(m, key, ok));
+  Results::instance().put(key, core::stats_from_machine(m, key, ok));
   Column c;
   for (int s = 0; s < static_cast<int>(Subunit::kNumSubunits); ++s) {
     c.pct[s] = prof.pct(view, static_cast<Subunit>(s));

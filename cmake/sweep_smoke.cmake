@@ -2,7 +2,7 @@
 # Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DSWEEP=... -DCHECKER=... -DOUT_DIR=... -P sweep_smoke.cmake
 #
-# Three runs:
+# Four runs:
 #   1. serial (--jobs 1) reference sweep over a small healthy manifest;
 #   2. the same manifest on 4 workers with the observability artifacts
 #      (--metrics/--trace) enabled — every per-job report must be
@@ -10,10 +10,12 @@
 #      metrics/tracing must not leak into simulation artifacts), and the
 #      metrics snapshot must cross-check against the sweep index;
 #   3. the manifest with deliberately failing self-test jobs injected —
-#      the sweep must exit nonzero and name the failures, yet still write
-#      a complete sweep_index.json, a valid (check_reports-clean) report
-#      for every job including the failed ones, and an smt-core-dump/1
-#      under dumps/ for every job that died diagnosably;
+#      the sweep must exit nonzero and name every failed job on stderr,
+#      yet still write a complete sweep_index.json, a valid
+#      (check_reports-clean) report for every job including the failed
+#      ones, and an smt-core-dump/1 under dumps/ for every job that died
+#      diagnosably; the index must cross-check against its metrics, and
+#      a copy whose "failed" count is edited to 0 must not;
 #   4. the manifest again with --pipeview — Kanata artifacts must appear
 #      per job while every report stays byte-identical to the serial
 #      reference (pipeline tracing must not leak into measurements).
@@ -77,12 +79,19 @@ endif()
 
 # Failure injection: a deadlock, a blown cycle budget and a verification
 # failure ride along with one healthy job.
+set(failing selftest.deadlock selftest.budget selftest.verify-fail)
 execute_process(COMMAND "${SWEEP}" --jobs 2 --out "${OUT_DIR}/injected"
-  mm.serial.n64 selftest.deadlock selftest.budget selftest.verify-fail
-  RESULT_VARIABLE rc)
+  --metrics "${OUT_DIR}/injected/metrics.json" mm.serial.n64 ${failing}
+  RESULT_VARIABLE rc ERROR_VARIABLE injected_err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "sweep with injected failures unexpectedly exited 0")
 endif()
+foreach(job IN LISTS failing)
+  string(FIND "${injected_err}" "${job}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "failed job ${job} is not named on stderr")
+  endif()
+endforeach()
 
 if(NOT EXISTS "${OUT_DIR}/injected/sweep_index.json")
   message(FATAL_ERROR "failed sweep did not write sweep_index.json")
@@ -126,9 +135,29 @@ if(NOT n EQUAL 2)
   message(FATAL_ERROR "injected sweep wrote ${n} dumps, expected 2")
 endif()
 execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/injected/reports"
-  --dumps "${OUT_DIR}/injected/dumps" RESULT_VARIABLE rc)
+  --dumps "${OUT_DIR}/injected/dumps"
+  --metrics "${OUT_DIR}/injected/metrics.json"
+  --index "${OUT_DIR}/injected/sweep_index.json" RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "injected sweep artifacts failed validation: ${rc}")
+endif()
+
+# An index whose "failed" count disagrees with its entries is a finding
+# (exit 1), even though the metrics snapshot still matches the entries.
+string(REPLACE "\"failed\":3" "\"failed\":0" forged "${index}")
+file(WRITE "${OUT_DIR}/injected/forged_index.json" "${forged}")
+execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/injected/reports"
+  --metrics "${OUT_DIR}/injected/metrics.json"
+  --index "${OUT_DIR}/injected/forged_index.json"
+  RESULT_VARIABLE rc ERROR_VARIABLE forged_err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "check_reports accepted an index with a forged "
+    "failed count: exit ${rc}")
+endif()
+string(FIND "${forged_err}" "failed: 0" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "forged-index finding does not name the failed "
+    "count: ${forged_err}")
 endif()
 
 # --pipeview: Kanata traces appear per job, reports stay byte-identical.

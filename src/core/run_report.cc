@@ -333,19 +333,7 @@ std::string RunReport::to_table() const {
 
 RunReport report_from_machine(const Machine& m, std::string workload,
                               bool verified) {
-  RunStats s;
-  s.workload = std::move(workload);
-  s.cycles = m.cycles();
-  s.events = m.counters().snapshot();
-  s.verified = verified;
-  s.config = m.config();
-  s.telemetry = m.telemetry();
-  if (s.telemetry != nullptr) s.telemetry->finalize(m.cycles());
-  s.pc_profile = m.pc_profiler();
-  m.finalize_interference();
-  s.interference = m.interference();
-  s.pipeview = m.pipeview();
-  return RunReport::from(s);
+  return RunReport::from(stats_from_machine(m, std::move(workload), verified));
 }
 
 std::string machine_config_json(const MachineConfig& cfg) {

@@ -18,6 +18,24 @@ const char* name(RunStatus s) {
   return "?";
 }
 
+RunStats stats_from_machine(const Machine& m, std::string workload,
+                            bool verified) {
+  RunStats s;
+  s.workload = std::move(workload);
+  s.cycles = m.cycles();
+  s.events = m.counters().snapshot();
+  s.verified = verified;
+  s.config = m.config();
+  s.telemetry = m.telemetry();
+  if (s.telemetry != nullptr) s.telemetry->finalize(m.cycles());
+  s.pc_profile = m.pc_profiler();
+  s.race_detector = m.race_detector();
+  m.finalize_interference();
+  s.interference = m.interference();
+  s.pipeview = m.pipeview();
+  return s;
+}
+
 RunOutcome try_run_workload(const MachineConfig& cfg, Workload& w,
                             Cycle max_cycles, std::function<bool()> cancel,
                             const RunOptions& opt) {
@@ -50,17 +68,7 @@ RunOutcome try_run_workload(const MachineConfig& cfg, Workload& w,
 
   // The stats always describe the run, even a failed one: a partial report
   // (cycles so far, all counters, finalized telemetry) is still valid data.
-  out.stats.workload = w.name();
-  out.stats.cycles = m.cycles();
-  out.stats.events = m.counters().snapshot();
-  out.stats.config = cfg;
-  out.stats.telemetry = m.telemetry();
-  if (out.stats.telemetry != nullptr) out.stats.telemetry->finalize(m.cycles());
-  out.stats.pc_profile = m.pc_profiler();
-  out.stats.race_detector = m.race_detector();
-  m.finalize_interference();
-  out.stats.interference = m.interference();
-  out.stats.pipeview = m.pipeview();
+  out.stats = stats_from_machine(m, w.name(), /*verified=*/false);
 
   // Post-mortem core dump for the failure outcomes, built once the final
   // status (and message) is known.

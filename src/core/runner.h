@@ -92,6 +92,15 @@ struct RunOutcome {
   bool ok() const { return status == RunStatus::kOk; }
 };
 
+/// The RunStats of a machine that has run: cycles, counters and config,
+/// plus its shared telemetry (finalized), per-PC profile, race detector,
+/// interference attribution (L2 dimension finalized) and pipeview
+/// recorder. The one place a Machine becomes RunStats — try_run_workload,
+/// report_from_machine, the stream drivers and benches that drive a
+/// Machine by hand all call it.
+RunStats stats_from_machine(const Machine& m, std::string workload,
+                            bool verified);
+
 /// Runs `w` to completion on a machine built from `cfg` and verifies the
 /// result. Aborts (SMT_CHECK) on simulation deadlock.
 RunStats run_workload(const MachineConfig& cfg, Workload& w,

@@ -18,11 +18,7 @@ StreamMeasurement run_single(const StreamSpec& spec,
   r.cycles = m.cycles();
   r.instrs[0] = m.counters().get(CpuId::kCpu0, Event::kInstrRetired);
   r.cpi[0] = m.counters().cpi(CpuId::kCpu0);
-  r.stats.workload = spec.label();
-  r.stats.cycles = m.cycles();
-  r.stats.events = m.counters().snapshot();
-  r.stats.verified = true;
-  r.stats.config = m.config();
+  r.stats = core::stats_from_machine(m, spec.label(), /*verified=*/true);
   return r;
 }
 
@@ -41,11 +37,8 @@ StreamMeasurement run_pair(const StreamSpec& a, const StreamSpec& b,
     r.instrs[i] = m.counters().get(cpu, Event::kInstrRetired);
     r.cpi[i] = m.counters().cpi(cpu);
   }
-  r.stats.workload = a.label() + "+" + b.label();
-  r.stats.cycles = m.cycles();
-  r.stats.events = m.counters().snapshot();
-  r.stats.verified = true;
-  r.stats.config = m.config();
+  r.stats = core::stats_from_machine(m, a.label() + "+" + b.label(),
+                                     /*verified=*/true);
   return r;
 }
 

@@ -68,10 +68,11 @@ class Telemetry {
 
   /// Flushes partial sampler windows and open recorder spans at `end`
   /// (the run's final cycle). Explicitly idempotent: the first call wins
-  /// and every later call — finalize is reached from run_workload,
-  /// bench stats_from and report_from_machine, which may all touch the
-  /// same Telemetry — is a guarded no-op, so windows and trace events are
-  /// never flushed (and thus duplicated) twice.
+  /// and every later call — finalize is reached from
+  /// core::stats_from_machine, which a run, report_from_machine and a
+  /// bench may all call on the same Telemetry — is a guarded no-op, so
+  /// windows and trace events are never flushed (and thus duplicated)
+  /// twice.
   void finalize(Cycle end);
 
   bool finalized() const { return finalized_; }

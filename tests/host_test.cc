@@ -1,20 +1,24 @@
-// Tests for the host-parallel job pool and the sweep experiment registry.
+// Tests for the host-parallel job pool, the result store, the sweep index
+// and the sweep experiment registry.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "core/run_report.h"
 #include "core/runner.h"
 #include "host/experiments.h"
 #include "host/job_pool.h"
 #include "host/result_store.h"
+#include "host/sweep_index.h"
 
 namespace smt::host {
 namespace {
@@ -440,6 +444,160 @@ TEST(ResultKey, RegistryKeyIsStableAndSensitive) {
   const ResultKey kr =
       result_key(*serial, core::MachineConfig{}, serial->cycle_budget, race);
   EXPECT_NE(k1.hash(), kr.hash());
+}
+
+// ---------------------------------------------------------------------------
+// Sweep index
+// ---------------------------------------------------------------------------
+
+IndexEntry index_entry(std::string name, std::string outcome,
+                       std::string message, int attempts, double wall_ms) {
+  IndexEntry e;
+  e.name = std::move(name);
+  e.outcome = std::move(outcome);
+  e.message = std::move(message);
+  e.key = "10a46e17308b7f2c";
+  e.attempts = attempts;
+  e.wall_ms = wall_ms;
+  e.report = "reports/" + e.name + ".json";
+  return e;
+}
+
+// One entry of every shape smt_sweep writes.
+SweepIndex sample_index() {
+  SweepIndex index;
+  index.workers = 4;
+  index.job_timeout_ms = 30000;
+  IndexEntry ok = index_entry("mm.serial.n64", "ok", "", 1, 2306.463937);
+  ok.cycles = 980998;
+  ok.verified = true;
+  IndexEntry cached = ok;
+  cached.name = "bt.serial";
+  cached.cached = true;
+  cached.wall_ms = 0.1 + 0.2;  // needs all 17 significant digits
+  IndexEntry lint = index_entry("selftest.lint", "lint_failed",
+                                "2 lint error(s); job not simulated", 0, 0);
+  lint.key.clear();
+  lint.report.clear();
+  IndexEntry cancelled =
+      index_entry("cg.serial", "cancelled",
+                  "sweep cancelled before this job started", 0, 0);
+  cancelled.key.clear();
+  cancelled.report.clear();
+  const IndexEntry timeout = index_entry(
+      "selftest.hang", "timeout", "wall-clock watchdog expired", 2, 61.5);
+  IndexEntry dead = index_entry(
+      "selftest.deadlock", "deadlock",
+      "no future event: \"cpu0\" halted\n\tawaiting IPI \\ from cpu1", 1,
+      12.75);
+  dead.cycles = 1505;
+  dead.dump = "dumps/selftest.deadlock.dump.json";
+  index.jobs = {ok, cached, lint, cancelled, timeout, dead};
+  return index;
+}
+
+TEST(SweepIndex, WriteParseWriteIsByteIdentical) {
+  const SweepIndex index = sample_index();
+  EXPECT_EQ(index.failed(), 4);
+  const std::string bytes = index.to_json();
+  SweepIndex parsed;
+  const std::optional<std::string> finding = parse_sweep_index(bytes, &parsed);
+  ASSERT_FALSE(finding.has_value()) << *finding;
+  EXPECT_EQ(parsed.to_json(), bytes);
+  ASSERT_EQ(parsed.jobs.size(), index.jobs.size());
+  EXPECT_EQ(parsed.jobs[5].message, index.jobs[5].message);
+  EXPECT_EQ(parsed.jobs[1].wall_ms, 0.1 + 0.2);
+}
+
+JsonValue json_of(JsonValue::Type type) {
+  JsonValue v;
+  v.type = type;
+  return v;
+}
+JsonValue json_number(double n) {
+  JsonValue v = json_of(JsonValue::Type::kNumber);
+  v.number = n;
+  return v;
+}
+JsonValue json_string(std::string s) {
+  JsonValue v = json_of(JsonValue::Type::kString);
+  v.string = std::move(s);
+  return v;
+}
+
+TEST(SweepIndex, ParserNamesTheFirstBadField) {
+  const std::optional<JsonValue> base = parse_json(sample_index().to_json());
+  ASSERT_TRUE(base.has_value());
+  const JsonValue kBool = json_of(JsonValue::Type::kBool);
+  const JsonValue kObject = json_of(JsonValue::Type::kObject);
+  // {field, replacement, finding prefix}; "jobs[N]." fields go into entry
+  // N (jobs[2] is lint_failed), an absent replacement deletes the field.
+  const struct {
+    std::string field;
+    std::optional<JsonValue> value;
+    std::string finding;
+  } cases[] = {
+      {"schema", json_string("smt-sweep-index/2"), "schema:"},
+      {"schema", std::nullopt, "schema: missing"},
+      {"workers", json_string("4"), "workers:"},
+      {"job_timeout_ms", json_number(0.5), "job_timeout_ms:"},
+      {"total", json_number(-1), "total:"},
+      {"failed", kBool, "failed:"},
+      {"jobs", kObject, "jobs:"},
+      {"total", json_number(7), "total: 7"},
+      {"failed", json_number(0), "failed: 0"},
+      {"jobs[0].name", json_number(1), "jobs[0].name:"},
+      {"jobs[0].outcome", kBool, "jobs[0].outcome:"},
+      {"jobs[0].message", json_number(0), "jobs[0].message:"},
+      {"jobs[0].key", json_number(16), "jobs[0].key:"},
+      {"jobs[0].cached", json_string("true"), "jobs[0].cached:"},
+      {"jobs[0].attempts", json_number(1.5), "jobs[0].attempts:"},
+      {"jobs[0].wall_ms", json_string("2306"), "jobs[0].wall_ms:"},
+      {"jobs[0].cycles", json_number(-1), "jobs[0].cycles:"},
+      {"jobs[0].verified", json_number(1), "jobs[0].verified:"},
+      {"jobs[0].report", json_number(0), "jobs[0].report:"},
+      {"jobs[0].dump", json_of(JsonValue::Type::kArray), "jobs[0].dump:"},
+      {"jobs[0].verified", std::nullopt, "jobs[0].verified: missing"},
+      {"jobs[2].attempts", json_number(1), "jobs[2].attempts: 1 for a"},
+  };
+  for (const auto& c : cases) {
+    JsonValue doc = *base;
+    const bool in_entry = c.field.rfind("jobs[", 0) == 0;
+    JsonValue& obj =
+        in_entry ? doc.object["jobs"].array[c.field[5] - '0'] : doc;
+    const std::string name = in_entry ? c.field.substr(8) : c.field;
+    if (c.value.has_value()) {
+      obj.object[name] = *c.value;
+    } else {
+      obj.object.erase(name);
+    }
+    SweepIndex parsed;
+    const std::optional<std::string> finding =
+        parse_sweep_index(to_canonical_string(doc), &parsed);
+    ASSERT_TRUE(finding.has_value()) << c.field;
+    EXPECT_EQ(finding->rfind(c.finding, 0), 0u)
+        << c.field << " gave \"" << *finding << '"';
+  }
+  SweepIndex parsed;
+  EXPECT_EQ(parse_sweep_index("[]", &parsed), "not a JSON object");
+}
+
+TEST(SweepIndex, EntryWithoutKeyOrCachedReadsAsPreCache) {
+  const char* pre_cache =
+      R"({"schema":"smt-sweep-index/1","workers":1,"job_timeout_ms":0,)"
+      R"("total":1,"failed":0,"jobs":[{"name":"mm.serial.n64",)"
+      R"("outcome":"ok","message":"","attempts":1,"wall_ms":3.5,)"
+      R"("cycles":980998,"verified":true,)"
+      R"("report":"reports/mm.serial.n64.json","dump":""}]})";
+  SweepIndex parsed;
+  const std::optional<std::string> finding =
+      parse_sweep_index(pre_cache, &parsed);
+  ASSERT_FALSE(finding.has_value()) << *finding;
+  ASSERT_EQ(parsed.jobs.size(), 1u);
+  EXPECT_EQ(parsed.jobs[0].key, "");
+  EXPECT_FALSE(parsed.jobs[0].cached);
+  EXPECT_EQ(parsed.jobs[0].cycles, 980998u);
+  EXPECT_TRUE(parsed.jobs[0].verified);
 }
 
 // ---------------------------------------------------------------------------

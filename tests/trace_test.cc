@@ -251,8 +251,8 @@ TEST(TraceRecorder, PairsHaltSpans) {
 // ---------------------------------------------------------------------------
 
 TEST(Telemetry, FinalizeIsIdempotentAcrossCallSites) {
-  // finalize() is reached from three sites (core::run_workload, bench
-  // stats_from, report_from_machine) that may all touch one run's
+  // finalize() is reached through core::stats_from_machine, which a run,
+  // report_from_machine and a bench may all call on one run's
   // telemetry. That used to work only by accident — the instruments
   // happened to tolerate re-finalizing at the *same* end cycle; the
   // explicit guard must make later calls no-ops even with a different

@@ -16,10 +16,10 @@
 // Chrome trace-event document (object form with a `traceEvents` array of
 // well-formed events) — the format Perfetto / chrome://tracing load.
 //
-// With --metrics/--index (always paired), the smt-sweep-metrics/1
-// snapshot is cross-checked against the smt-sweep-index/1 it was written
-// beside: the pool counters must be arithmetically consistent with the
-// index's per-job outcomes and attempt counts (see check_sweep_metrics).
+// With --metrics/--index (always paired), the index must parse
+// (host::parse_sweep_index, src/host/sweep_index.h) and the pool counters
+// of the smt-sweep-metrics/1 snapshot must be arithmetically consistent
+// with its per-job outcomes and attempt counts (see check_sweep_metrics).
 //
 // With --lint-report <file>, the file must parse as a smt-lint-report/1
 // document (smt_lint --format=json): well-formed experiment/program/
@@ -41,19 +41,27 @@
 #include "common/log.h"
 #include "common/types.h"
 #include "core/report_check.h"
+#include "host/sweep_index.h"
 
 namespace fs = std::filesystem;
 
 namespace {
 
-std::optional<smt::JsonValue> load_json_object(const fs::path& path,
-                                               bool* io_error) {
-  const std::optional<std::string> text = smt::read_text_file(path);
+// An artifact's bytes; an unreadable one is an I/O error, not a finding.
+std::optional<std::string> read_artifact(const fs::path& path,
+                                         bool* io_error) {
+  std::optional<std::string> text = smt::read_text_file(path);
   if (!text.has_value()) {
     smt::log::error("cannot read", {{"path", path.string()}});
     *io_error = true;
-    return std::nullopt;
   }
+  return text;
+}
+
+std::optional<smt::JsonValue> load_json_object(const fs::path& path,
+                                               bool* io_error) {
+  const std::optional<std::string> text = read_artifact(path, io_error);
+  if (!text.has_value()) return std::nullopt;
   auto v = smt::parse_json(*text);
   if (!v.has_value() || !v->is_object()) {
     std::fprintf(stderr, "%s: does not parse as a JSON object\n",
@@ -282,10 +290,12 @@ bool check_lint_report(const fs::path& path, bool* io_error) {
 }
 
 // Cross-checks a smt-sweep-metrics/1 snapshot against the sweep index it
-// was written beside. The pool counters are redundant with the index by
-// construction, which makes them checkable (cancelled = index jobs the
-// pool-level cancel skipped before they started; lint_failed = jobs the
-// --lint gate withheld from the pool, always with attempts == 0;
+// was written beside, once the index parses (a malformed index, or one
+// whose total/failed disagree with its entries, is a finding). The pool
+// counters are redundant with the index by construction, which makes
+// them checkable (cancelled = index jobs the pool-level cancel skipped
+// before they started; lint_failed = jobs the --lint gate withheld from
+// the pool, always with attempts == 0;
 // started = total - cancelled - lint_failed):
 //
 //   jobs_started == jobs_completed == started; jobs_skipped == cancelled
@@ -310,60 +320,34 @@ bool check_lint_report(const fs::path& path, bool* io_error) {
 bool check_sweep_metrics(const fs::path& metrics_path,
                          const fs::path& index_path, bool* io_error) {
   const auto mv = load_json_object(metrics_path, io_error);
-  const auto iv = load_json_object(index_path, io_error);
-  if (!mv.has_value() || !iv.has_value()) return false;
+  const auto index_text = read_artifact(index_path, io_error);
+  if (!mv.has_value() || !index_text.has_value()) return false;
 
   const smt::JsonValue* schema = mv->find("schema");
   if (schema == nullptr || schema->string != "smt-sweep-metrics/1") {
     std::fprintf(stderr, "%s: missing/unknown schema\n", metrics_path.c_str());
     return false;
   }
-  const smt::JsonValue* ischema = iv->find("schema");
-  if (ischema == nullptr || ischema->string != "smt-sweep-index/1") {
-    std::fprintf(stderr, "%s: missing/unknown schema\n", index_path.c_str());
+  smt::host::SweepIndex index;
+  if (const auto finding = smt::host::parse_sweep_index(*index_text, &index)) {
+    std::fprintf(stderr, "%s: %s\n", index_path.c_str(), finding->c_str());
     return false;
   }
 
   // Index-side ground truth.
-  const smt::JsonValue* jobs = iv->find("jobs");
-  if (jobs == nullptr || !jobs->is_array()) {
-    std::fprintf(stderr, "%s: missing jobs array\n", index_path.c_str());
-    return false;
-  }
-  const double index_total = jobs->array.size();
-  double index_failed = 0;
+  const double index_total = index.jobs.size();
+  const double index_failed = index.failed();
   double index_attempts = 0;
   double index_cancelled = 0;
   double index_lint_failed = 0;
   double index_cached = 0;
   double index_verify_failed = 0;
-  for (const smt::JsonValue& job : jobs->array) {
-    const smt::JsonValue* outcome = job.find("outcome");
-    if (outcome == nullptr || !outcome->is_string() ||
-        !has_number(job, "attempts")) {
-      std::fprintf(stderr, "%s: job entry missing outcome/attempts\n",
-                   index_path.c_str());
-      return false;
-    }
-    if (outcome->string != "ok") ++index_failed;
-    if (outcome->string == "cancelled") ++index_cancelled;
-    if (outcome->string == "lint_failed") {
-      ++index_lint_failed;
-      // Lint-gated jobs are withheld from the pool before any attempt.
-      if (job.find("attempts")->number != 0) {
-        std::fprintf(stderr, "%s: lint_failed job has %g attempts\n",
-                     index_path.c_str(), job.find("attempts")->number);
-        return false;
-      }
-    }
-    if (outcome->string == "cache_verify_failed") ++index_verify_failed;
-    // Pre-cache indexes have no "cached" field; absent means false.
-    const smt::JsonValue* cached = job.find("cached");
-    if (cached != nullptr && cached->type == smt::JsonValue::Type::kBool &&
-        cached->boolean) {
-      ++index_cached;
-    }
-    index_attempts += job.find("attempts")->number;
+  for (const smt::host::IndexEntry& job : index.jobs) {
+    if (job.outcome == "cancelled") ++index_cancelled;
+    if (job.outcome == "lint_failed") ++index_lint_failed;
+    if (job.outcome == "cache_verify_failed") ++index_verify_failed;
+    if (job.cached) ++index_cached;
+    index_attempts += job.attempts;
   }
   const double index_started =
       index_total - index_cancelled - index_lint_failed;

@@ -7,8 +7,9 @@
 //                        [--sigma S] [--rel-floor R] [--abs-floor A]
 //   $ smt_history list   [--history DIR] [experiment names...]
 //
-// `ingest` reads a sweep's artifacts (`<dir>/sweep_index.json`, schema
-// smt-sweep-index/1, plus every ok job's run report) and appends one run
+// `ingest` reads a sweep's artifacts (`<dir>/sweep_index.json`, read
+// through host::parse_sweep_index — format in src/host/sweep_index.h —
+// plus every ok job's run report) and appends one run
 // per job to `<history>/BENCH_<experiment>.json` (schema
 // smt-bench-history/1). Trajectories are content-addressed: runs are
 // keyed by (experiment name, config hash, report schema), where the
@@ -55,6 +56,7 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/stats.h"
+#include "host/sweep_index.h"
 
 namespace fs = std::filesystem;
 
@@ -115,14 +117,12 @@ struct History {
   std::vector<Trajectory> trajectories;
 };
 
-/// One ok job of the sweep being ingested/checked, reduced to its key
-/// and metric set.
+/// One ok job of the sweep being ingested/checked: its index entry plus
+/// its report's trajectory key and metric set.
 struct SweepRun {
-  std::string experiment;
+  smt::host::IndexEntry job;
   std::string config_hash;
   std::string report_schema;
-  std::string key;  // index "key" field; "" when the sweep predates it
-  double wall_ms = 0.0;
   std::map<std::string, double> metrics;
 };
 
@@ -256,29 +256,13 @@ Trajectory* find_trajectory(History& h, const std::string& config_hash,
 /// cached ones) map to the same id, while wall-clock fields (wall_ms,
 /// attempts) never perturb it. Empty when any job predates content keys
 /// — the caller then falls back to digesting the raw index bytes.
-std::string stable_run_id(const JsonValue& jobs) {
+std::string stable_run_id(const smt::host::SweepIndex& index) {
   std::string canon = "smt-history-run-id/1\n";
-  for (const JsonValue& job : jobs.array) {
-    const JsonValue* name = job.find("name");
-    const JsonValue* key = job.find("key");
-    const JsonValue* outcome = job.find("outcome");
-    const JsonValue* cycles = job.find("cycles");
-    const JsonValue* verified = job.find("verified");
-    const JsonValue* report = job.find("report");
-    if (name == nullptr || !name->is_string() || key == nullptr ||
-        !key->is_string() || key->string.empty() || outcome == nullptr ||
-        !outcome->is_string() || cycles == nullptr || !cycles->is_number() ||
-        report == nullptr || !report->is_string()) {
-      return "";
-    }
-    char cyc[32];
-    std::snprintf(cyc, sizeof(cyc), "%.0f", cycles->number);
-    const bool ver = verified != nullptr &&
-                     verified->type == JsonValue::Type::kBool &&
-                     verified->boolean;
-    canon += name->string + '\t' + key->string + '\t' + outcome->string +
-             '\t' + cyc + '\t' + (ver ? '1' : '0') + '\t' + report->string +
-             '\n';
+  for (const smt::host::IndexEntry& job : index.jobs) {
+    if (job.key.empty()) return "";
+    canon += job.name + '\t' + job.key + '\t' + job.outcome + '\t' +
+             std::to_string(job.cycles) + '\t' + (job.verified ? '1' : '0') +
+             '\t' + job.report + '\n';
   }
   return smt::fnv1a64_hex(canon);
 }
@@ -289,7 +273,7 @@ std::string stable_run_id(const JsonValue& jobs) {
 /// indexes.
 std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
                                                 std::string* default_run_id) {
-  const fs::path index_path = fs::path(dir) / "sweep_index.json";
+  const fs::path index_path = fs::path(dir) / smt::host::kSweepIndexFile;
   const std::optional<std::string> raw_index =
       smt::read_text_file(index_path);
   if (!raw_index.has_value()) {
@@ -297,38 +281,22 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
                     {{"path", index_path.string()}});
     return std::nullopt;
   }
-  const auto v = smt::parse_json(*raw_index);
-  if (!v.has_value() || !v->is_object()) {
-    smt::log::error("sweep index does not parse",
-                    {{"path", index_path.string()}});
+  smt::host::SweepIndex index;
+  if (const auto finding = smt::host::parse_sweep_index(*raw_index, &index)) {
+    smt::log::error("malformed sweep index",
+                    {{"path", index_path.string()}, {"finding", *finding}});
     return std::nullopt;
   }
-  const JsonValue* schema = v->find("schema");
-  const JsonValue* jobs = v->find("jobs");
-  if (schema == nullptr || schema->string != "smt-sweep-index/1" ||
-      jobs == nullptr || !jobs->is_array()) {
-    smt::log::error("not a smt-sweep-index/1 document",
-                    {{"path", index_path.string()}});
-    return std::nullopt;
-  }
-  *default_run_id = stable_run_id(*jobs);
+  *default_run_id = stable_run_id(index);
   if (default_run_id->empty()) {
     *default_run_id = smt::fnv1a64_hex(*raw_index);
   }
 
   std::vector<SweepRun> runs;
-  for (const JsonValue& job : jobs->array) {
-    const JsonValue* name = job.find("name");
-    const JsonValue* outcome = job.find("outcome");
-    const JsonValue* report = job.find("report");
-    if (name == nullptr || outcome == nullptr || report == nullptr) {
-      smt::log::error("malformed index job entry",
-                      {{"path", index_path.string()}});
-      return std::nullopt;
-    }
-    if (outcome->string != "ok") continue;  // partial numbers never ingest
+  for (const smt::host::IndexEntry& job : index.jobs) {
+    if (!job.ok()) continue;  // partial numbers never ingest
 
-    const fs::path report_path = fs::path(dir) / report->string;
+    const fs::path report_path = fs::path(dir) / job.report;
     const auto rv = load_json(report_path);
     if (!rv.has_value() || !rv->is_object()) return std::nullopt;
     const JsonValue* rschema = rv->find("schema");
@@ -342,13 +310,9 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
     }
 
     SweepRun r;
-    r.experiment = name->string;
+    r.job = job;
     r.report_schema = rschema->string;
     r.config_hash = smt::fnv1a64_hex(smt::to_canonical_string(*config));
-    const JsonValue* jkey = job.find("key");
-    if (jkey != nullptr && jkey->is_string()) r.key = jkey->string;
-    const JsonValue* wall = job.find("wall_ms");
-    if (wall != nullptr && wall->is_number()) r.wall_ms = wall->number;
     r.metrics["cycles"] = cycles->number;
     const JsonValue* totals = rv->find("totals");
     if (totals != nullptr && totals->is_object()) {
@@ -375,7 +339,7 @@ int cmd_ingest(const Options& opt) {
   int ingested = 0;
   int skipped = 0;
   for (const SweepRun& r : *runs) {
-    auto h = load_history(opt, r.experiment);
+    auto h = load_history(opt, r.job.name);
     if (!h.has_value()) return kExitIo;
     Trajectory* t = find_trajectory(*h, r.config_hash, r.report_schema);
     if (t == nullptr) {
@@ -386,14 +350,14 @@ int cmd_ingest(const Options& opt) {
     for (const RunEntry& e : t->runs) seen = seen || e.run_id == run_id;
     if (seen) {
       ++skipped;
-      smt::log::debug("run already ingested", {{"experiment", r.experiment},
+      smt::log::debug("run already ingested", {{"experiment", r.job.name},
                                                {"run_id", run_id}});
       continue;
     }
     RunEntry e;
     e.run_id = run_id;
-    e.key = r.key;
-    e.wall_ms = r.wall_ms;
+    e.key = r.job.key;
+    e.wall_ms = r.job.wall_ms;
     e.metrics = r.metrics;
     t->runs.push_back(std::move(e));
     if (t->runs.size() > static_cast<size_t>(opt.max_runs)) {
@@ -417,7 +381,7 @@ int cmd_check(const Options& opt) {
   int compared = 0;
   int fresh = 0;
   for (const SweepRun& r : *runs) {
-    const auto h = load_history(opt, r.experiment);
+    const auto h = load_history(opt, r.job.name);
     if (!h.has_value()) return kExitIo;
     History mutable_h = *h;
     const Trajectory* t =
@@ -425,7 +389,7 @@ int cmd_check(const Options& opt) {
     if (t == nullptr || t->runs.empty()) {
       ++fresh;
       smt::log::info("no baseline trajectory (new experiment/config)",
-                     {{"experiment", r.experiment},
+                     {{"experiment", r.job.name},
                       {"config_hash", r.config_hash},
                       {"report_schema", r.report_schema}});
       continue;
@@ -447,7 +411,7 @@ int cmd_check(const Options& opt) {
         std::printf(
             "REGRESSION %-24s %-22s baseline=%.6g (n=%llu sd=%.3g) "
             "new=%.6g (%+.2f%%)\n",
-            r.experiment.c_str(), metric.c_str(), mean,
+            r.job.name.c_str(), metric.c_str(), mean,
             static_cast<unsigned long long>(stats.count()), stats.stddev(),
             value, mean != 0.0 ? 100.0 * (value - mean) / mean : 0.0);
         ++regressions;

@@ -46,19 +46,16 @@
 //                     Manifest order and the merged-index contract are
 //                     preserved.
 //   --cancel-after N  cancel the pool after N jobs complete (in-flight
-//                     jobs finish; unclaimed jobs land in the index as
-//                     outcome "cancelled" with attempts=0) — the
-//                     deterministic mid-sweep-kill injection the resume
-//                     tests use.
+//                     jobs finish; unclaimed ones are indexed as
+//                     "cancelled") — the deterministic mid-sweep-kill
+//                     injection the resume tests use.
 //   --lint            static pre-run gate: run the abstract-interpretation
 //                     verifier (host::lint_workload, as smt_lint does)
 //                     over every job's emitted programs before the pool
 //                     starts. A job with any error-severity diagnostic is
-//                     never simulated: it lands in the index as the
-//                     structured outcome "lint_failed" with attempts=0 and
-//                     no artifacts, counts toward the failed total (exit
-//                     1), and its diagnostics go to stderr. Warnings are
-//                     reported but do not gate.
+//                     never simulated: it is indexed as "lint_failed"
+//                     (exit 1) and its diagnostics go to stderr. Warnings
+//                     are reported but do not gate.
 //   --quiet           errors only: no progress line, log level error
 //   --list            print the experiment registry and exit
 //
@@ -67,23 +64,24 @@
 // deadlocked or over-budget job cannot abort the process or lose the
 // other jobs' measurements. Per-job RunReport JSON artifacts land in
 // <out>/reports/ (also for failed jobs — a partial report is still
-// data), and a merged, schema-versioned <out>/sweep_index.json records
-// every job's structured outcome, timing and report path, in manifest
-// order regardless of scheduling. Every job runs with the post-mortem
-// flight recorder attached (a pure observer — reports are unaffected);
-// when a job dies in deadlock / cycle-budget exhaustion / a detected
-// race, its smt-core-dump/1 document lands in <out>/dumps/ and the index
-// entry's "dump" field points at it (empty otherwise) — feed it to
-// tools/smt_explain for a diagnosis. Because each job's artifact depends
-// only on its definition, a parallel sweep's reports are byte-identical
-// to a serial (--jobs 1) run's — and stay that way with --metrics and
-// --trace enabled, since those artifacts are wall-clock data in separate
-// files. While running, a progress line (completed/total, failures, ETA)
-// is maintained on stderr when it is a terminal.
+// data), and a merged <out>/sweep_index.json (format:
+// src/host/sweep_index.h) records every job in manifest order regardless
+// of scheduling. Every job runs with the post-mortem flight recorder
+// attached (a pure observer — reports are unaffected); when a job dies in
+// deadlock / cycle-budget exhaustion / a detected race, its
+// smt-core-dump/1 document lands in <out>/dumps/, named by its index
+// entry — feed it to tools/smt_explain for a diagnosis. Because each
+// job's artifact depends only on its definition, a parallel sweep's
+// reports are byte-identical to a serial (--jobs 1) run's — and stay that
+// way with --metrics and --trace enabled, since those artifacts are
+// wall-clock data in separate files. While running, a progress line
+// (completed/total, failures, ETA) is maintained on stderr when it is a
+// terminal.
 //
 // Exit status: 0 when every job is ok; 1 with the failed jobs logged
 // otherwise (the index and surviving reports are complete either way);
-// 2 on usage/manifest errors; 3 when an artifact cannot be written.
+// 2 on usage/manifest errors; 3 when an artifact cannot be written or a
+// --resume index does not parse.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -115,6 +113,7 @@
 #include "host/job_pool.h"
 #include "host/metrics.h"
 #include "host/result_store.h"
+#include "host/sweep_index.h"
 #include "host/sweep_trace.h"
 #include "trace/pipeview.h"
 #include "trace/telemetry.h"
@@ -123,6 +122,8 @@ namespace {
 
 using smt::host::AttemptEvent;
 using smt::host::ExperimentDef;
+using smt::host::IndexEntry;
+using smt::host::JobStatus;
 
 constexpr int kExitJobFailures = 1;
 constexpr int kExitUsage = 2;
@@ -145,33 +146,6 @@ struct SweepOptions {
   bool quiet = false;
   bool list = false;
   std::vector<std::string> names;  // explicit positional selections
-};
-
-/// Per-job record for the sweep index, written only by the job's own
-/// worker (slots are preallocated, one per manifest entry).
-struct JobRecord {
-  std::string name;
-  std::string outcome = "ok";  // core::RunStatus name, "timeout",
-                               // "cancelled" or "cache_verify_failed"
-  std::string message;
-  std::string key;     // host::ResultKey hash ("" when never computed)
-  bool cached = false;  // artifacts came from the cache / resumed index
-  smt::Cycle cycles = 0;
-  bool verified = false;
-  std::string report;  // path relative to the output directory
-  std::string dump;    // core-dump path relative to the output directory
-                       // ("" when the job did not die with one)
-};
-
-/// One prior-index entry a --resume run may carry over.
-struct ResumeEntry {
-  std::string key;
-  std::string outcome;
-  std::string message;
-  smt::Cycle cycles = 0;
-  bool verified = false;
-  std::string report;
-  std::string dump;
 };
 
 /// Cache/resume observability, shared across worker threads. Registered
@@ -298,62 +272,28 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
   return true;
 }
 
-/// Loads the prior index for --resume: name -> reusable entry fields.
-/// An absent index resumes nothing (every job runs); a malformed one is
-/// an error — silently restarting a sweep the user asked to resume would
-/// discard work without saying so.
+/// Loads the prior index for --resume: name -> entry. An absent index
+/// resumes nothing (every job runs); a malformed one is an error —
+/// silently restarting a sweep the user asked to resume would discard
+/// work without saying so.
 bool load_resume_index(const std::string& out_dir,
-                       std::map<std::string, ResumeEntry>* prior,
+                       std::map<std::string, IndexEntry>* prior,
                        bool* found) {
   *found = false;
-  const std::string path = out_dir + "/sweep_index.json";
+  const std::string path = out_dir + "/" + smt::host::kSweepIndexFile;
   const std::optional<std::string> text = smt::read_text_file(path);
   if (!text.has_value()) {
     smt::log::info("no prior index to resume from; running all jobs",
                    {{"path", path}});
     return true;
   }
-  const auto v = smt::parse_json(*text);
-  if (!v.has_value() || !v->is_object()) {
-    smt::log::error("prior index does not parse", {{"path", path}});
+  smt::host::SweepIndex index;
+  if (const auto finding = smt::host::parse_sweep_index(*text, &index)) {
+    smt::log::error("prior index is malformed",
+                    {{"path", path}, {"finding", *finding}});
     return false;
   }
-  const smt::JsonValue* schema = v->find("schema");
-  const smt::JsonValue* jobs = v->find("jobs");
-  if (schema == nullptr || schema->string != "smt-sweep-index/1" ||
-      jobs == nullptr || !jobs->is_array()) {
-    smt::log::error("prior index is not smt-sweep-index/1", {{"path", path}});
-    return false;
-  }
-  for (const smt::JsonValue& job : jobs->array) {
-    const smt::JsonValue* name = job.find("name");
-    const smt::JsonValue* key = job.find("key");
-    const smt::JsonValue* outcome = job.find("outcome");
-    const smt::JsonValue* report = job.find("report");
-    if (name == nullptr || !name->is_string() || key == nullptr ||
-        !key->is_string() || key->string.empty() || outcome == nullptr ||
-        !outcome->is_string() || report == nullptr || !report->is_string()) {
-      continue;  // pre-cache-era or never-ran entry: not reusable
-    }
-    ResumeEntry e;
-    e.key = key->string;
-    e.outcome = outcome->string;
-    e.report = report->string;
-    const smt::JsonValue* message = job.find("message");
-    if (message != nullptr && message->is_string()) e.message = message->string;
-    const smt::JsonValue* cycles = job.find("cycles");
-    if (cycles != nullptr && cycles->is_number()) {
-      e.cycles = static_cast<smt::Cycle>(cycles->number);
-    }
-    const smt::JsonValue* verified = job.find("verified");
-    if (verified != nullptr &&
-        verified->type == smt::JsonValue::Type::kBool) {
-      e.verified = verified->boolean;
-    }
-    const smt::JsonValue* dump = job.find("dump");
-    if (dump != nullptr && dump->is_string()) e.dump = dump->string;
-    (*prior)[name->string] = std::move(e);
-  }
+  for (IndexEntry& e : index.jobs) (*prior)[e.name] = std::move(e);
   *found = true;
   return true;
 }
@@ -383,40 +323,6 @@ bool read_manifest(const std::string& path, std::vector<std::string>* names) {
     names->push_back(line.substr(b, e - b + 1));
   }
   return true;
-}
-
-std::string index_json(const SweepOptions& opt,
-                       const std::vector<JobRecord>& records,
-                       const std::vector<smt::host::JobResult>& results,
-                       int failed) {
-  smt::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", "smt-sweep-index/1");
-  w.kv("workers", opt.jobs);
-  w.kv("job_timeout_ms", static_cast<int64_t>(opt.timeout_ms));
-  w.kv("total", static_cast<int64_t>(records.size()));
-  w.kv("failed", failed);
-  w.key("jobs");
-  w.begin_array();
-  for (size_t i = 0; i < records.size(); ++i) {
-    const JobRecord& r = records[i];
-    w.begin_object();
-    w.kv("name", r.name);
-    w.kv("outcome", r.outcome);
-    w.kv("message", r.message);
-    w.kv("key", r.key);
-    w.kv("cached", r.cached);
-    w.kv("attempts", results[i].attempts);
-    w.kv("wall_ms", results[i].wall_ms);
-    w.kv("cycles", static_cast<uint64_t>(r.cycles));
-    w.kv("verified", r.verified);
-    w.kv("report", r.report);
-    w.kv("dump", r.dump);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 std::string metrics_json(const smt::host::MetricsRegistry& reg,
@@ -489,7 +395,7 @@ class Progress {
                      {"will_retry", e.will_retry}});
     if (e.will_retry) return;  // job not finished yet
     ++done_;
-    if (e.status != smt::host::JobStatus::kOk) ++failed_;
+    if (e.status != JobStatus::kOk) ++failed_;
     redraw();
   }
 
@@ -548,7 +454,12 @@ int main(int argc, char** argv) {
   if (manifest.empty()) manifest = smt::host::default_manifest();
 
   // Resolve every name up front so a typo fails loudly before any work.
+  // Index entries are preallocated, one per manifest slot; each is
+  // written only by its own job's worker until the pool returns.
   std::vector<const ExperimentDef*> defs;
+  smt::host::SweepIndex index;
+  index.workers = opt.jobs;
+  index.job_timeout_ms = opt.timeout_ms;
   bool unknown = false;
   for (const std::string& name : manifest) {
     const ExperimentDef* d = smt::host::find_experiment(name);
@@ -557,6 +468,7 @@ int main(int argc, char** argv) {
       unknown = true;
     }
     defs.push_back(d);
+    index.jobs.emplace_back().name = name;
   }
   if (unknown) return kExitUsage;
 
@@ -570,7 +482,7 @@ int main(int argc, char** argv) {
   }
 
   // Resume map: prior completed jobs a --resume run may carry over.
-  std::map<std::string, ResumeEntry> prior;
+  std::map<std::string, IndexEntry> prior;
   bool resume_active = false;
   if (opt.resume &&
       !load_resume_index(opt.out_dir, &prior, &resume_active)) {
@@ -589,7 +501,6 @@ int main(int argc, char** argv) {
   // --lint: the static pre-run gate. A job with any error-severity
   // diagnostic is withheld from the pool entirely; its diagnostics go to
   // stderr and its manifest slot becomes a "lint_failed" index entry.
-  std::vector<std::string> lint_msg(manifest.size());
   if (opt.lint) {
     for (size_t i = 0; i < defs.size(); ++i) {
       const ExperimentDef& def = *defs[i];
@@ -607,7 +518,8 @@ int main(int argc, char** argv) {
         }
       }
       if (errors > 0) {
-        lint_msg[i] =
+        index.jobs[i].outcome = "lint_failed";
+        index.jobs[i].message =
             std::to_string(errors) + " lint error(s); job not simulated";
         smt::log::error("lint gate failed", {{"job", def.name},
                                              {"errors", errors}});
@@ -615,17 +527,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<JobRecord> records(manifest.size());
-  std::vector<smt::host::Job> jobs(manifest.size());
+  // Jobs that survived the lint gate, in manifest order; submit[k] maps
+  // the pool's job index k back to the manifest/index slot.
+  std::vector<size_t> submit;
+  std::vector<smt::host::Job> pool_jobs;
   for (size_t i = 0; i < manifest.size(); ++i) {
     const ExperimentDef& def = *defs[i];
-    JobRecord& rec = records[i];
-    rec.name = def.name;
-    if (!lint_msg[i].empty()) {
-      rec.outcome = "lint_failed";
-      rec.message = lint_msg[i];
-      continue;  // no artifacts, never submitted to the pool
-    }
+    IndexEntry& rec = index.jobs[i];
+    if (rec.outcome == "lint_failed") continue;  // never simulated
+    submit.push_back(i);
+    smt::host::Job& job = pool_jobs.emplace_back();
     const std::string key = smt::sanitize_artifact_key(def.name);
     rec.report = "reports/" + key + ".json";
     const smt::Cycle budget =
@@ -636,11 +547,11 @@ int main(int argc, char** argv) {
     const std::string kanata_path =
         opt.out_dir + "/pipeview/" + key + ".kanata";
 
-    jobs[i].name = def.name;
-    jobs[i].artifacts = {report_path, dump_path, kanata_path};
-    jobs[i].fn = [&, budget, report_path, dump_rel, dump_path, kanata_path](
-                     const smt::host::CancelToken& token, int attempt,
-                     std::string* message) {
+    job.name = def.name;
+    job.artifacts = {report_path, dump_path, kanata_path};
+    job.fn = [&, budget, report_path, dump_rel, dump_path, kanata_path](
+                 const smt::host::CancelToken& token, int attempt,
+                 std::string* message) {
       smt::core::RunOptions ro;
       ro.race_detect = def.race_detect;
       ro.flight_recorder = true;
@@ -652,23 +563,60 @@ int main(int argc, char** argv) {
           smt::host::result_key(def, smt::core::MachineConfig{}, budget, ro);
       rec.key = content_key.hash();
 
-      // Maps a reused completed outcome back onto a pool status.
-      const auto replay_status = [&](const std::string& outcome) {
-        if (outcome == "ok") return smt::host::JobStatus::kOk;
-        *message = rec.message.empty() ? outcome : rec.message;
-        return smt::host::JobStatus::kFailed;
+      // The pool status the entry's outcome stands for.
+      const auto status = [&] {
+        if (rec.ok()) return JobStatus::kOk;
+        *message = rec.message.empty() ? rec.outcome : rec.message;
+        return rec.outcome == "timeout" ? JobStatus::kTimeout
+                                        : JobStatus::kFailed;
+      };
+      // The one artifact-materialisation path (cache hit, --cache-verify
+      // divergence, fresh simulation): writes the report and any dump and
+      // fills the entry from `r`, so the index only ever names a dump
+      // this attempt wrote. An unwritable report fails the job.
+      const auto materialize = [&](const smt::host::CachedResult& r,
+                                   bool cached) {
+        rec.outcome = r.outcome;
+        rec.message = r.message;
+        rec.cycles = r.cycles;
+        rec.verified = r.verified;
+        rec.cached = cached;
+        rec.dump.clear();
+        if (!smt::write_text_file(report_path, r.report_json)) {
+          rec.outcome = "report_write_failed";
+          rec.message = "could not write report " + report_path;
+        } else if (!r.dump_json.empty()) {
+          if (smt::write_text_file(dump_path, r.dump_json)) {
+            rec.dump = dump_rel;
+          } else {
+            std::fprintf(stderr, "warning: could not write dump %s\n",
+                         dump_path.c_str());
+          }
+        }
+        return status();
       };
       // One deterministic simulation of this job: the report bytes are
       // fully determined by the content key (the determinism contract
-      // the cache relies on and --cache-verify audits).
-      const auto simulate = [&]() {
+      // the cache relies on and --cache-verify audits). The Kanata trace
+      // is never cached, so it is written here, not materialized.
+      const auto simulate = [&] {
         const std::unique_ptr<smt::core::Workload> w = def.make();
-        smt::core::RunOutcome o = smt::core::try_run_workload(
+        const smt::core::RunOutcome o = smt::core::try_run_workload(
             smt::core::MachineConfig{}, *w, budget,
             [&token] { return token.expired(); }, ro);
-        std::string report_json = smt::core::RunReport::from(o.stats).to_json();
-        return std::pair<smt::core::RunOutcome, std::string>(
-            std::move(o), std::move(report_json));
+        if (o.stats.pipeview != nullptr &&
+            !smt::trace::write_kanata_file(*o.stats.pipeview, kanata_path)) {
+          std::fprintf(stderr, "warning: could not write pipeview %s\n",
+                       kanata_path.c_str());
+        }
+        const bool timeout = o.status == smt::core::RunStatus::kCancelled;
+        return smt::host::CachedResult{
+            .outcome = timeout ? "timeout" : smt::core::name(o.status),
+            .message = timeout ? "wall-clock watchdog expired" : o.message,
+            .cycles = o.stats.cycles,
+            .verified = o.stats.verified,
+            .report_json = smt::core::RunReport::from(o.stats).to_json(),
+            .dump_json = o.core_dump};
       };
 
       // Reuse paths (resume, then cache) — first attempt only: a retry
@@ -676,7 +624,6 @@ int main(int argc, char** argv) {
       // out, so attempt 1 always means "really simulate".
       if (attempt == 0 && (resume_active || cache.has_value())) {
         cache_counters.lookups.inc();
-        bool reused = false;
         if (resume_active) {
           const auto it = prior.find(def.name);
           if (it != prior.end() && it->second.key == rec.key &&
@@ -685,69 +632,33 @@ int main(int argc, char** argv) {
               artifact_intact(opt.out_dir + "/" + it->second.report) &&
               (it->second.dump.empty() ||
                artifact_intact(opt.out_dir + "/" + it->second.dump))) {
-            rec.outcome = it->second.outcome;
-            rec.message = it->second.message;
-            rec.cycles = it->second.cycles;
-            rec.verified = it->second.verified;
-            rec.dump = it->second.dump;
+            rec = it->second;  // attempts/wall_ms are this run's, below
             rec.cached = true;
-            reused = true;
+            cache_counters.hits.inc();
+            return status();
           }
         }
-        if (!reused && cache.has_value()) {
-          std::optional<smt::host::CachedResult> hit =
-              cache->load(content_key);
-          if (hit.has_value()) {
+        if (cache.has_value()) {
+          if (const std::optional<smt::host::CachedResult> hit =
+                  cache->load(content_key)) {
             // Determinism audit: re-simulate a sample of hits and demand
             // byte-identical artifacts before trusting the cache.
             if (verify_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
-              auto [o, fresh_report] = simulate();
-              if (fresh_report != hit->report_json ||
-                  o.core_dump != hit->dump_json) {
+              smt::host::CachedResult fresh = simulate();
+              if (fresh.report_json != hit->report_json ||
+                  fresh.dump_json != hit->dump_json) {
                 cache_counters.verify_failed.inc();
-                smt::write_text_file(report_path, fresh_report);
-                rec.dump.clear();
-                if (!o.core_dump.empty() &&
-                    smt::write_text_file(dump_path, o.core_dump)) {
-                  rec.dump = dump_rel;
-                }
-                rec.cycles = o.stats.cycles;
-                rec.verified = o.stats.verified;
-                rec.outcome = "cache_verify_failed";
-                rec.message =
+                fresh.outcome = "cache_verify_failed";
+                fresh.message =
                     "cached artifacts diverge from re-simulation (key " +
                     rec.key + ")";
-                rec.cached = false;
-                *message = rec.message;
-                return smt::host::JobStatus::kFailed;
+                return materialize(fresh, /*cached=*/false);
               }
               cache_counters.verified.inc();
             }
-            if (!smt::write_text_file(report_path, hit->report_json)) {
-              *message = "could not write report " + report_path;
-              rec.outcome = "report_write_failed";
-              return smt::host::JobStatus::kFailed;
-            }
-            rec.dump.clear();
-            if (!hit->dump_json.empty()) {
-              if (!smt::write_text_file(dump_path, hit->dump_json)) {
-                std::fprintf(stderr, "warning: could not write dump %s\n",
-                             dump_path.c_str());
-              } else {
-                rec.dump = dump_rel;
-              }
-            }
-            rec.outcome = hit->outcome;
-            rec.message = hit->message;
-            rec.cycles = hit->cycles;
-            rec.verified = hit->verified;
-            rec.cached = true;
-            reused = true;
+            cache_counters.hits.inc();
+            return materialize(*hit, /*cached=*/true);
           }
-        }
-        if (reused) {
-          cache_counters.hits.inc();
-          return replay_status(rec.outcome);
         }
         cache_counters.misses.inc();
       }
@@ -757,84 +668,26 @@ int main(int argc, char** argv) {
       // pool's pre-retry scrub must remove them before the retry writes
       // the real ones (sweep_smoke byte-compares the survivors).
       if (def.timeout_first_attempt && attempt == 0) {
-        smt::write_text_file(report_path, "{\"partial\":");
-        smt::write_text_file(dump_path, "{\"partial\":");
-        rec.outcome = "timeout";
-        rec.message = "injected first-attempt timeout";
-        *message = rec.message;
-        return smt::host::JobStatus::kTimeout;
+        return materialize({.outcome = "timeout",
+                            .message = "injected first-attempt timeout",
+                            .report_json = "{\"partial\":",
+                            .dump_json = "{\"partial\":"},
+                           /*cached=*/false);
       }
 
-      auto [o, report_json] = simulate();
-
-      // Even a failed run leaves a valid partial report — write it so the
-      // surviving measurements of a broken sweep are never lost. A
-      // watchdog retry simply rewrites the file.
-      if (!smt::write_text_file(report_path, report_json)) {
-        *message = "could not write report " + report_path;
-        rec.outcome = "report_write_failed";
-        return smt::host::JobStatus::kFailed;
-      }
-      // Post-mortem core dump for jobs that died in a diagnosable way.
-      // A cancelled (watchdog) attempt never carries one — and the pool
-      // scrubs all artifact paths before a retry anyway; still clear the
-      // record so the index only ever references a dump the final
-      // attempt produced.
-      rec.dump.clear();
-      if (!o.core_dump.empty()) {
-        if (!smt::write_text_file(dump_path, o.core_dump)) {
-          std::fprintf(stderr, "warning: could not write dump %s\n",
-                       dump_path.c_str());
-        } else {
-          rec.dump = dump_rel;
-        }
-      }
-      if (o.stats.pipeview != nullptr &&
-          !smt::trace::write_kanata_file(*o.stats.pipeview, kanata_path)) {
-        std::fprintf(stderr, "warning: could not write pipeview %s\n",
-                     kanata_path.c_str());
-      }
-      rec.cycles = o.stats.cycles;
-      rec.verified = o.stats.verified;
-      rec.message = o.message;
-      rec.cached = false;
-
-      if (o.status == smt::core::RunStatus::kCancelled) {
-        rec.outcome = "timeout";
-        rec.message = "wall-clock watchdog expired";
-        *message = rec.message;
-        return smt::host::JobStatus::kTimeout;
-      }
-      rec.outcome = smt::core::name(o.status);
+      // Even a failed run leaves a valid partial report, so the surviving
+      // measurements of a broken sweep are never lost; a watchdog retry
+      // simply rewrites it.
+      const smt::host::CachedResult r = simulate();
+      const JobStatus st = materialize(r, /*cached=*/false);
       // Completed deterministic outcomes populate the cache; wall-clock
-      // outcomes (timeout above) never do.
-      if (cache.has_value() && smt::host::cacheable_outcome(rec.outcome)) {
-        smt::host::CachedResult entry;
-        entry.outcome = rec.outcome;
-        entry.message = rec.message;
-        entry.cycles = rec.cycles;
-        entry.verified = rec.verified;
-        entry.report_json = report_json;
-        entry.dump_json = o.core_dump;
-        if (cache->store(content_key, entry)) cache_counters.stores.inc();
+      // outcomes (timeout) and failed report writes never do.
+      if (cache.has_value() && smt::host::cacheable_outcome(rec.outcome) &&
+          cache->store(content_key, r)) {
+        cache_counters.stores.inc();
       }
-      if (!o.ok()) {
-        *message = o.message;
-        return smt::host::JobStatus::kFailed;
-      }
-      return smt::host::JobStatus::kOk;
+      return st;
     };
-  }
-
-  // Jobs that survived the lint gate, in manifest order; submit[k] maps
-  // the pool's job index k back to the manifest/records index.
-  std::vector<size_t> submit;
-  std::vector<smt::host::Job> pool_jobs;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (lint_msg[i].empty()) {
-      submit.push_back(i);
-      pool_jobs.push_back(std::move(jobs[i]));
-    }
   }
 
   smt::log::info("sweep starting", {{"jobs", pool_jobs.size()},
@@ -870,65 +723,50 @@ int main(int argc, char** argv) {
             opt.cancel_after) {
       sweep_cancel.cancel();
     }
-    progress.on_attempt(e, records[submit[e.job]].name);
+    progress.on_attempt(e, index.jobs[submit[e.job]].name);
   };
 
-  // Full-size results: pool results scattered back to manifest slots;
-  // lint-failed slots keep attempts == 0 and count as failed.
-  std::vector<smt::host::JobResult> results(records.size());
+  // Pool results scattered back to manifest slots; lint-failed slots
+  // keep attempts == 0.
   {
     const std::vector<smt::host::JobResult> pool_results =
         smt::host::run_jobs(pool, pool_jobs);
     for (size_t k = 0; k < pool_results.size(); ++k) {
-      results[submit[k]] = pool_results[k];
-    }
-  }
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (!lint_msg[i].empty()) {
-      results[i].status = smt::host::JobStatus::kFailed;
-      results[i].message = records[i].message;
+      IndexEntry& e = index.jobs[submit[k]];
+      e.attempts = pool_results[k].attempts;
+      e.wall_ms = pool_results[k].wall_ms;
+      // Jobs the pool-level cancel kept from starting: structured
+      // outcomes, no artifacts, attempts=0 — and re-executable by a
+      // later --resume.
+      if (pool_results[k].status == JobStatus::kSkipped) {
+        e.outcome = "cancelled";
+        e.message = "sweep cancelled before this job started";
+        e.report.clear();
+        e.dump.clear();
+      }
     }
   }
   progress.finish();
-
-  // Jobs the pool-level cancel kept from starting: structured outcomes,
-  // no artifacts, attempts=0 — and re-executable by a later --resume.
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (results[i].status == smt::host::JobStatus::kSkipped) {
-      records[i].outcome = "cancelled";
-      records[i].message = "sweep cancelled before this job started";
-      records[i].report.clear();
-      records[i].dump.clear();
-    }
-  }
-
-  int failed = 0;
-  for (const smt::host::JobResult& r : results) {
-    if (r.status != smt::host::JobStatus::kOk) ++failed;
-  }
+  const int failed = index.failed();
 
   // Artifact writes: the index is the sweep's primary output; metrics
   // and trace are wall-clock observability artifacts in separate files
   // (reports/index stay byte-identical whatever these options are).
-  const std::string index_path = opt.out_dir + "/sweep_index.json";
-  if (!smt::write_text_file(index_path,
-                            index_json(opt, records, results, failed))) {
-    return kExitIo;
-  }
+  const std::string index_path =
+      opt.out_dir + "/" + smt::host::kSweepIndexFile;
+  if (!smt::write_text_file(index_path, index.to_json())) return kExitIo;
   if (!opt.metrics_path.empty() &&
       !smt::write_text_file(
           opt.metrics_path,
-          metrics_json(metrics, opt, resume_active, results.size(),
+          metrics_json(metrics, opt, resume_active, index.jobs.size(),
                        failed))) {
     return kExitIo;
   }
   if (want_trace) {
     // Trace events carry pool-job indices, so the name table is the
     // submitted (post-lint-gate) job list.
-    std::vector<std::string> job_names(submit.size());
-    for (size_t k = 0; k < submit.size(); ++k) {
-      job_names[k] = records[submit[k]].name;
-    }
+    std::vector<std::string> job_names;
+    for (const smt::host::Job& job : pool_jobs) job_names.push_back(job.name);
     if (!smt::host::write_sweep_trace_file(
             std::move(trace_events), job_names,
             std::min<int>(opt.jobs, static_cast<int>(submit.size())),
@@ -937,15 +775,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%zu job(s), %d failed; index: %s\n", results.size(), failed,
-              index_path.c_str());
+  std::printf("%zu job(s), %d failed; index: %s\n", index.jobs.size(),
+              failed, index_path.c_str());
   if (failed > 0) {
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (results[i].status != smt::host::JobStatus::kOk) {
-        smt::log::error("job failed", {{"job", records[i].name},
-                                       {"outcome", records[i].outcome},
-                                       {"message", records[i].message},
-                                       {"attempts", results[i].attempts}});
+    for (const IndexEntry& e : index.jobs) {
+      if (!e.ok()) {
+        smt::log::error("job failed", {{"job", e.name},
+                                       {"outcome", e.outcome},
+                                       {"message", e.message},
+                                       {"attempts", e.attempts}});
       }
     }
     return kExitJobFailures;
