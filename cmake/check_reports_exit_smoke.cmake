@@ -1,7 +1,7 @@
 # check_reports exit-code contract: an artifact that cannot be read is an
 # I/O error (exit 3), not a validation finding (exit 1). Each scan, and the
-# --index file, gets a directory named like an artifact, which opens but
-# cannot be read.
+# --index and --lint-report files, gets a directory named like an
+# artifact, which opens but cannot be read.
 # Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DCHECKER=... -DOUT_DIR=... -P check_reports_exit_smoke.cmake
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -25,3 +25,4 @@ expect_rc(3 "${OUT_DIR}/garbage" "${OUT_DIR}/traces")
 expect_rc(3 "${OUT_DIR}/garbage" --dumps "${OUT_DIR}/dumps")
 expect_rc(3 "${OUT_DIR}/garbage" --metrics "${OUT_DIR}/metrics.json"
   --index "${OUT_DIR}/reports/unreadable.json")
+expect_rc(3 --lint-report "${OUT_DIR}/reports/unreadable.json")

@@ -43,7 +43,7 @@ foreach(needle
 endforeach()
 
 # Exit-code contract: no arguments is a usage error (2); a run report is
-# not a core dump (1).
+# not a core dump (1); nor is a dump whose cpu0 entry lost its mode (1).
 execute_process(COMMAND "${EXPLAIN}" RESULT_VARIABLE rc ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "smt_explain without arguments exited ${rc}, not 2")
@@ -53,4 +53,16 @@ execute_process(COMMAND "${EXPLAIN}"
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "smt_explain on a non-dump exited ${rc}, not 1")
+endif()
+string(REGEX REPLACE "\"cpu\":0,\"mode\":\"[^\"]*\"," "\"cpu\":0,"
+  modeless "${dump_json}")
+if(modeless STREQUAL dump_json)
+  message(FATAL_ERROR "dump carries no cpus[0].mode to remove")
+endif()
+file(WRITE "${OUT_DIR}/modeless.dump.json" "${modeless}")
+execute_process(COMMAND "${EXPLAIN}" "${OUT_DIR}/modeless.dump.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR
+    "smt_explain on a dump without cpu0 mode exited ${rc}, not 1")
 endif()

@@ -3,9 +3,13 @@
 # is set, with the per-PC profiler on; when INTERFERENCE is set, with
 # interference attribution on — then validate the artifacts with
 # check_reports. When ANNOTATE is given, smt_annotate must also accept
-# one emitted report. Invoked by ctest (see tools/CMakeLists.txt) as:
+# one emitted report. When DIFF is given, report_diff must accept that
+# report against itself and reject (exit 1) a copy truncated to its
+# schema, cycles and totals, which is not a valid run report. Invoked by
+# ctest (see tools/CMakeLists.txt) as:
 #   cmake -DBENCH=... -DCHECKER=... -DREPORT_DIR=... [-DTRACE_DIR=...]
-#     [-DPROFILE=1] [-DINTERFERENCE=1] [-DANNOTATE=...] -P report_smoke.cmake
+#     [-DPROFILE=1] [-DINTERFERENCE=1] [-DANNOTATE=...] [-DDIFF=...]
+#     -P report_smoke.cmake
 file(REMOVE_RECURSE "${REPORT_DIR}")
 file(MAKE_DIRECTORY "${REPORT_DIR}")
 
@@ -44,5 +48,30 @@ if(ANNOTATE)
     RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "smt_annotate rejected ${report}: ${rc}")
+  endif()
+endif()
+
+if(DIFF)
+  file(GLOB reports "${REPORT_DIR}/*.json")
+  list(SORT reports)
+  list(GET reports 0 report)
+  execute_process(COMMAND "${DIFF}" "${report}" "${report}"
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "report_diff rejected ${report} against itself: ${rc}")
+  endif()
+  file(READ "${report}" report_json)
+  string(REGEX MATCH "\"schema\":\"[^\"]*\"" schema "${report_json}")
+  string(REGEX MATCH "\"cycles\":[0-9]+" cycles "${report_json}")
+  string(REGEX MATCH "\"totals\":{[^}]*}" totals "${report_json}")
+  if(NOT schema OR NOT cycles OR NOT totals)
+    message(FATAL_ERROR "${report} lacks schema/cycles/totals")
+  endif()
+  set(truncated "${REPORT_DIR}/truncated.json.bad")
+  file(WRITE "${truncated}" "{${schema},${cycles},${totals}}")
+  execute_process(COMMAND "${DIFF}" "${report}" "${truncated}"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "report_diff on a truncated report exited ${rc}, not 1")
   endif()
 endif()

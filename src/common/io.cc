@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <system_error>
 
+#include "common/log.h"
+
 namespace smt {
 
 std::optional<std::string> read_text_file(const std::string& path) {
@@ -20,6 +22,33 @@ std::optional<std::string> read_text_file(const std::string& path) {
   std::fclose(f);
   if (failed) return std::nullopt;
   return text;
+}
+
+std::optional<JsonValue> read_json_object(const std::string& path,
+                                          bool* unreadable) {
+  const std::optional<std::string> text = read_text_file(path);
+  *unreadable = !text.has_value();
+  if (*unreadable) {
+    log::error("cannot read", {{"path", path}});
+    return std::nullopt;
+  }
+  std::optional<JsonValue> v = parse_json(*text);
+  if (!v.has_value() || !v->is_object()) return std::nullopt;
+  return v;
+}
+
+std::optional<JsonValue> read_valid_json(
+    const std::string& path, const char* what,
+    std::optional<std::string> (*check)(const JsonValue&), bool* unreadable) {
+  std::optional<JsonValue> v = read_json_object(path, unreadable);
+  if (*unreadable) return std::nullopt;
+  const std::optional<std::string> finding =
+      v.has_value() ? check(*v) : "does not parse as a JSON object";
+  if (finding.has_value()) {
+    log::error(what, {{"path", path}, {"finding", *finding}});
+    return std::nullopt;
+  }
+  return v;
 }
 
 bool write_text_file(const std::string& path, std::string_view content) {

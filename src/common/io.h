@@ -1,12 +1,15 @@
 // Small file helpers shared by the artifact writers and readers (run
 // reports, Chrome traces, sweep indexes, cache objects): whole-file text
-// input and output with directory creation, and collision-free mapping of
-// registry keys to filename fragments.
+// input and output with directory creation, the one JSON-artifact loader
+// of the tools, and collision-free mapping of registry keys to filename
+// fragments.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "common/json.h"
 
 namespace smt {
 
@@ -14,6 +17,20 @@ namespace smt {
 /// or read. Logs nothing: callers decide whether a missing file is an
 /// error, and how to report it.
 std::optional<std::string> read_text_file(const std::string& path);
+
+/// The JSON object stored at `path`; std::nullopt when the file cannot be
+/// read (logged as "cannot read", *unreadable set: an I/O failure for
+/// every caller) or is not a JSON object (unlogged: each tool words that
+/// finding itself).
+std::optional<JsonValue> read_json_object(const std::string& path,
+                                          bool* unreadable);
+
+/// read_json_object, then `check`: std::nullopt unless it finds nothing.
+/// A file that is not a JSON object, or that `check` rejects, is logged
+/// as `what` with its path and the finding.
+std::optional<JsonValue> read_valid_json(
+    const std::string& path, const char* what,
+    std::optional<std::string> (*check)(const JsonValue&), bool* unreadable);
 
 /// Writes `content` to `path`, creating missing parent directories first.
 /// Returns false — after logging the reason to stderr — if the directory

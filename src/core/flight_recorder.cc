@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "core/machine.h"
 #include "core/workload.h"
 #include "isa/disasm.h"
@@ -63,6 +62,8 @@ bool is_halt_wait(const std::string& mode) {
 
 double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
 
+constexpr char kSchema[] = "smt-core-dump/1";
+
 }  // namespace
 
 std::string core_dump_json(const Machine& m, const FlightRecorder& fr,
@@ -71,7 +72,7 @@ std::string core_dump_json(const Machine& m, const FlightRecorder& fr,
                            const std::string& message) {
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "smt-core-dump/1");
+  w.kv("schema", kSchema);
   w.kv("workload", workload);
   w.kv("outcome", outcome);
   w.kv("message", message);
@@ -189,6 +190,82 @@ std::string core_dump_json(const Machine& m, const FlightRecorder& fr,
 
   w.end_object();
   return w.str();
+}
+
+std::optional<std::string> check_core_dump(const JsonValue& dump) {
+  const JsonValue* schema = dump.find("schema");
+  if (schema == nullptr || schema->string != kSchema) {
+    return "missing/unknown schema";
+  }
+  const JsonValue* outcome = dump.find("outcome");
+  if (outcome == nullptr || !outcome->is_string() ||
+      (outcome->string != "deadlock" &&
+       outcome->string != "cycle_budget_exceeded" &&
+       outcome->string != "race_detected")) {
+    return "missing/unknown outcome";
+  }
+  if (dump.find("workload") == nullptr || dump.find("message") == nullptr ||
+      !has_number(dump, "cycle")) {
+    return "missing workload/message/cycle";
+  }
+  const double cycle = dump.find("cycle")->number;
+  const JsonValue* cpus = dump.find("cpus");
+  if (cpus == nullptr || !cpus->is_array() ||
+      cpus->array.size() != static_cast<size_t>(kNumLogicalCpus)) {
+    return "\"cpus\" is not a " + std::to_string(kNumLogicalCpus) +
+           "-entry array";
+  }
+  for (size_t i = 0; i < cpus->array.size(); ++i) {
+    const JsonValue& c = cpus->array[i];
+    const std::string cpu = "cpu" + std::to_string(i) + " ";
+    const JsonValue* mode = c.find("mode");
+    const JsonValue* wait = c.find("wait");
+    const JsonValue* iregs = c.find("iregs");
+    const JsonValue* fregs = c.find("fregs");
+    const JsonValue* recent = c.find("recent_retired");
+    const JsonValue* snaps = c.find("snapshots");
+    if (mode == nullptr || !mode->is_string() || !has_number(c, "pc") ||
+        c.find("disasm") == nullptr || !has_number(c, "rob") ||
+        !has_number(c, "uop_queue") || !has_number(c, "load_queue") ||
+        !has_number(c, "store_buffer") || wait == nullptr ||
+        !wait->is_object() || iregs == nullptr || !iregs->is_array() ||
+        fregs == nullptr || !fregs->is_array() || recent == nullptr ||
+        !recent->is_array() || snaps == nullptr || !snaps->is_array()) {
+      return cpu + "entry malformed";
+    }
+    const JsonValue* kind = wait->find("kind");
+    if (kind == nullptr || !kind->is_string() ||
+        (kind->string != "halt" && kind->string != "spin" &&
+         kind->string != "none")) {
+      return cpu + "wait.kind malformed";
+    }
+    double prev = -1.0;
+    for (const JsonValue& e : recent->array) {
+      if (!has_number(e, "cycle") || !has_number(e, "pc") ||
+          e.find("disasm") == nullptr) {
+        return cpu + "recent_retired entry malformed";
+      }
+      const double ecycle = e.find("cycle")->number;
+      if (ecycle < prev || ecycle > cycle) {
+        return cpu + "recent_retired cycles not monotonic within the run";
+      }
+      prev = ecycle;
+    }
+  }
+  const JsonValue* sync_words = dump.find("sync_words");
+  const JsonValue* wait_for = dump.find("wait_for");
+  if (sync_words == nullptr || !sync_words->is_array() ||
+      wait_for == nullptr || !wait_for->is_array()) {
+    return "missing sync_words/wait_for arrays";
+  }
+  for (const JsonValue& e : wait_for->array) {
+    const JsonValue* why = e.find("why");
+    if (!has_number(e, "from") || !has_number(e, "to") || why == nullptr ||
+        !why->is_string()) {
+      return "malformed wait_for edge";
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace smt::core

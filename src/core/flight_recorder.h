@@ -7,7 +7,10 @@
 // race, core::try_run_workload serializes the rings together with the
 // architectural registers, context run-states, sync-word values and
 // wait-for edges into an `smt-core-dump/1` JSON document attached to the
-// RunOutcome — the input of the `smt_explain` diagnosis CLI.
+// RunOutcome — the input of the `smt_explain` diagnosis CLI. The writer
+// (core_dump_json) and the validator (check_core_dump) below are the two
+// halves of that format; check_reports --dumps and smt_explain both
+// accept a dump only through the validator.
 //
 // Like every observer on the core's bus it is pure: it only reads
 // simulation state from the retire hook, never touches a counter, and
@@ -17,9 +20,11 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "cpu/core.h"
 #include "isa/program.h"
 
@@ -103,5 +108,12 @@ std::string core_dump_json(const Machine& m, const FlightRecorder& fr,
                            const MemInfo& mem, const std::string& workload,
                            const std::string& outcome,
                            const std::string& message);
+
+/// The first invariant `dump` violates, as a one-line finding (no file
+/// prefix); std::nullopt when it is a well-formed dump: schema, a failure
+/// outcome, one fully populated cpus entry per logical CPU with a known
+/// wait kind and a retirement ring whose cycles rise to at most the death
+/// cycle, sync_words, and well-formed wait_for edges.
+std::optional<std::string> check_core_dump(const JsonValue& dump);
 
 }  // namespace smt::core

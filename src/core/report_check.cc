@@ -286,6 +286,7 @@ std::optional<std::string> check_run_report(const JsonValue& report) {
        {"workload", "cycles", "verified", "config", "cpus", "totals"}) {
     if (report.find(key) == nullptr) return format("missing \"%s\"", key);
   }
+  if (!has_number(report, "cycles")) return "\"cycles\" is not a number";
   const JsonValue& cpus = *report.find("cpus");
   if (Finding f = check_cpus(cpus)) return f;
   const double cycles = number_or(report, "cycles", 0.0);

@@ -5,8 +5,8 @@
 //
 // Checked, in order (the first violation is the finding):
 //   * schema "smt-run-report/1"; workload/cycles/verified/config/cpus/
-//     totals present; one cpus entry per logical CPU, each with every
-//     named counter and the cycle-breakdown fields;
+//     totals present, cycles a number; one cpus entry per logical CPU,
+//     each with every named counter and the cycle-breakdown fields;
 //   * `timeseries` (optional): positive window_cycles; windows contiguous
 //     and increasing; per-event window deltas sum exactly to each CPU's
 //     end-of-run counter;

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/io.h"
+#include "common/table.h"
 #include "isa/asm_builder.h"
 #include "kernels/bt.h"
 #include "kernels/cg.h"
@@ -365,6 +366,134 @@ WorkloadLint lint_workload(core::Workload& w) {
     std::stable_sort(d.begin(), d.end(), analysis::diagnostic_before);
   }
   return out;
+}
+
+namespace {
+constexpr char kLintReportSchema[] = "smt-lint-report/1";
+}  // namespace
+
+LintTotals lint_totals(const std::vector<ExperimentLint>& lints) {
+  LintTotals t;
+  t.experiments = static_cast<int>(lints.size());
+  for (const ExperimentLint& e : lints) {
+    for (const std::vector<analysis::Diagnostic>& diags : e.lint.diags) {
+      ++t.programs;
+      t.errors += analysis::count_severity(diags, analysis::Severity::kError);
+      t.warnings +=
+          analysis::count_severity(diags, analysis::Severity::kWarning);
+    }
+  }
+  return t;
+}
+
+std::string lint_report_json(const std::vector<ExperimentLint>& lints) {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("schema", kLintReportSchema);
+  w.key("experiments");
+  w.begin_array();
+  for (const ExperimentLint& e : lints) {
+    w.begin_object();
+    w.kv("name", e.name);
+    w.key("programs");
+    w.begin_array();
+    for (size_t i = 0; i < e.lint.programs.size(); ++i) {
+      w.begin_object();
+      w.kv("name", e.lint.programs[i].name());
+      w.key("diagnostics");
+      w.begin_array();
+      for (const analysis::Diagnostic& d : e.lint.diags[i]) {
+        w.begin_object();
+        w.kv("check", analysis::name(d.check));
+        w.kv("severity", analysis::name(d.severity));
+        w.kv("pc", static_cast<uint64_t>(d.pc));
+        w.kv("block", static_cast<uint64_t>(d.block));
+        w.kv("message", d.message);
+        w.end_object();
+      }
+      w.end_array();
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+  const LintTotals t = lint_totals(lints);
+  w.key("totals");
+  w.begin_object();
+  w.kv("errors", static_cast<uint64_t>(t.errors));
+  w.kv("warnings", static_cast<uint64_t>(t.warnings));
+  w.kv("programs", t.programs);
+  w.kv("experiments", t.experiments);
+  w.end_object();
+  w.end_object();
+  return w.str();
+}
+
+std::vector<std::string> check_lint_report(const JsonValue& report) {
+  const JsonValue* schema = report.find("schema");
+  if (schema == nullptr || schema->string != kLintReportSchema) {
+    return {"missing/unknown schema"};
+  }
+  const JsonValue* experiments = report.find("experiments");
+  const JsonValue* totals = report.find("totals");
+  if (experiments == nullptr || !experiments->is_array() ||
+      totals == nullptr || !totals->is_object()) {
+    return {"missing experiments/totals"};
+  }
+  double errors = 0, warnings = 0, programs = 0;
+  for (const JsonValue& exp : experiments->array) {
+    const JsonValue* name = exp.find("name");
+    const JsonValue* progs = exp.find("programs");
+    if (name == nullptr || !name->is_string() || progs == nullptr ||
+        !progs->is_array()) {
+      return {"malformed experiment entry"};
+    }
+    for (const JsonValue& prog : progs->array) {
+      ++programs;
+      const JsonValue* pname = prog.find("name");
+      const JsonValue* diags = prog.find("diagnostics");
+      if (pname == nullptr || !pname->is_string() || diags == nullptr ||
+          !diags->is_array()) {
+        return {"malformed program entry"};
+      }
+      for (const JsonValue& d : diags->array) {
+        const JsonValue* check = d.find("check");
+        const JsonValue* severity = d.find("severity");
+        const JsonValue* message = d.find("message");
+        if (check == nullptr || !check->is_string() || severity == nullptr ||
+            !severity->is_string() || message == nullptr ||
+            !message->is_string() || !has_number(d, "pc") ||
+            !has_number(d, "block")) {
+          return {"malformed diagnostic entry"};
+        }
+        if (severity->string == "error") {
+          ++errors;
+        } else if (severity->string == "warning") {
+          ++warnings;
+        } else {
+          return {"unknown severity \"" + severity->string + "\""};
+        }
+      }
+    }
+  }
+  std::vector<std::string> findings;
+  const struct {
+    const char* key;
+    double want;
+  } recount[] = {{"errors", errors},
+                 {"warnings", warnings},
+                 {"programs", programs},
+                 {"experiments",
+                  static_cast<double>(experiments->array.size())}};
+  for (const auto& [key, want] : recount) {
+    const double got = number_or(*totals, key, -1.0);
+    if (got != want) {
+      findings.push_back(std::string("totals.") + key + " is " + fmt(got, 0) +
+                         ", recount says " + fmt(want, 0));
+    }
+  }
+  return findings;
 }
 
 }  // namespace smt::host

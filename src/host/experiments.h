@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/lint.h"
+#include "common/json.h"
 #include "common/types.h"
 #include "core/workload.h"
 #include "isa/program.h"
@@ -67,6 +68,31 @@ struct WorkloadLint {
 /// one lint driver behind smt_lint, smt_sweep --lint and the registry
 /// gate test.
 WorkloadLint lint_workload(core::Workload& w);
+
+/// One experiment's lint_workload result, named for the lint report.
+struct ExperimentLint {
+  std::string name;
+  WorkloadLint lint;
+};
+struct LintTotals {
+  size_t errors = 0;
+  size_t warnings = 0;
+  int programs = 0;
+  int experiments = 0;
+};
+LintTotals lint_totals(const std::vector<ExperimentLint>& lints);
+
+/// The lint report (`smt_lint --format=json`): "schema":
+/// "smt-lint-report/1"; "experiments", in `lints` order, each with its
+/// programs, each with its diagnostics {check, severity, pc, block,
+/// message}; then "totals" (lint_totals).
+std::string lint_report_json(const std::vector<ExperimentLint>& lints);
+
+/// Every finding in a lint report (no file prefix); empty when valid. A
+/// structural fault (schema, nesting, a severity other than error or
+/// warning) is the one finding; otherwise each totals member that
+/// disagrees with the recount of the entries is one.
+std::vector<std::string> check_lint_report(const JsonValue& report);
 
 namespace detail {
 /// SMT_CHECKs that no two definitions share a name and that every name

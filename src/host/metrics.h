@@ -6,6 +6,9 @@
 // strictly out of the simulation artifacts: `smt_sweep --metrics` writes
 // a separate `smt-sweep-metrics/1` document, never a report field, which
 // preserves the sweep's parallel-equals-serial byte-identity guarantee.
+// That document's writer (sweep_metrics_json) and its validator
+// (check_sweep_metrics, the cross-check check_reports --metrics --index
+// runs) live at the end of this header.
 //
 // Concurrency contract: value updates (Counter::inc, Gauge::set/add,
 // Histogram::observe) are safe from any number of threads, as are reads
@@ -25,6 +28,7 @@
 
 namespace smt {
 class JsonWriter;
+struct JsonValue;
 }
 
 namespace smt::host {
@@ -141,5 +145,57 @@ class MetricsRegistry {
 /// "histograms") to an open JSON object. Histogram min/max are omitted
 /// when empty (the JSON subset has no NaN).
 void append_metrics_json(JsonWriter& w, const MetricsRegistry::Snapshot& s);
+
+struct SweepIndex;
+
+/// How a sweep reused results: the flags of the metrics document's
+/// "sweep" section beside the index-derived workers/total/failed.
+struct SweepReuse {
+  bool cache = false;   // --cache was given
+  bool resume = false;  // --resume reuse was live, not merely requested: a
+                        // --resume with no prior index looks nothing up
+  int64_t cache_verify = 0;  // --cache-verify sample size; 0 = off
+};
+
+/// The `smt-sweep-metrics/1` document of a sweep (`smt_sweep --metrics`):
+/// "schema"; "sweep" {requested_workers, total, failed} from `index`
+/// plus `reuse`; the snapshot of `reg` (append_metrics_json); and
+/// "workers": one {worker, busy_us, busy_fraction} entry per pool worker,
+/// derived from the pool counters so readers need no arithmetic of their
+/// own.
+std::string sweep_metrics_json(const MetricsRegistry& reg,
+                               const SweepIndex& index,
+                               const SweepReuse& reuse);
+
+/// Cross-checks a metrics document against the sweep index it was written
+/// beside; returns every finding as a one-line message without a file
+/// prefix, empty when consistent. A wrong schema or a missing section is
+/// the one finding. Otherwise the pool counters, which are redundant with
+/// the index by construction, are checked against it (cancelled = index
+/// jobs the pool-level cancel skipped before they started; lint_failed =
+/// jobs the --lint gate withheld from the pool, always with attempts == 0;
+/// started = total - cancelled - lint_failed):
+///
+///   jobs_started == jobs_completed == started; jobs_skipped == cancelled
+///   jobs_ok == total - failed;  jobs_failed + jobs_timeout ==
+///                                  failed - cancelled - lint_failed
+///   attempts == sum(index jobs[].attempts) == started + jobs_retried
+///   watchdog_fires == jobs_retried + jobs_timeout  (retries only follow
+///                                                   watchdog timeouts)
+///   attempt_wall_ms histogram: count == attempts, bucket counts sum to it
+///   queue_depth gauge drained to the cancelled count from a high
+///     watermark of total - lint_failed (lint-failed jobs are never
+///     enqueued); workers_busy drained to 0, peak <= requested
+///   one workers[] entry per pool worker, busy_us consistent with the
+///   per-worker counters and <= wall_us + 1µs rounding slack
+///
+///   cache.* counters vs the index's "cached"/"outcome" fields:
+///     lookups == hits + misses + verify_failed
+///     lookups == started when the sweep ran with cache/resume, else 0
+///     hits == #jobs with "cached":true
+///     verify_failed == #jobs with outcome "cache_verify_failed"
+///     stores <= misses; verified <= hits
+std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
+                                             const SweepIndex& index);
 
 }  // namespace smt::host

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/io.h"
 #include "common/json.h"
+#include "trace/chrome_trace.h"
 
 namespace smt::host {
 
@@ -20,20 +21,6 @@ const char* status_cname(JobStatus s) {
     case JobStatus::kSkipped: return "grey";  // never attempted: no spans
   }
   return "grey";
-}
-
-void write_meta(JsonWriter& w, int tid, const std::string& name) {
-  w.begin_object();
-  w.kv("name", "thread_name");
-  w.kv("ph", "M");
-  w.kv("pid", 0);
-  w.kv("tid", tid);
-  w.kv("ts", static_cast<uint64_t>(0));
-  w.key("args");
-  w.begin_object();
-  w.kv("name", name);
-  w.end_object();
-  w.end_object();
 }
 
 uint64_t to_us(double ms) {
@@ -55,41 +42,20 @@ std::string sweep_trace_json(std::vector<AttemptEvent> events,
             });
 
   JsonWriter w;
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  w.key("otherData");
-  w.begin_object();
+  trace::begin_trace(w);
   w.kv("clock", "host wall-clock since pool start (us)");
   w.kv("workers", workers);
-  w.end_object();
-
-  w.key("traceEvents");
-  w.begin_array();
+  trace::begin_trace_events(w);
   // Process + one named track per worker.
-  w.begin_object();
-  w.kv("name", "process_name");
-  w.kv("ph", "M");
-  w.kv("pid", 0);
-  w.kv("tid", 0);
-  w.kv("ts", static_cast<uint64_t>(0));
-  w.key("args");
-  w.begin_object();
-  w.kv("name", "smt_sweep");
-  w.end_object();
-  w.end_object();
+  trace::write_metadata(w, "process_name", 0, "smt_sweep");
   for (int i = 0; i < workers; ++i) {
-    write_meta(w, i, "worker " + std::to_string(i));
+    trace::write_metadata(w, "thread_name", i, "worker " + std::to_string(i));
   }
 
   for (const AttemptEvent& e : events) {
     SMT_CHECK(e.job < job_names.size());
     // The attempt span.
-    w.begin_object();
-    w.kv("name", job_names[e.job]);
-    w.kv("ph", "X");
-    w.kv("pid", 0);
-    w.kv("tid", e.worker);
-    w.kv("ts", to_us(e.begin_ms));
+    trace::begin_event(w, job_names[e.job], "X", e.worker, to_us(e.begin_ms));
     w.kv("dur", to_us(e.end_ms) - to_us(e.begin_ms));
     w.kv("cname", status_cname(e.status));
     w.key("args");
@@ -101,12 +67,9 @@ std::string sweep_trace_json(std::vector<AttemptEvent> events,
     w.end_object();
     // Watchdog fire / retry decision as instants at the kill point.
     if (e.status == JobStatus::kTimeout) {
-      w.begin_object();
-      w.kv("name", e.will_retry ? "watchdog: retry" : "watchdog: give up");
-      w.kv("ph", "i");
-      w.kv("pid", 0);
-      w.kv("tid", e.worker);
-      w.kv("ts", to_us(e.end_ms));
+      const char* what =
+          e.will_retry ? "watchdog: retry" : "watchdog: give up";
+      trace::begin_event(w, what, "i", e.worker, to_us(e.end_ms));
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
@@ -116,9 +79,7 @@ std::string sweep_trace_json(std::vector<AttemptEvent> events,
       w.end_object();
     }
   }
-  w.end_array();
-
-  w.end_object();
+  trace::end_trace(w);
   return w.str();
 }
 

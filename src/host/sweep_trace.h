@@ -1,7 +1,8 @@
 // Host-side sweep tracing: serializes the JobPool's AttemptEvent stream
-// as a Chrome trace-event JSON document (the same format the guest-side
-// writer in src/trace/telemetry.h emits, loadable in Perfetto or
-// chrome://tracing) so a sweep's wall-clock schedule becomes visible:
+// as a Chrome trace-event JSON document (the format src/trace/
+// chrome_trace.h writes and checks for the guest-side telemetry too,
+// loadable in Perfetto or chrome://tracing) so a sweep's wall-clock
+// schedule becomes visible:
 //
 //   * one track (tid) per pool worker, named "worker N";
 //   * one complete ("X") span per job attempt, named after the job and

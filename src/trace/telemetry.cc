@@ -4,6 +4,7 @@
 
 #include "common/io.h"
 #include "common/json.h"
+#include "trace/chrome_trace.h"
 
 namespace smt::trace {
 
@@ -13,21 +14,6 @@ TelemetryConfig g_default;  // disabled until a driver opts in
 
 /// Synthetic-track tid for annotation `ann` (cpu tracks are 0/1).
 int ann_tid(int ann) { return 100 + ann; }
-
-void write_meta(JsonWriter& w, const char* meta, int tid,
-                const std::string& value) {
-  w.begin_object();
-  w.kv("name", meta);
-  w.kv("ph", "M");
-  w.kv("pid", 0);
-  w.kv("tid", tid);
-  w.kv("ts", static_cast<uint64_t>(0));
-  w.key("args");
-  w.begin_object();
-  w.kv("name", value);
-  w.end_object();
-  w.end_object();
-}
 
 void write_counter_samples(JsonWriter& w, const CounterSampler& s) {
   // The paper's three headline counters (Figures 3-5), one Perfetto
@@ -42,12 +28,7 @@ void write_counter_samples(JsonWriter& w, const CounterSampler& s) {
       const std::string track =
           std::string("cpu") + std::to_string(c) + " " + perfmon::name(e);
       for (const CounterWindow& win : s.windows()) {
-        w.begin_object();
-        w.kv("name", track);
-        w.kv("ph", "C");
-        w.kv("pid", 0);
-        w.kv("tid", 0);
-        w.kv("ts", win.begin);
+        begin_event(w, track, "C", 0, win.begin);
         w.key("args");
         w.begin_object();
         w.kv("value", win.delta.get(static_cast<CpuId>(c), e));
@@ -64,14 +45,10 @@ void write_event(JsonWriter& w, const TraceEvent& e,
   std::string label = name(e.kind);
   if (e.ann >= 0) label += " " + anns[e.ann].name;
 
-  w.begin_object();
-  w.kv("name", label);
-  w.kv("ph", span ? "X" : "i");
-  w.kv("pid", 0);
   // Core events land on their CPU's track; annotation-scoped events with
   // no CPU (episode spans, handoffs) on the annotation's own track.
-  w.kv("tid", e.cpu >= 0 ? e.cpu : ann_tid(e.ann));
-  w.kv("ts", e.ts);
+  const int tid = e.cpu >= 0 ? e.cpu : ann_tid(e.ann);
+  begin_event(w, label, span ? "X" : "i", tid, e.ts);
   if (span) {
     w.kv("dur", e.ts2 - e.ts);
   } else {
@@ -118,35 +95,27 @@ void Telemetry::finalize(Cycle end) {
 
 std::string chrome_trace_json(const Telemetry& t) {
   JsonWriter w;
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  w.key("otherData");
-  w.begin_object();
+  begin_trace(w);
   w.kv("clock", "simulated cycles (1 cycle = 1us trace time)");
   w.kv("dropped_events", t.recorder().dropped());
   w.kv("sample_window_cycles", t.sampler().window_cycles());
-  w.end_object();
-
-  w.key("traceEvents");
-  w.begin_array();
-  write_meta(w, "process_name", 0, "smt-sim");
+  begin_trace_events(w);
+  write_metadata(w, "process_name", 0, "smt-sim");
   for (int c = 0; c < kNumLogicalCpus; ++c) {
-    write_meta(w, "thread_name", c, "cpu" + std::to_string(c));
+    write_metadata(w, "thread_name", c, "cpu" + std::to_string(c));
   }
   const std::vector<Annotation>& anns = t.recorder().annotations();
   for (size_t i = 0; i < anns.size(); ++i) {
     const char* kind =
         anns[i].kind == Annotation::Kind::kBarrier ? "barrier " : "lock ";
-    write_meta(w, "thread_name", ann_tid(static_cast<int>(i)),
-               kind + anns[i].name);
+    write_metadata(w, "thread_name", ann_tid(static_cast<int>(i)),
+                   kind + anns[i].name);
   }
   for (const TraceEvent& e : t.recorder().events()) {
     write_event(w, e, anns);
   }
   write_counter_samples(w, t.sampler());
-  w.end_array();
-
-  w.end_object();
+  end_trace(w);
   return w.str();
 }
 

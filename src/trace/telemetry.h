@@ -87,7 +87,8 @@ class Telemetry {
 /// Serializes the telemetry as a Chrome trace-event JSON document: one
 /// track (tid) per logical CPU plus one per barrier/lock annotation,
 /// counter ("C") tracks for the headline per-window counters, and
-/// metadata naming every track. 1 simulated cycle is mapped to 1 us.
+/// metadata naming every track (format: trace/chrome_trace.h). 1
+/// simulated cycle is mapped to 1 us.
 std::string chrome_trace_json(const Telemetry& t);
 
 /// Writes chrome_trace_json() to `path`, creating missing parent

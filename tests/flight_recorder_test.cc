@@ -2,14 +2,17 @@
 // recorder attached must come back with a deterministic, parseable
 // smt-core-dump/1 document that names the actual failure (the wait-for
 // graph of a deadlock, the death cycle of a blown budget), healthy runs
-// must produce no dump, and attaching the recorder must never perturb a
-// measurement.
+// must produce no dump, attaching the recorder must never perturb a
+// measurement, and check_core_dump must accept real dumps and name each
+// violation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "common/json.h"
+#include "core/flight_recorder.h"
 #include "core/machine.h"
 #include "core/runner.h"
 #include "host/experiments.h"
@@ -117,6 +120,91 @@ TEST(FlightRecorder, BudgetExhaustionProducesDumpHealthyRunDoesNot) {
   const RunOutcome plain = run_experiment("selftest.deadlock", false);
   EXPECT_EQ(plain.status, RunStatus::kDeadlock);
   EXPECT_TRUE(plain.core_dump.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The dump's validator: real dumps pass, and each single mutation of one
+// yields exactly the finding check_reports --dumps prints for it.
+// ---------------------------------------------------------------------------
+
+TEST(FlightRecorder, DumpCheckNamesEachViolation) {
+  const RunOutcome budget = run_experiment("selftest.budget", true);
+  const auto budget_dump = parse_json(budget.core_dump);
+  ASSERT_TRUE(budget_dump.has_value());
+  EXPECT_EQ(check_core_dump(*budget_dump), std::nullopt);
+
+  const RunOutcome o = run_experiment("selftest.deadlock", true);
+  const auto base = parse_json(o.core_dump);
+  ASSERT_TRUE(base.has_value());
+  ASSERT_EQ(check_core_dump(*base), std::nullopt);
+  ASSERT_FALSE(base->find("cpus")->array[0].find("recent_retired")->array
+                   .empty());
+  ASSERT_FALSE(base->find("wait_for")->array.empty());
+
+  const auto cpu = [](JsonValue& d, int i) -> JsonValue& {
+    return d.object["cpus"].array[i];
+  };
+  const auto text = [](const char* s) {
+    JsonValue v;
+    v.type = JsonValue::Type::kString;
+    v.string = s;
+    return v;
+  };
+  const struct {
+    const char* what;
+    std::function<void(JsonValue&)> mutate;
+    std::string finding;
+  } cases[] = {
+      {"other schema",
+       [](JsonValue& d) { d.object["schema"].string = "smt-core-dump/2"; },
+       "missing/unknown schema"},
+      {"no schema", [](JsonValue& d) { d.object.erase("schema"); },
+       "missing/unknown schema"},
+      {"ok outcome",
+       [](JsonValue& d) { d.object["outcome"].string = "ok"; },
+       "missing/unknown outcome"},
+      {"no message", [](JsonValue& d) { d.object.erase("message"); },
+       "missing workload/message/cycle"},
+      {"string cycle",
+       [&](JsonValue& d) { d.object["cycle"] = text("12"); },
+       "missing workload/message/cycle"},
+      {"one cpu", [](JsonValue& d) { d.object["cpus"].array.pop_back(); },
+       "\"cpus\" is not a 2-entry array"},
+      {"cpu0 without mode",
+       [&](JsonValue& d) { cpu(d, 0).object.erase("mode"); },
+       "cpu0 entry malformed"},
+      {"cpu1 without snapshots",
+       [&](JsonValue& d) { cpu(d, 1).object.erase("snapshots"); },
+       "cpu1 entry malformed"},
+      {"cpu0 unknown wait kind",
+       [&](JsonValue& d) {
+         cpu(d, 0).object["wait"].object["kind"].string = "sleep";
+       },
+       "cpu0 wait.kind malformed"},
+      {"cpu0 retired entry without disasm",
+       [&](JsonValue& d) {
+         cpu(d, 0).object["recent_retired"].array[0].object.erase("disasm");
+       },
+       "cpu0 recent_retired entry malformed"},
+      {"cpu0 retirement after death",
+       [&](JsonValue& d) {
+         cpu(d, 0).object["recent_retired"].array.back().object["cycle"]
+             .number = d.object["cycle"].number + 1;
+       },
+       "cpu0 recent_retired cycles not monotonic within the run"},
+      {"no sync_words", [](JsonValue& d) { d.object.erase("sync_words"); },
+       "missing sync_words/wait_for arrays"},
+      {"edge without why",
+       [](JsonValue& d) {
+         d.object["wait_for"].array[0].object.erase("why");
+       },
+       "malformed wait_for edge"},
+  };
+  for (const auto& c : cases) {
+    JsonValue d = *base;
+    c.mutate(d);
+    EXPECT_EQ(check_core_dump(d), c.finding) << c.what;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// Tests for the host-parallel job pool, the result store, the sweep index
-// and the sweep experiment registry.
+// Tests for the host-parallel job pool, the result store, the sweep index,
+// the sweep experiment registry and its lint report.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -682,6 +683,92 @@ TEST(Experiments, ExperimentRunsAreDeterministic) {
     j = core::RunReport::from(o.stats).to_json();
   }
   EXPECT_EQ(json[0], json[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Lint report
+// ---------------------------------------------------------------------------
+
+// smt_lint's registry output: the report accepts it, and each single
+// mutation of it yields exactly the findings check_reports prints.
+TEST(LintReport, CheckNamesEachViolation) {
+  std::vector<ExperimentLint> lints;
+  for (const ExperimentDef& def : experiments()) {
+    lints.push_back({def.name, lint_workload(*def.make())});
+  }
+  const LintTotals t = lint_totals(lints);
+  EXPECT_EQ(t.experiments, static_cast<int>(experiments().size()));
+  EXPECT_EQ(t.errors, 0u);
+  std::optional<JsonValue> base = parse_json(lint_report_json(lints));
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(check_lint_report(*base), std::vector<std::string>{});
+
+  // One more warning, so the rows below have a diagnostic to break.
+  JsonValue& exp0 = base->object["experiments"].array[0];
+  ASSERT_FALSE(exp0.object["programs"].array.empty());
+  exp0.object["programs"].array[0].object["diagnostics"].array.push_back(
+      *parse_json(R"({"check":"unreachable","severity":"warning",)"
+                  R"("pc":3,"block":1,"message":"m"})"));
+  base->object["totals"].object["warnings"].number += 1;
+  ASSERT_EQ(check_lint_report(*base), std::vector<std::string>{});
+
+  const auto diag = [](JsonValue& r) -> JsonValue& {
+    return r.object["experiments"].array[0].object["programs"].array[0]
+        .object["diagnostics"].array.back();
+  };
+  const auto totals = [](JsonValue& r) -> JsonValue& {
+    return r.object["totals"];
+  };
+  const std::string warnings = std::to_string(t.warnings + 1);
+  const struct {
+    const char* what;
+    std::function<void(JsonValue&)> mutate;
+    std::vector<std::string> findings;
+  } cases[] = {
+      {"other schema",
+       [](JsonValue& r) { r.object["schema"].string = "smt-lint-report/2"; },
+       {"missing/unknown schema"}},
+      {"no totals", [](JsonValue& r) { r.object.erase("totals"); },
+       {"missing experiments/totals"}},
+      {"experiment without name",
+       [](JsonValue& r) {
+         r.object["experiments"].array[0].object.erase("name");
+       },
+       {"malformed experiment entry"}},
+      {"program without diagnostics",
+       [](JsonValue& r) {
+         r.object["experiments"].array[0].object["programs"].array[0]
+             .object.erase("diagnostics");
+       },
+       {"malformed program entry"}},
+      {"diagnostic without pc",
+       [&](JsonValue& r) { diag(r).object.erase("pc"); },
+       {"malformed diagnostic entry"}},
+      {"unknown severity",
+       [&](JsonValue& r) { diag(r).object["severity"].string = "note"; },
+       {"unknown severity \"note\""}},
+      {"warning recounted as an error",
+       [&](JsonValue& r) { diag(r).object["severity"].string = "error"; },
+       {"totals.errors is 0, recount says 1",
+        "totals.warnings is " + warnings + ", recount says " +
+            std::to_string(t.warnings)}},
+      {"two wrong totals",
+       [&](JsonValue& r) {
+         totals(r).object["errors"].number = 2;
+         totals(r).object["programs"].number = 0;
+       },
+       {"totals.errors is 2, recount says 0",
+        "totals.programs is 0, recount says " + std::to_string(t.programs)}},
+      {"no experiments total",
+       [&](JsonValue& r) { totals(r).object.erase("experiments"); },
+       {"totals.experiments is -1, recount says " +
+        std::to_string(t.experiments)}},
+  };
+  for (const auto& c : cases) {
+    JsonValue r = *base;
+    c.mutate(r);
+    EXPECT_EQ(check_lint_report(r), c.findings) << c.what;
+  }
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // Tests for the host metrics registry: bucket-boundary placement,
-// snapshot-vs-live consistency, JSON emission, and multi-threaded update
-// safety (the last is what the CI tsan build of this binary exercises).
+// snapshot-vs-live consistency, JSON emission, multi-threaded update
+// safety (what the CI tsan build of this binary exercises), and the
+// sweep-metrics document's cross-check against its sweep index.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "host/job_pool.h"
 #include "host/metrics.h"
+#include "host/sweep_index.h"
 
 namespace smt::host {
 namespace {
@@ -189,6 +193,128 @@ TEST(MetricsRegistry, ConcurrentUpdatesFromManyThreadsSumExactly) {
   uint64_t total = 0;
   for (const uint64_t n : h.bucket_counts()) total += n;
   EXPECT_EQ(total, h.count());
+}
+
+// A real pool run (two ok jobs and one structured failure on two
+// workers) gives a registry and an index that agree; each single
+// mutation of either side yields exactly the findings check_reports
+// prints.
+TEST(SweepMetrics, CheckNamesEachMismatch) {
+  MetricsRegistry reg;
+  for (const char* c : {"cache.lookups", "cache.hits", "cache.misses",
+                        "cache.stores", "cache.verified",
+                        "cache.verify_failed"}) {
+    reg.counter(c);  // smt_sweep registers these up front, all-zero
+  }
+  std::vector<Job> jobs(3);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].name = "j" + std::to_string(i);
+    jobs[i].fn = [i](const CancelToken&, int, std::string* message) {
+      if (i < 2) return JobStatus::kOk;
+      *message = "deadlock";
+      return JobStatus::kFailed;
+    };
+  }
+  JobPoolConfig cfg;
+  cfg.workers = 2;
+  cfg.metrics = &reg;
+  const std::vector<JobResult> results = run_jobs(cfg, jobs);
+  SweepIndex index;
+  index.workers = cfg.workers;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    IndexEntry e;
+    e.name = jobs[i].name;
+    e.outcome = results[i].status == JobStatus::kOk ? "ok" : "deadlock";
+    e.attempts = results[i].attempts;
+    index.jobs.push_back(e);
+  }
+  const auto base = parse_json(sweep_metrics_json(reg, index, {}));
+  ASSERT_TRUE(base.has_value());
+  ASSERT_EQ(check_sweep_metrics(*base, index), std::vector<std::string>{});
+
+  const auto counter = [](JsonValue& m, const char* name) -> double& {
+    return m.object["counters"].object[name].number;
+  };
+  const auto wall_us = static_cast<uint64_t>(
+      base->find("counters")->find("pool.wall_us")->number);
+  const auto busy0 = static_cast<uint64_t>(
+      base->find("workers")->array[0].find("busy_us")->number);
+  const std::string late = std::to_string(wall_us + 10);
+  const struct {
+    const char* what;
+    std::function<void(JsonValue&)> mutate;
+    std::vector<std::string> findings;
+  } cases[] = {
+      {"other schema",
+       [](JsonValue& m) { m.object["schema"].string = "smt-sweep-metrics/2"; },
+       {"missing/unknown schema"}},
+      {"no workers section", [](JsonValue& m) { m.object.erase("workers"); },
+       {"missing sweep/counters/gauges/histograms/workers"}},
+      {"wrong total",
+       [](JsonValue& m) { m.object["sweep"].object["total"].number = 7; },
+       {"sweep.total is 7, expected 3"}},
+      {"lost ok job", [&](JsonValue& m) { counter(m, "pool.jobs_ok") = 0; },
+       {"pool.jobs_ok is 0, expected 2"}},
+      {"extra attempt",
+       [&](JsonValue& m) { counter(m, "pool.attempts") = 4; },
+       {"pool.attempts is 4, expected 3",
+        "pool.attempts - pool.jobs_retried is 4, expected 3"}},
+      {"lookup without reuse",
+       [&](JsonValue& m) { counter(m, "cache.lookups") = 1; },
+       {"cache.lookups is 1, expected 0",
+        "cache.hits + cache.misses + cache.verify_failed is 0, expected 1"}},
+      {"store without miss",
+       [&](JsonValue& m) { counter(m, "cache.stores") = 1; },
+       {"cache.stores 1 exceeds cache.misses 0"}},
+      {"no attempt histogram",
+       [](JsonValue& m) {
+         m.object["histograms"].object.erase("pool.attempt_wall_ms");
+       },
+       {"missing pool.attempt_wall_ms histogram"}},
+      {"histogram without buckets",
+       [](JsonValue& m) {
+         m.object["histograms"].object["pool.attempt_wall_ms"].object.erase(
+             "buckets");
+       },
+       {"histogram missing buckets"}},
+      {"no queue-depth gauge",
+       [](JsonValue& m) {
+         m.object["gauges"].object.erase("pool.queue_depth");
+       },
+       {"missing queue_depth/workers_busy gauges"}},
+      {"busier than requested",
+       [](JsonValue& m) {
+         m.object["gauges"].object["pool.workers_busy"].object["max"].number =
+             5;
+       },
+       {"workers_busy.max 5 outside [1, 2]"}},
+      {"worker entry without busy_us",
+       [](JsonValue& m) {
+         m.object["workers"].array[0].object.erase("busy_us");
+       },
+       {"malformed workers[] entry"}},
+      {"worker busy past the wall clock",
+       [&](JsonValue& m) {
+         m.object["workers"].array[0].object["busy_us"].number =
+             static_cast<double>(wall_us + 10);
+       },
+       {"pool.worker0.busy_us is " + std::to_string(busy0) + ", expected " +
+            late,
+        "worker0 busy_us " + late + " exceeds wall_us " +
+            std::to_string(wall_us)}},
+  };
+  for (const auto& c : cases) {
+    JsonValue m = *base;
+    c.mutate(m);
+    EXPECT_EQ(check_sweep_metrics(m, index), c.findings) << c.what;
+  }
+
+  // The index side: a job the index calls cached that the cache counters
+  // never saw.
+  SweepIndex cached = index;
+  cached.jobs[0].cached = true;
+  EXPECT_EQ(check_sweep_metrics(*base, cached),
+            std::vector<std::string>{"cache.hits is 0, expected 1"});
 }
 
 }  // namespace

@@ -355,6 +355,9 @@ TEST(ReportCheck, EachPerturbedInvariantIsNamed) {
          set_number(ports, "fp", cycles + 1);
        },
        {"cpu0 self port fp", "exceeds"}},
+      {"cycles not a number",
+       [](JsonValue& r) { member(r, "cycles") = JsonValue{}; },
+       {"\"cycles\" is not a number"}},
       {"another document's schema",
        [](JsonValue& r) { member(r, "schema").string = "smt-core-dump/1"; },
        {"schema"}},

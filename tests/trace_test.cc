@@ -1,9 +1,11 @@
 // Tests for the time-resolved telemetry subsystem: the windowed counter
 // sampler, the cycle-stamped event recorder, and the two hard guarantees
 // — tracing never perturbs a measurement, and window deltas are exact
-// under event-skip fast-forward.
+// under event-skip fast-forward — plus the Chrome trace format's emitter
+// and validator, over both of its writers.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,9 +14,11 @@
 #include "core/report_check.h"
 #include "core/run_report.h"
 #include "core/runner.h"
+#include "host/sweep_trace.h"
 #include "kernels/matmul.h"
 #include "perfmon/counters.h"
 #include "perfmon/events.h"
+#include "trace/chrome_trace.h"
 #include "trace/recorder.h"
 #include "trace/sampler.h"
 #include "trace/telemetry.h"
@@ -382,31 +386,12 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   ASSERT_NE(stats.telemetry, nullptr);
   const auto doc = parse_json(trace::chrome_trace_json(*stats.telemetry));
   ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->is_object());
-  const JsonValue* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_FALSE(events->array.empty());
+  ASSERT_EQ(trace::check_chrome_trace(*doc), std::nullopt);
 
   bool saw_meta = false, saw_halt = false, saw_episode = false;
-  for (const JsonValue& e : events->array) {
-    ASSERT_TRUE(e.is_object());
+  for (const JsonValue& e : doc->find("traceEvents")->array) {
     const JsonValue* ph = e.find("ph");
     const JsonValue* name = e.find("name");
-    ASSERT_NE(ph, nullptr);
-    ASSERT_TRUE(ph->is_string());
-    ASSERT_NE(name, nullptr);
-    for (const char* key : {"pid", "tid", "ts"}) {
-      if (ph->string == "M") break;  // metadata carries no ts
-      const JsonValue* v = e.find(key);
-      ASSERT_NE(v, nullptr) << key;
-      ASSERT_TRUE(v->is_number()) << key;
-    }
-    if (ph->string == "X") {
-      const JsonValue* dur = e.find("dur");
-      ASSERT_NE(dur, nullptr);
-      EXPECT_GE(dur->number, 0.0);
-    }
     if (ph->string == "M") saw_meta = true;
     if (name->string == "halt") saw_halt = true;
     // Annotated events carry the annotation's name: "barrier_episode <bar>".
@@ -415,6 +400,78 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   EXPECT_TRUE(saw_meta);
   EXPECT_TRUE(saw_halt);
   EXPECT_TRUE(saw_episode);
+}
+
+TEST(ChromeTrace, MetadataEventBytes) {
+  JsonWriter w;
+  trace::write_metadata(w, "thread_name", 1, "cpu1");
+  EXPECT_EQ(w.str(),
+            R"({"name":"thread_name","ph":"M","pid":0,"tid":1,"ts":0,)"
+            R"("args":{"name":"cpu1"}})");
+}
+
+// Both writers' documents pass the one trace validator, and each single
+// mutation of either yields exactly the finding check_reports prints.
+TEST(ChromeTrace, CheckNamesEachViolationInBothWriters) {
+  const RunStats stats = run_spr_matmul(true, true, true);
+  ASSERT_NE(stats.telemetry, nullptr);
+  std::vector<host::AttemptEvent> attempts(3);
+  attempts[0] = {0, 0, 0, host::JobStatus::kOk, false, 0.0, 2.5};
+  attempts[1] = {1, 1, 0, host::JobStatus::kTimeout, true, 0.5, 4.0};
+  attempts[2] = {1, 1, 1, host::JobStatus::kFailed, false, 4.0, 6.0};
+  const std::string docs[] = {
+      trace::chrome_trace_json(*stats.telemetry),
+      host::sweep_trace_json(attempts, {"mm.serial.n64", "bt.serial"}, 2)};
+
+  const auto events = [](JsonValue& d) -> std::vector<JsonValue>& {
+    return d.object["traceEvents"].array;
+  };
+  // The first complete ("X") event of the document.
+  const auto span = [&](JsonValue& d) -> JsonValue& {
+    for (JsonValue& e : events(d)) {
+      if (e.find("ph")->string == "X") return e;
+    }
+    ADD_FAILURE() << "no complete event";
+    return d;
+  };
+  const struct {
+    const char* what;
+    std::function<void(JsonValue&)> mutate;
+    std::string finding;
+  } cases[] = {
+      {"no events array",
+       [](JsonValue& d) { d.object.erase("traceEvents"); },
+       "missing/empty traceEvents array"},
+      {"empty events array", [&](JsonValue& d) { events(d).clear(); },
+       "missing/empty traceEvents array"},
+      {"event not an object",
+       [&](JsonValue& d) { events(d)[0] = JsonValue{}; },
+       "malformed trace event"},
+      {"two-letter phase",
+       [&](JsonValue& d) { events(d)[0].object["ph"].string = "XX"; },
+       "malformed trace event"},
+      {"metadata without ts",
+       [&](JsonValue& d) { events(d)[0].object.erase("ts"); },
+       "malformed trace event"},
+      {"span without tid",
+       [&](JsonValue& d) { span(d).object.erase("tid"); },
+       "malformed trace event"},
+      {"span without dur", [&](JsonValue& d) { span(d).object.erase("dur"); },
+       "complete event without dur"},
+      {"span with negative dur",
+       [&](JsonValue& d) { span(d).object["dur"].number = -1; },
+       "complete event without dur"},
+  };
+  for (const std::string& text : docs) {
+    const auto base = parse_json(text);
+    ASSERT_TRUE(base.has_value());
+    ASSERT_EQ(trace::check_chrome_trace(*base), std::nullopt);
+    for (const auto& c : cases) {
+      JsonValue d = *base;
+      c.mutate(d);
+      EXPECT_EQ(trace::check_chrome_trace(d), c.finding) << c.what;
+    }
+  }
 }
 
 TEST(Telemetry, TracedReportCarriesTimeseriesSection) {

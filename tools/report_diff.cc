@@ -15,7 +15,8 @@
 // (default 0 — any change) and the relative tolerance against
 // max(|a|,|b|) (default 0.02 = 2%). Every regression is printed; the exit
 // code is the gate: 0 = within tolerance, 1 = regression(s) or a file
-// that is not a run report, 2 = usage error, 3 = unreadable input. This
+// that core::check_run_report rejects (the finding names the file),
+// 2 = usage error, 3 = unreadable input. This
 // is the seed of a bench-trajectory gate: diff a fresh
 // SMT_BENCH_REPORT_DIR artifact against a checked-in baseline (the
 // cross-run generalization lives in smt_history).
@@ -29,8 +30,8 @@
 
 #include "common/io.h"
 #include "common/json.h"
-#include "common/log.h"
 #include "common/types.h"
+#include "core/report_check.h"
 #include "perfmon/events.h"
 
 namespace {
@@ -55,24 +56,6 @@ struct Gate {
   }
 };
 
-// Loads one report; on failure sets *fail_rc to 3 (unreadable) or 1 (not
-// a run report) so main can exit with the right class.
-std::optional<JsonValue> load(const char* path, int* fail_rc) {
-  const std::optional<std::string> text = smt::read_text_file(path);
-  if (!text.has_value()) {
-    smt::log::error("cannot read", {{"path", path}});
-    *fail_rc = 3;
-    return std::nullopt;
-  }
-  auto v = smt::parse_json(*text);
-  if (!v.has_value() || !v->is_object() || v->find("schema") == nullptr) {
-    smt::log::error("not a run report", {{"path", path}});
-    *fail_rc = 1;
-    return std::nullopt;
-  }
-  return v;
-}
-
 // Per-(cpu,pc) hotspot triple used for the profile comparison.
 struct HotspotRow {
   double uops = 0;
@@ -80,16 +63,12 @@ struct HotspotRow {
   double l2_misses = 0;
 };
 
+// `report` carries a (validated) profile section.
 std::map<std::string, HotspotRow> hotspot_rows(const JsonValue& report) {
   std::map<std::string, HotspotRow> rows;
-  const JsonValue* prof = report.find("profile");
-  const JsonValue* hotspots =
-      prof != nullptr ? prof->find("hotspots") : nullptr;
-  if (hotspots == nullptr || !hotspots->is_array()) return rows;
-  for (size_t c = 0; c < hotspots->array.size(); ++c) {
-    const JsonValue* pcs = hotspots->array[c].find("pcs");
-    if (pcs == nullptr || !pcs->is_array()) continue;
-    for (const JsonValue& e : pcs->array) {
+  const JsonValue& hotspots = *report.find("profile")->find("hotspots");
+  for (size_t c = 0; c < hotspots.array.size(); ++c) {
+    for (const JsonValue& e : hotspots.array[c].find("pcs")->array) {
       char key[64];
       std::snprintf(key, sizeof key, "cpu%zu.pc%04llu", c,
                     static_cast<unsigned long long>(number_or(e, "pc", 0)));
@@ -133,53 +112,50 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  int fail_rc = 0;
-  const auto a = load(pa, &fail_rc);
-  const auto b = load(pb, &fail_rc);
-  if (!a.has_value() || !b.has_value()) return fail_rc;
+  // Both inputs are validated first, so everything below may rely on the
+  // shape check_run_report vouches for.
+  bool a_unreadable = false, b_unreadable = false;
+  const auto a = smt::read_valid_json(pa, "not a valid run report",
+                                      smt::core::check_run_report,
+                                      &a_unreadable);
+  const auto b = smt::read_valid_json(pb, "not a valid run report",
+                                      smt::core::check_run_report,
+                                      &b_unreadable);
+  if (!a.has_value() || !b.has_value()) {
+    return a_unreadable || b_unreadable ? 3 : 1;
+  }
 
   gate.compare("cycles", number_or(*a, "cycles", 0.0),
                number_or(*b, "cycles", 0.0));
 
-  // Per-CPU counters and cycle-accounting breakdown.
-  const JsonValue* acpus = a->find("cpus");
-  const JsonValue* bcpus = b->find("cpus");
-  if (acpus != nullptr && bcpus != nullptr && acpus->is_array() &&
-      bcpus->is_array() && acpus->array.size() == bcpus->array.size()) {
-    for (size_t i = 0; i < acpus->array.size(); ++i) {
-      const JsonValue* ae = acpus->array[i].find("events");
-      const JsonValue* be = bcpus->array[i].find("events");
-      if (ae == nullptr || be == nullptr) continue;
-      for (int e = 0; e < smt::perfmon::kNumEventValues; ++e) {
-        const char* name =
-            smt::perfmon::name(static_cast<smt::perfmon::Event>(e));
-        char label[80];
-        std::snprintf(label, sizeof label, "cpu%zu.events.%s", i, name);
-        gate.compare(label, number_or(*ae, name, 0.0),
-                     number_or(*be, name, 0.0));
-      }
-      const JsonValue* ab = acpus->array[i].find("breakdown");
-      const JsonValue* bb = bcpus->array[i].find("breakdown");
-      if (ab == nullptr || bb == nullptr || !ab->is_object()) continue;
-      for (const auto& [key, av] : ab->object) {
-        if (!av.is_number()) continue;
-        char label[80];
-        std::snprintf(label, sizeof label, "cpu%zu.breakdown.%s", i,
-                      key.c_str());
-        gate.compare(label, av.number, number_or(*bb, key, 0.0));
-      }
+  // Per-CPU counters and cycle-accounting breakdown: both reports carry
+  // one cpus entry per logical CPU, each with every event counter.
+  const JsonValue& acpus = *a->find("cpus");
+  const JsonValue& bcpus = *b->find("cpus");
+  for (size_t i = 0; i < acpus.array.size(); ++i) {
+    const JsonValue& ae = *acpus.array[i].find("events");
+    const JsonValue& be = *bcpus.array[i].find("events");
+    for (int e = 0; e < smt::perfmon::kNumEventValues; ++e) {
+      const char* name =
+          smt::perfmon::name(static_cast<smt::perfmon::Event>(e));
+      char label[80];
+      std::snprintf(label, sizeof label, "cpu%zu.events.%s", i, name);
+      gate.compare(label, number_or(ae, name, 0.0), number_or(be, name, 0.0));
     }
-  } else {
-    smt::log::warn("cpus sections not comparable", {{"a", pa}, {"b", pb}});
+    const JsonValue& bb = *bcpus.array[i].find("breakdown");
+    for (const auto& [key, av] : acpus.array[i].find("breakdown")->object) {
+      if (!av.is_number()) continue;
+      char label[80];
+      std::snprintf(label, sizeof label, "cpu%zu.breakdown.%s", i,
+                    key.c_str());
+      gate.compare(label, av.number, number_or(bb, key, 0.0));
+    }
   }
 
-  const JsonValue* at = a->find("totals");
-  const JsonValue* bt = b->find("totals");
-  if (at != nullptr && bt != nullptr && at->is_object()) {
-    for (const auto& [key, av] : at->object) {
-      if (av.is_number()) {
-        gate.compare("totals." + key, av.number, number_or(*bt, key, 0.0));
-      }
+  const JsonValue& bt = *b->find("totals");
+  for (const auto& [key, av] : a->find("totals")->object) {
+    if (av.is_number()) {
+      gate.compare("totals." + key, av.number, number_or(bt, key, 0.0));
     }
   }
 
@@ -213,16 +189,13 @@ int main(int argc, char** argv) {
   // the L2 sibling-eviction count.
   const JsonValue* ai = a->find("interference");
   const JsonValue* bi = b->find("interference");
-  if (ai != nullptr && bi != nullptr && ai->is_array() && bi->is_array() &&
-      ai->array.size() == bi->array.size()) {
+  if (ai != nullptr && bi != nullptr) {
     for (size_t i = 0; i < ai->array.size(); ++i) {
       const JsonValue& ac = ai->array[i];
       const JsonValue& bc = bi->array[i];
       for (const char* side : {"self", "sibling"}) {
-        const JsonValue* am = ac.find(side);
         const JsonValue* bm = bc.find(side);
-        if (am == nullptr || !am->is_object()) continue;
-        for (const auto& [reason, av] : am->object) {
+        for (const auto& [reason, av] : ac.find(side)->object) {
           if (!av.is_number()) continue;
           char label[96];
           std::snprintf(label, sizeof label, "cpu%zu.interference.%s.%s", i,
@@ -230,21 +203,16 @@ int main(int argc, char** argv) {
           gate.compare(label, av.number, number_or(bm, reason, 0.0));
         }
       }
-      const JsonValue* apc = ac.find("port_conflict");
       const JsonValue* bpc = bc.find("port_conflict");
-      if (apc != nullptr && apc->is_object()) {
-        for (const auto& [side, am] : apc->object) {
-          if (!am.is_object()) continue;
-          const JsonValue* bm =
-              bpc != nullptr ? bpc->find(side) : nullptr;
-          for (const auto& [port, av] : am.object) {
-            if (!av.is_number()) continue;
-            char label[96];
-            std::snprintf(label, sizeof label,
-                          "cpu%zu.interference.port_conflict.%s.%s", i,
-                          side.c_str(), port.c_str());
-            gate.compare(label, av.number, number_or(bm, port, 0.0));
-          }
+      for (const auto& [side, am] : ac.find("port_conflict")->object) {
+        const JsonValue* bm = bpc->find(side);
+        for (const auto& [port, av] : am.object) {
+          if (!av.is_number()) continue;
+          char label[96];
+          std::snprintf(label, sizeof label,
+                        "cpu%zu.interference.port_conflict.%s.%s", i,
+                        side.c_str(), port.c_str());
+          gate.compare(label, av.number, number_or(bm, port, 0.0));
         }
       }
       char label[96];

@@ -94,23 +94,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::optional<std::string> text = smt::read_text_file(path);
-  if (!text.has_value()) {
-    smt::log::error("cannot read", {{"path", path}});
-    return 3;
-  }
-  const auto v = smt::parse_json(*text);
-  if (!v.has_value()) {
-    smt::log::error("does not parse as JSON", {{"path", path}});
-    return 1;
-  }
-  if (const auto finding = smt::core::check_run_report(*v)) {
-    smt::log::error("not a valid run report",
-                    {{"path", path}, {"finding", *finding}});
-    return 1;
-  }
-  // check_run_report vouches for the section's shape: per-CPU hotspots
-  // (each with a pcs array) and occupancy arrays, and positive caps.
+  bool unreadable = false;
+  const auto v = smt::read_valid_json(path, "not a valid run report",
+                                      smt::core::check_run_report,
+                                      &unreadable);
+  if (!v.has_value()) return unreadable ? 3 : 1;
+  // check_run_report vouches for the workload name and for the section's
+  // shape: per-CPU hotspots (each with a pcs array) and occupancy
+  // arrays, and positive caps.
   const JsonValue* prof = v->find("profile");
   if (prof == nullptr) {
     smt::log::error(
@@ -122,21 +113,19 @@ int main(int argc, char** argv) {
   const JsonValue* occupancy = prof->find("port_occupancy");
   const JsonValue* caps = prof->find("port_caps_per_cycle");
   const double cycles = number_or(*v, "cycles", 0.0);
-  const JsonValue* workload = v->find("workload");
-  std::printf("annotated profile: %s  (%.0f cycles)\n",
-              workload != nullptr ? workload->string.c_str() : "?", cycles);
+  const std::string& workload = v->find("workload")->string;
+  std::printf("annotated profile: %s  (%.0f cycles)\n", workload.c_str(),
+              cycles);
 
   // --predict: rebuild the report's workload and compute the static CPI
   // lower bound for each logical CPU's program.
   std::vector<smt::analysis::StaticPerf> predictions;
   if (predict) {
     const smt::host::ExperimentDef* def =
-        workload != nullptr ? smt::host::find_experiment(workload->string)
-                            : nullptr;
+        smt::host::find_experiment(workload);
     if (def == nullptr) {
       smt::log::warn("--predict: workload not in the experiment registry",
-                     {{"workload",
-                       workload != nullptr ? workload->string : "?"}});
+                     {{"workload", workload}});
     } else {
       const std::unique_ptr<smt::core::Workload> wl = def->make();
       smt::core::Machine m;

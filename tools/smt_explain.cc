@@ -14,8 +14,14 @@
 // the top sibling-blamed stall resources per CPU and what machine
 // parameter each one implicates.
 //
+// Both inputs are validated before anything is printed: the dump through
+// core::check_core_dump (src/core/flight_recorder.h), the report through
+// core::check_run_report (src/core/report_check.h); the rendering below
+// relies on the shape they vouch for.
+//
 // Exit status: 0 when a diagnosis was printed; 1 when an input is not a
-// valid dump/report; 2 on usage errors; 3 when a file cannot be read.
+// valid dump/report (the finding is logged); 2 on usage errors; 3 when a
+// file cannot be read.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -27,7 +33,8 @@
 
 #include "common/io.h"
 #include "common/json.h"
-#include "common/log.h"
+#include "core/flight_recorder.h"
+#include "core/report_check.h"
 
 namespace {
 
@@ -36,22 +43,6 @@ using smt::JsonValue;
 constexpr int kExitBadInput = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
-
-std::optional<JsonValue> load_json(const char* path, int* fail_rc) {
-  const std::optional<std::string> text = smt::read_text_file(path);
-  if (!text.has_value()) {
-    smt::log::error("cannot read", {{"path", path}});
-    *fail_rc = kExitIo;
-    return std::nullopt;
-  }
-  auto v = smt::parse_json(*text);
-  if (!v.has_value() || !v->is_object()) {
-    smt::log::error("not a JSON object", {{"path", path}});
-    *fail_rc = kExitBadInput;
-    return std::nullopt;
-  }
-  return v;
-}
 
 /// What a sibling-blamed stall resource implicates: the machine parameter
 /// (or structural hazard) a user would tune to relieve it.
@@ -96,7 +87,7 @@ void print_cpu(const JsonValue& c) {
                            : "no";
               }());
   const JsonValue* recent = c.find("recent_retired");
-  if (recent != nullptr && recent->is_array() && !recent->array.empty()) {
+  if (!recent->array.empty()) {
     const JsonValue& last = recent->array.back();
     std::printf("      last retired: cycle %" PRIu64 " pc=%" PRIu64 " `%s` "
                 "(%zu in ring)\n",
@@ -114,9 +105,7 @@ void print_cpu(const JsonValue& c) {
 std::vector<std::pair<std::string, double>> sibling_blame(
     const JsonValue& entry) {
   std::vector<std::pair<std::string, double>> top;
-  const JsonValue* sib = entry.find("sibling");
-  if (sib == nullptr || !sib->is_object()) return top;
-  for (const auto& [reason, v] : sib->object) {
+  for (const auto& [reason, v] : entry.find("sibling")->object) {
     if (v.is_number() && v.number > 0) top.emplace_back(reason, v.number);
   }
   std::sort(top.begin(), top.end(),
@@ -141,13 +130,16 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  int fail_rc = 0;
-  const auto dump = load_json(dump_path, &fail_rc);
-  if (!dump.has_value()) return fail_rc;
-  if (string_or(*dump, "schema", "") != "smt-core-dump/1") {
-    smt::log::error("not an smt-core-dump/1 document",
-                    {{"path", dump_path}});
-    return kExitBadInput;
+  bool unreadable = false;
+  const auto dump = smt::read_valid_json(dump_path, "not a valid core dump",
+                                         smt::core::check_core_dump,
+                                         &unreadable);
+  if (!dump.has_value()) return unreadable ? kExitIo : kExitBadInput;
+  std::optional<JsonValue> report;
+  if (report_path != nullptr) {
+    report = smt::read_valid_json(report_path, "not a valid run report",
+                                  smt::core::check_run_report, &unreadable);
+    if (!report.has_value()) return unreadable ? kExitIo : kExitBadInput;
   }
 
   const std::string outcome = string_or(*dump, "outcome", "?");
@@ -159,14 +151,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   const JsonValue* cpus = dump->find("cpus");
-  if (cpus == nullptr || !cpus->is_array()) {
-    smt::log::error("dump has no cpus array", {{"path", dump_path}});
-    return kExitBadInput;
-  }
   for (const JsonValue& c : cpus->array) print_cpu(c);
 
   const JsonValue* sync = dump->find("sync_words");
-  if (sync != nullptr && sync->is_array() && !sync->array.empty()) {
+  if (!sync->array.empty()) {
     std::printf("\nsync words at death:\n");
     for (const JsonValue& s : sync->array) {
       std::printf("  %s[0x%" PRIx64 "] = %" PRIu64 "\n",
@@ -180,7 +168,7 @@ int main(int argc, char** argv) {
   const JsonValue* wf = dump->find("wait_for");
   size_t waiting = 0;
   std::printf("\nwait-for graph:\n");
-  if (wf != nullptr && wf->is_array() && !wf->array.empty()) {
+  if (!wf->array.empty()) {
     waiting = wf->array.size();
     for (const JsonValue& e : wf->array) {
       const int from = static_cast<int>(number_or(e, "from", -1));
@@ -240,11 +228,9 @@ int main(int argc, char** argv) {
   }
 
   // Optional companion report: sibling-blamed interference ranking.
-  if (report_path != nullptr) {
-    const auto report = load_json(report_path, &fail_rc);
-    if (!report.has_value()) return fail_rc;
+  if (report.has_value()) {
     const JsonValue* inter = report->find("interference");
-    if (inter == nullptr || !inter->is_array()) {
+    if (inter == nullptr) {
       std::printf(
           "\nnote: the sibling-blame ranking needs an `interference` "
           "section; %s has none (run with SMT_BENCH_INTERFERENCE=1)\n",

@@ -9,8 +9,8 @@
 //
 // `ingest` reads a sweep's artifacts (`<dir>/sweep_index.json`, read
 // through host::parse_sweep_index — format in src/host/sweep_index.h —
-// plus every ok job's run report) and appends one run
-// per job to `<history>/BENCH_<experiment>.json` (schema
+// plus every ok job's run report, validated by core::check_run_report)
+// and appends one run per job to `<history>/BENCH_<experiment>.json` (schema
 // smt-bench-history/1). Trajectories are content-addressed: runs are
 // keyed by (experiment name, config hash, report schema), where the
 // config hash is the FNV-1a digest of the report's canonicalized
@@ -39,7 +39,8 @@
 // their key are reported as new, not failed.
 //
 // Exit status: 0 ok; 1 regression(s) (check only); 2 usage error;
-// 3 I/O or parse error.
+// 3 I/O or parse error (a malformed index or report is logged with its
+// finding).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -56,6 +57,7 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/stats.h"
+#include "core/report_check.h"
 #include "host/sweep_index.h"
 
 namespace fs = std::filesystem;
@@ -127,15 +129,11 @@ struct SweepRun {
 };
 
 std::optional<JsonValue> load_json(const fs::path& path) {
-  const std::optional<std::string> text = smt::read_text_file(path);
-  if (!text.has_value()) {
-    smt::log::error("cannot read", {{"path", path.string()}});
-    return std::nullopt;
-  }
-  auto v = smt::parse_json(*text);
-  if (!v.has_value()) {
-    smt::log::error("does not parse as JSON", {{"path", path.string()}});
-    return std::nullopt;
+  bool unreadable = false;
+  std::optional<JsonValue> v = smt::read_json_object(path, &unreadable);
+  if (!v.has_value() && !unreadable) {
+    smt::log::error("does not parse as a JSON object",
+                    {{"path", path.string()}});
   }
   return v;
 }
@@ -157,7 +155,7 @@ std::optional<History> load_history(const Options& opt,
   if (!fs::exists(path, ec)) return h;
 
   const auto v = load_json(path);
-  if (!v.has_value() || !v->is_object()) return std::nullopt;
+  if (!v.has_value()) return std::nullopt;
   const JsonValue* schema = v->find("schema");
   const JsonValue* exp = v->find("experiment");
   const JsonValue* trajs = v->find("trajectories");
@@ -296,29 +294,20 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
   for (const smt::host::IndexEntry& job : index.jobs) {
     if (!job.ok()) continue;  // partial numbers never ingest
 
-    const fs::path report_path = fs::path(dir) / job.report;
-    const auto rv = load_json(report_path);
-    if (!rv.has_value() || !rv->is_object()) return std::nullopt;
-    const JsonValue* rschema = rv->find("schema");
-    const JsonValue* config = rv->find("config");
-    const JsonValue* cycles = rv->find("cycles");
-    if (rschema == nullptr || !rschema->is_string() || config == nullptr ||
-        cycles == nullptr || !cycles->is_number()) {
-      smt::log::error("malformed run report",
-                      {{"path", report_path.string()}});
-      return std::nullopt;
-    }
+    bool unreadable = false;
+    const auto rv = smt::read_valid_json(
+        (fs::path(dir) / job.report).string(), "malformed run report",
+        smt::core::check_run_report, &unreadable);
+    if (!rv.has_value()) return std::nullopt;
 
     SweepRun r;
     r.job = job;
-    r.report_schema = rschema->string;
-    r.config_hash = smt::fnv1a64_hex(smt::to_canonical_string(*config));
-    r.metrics["cycles"] = cycles->number;
-    const JsonValue* totals = rv->find("totals");
-    if (totals != nullptr && totals->is_object()) {
-      for (const auto& [k, tv] : totals->object) {
-        if (tv.is_number()) r.metrics["totals." + k] = tv.number;
-      }
+    r.report_schema = rv->find("schema")->string;
+    r.config_hash =
+        smt::fnv1a64_hex(smt::to_canonical_string(*rv->find("config")));
+    r.metrics["cycles"] = rv->find("cycles")->number;
+    for (const auto& [k, tv] : rv->find("totals")->object) {
+      if (tv.is_number()) r.metrics["totals." + k] = tv.number;
     }
     runs.push_back(std::move(r));
   }
@@ -446,7 +435,7 @@ int cmd_list(const Options& opt) {
   std::sort(files.begin(), files.end());
   for (const fs::path& path : files) {
     const auto v = load_json(path);
-    if (!v.has_value() || !v->is_object()) return kExitIo;
+    if (!v.has_value()) return kExitIo;
     const JsonValue* exp = v->find("experiment");
     const JsonValue* trajs = v->find("trajectories");
     if (exp == nullptr || trajs == nullptr || !trajs->is_array()) continue;

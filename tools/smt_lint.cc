@@ -12,8 +12,11 @@
 //                         error-severity diagnostics; 2 when a NAME is not
 //                         in the registry.
 //   --werror              treat warnings as errors for the exit status
-//   --format=json         emit a versioned smt-lint-report/1 document on
-//                         stdout instead of the text listing
+//   --format=json         emit the smt-lint-report/1 document on stdout
+//                         instead of the text listing (host::
+//                         lint_report_json, src/host/experiments.h; its
+//                         validator is host::check_lint_report, which
+//                         check_reports --lint-report runs)
 //   smt_lint --list       print the registry and the lint check set
 //   smt_lint --selftest   emit one deliberately broken program per check
 //                         and require the lint to catch each one (the
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "analysis/lint.h"
-#include "common/json.h"
 #include "common/log.h"
 #include "host/experiments.h"
 #include "isa/asm_builder.h"
@@ -47,13 +49,6 @@ using smt::isa::IReg;
 using smt::isa::Label;
 using smt::isa::Mem;
 
-struct RegistryResult {
-  size_t errors = 0;
-  size_t warnings = 0;
-  int programs = 0;
-  int experiments = 0;
-};
-
 int lint_registry(const std::vector<std::string>& names, bool json,
                   bool werror) {
   bool unknown = false;
@@ -64,79 +59,32 @@ int lint_registry(const std::vector<std::string>& names, bool json,
     }
   }
   if (unknown) return 2;
-  RegistryResult total;
-  smt::JsonWriter w;
-  if (json) {
-    w.begin_object();
-    w.kv("schema", "smt-lint-report/1");
-    w.key("experiments");
-    w.begin_array();
-  }
+  std::vector<smt::host::ExperimentLint> lints;
   for (const smt::host::ExperimentDef& def : smt::host::experiments()) {
-    if (!names.empty() &&
-        std::find(names.begin(), names.end(), def.name) == names.end()) {
-      continue;
+    if (names.empty() ||
+        std::find(names.begin(), names.end(), def.name) != names.end()) {
+      lints.push_back({def.name, smt::host::lint_workload(*def.make())});
     }
-    ++total.experiments;
-    const smt::host::WorkloadLint lint = smt::host::lint_workload(*def.make());
-    if (json) {
-      w.begin_object();
-      w.kv("name", def.name);
-      w.key("programs");
-      w.begin_array();
-    }
-    for (size_t i = 0; i < lint.programs.size(); ++i) {
-      const smt::isa::Program& p = lint.programs[i];
-      const std::vector<Diagnostic>& diags = lint.diags[i];
-      ++total.programs;
-      total.errors += smt::analysis::count_severity(diags, Severity::kError);
-      total.warnings +=
-          smt::analysis::count_severity(diags, Severity::kWarning);
-      if (json) {
-        w.begin_object();
-        w.kv("name", p.name());
-        w.key("diagnostics");
-        w.begin_array();
-        for (const Diagnostic& d : diags) {
-          w.begin_object();
-          w.kv("check", smt::analysis::name(d.check));
-          w.kv("severity", smt::analysis::name(d.severity));
-          w.kv("pc", static_cast<uint64_t>(d.pc));
-          w.kv("block", static_cast<uint64_t>(d.block));
-          w.kv("message", d.message);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      } else if (!diags.empty()) {
+  }
+  const smt::host::LintTotals total = smt::host::lint_totals(lints);
+  if (json) {
+    std::printf("%s\n", smt::host::lint_report_json(lints).c_str());
+  } else {
+    for (const smt::host::ExperimentLint& e : lints) {
+      for (size_t i = 0; i < e.lint.programs.size(); ++i) {
+        const smt::isa::Program& p = e.lint.programs[i];
+        const std::vector<Diagnostic>& diags = e.lint.diags[i];
+        if (diags.empty()) continue;
         std::fputs(smt::analysis::format_diagnostics(p, diags).c_str(),
                    stdout);
       }
     }
-    if (json) {
-      w.end_array();
-      w.end_object();
-    }
-  }
-  const bool fail = total.errors > 0 || (werror && total.warnings > 0);
-  if (json) {
-    w.end_array();
-    w.key("totals");
-    w.begin_object();
-    w.kv("errors", static_cast<uint64_t>(total.errors));
-    w.kv("warnings", static_cast<uint64_t>(total.warnings));
-    w.kv("programs", total.programs);
-    w.kv("experiments", total.experiments);
-    w.end_object();
-    w.end_object();
-    std::printf("%s\n", w.str().c_str());
-  } else {
     std::printf(
         "smt_lint: %zu error(s), %zu warning(s) across %d program(s) in %d "
         "experiment(s)\n",
         total.errors, total.warnings, total.programs, total.experiments);
   }
-  return fail ? 1 : 0;
+  return total.errors > 0 || (werror && total.warnings > 0) ? 1 : 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@
 //                     a watchdog-killed job is retried once
 //   --metrics FILE    write a smt-sweep-metrics/1 snapshot of the pool's
 //                     counters/gauges/histograms (watchdog fires, queue
-//                     depth, attempt wall times, per-worker busy time)
+//                     depth, attempt wall times, per-worker busy time);
+//                     format and validator: src/host/metrics.h
 //   --trace FILE      write a Chrome trace-event (Perfetto-loadable)
 //                     timeline of the sweep: one track per worker, one
 //                     span per job attempt colored by its outcome
@@ -103,7 +104,6 @@
 
 #include "analysis/lint.h"
 #include "common/io.h"
-#include "common/json.h"
 #include "common/log.h"
 #include "core/machine.h"
 #include "core/run_report.h"
@@ -323,53 +323,6 @@ bool read_manifest(const std::string& path, std::vector<std::string>* names) {
     names->push_back(line.substr(b, e - b + 1));
   }
   return true;
-}
-
-std::string metrics_json(const smt::host::MetricsRegistry& reg,
-                         const SweepOptions& opt, bool resume_active,
-                         size_t total, int failed) {
-  const smt::host::MetricsRegistry::Snapshot s = reg.snapshot();
-  smt::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", "smt-sweep-metrics/1");
-  w.key("sweep");
-  w.begin_object();
-  w.kv("requested_workers", opt.jobs);
-  w.kv("total", static_cast<int64_t>(total));
-  w.kv("failed", failed);
-  w.kv("cache", !opt.cache_dir.empty());
-  // Reports whether resume *reuse* was live, not merely requested: a
-  // --resume with no prior index looks nothing up, and check_reports
-  // holds cache.lookups to exactly started-jobs when this is set.
-  w.kv("resume", resume_active);
-  w.kv("cache_verify",
-       static_cast<int64_t>(opt.cache_verify == -1 ? 0 : opt.cache_verify));
-  w.end_object();
-  smt::host::append_metrics_json(w, s);
-  // Per-worker busy fractions, derived from the pool counters so human
-  // readers (and check_reports) need no arithmetic of their own.
-  const auto counter = [&s](const std::string& name) -> uint64_t {
-    const auto it = s.counters.find(name);
-    return it == s.counters.end() ? 0 : it->second;
-  };
-  const uint64_t wall_us = counter("pool.wall_us");
-  const uint64_t workers = counter("pool.workers");
-  w.key("workers");
-  w.begin_array();
-  for (uint64_t i = 0; i < workers; ++i) {
-    const uint64_t busy =
-        counter("pool.worker" + std::to_string(i) + ".busy_us");
-    w.begin_object();
-    w.kv("worker", i);
-    w.kv("busy_us", busy);
-    w.kv("busy_fraction", wall_us == 0 ? 0.0
-                                       : static_cast<double>(busy) /
-                                             static_cast<double>(wall_us));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 /// Terminal progress line: "[done/total] ok=N failed=N eta=…s", redrawn
@@ -755,11 +708,16 @@ int main(int argc, char** argv) {
   const std::string index_path =
       opt.out_dir + "/" + smt::host::kSweepIndexFile;
   if (!smt::write_text_file(index_path, index.to_json())) return kExitIo;
+  // Reports whether resume *reuse* was live, not merely requested:
+  // check_sweep_metrics holds cache.lookups to exactly started jobs
+  // when it is set.
+  const smt::host::SweepReuse reuse{
+      !opt.cache_dir.empty(), resume_active,
+      opt.cache_verify == -1 ? 0 : static_cast<int64_t>(opt.cache_verify)};
   if (!opt.metrics_path.empty() &&
       !smt::write_text_file(
           opt.metrics_path,
-          metrics_json(metrics, opt, resume_active, index.jobs.size(),
-                       failed))) {
+          smt::host::sweep_metrics_json(metrics, index, reuse))) {
     return kExitIo;
   }
   if (want_trace) {
