@@ -21,8 +21,15 @@
 #   4. idempotent history: ingesting the cold and warm sweeps into one
 #      fresh history store must record runs exactly once — the two
 #      indexes differ only in wall-clock fields, so they share a stable
-#      run id and the second ingest is a complete no-op.
+#      run id and the second ingest is a complete no-op. The exact gate:
+#      `check` accepts the cold sweep and flags, with exit 1, a report
+#      one cycle off, a baselined job that did not end ok, a history
+#      file with no trajectory for the sweep's config, and the cold
+#      sweep once a perturbed copy has been ingested over it; `list`
+#      refuses a malformed history file with exit 3.
 #   5. guard rails: --pipeview with --cache must be refused up front.
+include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
+
 set(manifest mm.serial.n64 lu.serial.n64 bt.serial selftest.deadlock)
 
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -148,6 +155,76 @@ endif()
 if(NOT out MATCHES "ingested 0 run.*3 already present")
   message(FATAL_ERROR
     "warm ingest was not idempotent with the cold sweep: ${out}")
+endif()
+
+# check_history(EXPECTED SWEEP HISTORY WHAT): `smt_history check` of
+# SWEEP against HISTORY must exit EXPECTED.
+function(check_history expected sweep history what)
+  execute_process(COMMAND "${HISTORY}" check --sweep "${sweep}"
+    --history "${history}" RESULT_VARIABLE rc OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL expected)
+    message(FATAL_ERROR "history check of ${what} exited ${rc}, not "
+      "${expected}: ${out}${err}")
+  endif()
+endfunction()
+
+check_history(0 "${OUT_DIR}/cold" "${OUT_DIR}/history" "the cold sweep")
+
+# One report's top-level cycles one higher: still a valid report, but no
+# longer the baseline.
+file(COPY "${OUT_DIR}/cold/" DESTINATION "${OUT_DIR}/bumped")
+set(bumped_report "${OUT_DIR}/bumped/reports/mm.serial.n64.json")
+file(READ "${bumped_report}" report_json)
+bump_counter(report_json cycles)
+file(WRITE "${bumped_report}" "${report_json}")
+check_history(1 "${OUT_DIR}/bumped" "${OUT_DIR}/history"
+  "a report one cycle off")
+
+# A baselined job that did not end ok.
+file(COPY "${OUT_DIR}/cold/" DESTINATION "${OUT_DIR}/failed")
+string(REPLACE "\"name\":\"lu.serial.n64\",\"outcome\":\"ok\""
+  "\"name\":\"lu.serial.n64\",\"outcome\":\"verify_failed\""
+  failed_index "${cold_index}")
+string(REPLACE "\"failed\":1," "\"failed\":2," failed_index
+  "${failed_index}")
+if(failed_index STREQUAL cold_index)
+  message(FATAL_ERROR "could not mark lu.serial.n64 failed in the index")
+endif()
+file(WRITE "${OUT_DIR}/failed/sweep_index.json" "${failed_index}")
+check_history(1 "${OUT_DIR}/failed" "${OUT_DIR}/history"
+  "a baselined job that ended verify_failed")
+
+# A history file whose only trajectory belongs to another config.
+file(COPY "${OUT_DIR}/history/" DESTINATION "${OUT_DIR}/history-other")
+set(other "${OUT_DIR}/history-other/BENCH_mm.serial.n64.json")
+file(READ "${other}" other_json)
+string(REGEX REPLACE "\"config_hash\":\"[0-9a-f]+\""
+  "\"config_hash\":\"0000000000000000\"" other_json "${other_json}")
+file(WRITE "${other}" "${other_json}")
+check_history(1 "${OUT_DIR}/cold" "${OUT_DIR}/history-other"
+  "a history file with another config's trajectory")
+
+# Re-baselining on the perturbed copy: the original run no longer passes.
+execute_process(COMMAND "${HISTORY}" ingest --sweep "${OUT_DIR}/bumped"
+  --history "${OUT_DIR}/history" RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "ingested 1 run")
+  message(FATAL_ERROR "ingest of the perturbed sweep (${rc}): ${out}")
+endif()
+check_history(1 "${OUT_DIR}/cold" "${OUT_DIR}/history"
+  "the cold sweep after a perturbed baseline was ingested")
+
+# `list` reads through the same strict loader: a trajectory without runs
+# is a malformed file, not an empty one.
+file(WRITE "${OUT_DIR}/history-bad/BENCH_bad.json"
+  "{\"schema\":\"smt-bench-history/1\",\"experiment\":\"bad\","
+  "\"trajectories\":[{\"config_hash\":\"0000000000000000\","
+  "\"report_schema\":\"smt-run-report/1\"}]}")
+execute_process(COMMAND "${HISTORY}" list --history "${OUT_DIR}/history-bad"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 3)
+  message(FATAL_ERROR "list of a history file with a run-less trajectory "
+    "exited ${rc}, not 3")
 endif()
 
 # Phase 5: incompatible-flag guard.

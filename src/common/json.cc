@@ -99,8 +99,8 @@ JsonWriter& JsonWriter::value(double v) {
   // Shortest form that round-trips exactly: most doubles re-parse equal at
   // %.15g; the rest need 16 or (worst case, by IEEE-754) 17 significant
   // digits. Emitting fewer digits than round-trip (the old %.12g) made
-  // re-parsed reports drift from the originals, which could mis-fire
-  // report_diff's relative-threshold gates near their boundaries.
+  // re-parsed reports drift from the originals, which report_diff's
+  // exact gate would flag.
   for (int prec = 15; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);
     if (std::strtod(buf, nullptr) == v) break;

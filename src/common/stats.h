@@ -1,51 +1,10 @@
-// Small numeric accumulators used by benchmarks and tests.
+// Small numeric helpers used by the kernel verifiers.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
-
-#include "common/check.h"
 
 namespace smt {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  // Unlike mean/variance, 0.0 is a misleading extremum for an empty
-  // accumulator (it pretends a sample at 0 was seen); report NaN so the
-  // absence of data propagates instead of masquerading as a value.
-  double min() const {
-    return n_ ? min_ : std::numeric_limits<double>::quiet_NaN();
-  }
-  double max() const {
-    return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
-  }
-
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Ratio helper that tolerates zero denominators (reported as 0).
 inline double safe_ratio(double num, double den) {

@@ -83,7 +83,7 @@ class Histogram {
   std::vector<uint64_t> bucket_counts() const;
   uint64_t count() const;
   double sum() const;
-  double min() const;  // NaN when empty (mirrors RunningStats)
+  double min() const;  // NaN when empty: no sample, no extremum
   double max() const;
 
  private:

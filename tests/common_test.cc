@@ -1,10 +1,9 @@
-// Tests for the common utilities: RNG determinism, statistics, and the
+// Tests for the common utilities: RNG determinism, numeric helpers, and the
 // table/number formatting the bench harness depends on.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cfloat>
-#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -69,32 +68,6 @@ TEST(SplitMix64, KnownSequenceIsStable) {
   SplitMix64 sm(0);
   EXPECT_EQ(sm.next(), 0xe220a8397b1dcdafull);
   EXPECT_EQ(sm.next(), 0x6e789e6aa1b965f4ull);
-}
-
-// ---------------------------------------------------------------------------
-// RunningStats
-// ---------------------------------------------------------------------------
-
-TEST(RunningStats, MeanMinMax) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 6.0}) s.add(v);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-}
-
-TEST(RunningStats, EmptyIsDefined) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  // An empty accumulator has no extrema: 0.0 would masquerade as a seen
-  // sample, so min/max report NaN instead.
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
 }
 
 TEST(Helpers, SafeRatioAndRelErr) {

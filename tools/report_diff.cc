@@ -1,6 +1,6 @@
 // Run-report comparator / regression gate:
 //
-//   $ report_diff <a.json> <b.json> [--rel-tol R] [--abs-tol A]
+//   $ report_diff <a.json> <b.json>
 //
 // Compares two RunReport artifacts (any mix of optional sections):
 // cycles, every per-CPU counter, the cycle-accounting breakdown, the
@@ -8,22 +8,16 @@
 // hotspot attributions (retired uops, total stall cycles, L2 misses; a PC
 // absent on one side counts as zero there) — and, when both carry an
 // `interference` section, the per-CPU self/sibling stall attributions
-// per resource plus the L2 sibling-eviction counts, gated by the same
-// relative/absolute thresholds.
+// per resource plus the L2 sibling-eviction counts.
 //
-// A quantity regresses when |a-b| exceeds BOTH the absolute tolerance
-// (default 0 — any change) and the relative tolerance against
-// max(|a|,|b|) (default 0.02 = 2%). Every regression is printed; the exit
-// code is the gate: 0 = within tolerance, 1 = regression(s) or a file
+// The simulator is deterministic, so the gate is exact: a quantity whose
+// values differ at all is a mismatch. Every mismatch is printed; the exit
+// code is the gate: 0 = the reports match, 1 = mismatch(es) or a file
 // that core::check_run_report rejects (the finding names the file),
-// 2 = usage error, 3 = unreadable input. This
-// is the seed of a bench-trajectory gate: diff a fresh
-// SMT_BENCH_REPORT_DIR artifact against a checked-in baseline (the
-// cross-run generalization lives in smt_history).
-#include <cmath>
+// 2 = usage error, 3 = unreadable input. Diff a fresh
+// SMT_BENCH_REPORT_DIR artifact against a checked-in baseline; the
+// cross-run store of baselines is smt_history.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,20 +33,13 @@ namespace {
 using smt::JsonValue;
 
 struct Gate {
-  double rel_tol = 0.02;
-  double abs_tol = 0.0;
-  int regressions = 0;
+  int mismatches = 0;
 
-  // Flags `label` when a and b differ beyond both tolerances.
+  // Flags `label` when a and b differ.
   void compare(const std::string& label, double a, double b) {
-    const double diff = std::fabs(a - b);
-    if (diff <= abs_tol) return;
-    const double base = std::max(std::fabs(a), std::fabs(b));
-    if (base > 0.0 && diff / base <= rel_tol) return;
-    std::printf("REGRESSION %-48s  a=%.6g  b=%.6g  (%+.2f%%)\n",
-                label.c_str(), a, b,
-                a != 0.0 ? 100.0 * (b - a) / a : 0.0);
-    ++regressions;
+    if (a == b) return;
+    std::printf("MISMATCH %-48s  a=%.17g  b=%.17g\n", label.c_str(), a, b);
+    ++mismatches;
   }
 };
 
@@ -89,29 +76,13 @@ std::map<std::string, HotspotRow> hotspot_rows(const JsonValue& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* pa = nullptr;
-  const char* pb = nullptr;
-  Gate gate;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
-      gate.rel_tol = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--abs-tol") == 0 && i + 1 < argc) {
-      gate.abs_tol = std::atof(argv[++i]);
-    } else if (pa == nullptr && argv[i][0] != '-') {
-      pa = argv[i];
-    } else if (pb == nullptr && argv[i][0] != '-') {
-      pb = argv[i];
-    } else {
-      pa = pb = nullptr;
-      break;
-    }
-  }
-  if (pa == nullptr || pb == nullptr) {
-    std::fprintf(stderr,
-                 "usage: %s <a.json> <b.json> [--rel-tol R] [--abs-tol A]\n",
-                 argv[0]);
+  if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+    std::fprintf(stderr, "usage: %s <a.json> <b.json>\n", argv[0]);
     return 2;
   }
+  const char* pa = argv[1];
+  const char* pb = argv[2];
+  Gate gate;
   // Both inputs are validated first, so everything below may rely on the
   // shape check_run_report vouches for.
   bool a_unreadable = false, b_unreadable = false;
@@ -184,9 +155,8 @@ int main(int argc, char** argv) {
   }
 
   // Interference attributions, when both sides carry them. Every
-  // numeric leaf is compared under the same relative-threshold gate:
-  // self/sibling cycles per reason, the port-conflict decomposition and
-  // the L2 sibling-eviction count.
+  // numeric leaf is compared: self/sibling cycles per reason, the
+  // port-conflict decomposition and the L2 sibling-eviction count.
   const JsonValue* ai = a->find("interference");
   const JsonValue* bi = b->find("interference");
   if (ai != nullptr && bi != nullptr) {
@@ -226,11 +196,10 @@ int main(int argc, char** argv) {
                 "compared\n");
   }
 
-  if (gate.regressions == 0) {
-    std::printf("OK: reports match within tolerance (rel %.4f, abs %.4f)\n",
-                gate.rel_tol, gate.abs_tol);
+  if (gate.mismatches == 0) {
+    std::printf("OK: reports match exactly\n");
     return 0;
   }
-  std::printf("%d regression(s)\n", gate.regressions);
+  std::printf("%d mismatch(es)\n", gate.mismatches);
   return 1;
 }

@@ -1,51 +1,47 @@
-// smt_history: content-addressed benchmark-history store and noise-aware
-// cross-run regression gate — the repo's durable performance memory.
+// smt_history: content-addressed benchmark-history store and exact
+// cross-run regression gate — the repo's durable record of every
+// experiment's deterministic counters.
 //
 //   $ smt_history ingest --sweep DIR [--history DIR] [--run-id ID]
-//                        [--max-runs N]
-//   $ smt_history check  --sweep DIR [--history DIR] [--last K]
-//                        [--sigma S] [--rel-floor R] [--abs-floor A]
+//   $ smt_history check  --sweep DIR [--history DIR]
 //   $ smt_history list   [--history DIR] [experiment names...]
 //
 // `ingest` reads a sweep's artifacts (`<dir>/sweep_index.json`, read
 // through host::parse_sweep_index — format in src/host/sweep_index.h —
 // plus every ok job's run report, validated by core::check_run_report)
-// and appends one run per job to `<history>/BENCH_<experiment>.json` (schema
-// smt-bench-history/1). Trajectories are content-addressed: runs are
-// keyed by (experiment name, config hash, report schema), where the
-// config hash is the FNV-1a digest of the report's canonicalized
-// `config` section — results from different machine configurations or
-// schema versions never mix. Ingest is idempotent per run id; the
-// default id is a digest of the index's *deterministic* job fields
-// (name, content key, outcome, cycles, verified, report path), so two
-// sweeps of the same work at the same model get the same id no matter
-// how long they took — re-ingesting a re-run (or a fully cache-hit
-// sweep) of an already-stored sweep is a no-op. Indexes whose jobs
-// predate content keys fall back to the digest of the raw index bytes.
-// Trajectories keep the newest --max-runs (64) runs, and each stored
-// run records its job's content key (when present) so a history entry
-// can be traced back to its smt_sweep --cache object.
+// and makes each ok job's run the baseline of its experiment: it rewrites
+// `<history>/BENCH_<experiment>.json` (schema smt-bench-history/1) to
+// hold one trajectory with one run. A trajectory is keyed by (config
+// hash, report schema), where the config hash is the FNV-1a digest of
+// the report's canonicalized `config` section. A run records its id, its
+// job's content key (when present, so the entry can be traced back to
+// its smt_sweep --cache object) and its metrics: cycles plus the
+// report's numeric `totals`. The default run id is a digest of the
+// index's *deterministic* job fields (name, content key, outcome,
+// cycles, verified, report path), so two sweeps of the same work at the
+// same model get the same id no matter how long they took; indexes whose
+// jobs predate content keys fall back to the digest of the raw index
+// bytes. Ingest leaves a file untouched when it already holds exactly the
+// run it would write, so re-ingesting a re-run (or a fully cache-hit
+// sweep) of a stored sweep is a no-op.
 //
-// `check` compares the same sweep against the stored trajectories: for
-// each ok job and each deterministic metric (cycles + the report's
-// `totals` section — wall_ms is stored for trend data but never gated),
-// the last K (10) baseline runs feed a RunningStats accumulator, and the
-// new value regresses when |new - mean| exceeds
-//     max(abs-floor, sigma * stddev, rel-floor * |mean|)
-// (defaults 0 / 3.0 / 0.02). The simulator is deterministic, so on an
-// unchanged model the stored metrics are bit-identical and any deviation
-// is a real model change: either a bug or an intentional change that
-// should be re-ingested as the new baseline. Jobs with no trajectory for
-// their key are reported as new, not failed.
+// `check` compares the same sweep against the store. The simulator is
+// deterministic, so the gate is exact: each ok job's metrics must equal
+// (==) those of the latest run in the trajectory matching its config
+// hash and report schema. Every difference is a finding — a changed
+// value, a metric present on one side only, a history file with no
+// trajectory for the job's key, or a job with a history file whose
+// outcome is not ok. A finding is a model change: either a bug or an
+// intentional change whose numbers should be re-ingested as the new
+// baseline. Only a job with no history file at all is reported as new.
 //
-// Exit status: 0 ok; 1 regression(s) (check only); 2 usage error;
-// 3 I/O or parse error (a malformed index or report is logged with its
-// finding).
+// `list` prints every stored trajectory, read through the same loader.
+//
+// Exit status: 0 ok; 1 finding(s) (check only); 2 usage error;
+// 3 I/O or parse error (a malformed index, report or history file is
+// logged with its finding).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -56,7 +52,6 @@
 #include "common/io.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "common/stats.h"
 #include "core/report_check.h"
 #include "host/sweep_index.h"
 
@@ -66,7 +61,7 @@ namespace {
 
 using smt::JsonValue;
 
-constexpr int kExitRegression = 1;
+constexpr int kExitFinding = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
@@ -76,23 +71,15 @@ struct Options {
   std::string command;
   std::string sweep_dir;
   std::string history_dir = "bench/history";
-  std::string run_id;       // ingest; default = stable index digest
-  int max_runs = 64;        // ingest: trajectory length cap
-  int last = 10;            // check: baseline window
-  double sigma = 3.0;       // check: noise multiplier
-  double rel_floor = 0.02;  // check: relative threshold floor
-  double abs_floor = 0.0;   // check: absolute threshold floor
+  std::string run_id;              // ingest; default = stable index digest
   std::vector<std::string> names;  // list: experiment filter
 };
 
 int usage() {
   std::fprintf(
       stderr,
-      "usage: smt_history ingest --sweep DIR [--history DIR] [--run-id ID]"
-      " [--max-runs N]\n"
-      "       smt_history check  --sweep DIR [--history DIR] [--last K]"
-      " [--sigma S]\n"
-      "                          [--rel-floor R] [--abs-floor A]\n"
+      "usage: smt_history ingest --sweep DIR [--history DIR] [--run-id ID]\n"
+      "       smt_history check  --sweep DIR [--history DIR]\n"
       "       smt_history list   [--history DIR] [experiment names...]\n");
   return kExitUsage;
 }
@@ -104,23 +91,28 @@ int usage() {
 struct RunEntry {
   std::string run_id;
   std::string key;  // sweep content-address key; "" for pre-cache runs
-  double wall_ms = 0.0;
   std::map<std::string, double> metrics;
+
+  bool operator==(const RunEntry&) const = default;
 };
 
 struct Trajectory {
   std::string config_hash;
   std::string report_schema;
   std::vector<RunEntry> runs;  // oldest first
+
+  bool operator==(const Trajectory&) const = default;
 };
 
 struct History {
   std::string experiment;
   std::vector<Trajectory> trajectories;
+
+  bool operator==(const History&) const = default;
 };
 
-/// One ok job of the sweep being ingested/checked: its index entry plus
-/// its report's trajectory key and metric set.
+/// One job of the sweep being ingested/checked: its index entry plus, for
+/// an ok job, its report's trajectory key and metric set.
 struct SweepRun {
   smt::host::IndexEntry job;
   std::string config_hash;
@@ -143,29 +135,23 @@ fs::path history_file(const Options& opt, const std::string& experiment) {
          ("BENCH_" + smt::sanitize_artifact_key(experiment) + ".json");
 }
 
-/// Loads one experiment's trajectory file; absent file -> empty history;
-/// malformed file -> nullopt (corrupt history must not be silently
-/// overwritten).
-std::optional<History> load_history(const Options& opt,
-                                    const std::string& experiment) {
-  History h;
-  h.experiment = experiment;
-  const fs::path path = history_file(opt, experiment);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return h;
-
+/// Reads one history file. nullopt (logged) when it does not parse or
+/// any part of it is malformed: a corrupt history must never be read as
+/// a shorter one, nor silently overwritten.
+std::optional<History> read_history(const fs::path& path) {
   const auto v = load_json(path);
   if (!v.has_value()) return std::nullopt;
   const JsonValue* schema = v->find("schema");
   const JsonValue* exp = v->find("experiment");
   const JsonValue* trajs = v->find("trajectories");
   if (schema == nullptr || schema->string != kHistorySchema ||
-      exp == nullptr || exp->string != experiment || trajs == nullptr ||
+      exp == nullptr || !exp->is_string() || trajs == nullptr ||
       !trajs->is_array()) {
-    smt::log::error("malformed history file", {{"path", path.string()},
-                                               {"experiment", experiment}});
+    smt::log::error("malformed history file", {{"path", path.string()}});
     return std::nullopt;
   }
+  History h;
+  h.experiment = exp->string;
   for (const JsonValue& tv : trajs->array) {
     Trajectory t;
     const JsonValue* hash = tv.find("config_hash");
@@ -190,14 +176,28 @@ std::optional<History> load_history(const Options& opt,
       r.run_id = id->string;
       const JsonValue* key = rv.find("key");
       if (key != nullptr && key->is_string()) r.key = key->string;
-      const JsonValue* wall = rv.find("wall_ms");
-      if (wall != nullptr && wall->is_number()) r.wall_ms = wall->number;
       for (const auto& [k, mv] : metrics->object) {
         if (mv.is_number()) r.metrics[k] = mv.number;
       }
       t.runs.push_back(std::move(r));
     }
     h.trajectories.push_back(std::move(t));
+  }
+  return h;
+}
+
+/// Loads one experiment's history file: absent file -> empty history;
+/// malformed, or holding another experiment -> nullopt (logged).
+std::optional<History> load_history(const Options& opt,
+                                    const std::string& experiment) {
+  const fs::path path = history_file(opt, experiment);
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return History{experiment, {}};
+  std::optional<History> h = read_history(path);
+  if (h.has_value() && h->experiment != experiment) {
+    smt::log::error("history file holds another experiment",
+                    {{"path", path.string()}, {"experiment", experiment}});
+    return std::nullopt;
   }
   return h;
 }
@@ -219,7 +219,6 @@ bool save_history(const Options& opt, const History& h) {
       w.begin_object();
       w.kv("run_id", r.run_id);
       w.kv("key", r.key);
-      w.kv("wall_ms", r.wall_ms);
       w.key("metrics");
       w.begin_object();
       for (const auto& [k, v] : r.metrics) w.kv(k, v);
@@ -235,9 +234,10 @@ bool save_history(const Options& opt, const History& h) {
                               w.str());
 }
 
-Trajectory* find_trajectory(History& h, const std::string& config_hash,
-                            const std::string& report_schema) {
-  for (Trajectory& t : h.trajectories) {
+const Trajectory* find_trajectory(const History& h,
+                                  const std::string& config_hash,
+                                  const std::string& report_schema) {
+  for (const Trajectory& t : h.trajectories) {
     if (t.config_hash == config_hash && t.report_schema == report_schema) {
       return &t;
     }
@@ -266,9 +266,9 @@ std::string stable_run_id(const smt::host::SweepIndex& index) {
 }
 
 /// Reads the sweep index + every ok job's report; nullopt on any
-/// malformed artifact. `default_run_id` receives the sweep's stable id
-/// (see stable_run_id), or the raw index bytes' digest for pre-key
-/// indexes.
+/// malformed artifact. Jobs that did not end ok are returned without
+/// metrics. `default_run_id` receives the sweep's stable id (see
+/// stable_run_id), or the raw index bytes' digest for pre-key indexes.
 std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
                                                 std::string* default_run_id) {
   const fs::path index_path = fs::path(dir) / smt::host::kSweepIndexFile;
@@ -292,22 +292,21 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
 
   std::vector<SweepRun> runs;
   for (const smt::host::IndexEntry& job : index.jobs) {
-    if (!job.ok()) continue;  // partial numbers never ingest
-
-    bool unreadable = false;
-    const auto rv = smt::read_valid_json(
-        (fs::path(dir) / job.report).string(), "malformed run report",
-        smt::core::check_run_report, &unreadable);
-    if (!rv.has_value()) return std::nullopt;
-
     SweepRun r;
     r.job = job;
-    r.report_schema = rv->find("schema")->string;
-    r.config_hash =
-        smt::fnv1a64_hex(smt::to_canonical_string(*rv->find("config")));
-    r.metrics["cycles"] = rv->find("cycles")->number;
-    for (const auto& [k, tv] : rv->find("totals")->object) {
-      if (tv.is_number()) r.metrics["totals." + k] = tv.number;
+    if (job.ok()) {
+      bool unreadable = false;
+      const auto rv = smt::read_valid_json(
+          (fs::path(dir) / job.report).string(), "malformed run report",
+          smt::core::check_run_report, &unreadable);
+      if (!rv.has_value()) return std::nullopt;
+      r.report_schema = rv->find("schema")->string;
+      r.config_hash =
+          smt::fnv1a64_hex(smt::to_canonical_string(*rv->find("config")));
+      r.metrics["cycles"] = rv->find("cycles")->number;
+      for (const auto& [k, tv] : rv->find("totals")->object) {
+        if (tv.is_number()) r.metrics["totals." + k] = tv.number;
+      }
     }
     runs.push_back(std::move(r));
   }
@@ -328,32 +327,19 @@ int cmd_ingest(const Options& opt) {
   int ingested = 0;
   int skipped = 0;
   for (const SweepRun& r : *runs) {
-    auto h = load_history(opt, r.job.name);
-    if (!h.has_value()) return kExitIo;
-    Trajectory* t = find_trajectory(*h, r.config_hash, r.report_schema);
-    if (t == nullptr) {
-      h->trajectories.push_back({r.config_hash, r.report_schema, {}});
-      t = &h->trajectories.back();
-    }
-    bool seen = false;
-    for (const RunEntry& e : t->runs) seen = seen || e.run_id == run_id;
-    if (seen) {
+    if (!r.job.ok()) continue;  // partial numbers never ingest
+    const auto stored = load_history(opt, r.job.name);
+    if (!stored.has_value()) return kExitIo;
+    const History baseline{
+        r.job.name,
+        {{r.config_hash, r.report_schema, {{run_id, r.job.key, r.metrics}}}}};
+    if (*stored == baseline) {
       ++skipped;
       smt::log::debug("run already ingested", {{"experiment", r.job.name},
                                                {"run_id", run_id}});
       continue;
     }
-    RunEntry e;
-    e.run_id = run_id;
-    e.key = r.job.key;
-    e.wall_ms = r.job.wall_ms;
-    e.metrics = r.metrics;
-    t->runs.push_back(std::move(e));
-    if (t->runs.size() > static_cast<size_t>(opt.max_runs)) {
-      t->runs.erase(t->runs.begin(),
-                    t->runs.end() - static_cast<size_t>(opt.max_runs));
-    }
-    if (!save_history(opt, *h)) return kExitIo;
+    if (!save_history(opt, baseline)) return kExitIo;
     ++ingested;
   }
   std::printf("ingested %d run(s), %d already present (run_id %s) into %s\n",
@@ -361,61 +347,83 @@ int cmd_ingest(const Options& opt) {
   return 0;
 }
 
+/// `metrics[metric]` printed exactly, or "absent".
+std::string shown(const std::map<std::string, double>& metrics,
+                  const std::string& metric) {
+  const auto it = metrics.find(metric);
+  if (it == metrics.end()) return "absent";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", it->second);
+  return buf;
+}
+
+/// Compares one ok job's metrics with its baseline run's, printing each
+/// metric that differs or is present on one side only; returns how many.
+int compare_metrics(const std::string& experiment,
+                    const std::map<std::string, double>& baseline,
+                    const std::map<std::string, double>& fresh) {
+  std::map<std::string, double> names = baseline;
+  names.insert(fresh.begin(), fresh.end());
+  int findings = 0;
+  for (const auto& [metric, unused] : names) {
+    const auto b = baseline.find(metric);
+    const auto n = fresh.find(metric);
+    if (b != baseline.end() && n != fresh.end() && b->second == n->second) {
+      continue;
+    }
+    std::printf("MISMATCH %-24s %-22s baseline=%s new=%s\n",
+                experiment.c_str(), metric.c_str(),
+                shown(baseline, metric).c_str(), shown(fresh, metric).c_str());
+    ++findings;
+  }
+  return findings;
+}
+
 int cmd_check(const Options& opt) {
   std::string default_run_id;
   const auto runs = load_sweep(opt.sweep_dir, &default_run_id);
   if (!runs.has_value()) return kExitIo;
 
-  int regressions = 0;
-  int compared = 0;
+  int findings = 0;
+  int matched = 0;
   int fresh = 0;
   for (const SweepRun& r : *runs) {
-    const auto h = load_history(opt, r.job.name);
-    if (!h.has_value()) return kExitIo;
-    History mutable_h = *h;
-    const Trajectory* t =
-        find_trajectory(mutable_h, r.config_hash, r.report_schema);
-    if (t == nullptr || t->runs.empty()) {
+    std::error_code ec;
+    if (!fs::exists(history_file(opt, r.job.name), ec)) {
       ++fresh;
-      smt::log::info("no baseline trajectory (new experiment/config)",
-                     {{"experiment", r.job.name},
-                      {"config_hash", r.config_hash},
-                      {"report_schema", r.report_schema}});
+      smt::log::info("no history file (new experiment)",
+                     {{"experiment", r.job.name}});
       continue;
     }
-    ++compared;
-    const size_t k = std::min(t->runs.size(), static_cast<size_t>(opt.last));
-    for (const auto& [metric, value] : r.metrics) {
-      smt::RunningStats stats;
-      for (size_t i = t->runs.size() - k; i < t->runs.size(); ++i) {
-        const auto it = t->runs[i].metrics.find(metric);
-        if (it != t->runs[i].metrics.end()) stats.add(it->second);
-      }
-      if (stats.count() == 0) continue;  // metric new in this schema
-      const double mean = stats.mean();
-      const double threshold =
-          std::max({opt.abs_floor, opt.sigma * stats.stddev(),
-                    opt.rel_floor * std::fabs(mean)});
-      if (std::fabs(value - mean) > threshold) {
-        std::printf(
-            "REGRESSION %-24s %-22s baseline=%.6g (n=%llu sd=%.3g) "
-            "new=%.6g (%+.2f%%)\n",
-            r.job.name.c_str(), metric.c_str(), mean,
-            static_cast<unsigned long long>(stats.count()), stats.stddev(),
-            value, mean != 0.0 ? 100.0 * (value - mean) / mean : 0.0);
-        ++regressions;
-      }
+    const auto h = load_history(opt, r.job.name);
+    if (!h.has_value()) return kExitIo;
+    if (!r.job.ok()) {
+      std::printf("MISMATCH %-24s outcome %s, not ok\n", r.job.name.c_str(),
+                  r.job.outcome.c_str());
+      ++findings;
+      continue;
     }
+    const Trajectory* t = find_trajectory(*h, r.config_hash, r.report_schema);
+    if (t == nullptr || t->runs.empty()) {
+      std::printf("MISMATCH %-24s no baseline for config_hash %s, "
+                  "report_schema %s\n",
+                  r.job.name.c_str(), r.config_hash.c_str(),
+                  r.report_schema.c_str());
+      ++findings;
+      continue;
+    }
+    const int n = compare_metrics(r.job.name, t->runs.back().metrics,
+                                  r.metrics);
+    findings += n;
+    if (n == 0) ++matched;
   }
-  if (regressions > 0) {
-    std::printf("%d regression(s) across %d compared job(s)\n", regressions,
-                compared);
-    return kExitRegression;
+  if (findings > 0) {
+    std::printf("%d finding(s); %d job(s) match their baseline, %d new\n",
+                findings, matched, fresh);
+    return kExitFinding;
   }
-  std::printf("OK: %d job(s) within thresholds, %d without baseline "
-              "(sigma=%.2g rel=%.2g abs=%.2g last=%d)\n",
-              compared, fresh, opt.sigma, opt.rel_floor, opt.abs_floor,
-              opt.last);
+  std::printf("OK: %d job(s) match their baseline exactly, %d new\n",
+              matched, fresh);
   return 0;
 }
 
@@ -434,33 +442,22 @@ int cmd_list(const Options& opt) {
   }
   std::sort(files.begin(), files.end());
   for (const fs::path& path : files) {
-    const auto v = load_json(path);
-    if (!v.has_value()) return kExitIo;
-    const JsonValue* exp = v->find("experiment");
-    const JsonValue* trajs = v->find("trajectories");
-    if (exp == nullptr || trajs == nullptr || !trajs->is_array()) continue;
+    const auto h = read_history(path);
+    if (!h.has_value()) return kExitIo;
     if (!opt.names.empty() &&
-        std::find(opt.names.begin(), opt.names.end(), exp->string) ==
+        std::find(opt.names.begin(), opt.names.end(), h->experiment) ==
             opt.names.end()) {
       continue;
     }
-    for (const JsonValue& tv : trajs->array) {
-      const JsonValue* hash = tv.find("config_hash");
-      const JsonValue* rs = tv.find("report_schema");
-      const JsonValue* runs = tv.find("runs");
-      if (hash == nullptr || runs == nullptr || !runs->is_array()) continue;
+    for (const Trajectory& t : h->trajectories) {
       double last_cycles = 0.0;
-      if (!runs->array.empty()) {
-        const JsonValue* m = runs->array.back().find("metrics");
-        if (m != nullptr) {
-          const JsonValue* c = m->find("cycles");
-          if (c != nullptr) last_cycles = c->number;
-        }
+      if (!t.runs.empty()) {
+        const auto it = t.runs.back().metrics.find("cycles");
+        if (it != t.runs.back().metrics.end()) last_cycles = it->second;
       }
       std::printf("%-28s %s %-16s %3zu run(s)  last cycles=%.0f\n",
-                  exp->string.c_str(), hash->string.c_str(),
-                  rs != nullptr ? rs->string.c_str() : "?",
-                  runs->array.size(), last_cycles);
+                  h->experiment.c_str(), t.config_hash.c_str(),
+                  t.report_schema.c_str(), t.runs.size(), last_cycles);
       ++printed;
     }
   }
@@ -496,21 +493,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (a == "--run-id") {
       if ((v = next("--run-id")) == nullptr) return false;
       opt->run_id = v;
-    } else if (a == "--max-runs") {
-      if ((v = next("--max-runs")) == nullptr) return false;
-      opt->max_runs = std::atoi(v);
-    } else if (a == "--last") {
-      if ((v = next("--last")) == nullptr) return false;
-      opt->last = std::atoi(v);
-    } else if (a == "--sigma") {
-      if ((v = next("--sigma")) == nullptr) return false;
-      opt->sigma = std::atof(v);
-    } else if (a == "--rel-floor") {
-      if ((v = next("--rel-floor")) == nullptr) return false;
-      opt->rel_floor = std::atof(v);
-    } else if (a == "--abs-floor") {
-      if ((v = next("--abs-floor")) == nullptr) return false;
-      opt->abs_floor = std::atof(v);
     } else if (!a.empty() && a[0] == '-') {
       smt::log::error("unknown option", {{"option", a}});
       return false;
@@ -523,10 +505,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
   }
   if (opt->command != "list" && opt->sweep_dir.empty()) {
     smt::log::error("--sweep is required", {{"command", opt->command}});
-    return false;
-  }
-  if (opt->max_runs < 1 || opt->last < 1) {
-    smt::log::error("--max-runs/--last must be positive");
     return false;
   }
   return true;
