@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI: configure (warnings as errors), build, run the full test
 # suite (which includes the lint, bench-report and bench-trace smoke
-# tests), then run only the end-to-end assertions no ctest makes: the
-# lint report through check_reports, the sweep's lint gate, profiled and
+# tests) and the host-performance benchmark's correctness gates, then run
+# only the end-to-end assertions no ctest makes: the lint report through
+# check_reports, the sweep's lint gate, profiled and
 # interference-attributed bench reports, pipeline traces, sweep
 # observability artifacts, benchmark history, the result cache's
 # determinism contract and the post-mortem explainer. (A sweep with
@@ -42,6 +43,13 @@ make_temp_dir() {
 cmake -B build -S . -DSMT_WERROR=ON
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+# The performance benchmark's checks, without its timing runs (builds
+# build/sim-perf): seed-0 counters equal to bench/history, observed
+# counters equal to detached ones, in-process report bytes equal to
+# smt_sweep's, and every warm sweep an all-hit run. A core change that
+# breaks the benchmark fails here rather than in a timing pipeline.
+bash bench/perf/run.sh --quick
 
 # Static front end of the guest-program verifier over the full registry
 # (also exercised by the lint_smoke ctest, which also runs the

@@ -1,6 +1,7 @@
 #include "cpu/core.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -54,8 +55,12 @@ Core::Core(const CoreConfig& cfg, mem::CacheHierarchy& hierarchy,
     : cfg_(cfg), hier_(hierarchy), mem_(memory), ctr_(counters) {
   SMT_CHECK(cfg_.rob_size >= 2 && cfg_.uop_queue_size >= 2);
   SMT_CHECK(cfg_.load_queue_size >= 2 && cfg_.store_buffer_size >= 2);
+  const uint64_t ring = std::bit_ceil(static_cast<uint64_t>(cfg_.rob_size));
+  rob_mask_ = ring - 1;
   for (Thread& t : threads_) {
-    t.rob.resize(cfg_.rob_size);
+    t.rob.resize(ring);
+    t.unissued.reserve(ring);
+    t.uq.init(static_cast<size_t>(cfg_.uop_queue_size));
   }
 }
 
@@ -114,10 +119,22 @@ int Core::sched_window_limit(CpuId cpu) const {
   return partitioned(cpu) ? cfg_.sched_window / 2 : cfg_.sched_window;
 }
 
-bool Core::dep_ready(const Thread& t, uint64_t seq) const {
-  if (seq < t.head) return true;  // already retired => result long available
-  const RobEntry& e = t.rob[seq % cfg_.rob_size];
-  return e.issued && e.done_at <= now_;
+bool Core::ready(const Thread& t, Pending& p) const {
+  if (p.ready_at == kReadyUnknown) {
+    const RobEntry& e = t.rob[p.seq & rob_mask_];
+    Cycle at = 0;
+    for (int d = 0; d < e.ndeps; ++d) {
+      const uint64_t dep = e.dep[d];
+      // A retired producer's result is long available (its done_at was at
+      // most the cycle it retired in), and its slot may be reused.
+      if (dep < t.head) continue;
+      const RobEntry& producer = t.rob[dep & rob_mask_];
+      if (!producer.issued) return false;
+      at = std::max(at, producer.done_at);
+    }
+    p.ready_at = at;
+  }
+  return p.ready_at <= now_;
 }
 
 void Core::reclaim_store_buffer(Thread& t) {
@@ -189,7 +206,6 @@ void Core::check_memory_order(Thread& t, CpuId cpu, Addr addr,
   }
   t.rl_addr[t.rl_pos] = addr;
   t.rl_val[t.rl_pos] = value;
-  t.rl_cyc[t.rl_pos] = now_;
   t.rl_valid[t.rl_pos] = true;
   t.rl_pos = (t.rl_pos + 1) % Thread::kRlSize;
 }
@@ -246,7 +262,7 @@ void Core::update_modes(Thread& t, CpuId cpu) {
 int Core::retire_thread(Thread& t, CpuId cpu) {
   int retired = 0;
   while (retired < cfg_.retire_width && t.head != t.next) {
-    RobEntry& e = t.rob[t.head % cfg_.rob_size];
+    RobEntry& e = t.rob[t.head & rob_mask_];
     if (!e.issued || e.done_at > now_) break;
     const DynUop& u = e.uop;
 
@@ -297,22 +313,13 @@ int Core::retire_thread(Thread& t, CpuId cpu) {
 
 bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
   if (budget <= 0) return false;
-  const int window = sched_window_limit(cpu);
-  int examined = 0;
-  for (uint64_t seq = t.head; seq != t.next && examined < window;
-       ++seq) {
-    RobEntry& e = t.rob[seq % cfg_.rob_size];
-    if (e.issued) continue;
-    ++examined;
-
-    bool ready = true;
-    for (int d = 0; d < e.ndeps; ++d) {
-      if (!dep_ready(t, e.dep[d])) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) continue;
+  const size_t window = std::min(
+      static_cast<size_t>(sched_window_limit(cpu)), t.unissued.size());
+  // Resume where this cycle's previous call stopped (see Thread::scan_pos).
+  for (; t.scan_pos < window; ++t.scan_pos) {
+    Pending& p = t.unissued[t.scan_pos];
+    if (!ready(t, p)) continue;
+    RobEntry& e = t.rob[p.seq & rob_mask_];
 
     // Structural check + reservation.
     const DynUop& u = e.uop;
@@ -423,6 +430,10 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     for (PipelineObserver* o : observers_) {
       o->on_issue(cpu, u, has_port ? static_cast<int>(port) : -1, done, now_);
     }
+    // The next uop slides into scan_pos; a zero-latency issue's consumers
+    // sit after it, so they are examined after it issued.
+    t.unissued.erase(t.unissued.begin() +
+                     static_cast<std::ptrdiff_t>(t.scan_pos));
     --budget;
     return true;
   }
@@ -434,8 +445,9 @@ void Core::scan_issue_blocks() {
   // context, find the oldest dep-ready unissued uop still in the scheduler
   // window. It failed to issue this cycle, so it is blocked on structure —
   // either an unpipelined divider that is mid-operation, or a port taken by
-  // other uops this cycle. Reads the same state try_issue_one reads and
-  // writes only the Thread attribution fields, so the simulation itself is
+  // other uops this cycle. Reads the same state try_issue_one reads through
+  // the same readiness helper, and writes only the Thread attribution
+  // fields and exact ready-cycle cache entries, so the simulation itself is
   // unperturbed. In an event-skip window nothing issues and no divider or
   // dependency deadline expires mid-window, so the fields stay constant and
   // record_cycle_counters can replay them exactly over n cycles (a frozen
@@ -446,20 +458,12 @@ void Core::scan_issue_blocks() {
     const CpuId cpu = static_cast<CpuId>(i);
     const int sib = 1 - i;
     t.issue_block.active = false;
-    const int window = sched_window_limit(cpu);
-    int examined = 0;
-    for (uint64_t seq = t.head; seq != t.next && examined < window; ++seq) {
-      const RobEntry& e = t.rob[seq % cfg_.rob_size];
-      if (e.issued) continue;
-      ++examined;
-      bool ready = true;
-      for (int d = 0; d < e.ndeps; ++d) {
-        if (!dep_ready(t, e.dep[d])) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
+    const size_t window = std::min(
+        static_cast<size_t>(sched_window_limit(cpu)), t.unissued.size());
+    for (size_t k = 0; k < window; ++k) {
+      Pending& p = t.unissued[k];
+      if (!ready(t, p)) continue;
+      const RobEntry& e = t.rob[p.seq & rob_mask_];
       BlockReason reason = BlockReason::kPortConflict;
       bool sibling = false;
       int port = -1;
@@ -558,7 +562,8 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     if (t.alloc_stall.active) break;
     const DynUop& u = t.uq.front();
 
-    RobEntry& e = t.rob[t.next % cfg_.rob_size];
+    SMT_DCHECK(t.rob_occupancy() <= rob_mask_);
+    RobEntry& e = t.rob[t.next & rob_mask_];
     e.uop = u;
     e.issued = false;
     e.done_at = 0;
@@ -581,6 +586,7 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     // target (t = t op s).
     for (int i = 0; i < u.ndep_regs; ++i) add_dep(u.dep_regs[i]);
 
+    t.unissued.push_back({t.next, kReadyUnknown});
     if (u.dst != isa::kNoReg) t.last_writer[u.dst] = t.next + 1;
     if (u.is_load && !u.is_prefetch) ++t.lq_used;
     if (u.is_store) ++t.sb_used;
@@ -712,7 +718,7 @@ bool Core::step_cycle() {
       const int ti = (pref + k) % 2;
       Thread& t = threads_[ti];
       if (t.head == t.next) continue;
-      const RobEntry& h = t.rob[t.head % cfg_.rob_size];
+      const RobEntry& h = t.rob[t.head & rob_mask_];
       if (!h.issued || h.done_at > now_) continue;
       const int n = retire_thread(t, static_cast<CpuId>(ti));
       if (n > 0) {
@@ -732,6 +738,7 @@ bool Core::step_cycle() {
   cap_store_ = 1;
   port_issued_ = {};
   uops_issued_ = {};
+  for (Thread& t : threads_) t.scan_pos = 0;
   {
     int budget = cfg_.issue_width;
     bool progress = true;
@@ -907,7 +914,7 @@ Cycle Core::next_event_cycle() const {
         break;
     }
     for (uint64_t seq = t.head; seq != t.next; ++seq) {
-      const RobEntry& e = t.rob[seq % cfg_.rob_size];
+      const RobEntry& e = t.rob[seq & rob_mask_];
       if (e.issued && e.done_at > now_) consider(e.done_at);
     }
     for (const Cycle c : t.sb_drain_free_at) consider(c);

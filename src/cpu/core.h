@@ -9,7 +9,13 @@
 //   3. issue/execute  — dependence-checked out-of-order issue onto shared
 //                       ports; double-speed ALUs, ALU0-only logical ops,
 //                       unpipelined dividers; loads/stores access the
-//                       shared cache hierarchy
+//                       shared cache hierarchy. Each context keeps its
+//                       unissued uops in an ordered list (the scheduler
+//                       window is its first sched_window entries) with a
+//                       cached ready cycle per uop, and each cycle's scan
+//                       resumes where the previous issue left off, so issue
+//                       work is proportional to the uops looked at, not to
+//                       ROB occupancy
 //   4. dispatch       — up to dispatch_width uops from the uop queue into
 //                       the ROB; statically partitioned ROB / load queue /
 //                       store buffer limits; stall reasons recorded here
@@ -40,7 +46,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
@@ -195,16 +200,59 @@ class Core {
     Cycle done_at = 0;
   };
 
+  /// One dispatched but unissued uop. `ready_at` is the max done_at of its
+  /// in-flight producers, kReadyUnknown until every one of them has issued;
+  /// once known it is exact, because done_at never changes after issue.
+  struct Pending {
+    uint64_t seq = 0;
+    Cycle ready_at = 0;
+  };
+  static constexpr Cycle kReadyUnknown = std::numeric_limits<Cycle>::max();
+
+  /// The uop queue: a fixed ring of uop_queue_size entries (fetch pushes,
+  /// dispatch pops the front).
+  class UopQueue {
+   public:
+    void init(size_t capacity) { ring_.resize(capacity); }
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    const DynUop& front() const { return ring_[head_]; }
+    void pop_front() {
+      if (++head_ == ring_.size()) head_ = 0;
+      --size_;
+    }
+    void push_back(const DynUop& u) {
+      size_t tail = head_ + size_;
+      if (tail >= ring_.size()) tail -= ring_.size();
+      ring_[tail] = u;
+      ++size_;
+    }
+
+   private:
+    std::vector<DynUop> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   struct Thread {
     const isa::Program* prog = nullptr;
     ArchState arch;
     TMode mode = TMode::kIdle;
     Cycle fetch_stall_until = 0;
     Cycle mode_until = 0;
-    std::deque<DynUop> uq;
-    std::vector<RobEntry> rob;   // ring indexed by seq % rob_size
+    UopQueue uq;
+    std::vector<RobEntry> rob;   // ring indexed by seq & rob_mask_
     uint64_t head = 0;           // oldest in-flight seq
     uint64_t next = 0;           // next seq to allocate
+    // The unissued uops in seq order: dispatch appends, issue erases. The
+    // scheduler window is its first sched_window_limit() entries.
+    std::vector<Pending> unissued;
+    // Where this cycle's issue scan resumes: every entry before it was
+    // rejected this cycle and stays rejected (port caps and divider state
+    // only tighten within a cycle, an unready uop waits on an unissued
+    // producer that sits earlier in the list, and a known ready cycle
+    // after now_ stays after it). Reset to 0 before each issue stage.
+    size_t scan_pos = 0;
     // last_writer[reg] = seq + 1 of the most recent dispatched writer
     // (0 = none in recorded history).
     std::array<uint64_t, isa::kNumRegs> last_writer{};
@@ -229,7 +277,6 @@ class Core {
     static constexpr int kRsSize = 16;
     std::array<Addr, kRlSize> rl_addr{};
     std::array<uint64_t, kRlSize> rl_val{};
-    std::array<Cycle, kRlSize> rl_cyc{};
     std::array<bool, kRlSize> rl_valid{};
     int rl_pos = 0;
     std::array<Addr, kRsSize> rs_addr{};
@@ -258,7 +305,10 @@ class Core {
   int lq_limit(CpuId cpu) const;
   int sb_limit(CpuId cpu) const;
   int uq_limit(CpuId cpu) const;
-  bool dep_ready(const Thread& t, uint64_t seq) const;
+  /// Whether the unissued uop `p` of `t` may issue in cycle now_ as far as
+  /// its dependences go; fills in p.ready_at once it is known. The one
+  /// readiness definition of the issue stage and of scan_issue_blocks.
+  bool ready(const Thread& t, Pending& p) const;
   void reclaim_store_buffer(Thread& t);
   /// Classifies the allocation stall of `t`'s next uop (inactive when the
   /// uop queue is empty or the uop fits) — the one copy of the ROB / load
@@ -294,6 +344,9 @@ class Core {
   void check_memory_order(Thread& t, CpuId cpu, Addr addr, uint64_t value);
 
   CoreConfig cfg_;
+  // The ROB ring has bit_ceil(rob_size) slots, so seq & rob_mask_ indexes
+  // it; at most rob_size of them are ever occupied.
+  uint64_t rob_mask_ = 0;
   mem::CacheHierarchy& hier_;
   mem::SimMemory& mem_;
   perfmon::PerfCounters& ctr_;

@@ -3,6 +3,10 @@
 // pause/halt/IPI machinery the paper's synchronization layer relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "core/machine.h"
 #include "isa/asm_builder.h"
 #include "perfmon/events.h"
@@ -712,6 +716,151 @@ TEST(IdivPort, CoScheduledUnpipelinedDividersBarelyInterfere) {
               4.0);
   EXPECT_NEAR(cpi(m, kC1), static_cast<double>(m.config().core.lat_fdiv),
               4.0);
+}
+
+// ---------------------------------------------------------------------------
+// Issue-stage semantics: same-cycle forwarding and the scheduler window
+// ---------------------------------------------------------------------------
+
+/// Records every issue the core reports, in order.
+class IssueRecorder : public cpu::PipelineObserver {
+ public:
+  struct Issue {
+    uint32_t pc;
+    Cycle done;
+    Cycle now;
+  };
+
+  void on_issue(CpuId /*cpu*/, const cpu::DynUop& uop, int /*port*/,
+                Cycle done, Cycle now) override {
+    issues_.push_back({uop.pc, done, now});
+  }
+
+  const std::vector<Issue>& issues() const { return issues_; }
+
+  /// The cycle the (single) dynamic instance of `pc` issued in.
+  Cycle cycle_of(uint32_t pc) const {
+    for (const Issue& i : issues_) {
+      if (i.pc == pc) return i.now;
+    }
+    ADD_FAILURE() << "pc " << pc << " never issued";
+    return 0;
+  }
+
+ private:
+  std::vector<Issue> issues_;
+};
+
+TEST(IssueStage, DependentSimpleAluUopsIssueInOneCycle) {
+  // lat_simple_alu = 0: an iadd's result is forwarded within the cycle, so
+  // its dependent issues in the same cycle. A candidate list frozen at the
+  // start of the cycle would push every link of the chain a cycle apart.
+  AsmBuilder a("iadd-chain");
+  a.imovi(IReg::R0, 0);
+  a.imovi(IReg::R1, 1);
+  const uint32_t first = static_cast<uint32_t>(a.pos());
+  constexpr int kLinks = 30;
+  for (int i = 0; i < kLinks; ++i) a.iadd(IReg::R0, IReg::R0, IReg::R1);
+  a.exit();
+  Machine m;
+  ASSERT_EQ(m.config().core.lat_simple_alu, 0u);
+  IssueRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, a.take());
+  m.run();
+  EXPECT_EQ(m.core().arch(kC0).ireg(IReg::R0), kLinks);
+
+  std::map<Cycle, int> chain_issues_per_cycle;
+  for (const IssueRecorder::Issue& i : rec.issues()) {
+    if (i.pc >= first && i.pc < first + kLinks) {
+      EXPECT_EQ(i.done, i.now);  // zero latency
+      ++chain_issues_per_cycle[i.now];
+    }
+  }
+  int widest = 0;
+  for (const auto& [cycle, n] : chain_issues_per_cycle) {
+    widest = std::max(widest, n);
+  }
+  EXPECT_GT(widest, 1);
+  // Every link still issues after its producer (program order here).
+  Cycle prev = 0;
+  for (int i = 0; i < kLinks; ++i) {
+    const Cycle c = rec.cycle_of(first + static_cast<uint32_t>(i));
+    EXPECT_GE(c, prev);
+    prev = c;
+  }
+}
+
+/// fdiv f0 (long latency), then `waiters` fadds that read f0, then one
+/// iadd that is ready long before the divide completes. Returns the
+/// program and, through the out-params, the pcs of the first fadd and of
+/// the iadd.
+isa::Program window_probe(int waiters, uint32_t* first_fadd,
+                          uint32_t* ready_iadd) {
+  AsmBuilder a("window-probe");
+  a.imovi(IReg::R0, 0);
+  a.imovi(IReg::R1, 1);
+  a.fmovi(FReg::F0, 1.0);
+  a.fmovi(FReg::F8, 1.0);
+  a.fdiv(FReg::F0, FReg::F0, FReg::F8);
+  *first_fadd = static_cast<uint32_t>(a.pos());
+  for (int i = 0; i < waiters; ++i) {
+    a.fadd(isa::freg_n(1 + i), FReg::F0, FReg::F8);
+  }
+  *ready_iadd = static_cast<uint32_t>(a.pos());
+  a.iadd(IReg::R0, IReg::R0, IReg::R1);
+  a.exit();
+  return a.take();
+}
+
+TEST(IssueStage, WindowCountsOnlyUnissuedEntries) {
+  // Window 2, filled by the two fadds waiting on the divide: the ready iadd
+  // behind them cannot issue until one of them does. When the first fadd
+  // issues, the window slides past it within the same cycle (issued uops
+  // do not hold a slot), the second fadd loses the FP port, and the iadd
+  // issues in that very cycle.
+  uint32_t fadd = 0, iadd = 0;
+  const isa::Program p = window_probe(2, &fadd, &iadd);
+  MachineConfig cfg;
+  cfg.core.sched_window = 2;
+  Machine m{cfg};
+  IssueRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, p);
+  m.run();
+  const Cycle fadd_cycle = rec.cycle_of(fadd);
+  const uint32_t fdiv = fadd - 1;
+  EXPECT_GE(fadd_cycle, rec.cycle_of(fdiv) + m.config().core.lat_fdiv);
+  EXPECT_EQ(rec.cycle_of(iadd), fadd_cycle);
+  EXPECT_EQ(rec.cycle_of(fadd + 1), fadd_cycle + 1);
+
+  // With the default window the iadd is in view from the start and issues
+  // long before the divide completes.
+  Machine wide;
+  IssueRecorder wide_rec;
+  wide.core().add_observer(&wide_rec);
+  wide.load_program(kC0, p);
+  wide.run();
+  EXPECT_LT(wide_rec.cycle_of(iadd), wide_rec.cycle_of(fadd));
+}
+
+TEST(IssueStage, PortDeniedReadyUopStillHoldsAWindowSlot) {
+  // Three fadds become ready together. The first takes the FP port; the
+  // other two are ready but denied the port, and they fill the window of 2,
+  // so the iadd behind them waits a cycle — until the second fadd issues.
+  uint32_t fadd = 0, iadd = 0;
+  const isa::Program p = window_probe(3, &fadd, &iadd);
+  MachineConfig cfg;
+  cfg.core.sched_window = 2;
+  Machine m{cfg};
+  IssueRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, p);
+  m.run();
+  const Cycle fadd_cycle = rec.cycle_of(fadd);
+  EXPECT_EQ(rec.cycle_of(fadd + 1), fadd_cycle + 1);
+  EXPECT_EQ(rec.cycle_of(fadd + 2), fadd_cycle + 2);
+  EXPECT_EQ(rec.cycle_of(iadd), fadd_cycle + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@
 // every kind, so every hook fires.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/flight_recorder.h"
 #include "core/machine.h"
+#include "host/experiments.h"
 #include "kernels/matmul.h"
 #include "perfmon/counters.h"
 #include "perfmon/events.h"
@@ -137,13 +143,19 @@ std::string flight_output(const core::FlightRecorder& fr) {
   return os.str();
 }
 
-BusRun run_spr_matmul(unsigned attach, bool event_skip) {
+/// The SPR matmul every test here runs: worker + prefetcher with halt
+/// barriers.
+MatMulParams spr_matmul() {
   MatMulParams p;
   p.n = 16;
   p.tile = 4;
   p.mode = MmMode::kTlpPfetch;
   p.halt_barriers = true;
-  MatMulWorkload w(p);
+  return p;
+}
+
+BusRun run_spr_matmul(unsigned attach, bool event_skip) {
+  MatMulWorkload w(spr_matmul());
   MachineConfig cfg;
   cfg.core.event_skip = event_skip;
   Machine m(cfg);
@@ -273,6 +285,91 @@ TEST(ObserverBus, PerPcCountsSumToMixProfilerAndCounters) {
     EXPECT_EQ(instrs, m.counters().get(cpu, Event::kInstrRetired));
     EXPECT_EQ(uops, m.counters().get(cpu, Event::kUopsRetired));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden hook-stream digests
+// ---------------------------------------------------------------------------
+
+/// Folds every on_issue, on_block and on_retire argument, in call order,
+/// into one FNV-1a digest (each record is hashed together with the digest
+/// so far, as little-endian 64-bit words). It asks for issue blocks, so
+/// the digest pins each uop's issue cycle, port and completion cycle, the
+/// retire stream, and the issue-stage block attribution.
+class HookDigest : public cpu::PipelineObserver {
+ public:
+  bool wants_issue_blocks() const override { return true; }
+
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int port, Cycle done,
+                Cycle now) override {
+    fold({'i', static_cast<uint64_t>(cpu), uop.uid, uop.pc,
+          static_cast<uint64_t>(port), done, now});
+  }
+  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
+                bool sibling, int port, Cycle cycles, Cycle now) override {
+    fold({'b', static_cast<uint64_t>(cpu), static_cast<uint64_t>(reason), pc,
+          sibling ? 1u : 0u, static_cast<uint64_t>(port), cycles, now});
+  }
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override {
+    fold({'r', static_cast<uint64_t>(cpu), uop.uid, uop.pc,
+          static_cast<uint64_t>(uops), now});
+  }
+
+  /// "<16 hex digits of the digest>/<number of records folded>".
+  std::string hex() const {
+    char out[40];
+    std::snprintf(out, sizeof out, "%016llx/%llu",
+                  static_cast<unsigned long long>(digest_),
+                  static_cast<unsigned long long>(records_));
+    return out;
+  }
+
+ private:
+  static void put(std::string& out, uint64_t w) {
+    for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>(w >> (8 * b)));
+  }
+  void fold(std::initializer_list<uint64_t> words) {
+    buf_.clear();
+    put(buf_, digest_);
+    for (const uint64_t w : words) put(buf_, w);
+    digest_ = fnv1a64(buf_);
+    ++records_;
+  }
+
+  uint64_t digest_ = 0;
+  uint64_t records_ = 0;
+  std::string buf_;
+};
+
+/// Runs `w` to completion on a default machine with a HookDigest attached.
+std::string hook_digest(core::Workload& w) {
+  Machine m{};
+  HookDigest digest;
+  m.core().add_observer(&digest);
+  w.setup(m);
+  const std::vector<isa::Program> progs = w.programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  m.run();
+  EXPECT_TRUE(w.verify(m));
+  return digest.hex();
+}
+
+// Expected values are "digest/records". Any change to issue order, issue
+// block attribution or retirement timing changes them, so only an
+// intentional timing-model change may re-take them.
+TEST(ObserverBus, HookStreamDigestOfTheSprMatmulIsGolden) {
+  MatMulWorkload w(spr_matmul());
+  EXPECT_EQ(hook_digest(w), "5bcdde411639e07f/136454");
+}
+
+TEST(ObserverBus, HookStreamDigestOfTlpFineMatmulIsGolden) {
+  const host::ExperimentDef* def = host::find_experiment("mm.tlp-fine.n64");
+  ASSERT_NE(def, nullptr);
+  const std::unique_ptr<core::Workload> w = def->make();
+  EXPECT_EQ(hook_digest(*w), "60870733e63ea8dc/7897099");
 }
 
 }  // namespace
