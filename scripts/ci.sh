@@ -123,7 +123,10 @@ SMT_BENCH_REPORT_DIR="$profile_dir" SMT_BENCH_PROFILE=1 \
 # mask-instruction serialization signature of the blocked-layout MM).
 mm_report="$profile_dir/fig3_matmul.mm.serial.n64.json"
 ./build/tools/smt_annotate "$mm_report" --cpu 0 > "$profile_dir/annotated.txt"
-grep -q "alu0" "$profile_dir/annotated.txt"
+# The port table's alu0 row must count uops: a bare grep for "alu0" would
+# also match the hotspot column header.
+awk '$1 == "alu0" && $2 != "0" { found = 1 } END { exit !found }' \
+  "$profile_dir/annotated.txt"
 
 # report_diff is the regression gate: a report diffed against itself must
 # pass, and a perturbed counter must trip a nonzero exit. The counter is

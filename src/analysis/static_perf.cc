@@ -1,11 +1,13 @@
 #include "analysis/static_perf.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
 #include "analysis/absint.h"
 #include "analysis/cfg.h"
+#include "cpu/ports.h"
 #include "isa/opcode.h"
 
 namespace smt::analysis {
@@ -22,22 +24,18 @@ namespace {
 /// Resource usage of an instruction range, in the units each hard
 /// constraint is expressed in.
 struct Usage {
-  double fp = 0;       // uops on the single shared FP port
-  double fpmov = 0;    // uops on the FP-move port
-  double load = 0;     // uops on the load port
-  double store = 0;    // uops on the store port
-  double alu0 = 0;     // uops restricted to ALU0 (logical/shift/branch)
-  double alu_any = 0;  // simple-ALU uops that may use either ALU
-  double fdiv = 0;     // unpipelined FP divides
-  double idiv = 0;     // unpipelined integer divides
+  // Uops per issue port; a uop with several candidate ports counts at its
+  // first, the scheduler's preferred one (simple-ALU uops at ALU1).
+  std::array<double, cpu::kNumIssuePorts> port{};
+  std::array<double, cpu::kNumDividers> divides{};  // by cpu::Divider
   double uops = 0;
   double instrs = 0;
 
   void add(const Instr& in, double w) {
     instrs += w;
     if (in.op == Opcode::kXchg) {  // one load uop + one store uop
-      load += w;
-      store += w;
+      port[static_cast<int>(IssuePort::kLoad)] += w;
+      port[static_cast<int>(IssuePort::kStore)] += w;
       uops += 2 * w;
       return;
     }
@@ -46,20 +44,10 @@ struct Usage {
         static_cast<size_t>(Opcode::kNumOpcodes)) {
       return;  // unclassifiable: no port claim (conservative)
     }
-    switch (isa::unit_class(in.op)) {
-      case UnitClass::kAlu:    alu_any += w; break;
-      case UnitClass::kAlu0:
-      case UnitClass::kBranch: alu0 += w; break;
-      case UnitClass::kIntMul: fp += w; break;
-      case UnitClass::kIntDiv: fp += w; idiv += w; break;
-      case UnitClass::kFpAdd:
-      case UnitClass::kFpMul:  fp += w; break;
-      case UnitClass::kFpDiv:  fp += w; fdiv += w; break;
-      case UnitClass::kFpMove: fpmov += w; break;
-      case UnitClass::kLoad:   load += w; break;
-      case UnitClass::kStore:  store += w; break;
-      case UnitClass::kNone:   break;
-    }
+    const UnitClass unit = isa::unit_class(in.op);
+    const cpu::PortList& ports = cpu::candidate_ports(unit);
+    if (!ports.empty()) port[static_cast<int>(*ports.begin())] += w;
+    if (const int d = cpu::divider_of(unit); d >= 0) divides[d] += w;
   }
 };
 
@@ -70,39 +58,39 @@ struct Family {
   double (*cycles)(const Usage& u, const cpu::CoreConfig& cfg);
 };
 
+/// Uops on port `P` over the uops it accepts per cycle.
+template <IssuePort P>
+double port_cycles(const Usage& u, const cpu::CoreConfig& cfg) {
+  const int p = static_cast<int>(P);
+  return u.port[p] / cpu::port_caps(cfg)[p];
+}
+
+/// Divides on divider `D` times the cycles each one holds it.
+template <cpu::Divider D>
+double divider_cycles(const Usage& u, const cpu::CoreConfig& cfg) {
+  return u.divides[static_cast<int>(D)] *
+         static_cast<double>(cpu::divider_occupancy(D, cfg));
+}
+
 constexpr Family kFamilies[] = {
-    {"fp port", [](const Usage& u, const cpu::CoreConfig&) { return u.fp; }},
-    {"fp-move port",
-     [](const Usage& u, const cpu::CoreConfig&) { return u.fpmov; }},
-    {"load port",
-     [](const Usage& u, const cpu::CoreConfig&) { return u.load; }},
-    {"store port",
-     [](const Usage& u, const cpu::CoreConfig&) { return u.store; }},
-    {"alu0 port",
-     [](const Usage& u, const cpu::CoreConfig& cfg) {
-       return u.alu0 / cfg.alu0_per_cycle;
-     }},
+    {"fp port", port_cycles<IssuePort::kFp>},
+    {"fp-move port", port_cycles<IssuePort::kFpMove>},
+    {"load port", port_cycles<IssuePort::kLoad>},
+    {"store port", port_cycles<IssuePort::kStore>},
+    {"alu0 port", port_cycles<IssuePort::kAlu0>},
     {"alu bandwidth",
      [](const Usage& u, const cpu::CoreConfig& cfg) {
-       return (u.alu0 + u.alu_any) /
-              (cfg.alu0_per_cycle + cfg.alu1_per_cycle);
+       const int a0 = static_cast<int>(IssuePort::kAlu0);
+       const int a1 = static_cast<int>(IssuePort::kAlu1);
+       const std::array<int, cpu::kNumIssuePorts> caps = cpu::port_caps(cfg);
+       return (u.port[a0] + u.port[a1]) / (caps[a0] + caps[a1]);
      }},
     {"retire width",
      [](const Usage& u, const cpu::CoreConfig& cfg) {
        return u.instrs / cfg.retire_width;
      }},
-    {"fdiv unit",
-     [](const Usage& u, const cpu::CoreConfig& cfg) {
-       return cfg.fdiv_unpipelined
-                  ? u.fdiv * static_cast<double>(cfg.lat_fdiv)
-                  : u.fdiv;
-     }},
-    {"idiv unit",
-     [](const Usage& u, const cpu::CoreConfig& cfg) {
-       return cfg.idiv_unpipelined
-                  ? u.idiv * static_cast<double>(cfg.lat_idiv)
-                  : u.idiv;
-     }},
+    {"fdiv unit", divider_cycles<cpu::Divider::kFp>},
+    {"idiv unit", divider_cycles<cpu::Divider::kInt>},
 };
 
 /// Abort-free register-read mask of the operands a result chain can run
@@ -164,12 +152,7 @@ StaticPerf static_cpi_bound(const isa::Program& p,
     }
     r.instrs = static_cast<uint64_t>(total.instrs);
     r.uops = static_cast<uint64_t>(total.uops);
-    r.port_uops[static_cast<int>(IssuePort::kAlu0)] = total.alu0;
-    r.port_uops[static_cast<int>(IssuePort::kAlu1)] = total.alu_any;
-    r.port_uops[static_cast<int>(IssuePort::kFp)] = total.fp;
-    r.port_uops[static_cast<int>(IssuePort::kFpMove)] = total.fpmov;
-    r.port_uops[static_cast<int>(IssuePort::kLoad)] = total.load;
-    r.port_uops[static_cast<int>(IssuePort::kStore)] = total.store;
+    r.port_uops = total.port;
 
     for (const Family& f : kFamilies) {
       const double c = f.cycles(total, cfg);

@@ -18,7 +18,10 @@
 //     bound is max over hard resource constraints of the whole program
 //     (port-capacity sums, dispatch/retire bandwidth, unpipelined-divider
 //     occupancy, single-instruction loop-carried dependence chains),
-//     divided by the static instruction count.
+//     divided by the static instruction count. The port and divider
+//     families read the core's own port model (cpu/ports.h): each unit
+//     class's candidate ports, the per-port caps and the divider
+//     occupancy, so the bound and the simulator cannot disagree on them.
 //   * fallback — any path is a concatenation of whole blocks (plus one
 //     exit-terminated prefix), so CPI over any path is at least the
 //     minimum per-instruction cost density over all reachable blocks and
@@ -29,7 +32,7 @@
 #include <string>
 
 #include "cpu/config.h"
-#include "cpu/core.h"
+#include "cpu/ports.h"
 #include "isa/program.h"
 
 namespace smt::analysis {
@@ -52,9 +55,9 @@ struct StaticPerf {
   /// The constraint family that set the bound (e.g. "fp port",
   /// "retire width", "fdiv unit", "loop-carried fadd chain").
   std::string binding;
-  /// Freq-weighted uop count per issue port (exact mode only). Simple-ALU
-  /// uops that may issue on either ALU are attributed to ALU1, the
-  /// scheduler's preferred port for them.
+  /// Freq-weighted uop count per issue port (exact mode only). A uop with
+  /// several candidate ports counts at its first, the scheduler's
+  /// preferred one (ALU1 for simple-ALU uops; cpu/ports.h).
   std::array<double, cpu::kNumIssuePorts> port_uops{};
 };
 

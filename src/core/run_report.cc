@@ -137,8 +137,9 @@ void write_block_reason_map(JsonWriter& w,
   w.end_object();
 }
 
+template <typename T>
 void write_port_map(JsonWriter& w,
-                    const std::array<uint64_t, cpu::kNumIssuePorts>& ports) {
+                    const std::array<T, cpu::kNumIssuePorts>& ports) {
   w.begin_object();
   for (int p = 0; p < cpu::kNumIssuePorts; ++p) {
     w.kv(cpu::name(static_cast<cpu::IssuePort>(p)), ports[p]);
@@ -187,21 +188,11 @@ void write_profile(JsonWriter& w, const profile::PcProfiler& prof,
   }
   w.end_array();
 
-  // Per-cycle issue caps for each port (the double-speed ALUs fire twice a
-  // cycle; the FP/move/load/store ports once). check_run_report bounds
-  // occupancy by cap * cycles, and smt_annotate computes utilization
-  // against them.
+  // Per-cycle issue caps for each port, from the port model
+  // (cpu/ports.h). check_run_report bounds occupancy by cap * cycles, and
+  // smt_annotate computes utilization against them.
   w.key("port_caps_per_cycle");
-  std::array<uint64_t, cpu::kNumIssuePorts> caps{};
-  caps[static_cast<int>(cpu::IssuePort::kAlu0)] =
-      static_cast<uint64_t>(core_cfg.alu0_per_cycle);
-  caps[static_cast<int>(cpu::IssuePort::kAlu1)] =
-      static_cast<uint64_t>(core_cfg.alu1_per_cycle);
-  caps[static_cast<int>(cpu::IssuePort::kFp)] = 1;
-  caps[static_cast<int>(cpu::IssuePort::kFpMove)] = 1;
-  caps[static_cast<int>(cpu::IssuePort::kLoad)] = 1;
-  caps[static_cast<int>(cpu::IssuePort::kStore)] = 1;
-  write_port_map(w, caps);
+  write_port_map(w, cpu::port_caps(core_cfg));
 
   w.end_object();
 }

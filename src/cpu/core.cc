@@ -321,102 +321,29 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     if (!ready(t, p)) continue;
     RobEntry& e = t.rob[p.seq & rob_mask_];
 
-    // Structural check + reservation.
+    // Structural check + reservation: the first candidate port with
+    // capacity left, and the unpipelined divider, if the unit needs one.
+    // Portless uops (nop/pause/halt/ipi) take an issue slot only: port -1.
     const DynUop& u = e.uop;
-    Cycle done = now_ + 1;
-    IssuePort port = IssuePort::kAlu0;
-    bool has_port = true;  // kNone uops take an issue slot but no port
-    switch (u.unit) {
-      case UnitClass::kAlu:
-        if (cap_alu1_ > 0) {
-          --cap_alu1_;
-          port = IssuePort::kAlu1;
-        } else if (cap_alu0_ > 0) {
-          --cap_alu0_;
-        } else {
-          continue;
-        }
-        done = now_ + cfg_.latency(u.op);
-        break;
-      case UnitClass::kAlu0:
-      case UnitClass::kBranch:
-        if (cap_alu0_ <= 0) continue;
-        --cap_alu0_;
-        done = now_ + cfg_.latency(u.op);
-        break;
-      case UnitClass::kIntMul:
-        // Integer multiplies execute in the FP complex unit on Netburst,
-        // through the same single FP issue port.
-        if (cap_fp_port_ <= 0) continue;
-        --cap_fp_port_;
-        port = IssuePort::kFp;
-        done = now_ + cfg_.latency(u.op);
-        break;
-      case UnitClass::kIntDiv:
-        // Integer divides execute in the FP complex unit (paper Table 1's
-        // subunit mapping), through the same single FP issue port as
-        // INT_MUL and the FP arithmetic units.
-        if (cap_fp_port_ <= 0) continue;
-        if (cfg_.idiv_unpipelined && idiv_busy_until_ > now_) continue;
-        --cap_fp_port_;
-        port = IssuePort::kFp;
-        done = now_ + cfg_.latency(u.op);
-        if (cfg_.idiv_unpipelined) {
-          idiv_busy_until_ = done;
-          idiv_owner_ = static_cast<int>(idx(cpu));
-        }
-        break;
-      case UnitClass::kFpAdd:
-      case UnitClass::kFpMul:
-        if (cap_fp_port_ <= 0) continue;
-        --cap_fp_port_;
-        port = IssuePort::kFp;
-        done = now_ + cfg_.latency(u.op);
-        break;
-      case UnitClass::kFpDiv:
-        if (cap_fp_port_ <= 0) continue;
-        if (cfg_.fdiv_unpipelined && fdiv_busy_until_ > now_) continue;
-        --cap_fp_port_;
-        port = IssuePort::kFp;
-        done = now_ + cfg_.latency(u.op);
-        if (cfg_.fdiv_unpipelined) {
-          fdiv_busy_until_ = done;
-          fdiv_owner_ = static_cast<int>(idx(cpu));
-        }
-        break;
-      case UnitClass::kFpMove:
-        if (cap_fpmov_ <= 0) continue;
-        --cap_fpmov_;
-        port = IssuePort::kFpMove;
-        done = now_ + cfg_.latency(u.op);
-        break;
-      case UnitClass::kLoad: {
-        if (cap_load_ <= 0) continue;
-        --cap_load_;
-        port = IssuePort::kLoad;
-        if (u.is_prefetch) {
-          hier_.prefetch(u.addr, u.prefetch_to_l1, cpu, now_);
-          done = now_ + 1;  // fire-and-forget
-        } else {
-          const mem::AccessOutcome out =
-              hier_.access(u.addr, /*is_write=*/false, cpu, now_, u.pc);
-          mirror_access_stats(cpu, out, /*is_load=*/true, u.pc);
-          done = out.ready;
-        }
-        break;
+    const int port = first_free_port(u.unit, caps_);
+    if (port < 0 && !candidate_ports(u.unit).empty()) continue;
+    const int div = unpipelined_divider(u.unit, cfg_);
+    if (div >= 0 && dividers_[div].busy_until > now_) continue;
+
+    Cycle done;
+    if (u.is_load) {
+      const mem::AccessOutcome out =
+          hier_.access(u.addr, /*is_write=*/false, cpu, now_, u.pc);
+      mirror_access_stats(cpu, out, /*is_load=*/true, u.pc);
+      done = out.ready;
+    } else {
+      if (u.is_prefetch) {  // fire-and-forget
+        hier_.prefetch(u.addr, u.prefetch_to_l1, cpu, now_);
       }
-      case UnitClass::kStore:
-        // Store-address generation; the data commits at drain time.
-        if (cap_store_ <= 0) continue;
-        --cap_store_;
-        port = IssuePort::kStore;
-        done = now_ + 1;
-        break;
-      case UnitClass::kNone:
-        has_port = false;
-        done = now_ + 1;
-        break;
+      done = now_ + cfg_.latency(u.op);
     }
+    if (port >= 0) --caps_[port];
+    if (div >= 0) dividers_[div] = {done, static_cast<int>(idx(cpu))};
 
     e.issued = true;
     e.done_at = done;
@@ -424,11 +351,9 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     // Interference bookkeeping: who took which port this cycle (consumed
     // by scan_issue_blocks; simulation state is never read from these).
     ++uops_issued_[idx(cpu)];
-    if (has_port) {
-      ++port_issued_[idx(cpu)][static_cast<int>(port)];
-    }
+    if (port >= 0) ++port_issued_[idx(cpu)][port];
     for (PipelineObserver* o : observers_) {
-      o->on_issue(cpu, u, has_port ? static_cast<int>(port) : -1, done, now_);
+      o->on_issue(cpu, u, port, done, now_);
     }
     // The next uop slides into scan_pos; a zero-latency issue's consumers
     // sit after it, so they are examined after it issued.
@@ -464,64 +389,30 @@ void Core::scan_issue_blocks() {
       Pending& p = t.unissued[k];
       if (!ready(t, p)) continue;
       const RobEntry& e = t.rob[p.seq & rob_mask_];
+      // The same candidate list and caps try_issue_one reads: with a
+      // candidate port free, only a busy divider can have held it back.
+      const int div = unpipelined_divider(e.uop.unit, cfg_);
       BlockReason reason = BlockReason::kPortConflict;
       bool sibling = false;
       int port = -1;
-      if (e.uop.unit == UnitClass::kIntDiv && cap_fp_port_ > 0 &&
-          cfg_.idiv_unpipelined && idiv_busy_until_ > now_) {
+      if (div >= 0 && dividers_[div].busy_until > now_ &&
+          first_free_port(e.uop.unit, caps_) >= 0) {
         reason = BlockReason::kDividerBusy;
-        sibling = idiv_owner_ == sib;
-      } else if (e.uop.unit == UnitClass::kFpDiv && cap_fp_port_ > 0 &&
-                 cfg_.fdiv_unpipelined && fdiv_busy_until_ > now_) {
-        reason = BlockReason::kDividerBusy;
-        sibling = fdiv_owner_ == sib;
+        sibling = dividers_[div].owner == sib;
       } else {
         // Port conflict: name the exhausted candidate port, preferring
         // one the sibling actually issued onto this cycle; with no
         // candidate exhausted the uop lost to raw issue-width, blamed on
         // the sibling when it consumed any of the shared slots.
-        int candidates[2];
-        int ncand = 0;
-        switch (e.uop.unit) {
-          case UnitClass::kAlu:
-            candidates[ncand++] = static_cast<int>(IssuePort::kAlu1);
-            candidates[ncand++] = static_cast<int>(IssuePort::kAlu0);
-            break;
-          case UnitClass::kAlu0:
-          case UnitClass::kBranch:
-            candidates[ncand++] = static_cast<int>(IssuePort::kAlu0);
-            break;
-          case UnitClass::kIntMul:
-          case UnitClass::kIntDiv:
-          case UnitClass::kFpAdd:
-          case UnitClass::kFpMul:
-          case UnitClass::kFpDiv:
-            candidates[ncand++] = static_cast<int>(IssuePort::kFp);
-            break;
-          case UnitClass::kFpMove:
-            candidates[ncand++] = static_cast<int>(IssuePort::kFpMove);
-            break;
-          case UnitClass::kLoad:
-            candidates[ncand++] = static_cast<int>(IssuePort::kLoad);
-            break;
-          case UnitClass::kStore:
-            candidates[ncand++] = static_cast<int>(IssuePort::kStore);
-            break;
-          case UnitClass::kNone:
-            break;  // consumed issue bandwidth only
-        }
-        const int caps[kNumIssuePorts] = {cap_alu0_, cap_alu1_, cap_fp_port_,
-                                          cap_fpmov_, cap_load_, cap_store_};
-        for (int c = 0; c < ncand && port < 0; ++c) {
-          const int p = candidates[c];
-          if (caps[p] <= 0 && port_issued_[sib][p] > 0) {
+        for (const IssuePort c : candidate_ports(e.uop.unit)) {
+          const int p = static_cast<int>(c);
+          if (caps_[p] > 0) continue;
+          if (port_issued_[sib][p] > 0) {
             port = p;
             sibling = true;
+            break;
           }
-        }
-        for (int c = 0; c < ncand && port < 0; ++c) {
-          const int p = candidates[c];
-          if (caps[p] <= 0) port = p;  // exhausted by this context alone
+          if (port < 0) port = p;  // exhausted by this context alone
         }
         if (port < 0) sibling = uops_issued_[sib] > 0;
       }
@@ -730,12 +621,7 @@ bool Core::step_cycle() {
   }
 
   // Issue: shared ports, round-robin starting with the preferred context.
-  cap_alu0_ = cfg_.alu0_per_cycle;
-  cap_alu1_ = cfg_.alu1_per_cycle;
-  cap_fp_port_ = 1;
-  cap_fpmov_ = 1;
-  cap_load_ = 1;
-  cap_store_ = 1;
+  caps_ = port_caps(cfg_);
   port_issued_ = {};
   uops_issued_ = {};
   for (Thread& t : threads_) t.scan_pos = 0;
@@ -919,8 +805,7 @@ Cycle Core::next_event_cycle() const {
     }
     for (const Cycle c : t.sb_drain_free_at) consider(c);
   }
-  consider(fdiv_busy_until_);
-  consider(idiv_busy_until_);
+  for (const DividerState& d : dividers_) consider(d.busy_until);
   return cand;
 }
 

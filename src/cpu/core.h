@@ -8,7 +8,9 @@
 //                       begin draining from the store buffer into the cache
 //   3. issue/execute  — dependence-checked out-of-order issue onto shared
 //                       ports; double-speed ALUs, ALU0-only logical ops,
-//                       unpipelined dividers; loads/stores access the
+//                       unpipelined dividers, all as cpu/ports.h defines
+//                       them (each uop takes its first candidate port
+//                       with capacity left); loads/stores access the
 //                       shared cache hierarchy. Each context keeps its
 //                       unissued uops in an ordered list (the scheduler
 //                       window is its first sched_window entries) with a
@@ -55,6 +57,7 @@
 #include "cpu/arch_state.h"
 #include "cpu/config.h"
 #include "cpu/observer.h"
+#include "cpu/ports.h"
 #include "isa/program.h"
 #include "mem/hierarchy.h"
 #include "mem/sim_memory.h"
@@ -359,25 +362,24 @@ class Core {
   Cycle now_ = 0;
   Cycle last_retire_cycle_ = 0;
 
-  // Shared execution-unit state.
-  Cycle fdiv_busy_until_ = 0;
-  Cycle idiv_busy_until_ = 0;
-  // Which context reserved the (unpipelined) divider currently busy —
-  // the interference attribution for kDividerBusy blocks. Constant while
-  // the divide is in flight, so it replays exactly across event-skip
-  // windows.
-  int fdiv_owner_ = -1;
-  int idiv_owner_ = -1;
+  // The unpipelined dividers (indexed by cpu::Divider): the cycle the
+  // divide in flight completes, and which context reserved it — the
+  // interference attribution for kDividerBusy blocks. Both are constant
+  // while the divide is in flight, so they replay exactly across
+  // event-skip windows.
+  struct DividerState {
+    Cycle busy_until = 0;
+    int owner = -1;
+  };
+  std::array<DividerState, kNumDividers> dividers_{};
   Cycle store_commit_port_free_ = 0;
 
   // Issue-priority rotation (round-robin between contexts).
   int issue_pref_ = 0;
 
-  // Per-cycle port budgets, reset in step_cycle. The single FP issue port
-  // (Netburst port 1) feeds FP_ADD, FP_MUL, FP_DIV and the integer
-  // multiplier; FP_MOVE has its own path (port 0).
-  int cap_alu0_ = 0, cap_alu1_ = 0, cap_fp_port_ = 0, cap_fpmov_ = 0,
-      cap_load_ = 0, cap_store_ = 0;
+  // Per-cycle port budgets (indexed by IssuePort), refilled from
+  // port_caps(cfg_) in step_cycle.
+  std::array<int, kNumIssuePorts> caps_{};
 
   // Per-cycle issue bookkeeping for interference attribution: which
   // context issued onto which port this cycle (reset with the caps;

@@ -17,14 +17,16 @@
 // fetch, issue, retire, guest accesses and IPIs only happen in stepped
 // cycles). Every hook defaults to a no-op and carries the current cycle.
 //
-// Header-only and dependent only on common/ and isa/, so instrument
-// libraries (smt_trace, smt_profile, smt_analysis) can implement the
-// interface without linking the core.
+// Header-only and dependent only on common/, isa/ and the port model
+// (cpu/ports.h, which defines IssuePort), so instrument libraries
+// (smt_trace, smt_profile, smt_analysis) can implement the interface
+// without linking the core.
 #pragma once
 
 #include <cstdint>
 
 #include "common/types.h"
+#include "cpu/ports.h"
 #include "isa/opcode.h"
 #include "isa/registers.h"
 
@@ -50,21 +52,6 @@ struct DynUop {
   bool is_branch = false;
 };
 
-/// Issue ports of the modeled backend, at the granularity the paper's
-/// Table 1 / Figure 6 reason about: the two double-speed ALUs (logical,
-/// shift and branch uops are restricted to ALU0), the single shared FP
-/// issue port (FP add/mul/div plus the complex integer unit), the FP-move
-/// path, and the load / store-address ports.
-enum class IssuePort : uint8_t {
-  kAlu0,
-  kAlu1,
-  kFp,      // shared FP complex port (fadd/fmul/fdiv/imul/idiv)
-  kFpMove,
-  kLoad,
-  kStore,   // store-address generation
-};
-inline constexpr int kNumIssuePorts = 6;
-
 /// Why the backend could not make forward progress on a uop this cycle.
 /// The first four mirror the allocator/frontend stall counters; the last
 /// two are issue-stage conditions that have no per-CPU counter but are
@@ -87,18 +74,6 @@ enum class GuestAccess : uint8_t {
   kStore,  // store / fstore
   kXchg,   // atomic exchange (reads and writes the word)
 };
-
-inline const char* name(IssuePort p) {
-  switch (p) {
-    case IssuePort::kAlu0:   return "alu0";
-    case IssuePort::kAlu1:   return "alu1";
-    case IssuePort::kFp:     return "fp";
-    case IssuePort::kFpMove: return "fp_move";
-    case IssuePort::kLoad:   return "load";
-    case IssuePort::kStore:  return "store";
-  }
-  return "?";
-}
 
 inline const char* name(BlockReason r) {
   switch (r) {

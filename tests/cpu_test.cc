@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <vector>
 
@@ -861,6 +862,93 @@ TEST(IssueStage, PortDeniedReadyUopStillHoldsAWindowSlot) {
   EXPECT_EQ(rec.cycle_of(fadd + 1), fadd_cycle + 1);
   EXPECT_EQ(rec.cycle_of(fadd + 2), fadd_cycle + 2);
   EXPECT_EQ(rec.cycle_of(iadd), fadd_cycle + 1);
+}
+
+/// Each context interleaves independent idivs and fdivs (constant sources,
+/// rotating dead targets), so both unpipelined dividers stay contended by
+/// both contexts for the whole run.
+isa::Program mixed_divides(int count) {
+  AsmBuilder a("div-mix");
+  a.imovi(IReg::R8, 3);
+  a.imovi(IReg::R9, 1 << 20);
+  a.fmovi(FReg::F8, 3.0);
+  a.fmovi(FReg::F9, 1.0);
+  for (int i = 0; i < count; ++i) {
+    a.idiv(isa::ireg_n(i % 6), IReg::R9, IReg::R8);
+    a.fdiv(isa::freg_n(i % 6), FReg::F9, FReg::F8);
+  }
+  a.exit();
+  return a.take();
+}
+
+/// Tracks which context issued the last divide of each class, and checks
+/// every kDividerBusy block against it: while an unpipelined divider is
+/// busy, the last same-class divide issued is the one occupying it, so the
+/// block is sibling-blamed exactly when that divide came from the other
+/// context.
+class DividerBlameChecker : public cpu::PipelineObserver {
+ public:
+  enum Class { kIdiv, kFdiv, kNumClasses };
+
+  explicit DividerBlameChecker(std::array<const isa::Program*, 2> progs)
+      : progs_(progs) {}
+
+  bool wants_issue_blocks() const override { return true; }
+
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int /*port*/,
+                Cycle /*done*/, Cycle /*now*/) override {
+    const int c = class_of(uop.op);
+    if (c >= 0) last_issuer_[c] = idx(cpu);
+  }
+
+  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
+                bool sibling, int port, Cycle /*cycles*/,
+                Cycle now) override {
+    if (reason != cpu::BlockReason::kDividerBusy) return;
+    const int c = class_of(progs_[idx(cpu)]->at(pc).op);
+    ASSERT_GE(c, 0) << "divider block on a non-divide, pc " << pc;
+    ASSERT_GE(last_issuer_[c], 0) << "divider busy before any divide issued";
+    EXPECT_EQ(sibling, last_issuer_[c] == idx(other(cpu)))
+        << "cpu" << idx(cpu) << " pc " << pc << " cycle " << now;
+    EXPECT_EQ(port, -1);
+    ++blocks_[c][sibling ? 1 : 0];
+  }
+
+  /// kDividerBusy blocks of class `c`, self- (false) or sibling-blamed.
+  int blocks(Class c, bool sibling) const { return blocks_[c][sibling]; }
+
+ private:
+  static int class_of(isa::Opcode op) {
+    if (op == isa::Opcode::kIDiv) return kIdiv;
+    if (op == isa::Opcode::kFDiv) return kFdiv;
+    return -1;
+  }
+
+  std::array<const isa::Program*, 2> progs_;
+  std::array<int, kNumClasses> last_issuer_{-1, -1};
+  std::array<std::array<int, 2>, kNumClasses> blocks_{};
+};
+
+TEST(IssueStage, DividerBusyBlameNamesTheDividesOwner) {
+  // Two contexts, each running independent idivs and fdivs: every divider
+  // block must blame the context whose divide occupies that very divider,
+  // not the other divider's owner.
+  const isa::Program p0 = mixed_divides(40);
+  const isa::Program p1 = mixed_divides(40);
+  Machine m;
+  ASSERT_TRUE(m.config().core.idiv_unpipelined);
+  ASSERT_TRUE(m.config().core.fdiv_unpipelined);
+  DividerBlameChecker checker({&p0, &p1});
+  m.core().add_observer(&checker);
+  m.load_program(kC0, p0);
+  m.load_program(kC1, p1);
+  m.run();
+  using Checker = DividerBlameChecker;
+  for (const Checker::Class c : {Checker::kIdiv, Checker::kFdiv}) {
+    SCOPED_TRACE(c == Checker::kIdiv ? "idiv" : "fdiv");
+    EXPECT_GT(checker.blocks(c, /*sibling=*/false), 0);
+    EXPECT_GT(checker.blocks(c, /*sibling=*/true), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

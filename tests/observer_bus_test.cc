@@ -372,5 +372,14 @@ TEST(ObserverBus, HookStreamDigestOfTlpFineMatmulIsGolden) {
   EXPECT_EQ(hook_digest(*w), "60870733e63ea8dc/7897099");
 }
 
+// Two contexts with fdiv pivots: the one golden run that exercises an
+// unpipelined divider and its kDividerBusy attribution.
+TEST(ObserverBus, HookStreamDigestOfTlpCoarseLuIsGolden) {
+  const host::ExperimentDef* def = host::find_experiment("lu.tlp-coarse.n64");
+  ASSERT_NE(def, nullptr);
+  const std::unique_ptr<core::Workload> w = def->make();
+  EXPECT_EQ(hook_digest(*w), "41f43c64915566ff/1721161");
+}
+
 }  // namespace
 }  // namespace smt

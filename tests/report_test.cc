@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
@@ -295,6 +296,46 @@ TEST(ReportCheck, AcceptsAReportWithEverySection) {
     EXPECT_NE(v.find(section), nullptr) << section;
   }
   EXPECT_EQ(core::check_run_report(v), std::nullopt);
+}
+
+TEST(ReportCheck, PortCapsFollowANonDefaultAluConfig) {
+  // A profiled run on a core with one ALU0 slot and three ALU1 slots per
+  // cycle: the report's caps come from the port model under that config,
+  // and the occupancy the core produced under them passes the validator.
+  core::MachineConfig cfg;
+  cfg.core.alu0_per_cycle = 1;
+  cfg.core.alu1_per_cycle = 3;
+  kernels::MatMulParams p;
+  p.n = 16;
+  p.tile = 4;
+  p.mode = kernels::MmMode::kSerial;
+  kernels::MatMulWorkload w(p);
+  Machine m{cfg};
+  m.enable_pc_profiler();
+  w.setup(m);
+  const std::vector<isa::Program> progs = w.programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  m.run();
+  ASSERT_TRUE(w.verify(m));
+  const auto v =
+      parse_json(core::report_from_machine(m, "mm_alu_caps", true).to_json());
+  ASSERT_TRUE(v.has_value());
+  const JsonValue* prof = v->find("profile");
+  ASSERT_NE(prof, nullptr);
+  const JsonValue* caps = prof->find("port_caps_per_cycle");
+  ASSERT_NE(caps, nullptr);
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"alu0", 1},    {"alu1", 3}, {"fp", 1},
+      {"fp_move", 1}, {"load", 1}, {"store", 1}};
+  ASSERT_EQ(caps->object.size(), expected.size());
+  for (const auto& [port, cap] : expected) {
+    const JsonValue* c = caps->find(port);
+    ASSERT_NE(c, nullptr) << port;
+    EXPECT_EQ(c->number, cap) << port;
+  }
+  EXPECT_EQ(core::check_run_report(*v), std::nullopt);
 }
 
 TEST(ReportCheck, EachPerturbedInvariantIsNamed) {
