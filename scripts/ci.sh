@@ -192,6 +192,19 @@ head -1 "$mm_kanata" | grep -q "Kanata"
 test "$(wc -l < "$mm_kanata")" -gt 10
 awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
   END{exit (start+adv <= 20000) ? 0 : 1}' "$mm_kanata"
+# A window that starts mid-run, so the recorder's first captured uid is
+# nonzero: every cycle in every Kanata file must lie in [5000, 20000].
+# (The n128 SPR jobs retire nothing inside this window, so their files
+# hold only the header; the n64 serial file must have lifetimes.)
+make_temp_dir pview_mid_dir
+SMT_BENCH_REPORT_DIR="$pview_mid_dir" SMT_BENCH_PIPEVIEW=1 \
+  SMT_BENCH_PIPEVIEW_WINDOW=5000:20000 \
+  ./build/bench/fig3_matmul > /dev/null
+test "$(wc -l < "$pview_mid_dir/fig3_matmul.mm.serial.n64.kanata")" -gt 10
+for kanata in "$pview_mid_dir"/*.kanata; do
+  awk -F'\t' '/^C=/{cyc=$2; if (cyc < 5000) bad=1} /^C\t/{cyc+=$2}
+    END{exit (!bad && cyc <= 20000) ? 0 : 1}' "$kanata"
+done
 
 # Cache determinism gate: the full default registry swept twice against
 # one content-addressed store. The warm run must hit on every job

@@ -33,7 +33,7 @@ namespace smt::core {
 class Machine;
 struct MemInfo;
 
-class FlightRecorder : public cpu::PipelineObserver {
+class FlightRecorder final : public cpu::PipelineObserver {
  public:
   /// Retired-instruction ring depth per CPU.
   static constexpr int kRingSize = 64;

@@ -75,6 +75,13 @@ void Core::load_program(CpuId cpu, const isa::Program& prog,
   t.mode = TMode::kRunning;
 }
 
+void Core::subscribe(PipelineObserver* obs, HookSet hooks) {
+  for (int h = 0; h < kNumHooks; ++h) {
+    if (hooks & bit(static_cast<Hook>(h))) subscribers_[h].push_back(obs);
+  }
+  scan_issue_blocks_ = scan_issue_blocks_ || obs->wants_issue_blocks();
+}
+
 bool Core::all_done() const {
   for (const Thread& t : threads_) {
     if (t.mode != TMode::kIdle && t.mode != TMode::kDone) return false;
@@ -164,7 +171,7 @@ void Core::mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
                                bool is_load, uint32_t pc) {
   if (out.served_by != mem::ServedBy::kL1) {
     ctr_.add(cpu, Event::kL1Misses);
-    for (PipelineObserver* o : observers_) {
+    for (PipelineObserver* o : subscribers(Hook::kDemandMiss)) {
       o->on_demand_miss(cpu, pc, out.l2_miss, now_);
     }
   }
@@ -233,13 +240,17 @@ void Core::update_modes(Thread& t, CpuId cpu) {
         t.ipi_pending = false;
         t.mode = TMode::kWaking;
         t.mode_until = now_ + cfg_.halt_wake_cost;
-        for (PipelineObserver* o : observers_) o->on_ipi_wake(cpu, now_);
+        for (PipelineObserver* o : subscribers(Hook::kIpiWake)) {
+          o->on_ipi_wake(cpu, now_);
+        }
       }
       break;
     case TMode::kWaking:
       if (now_ >= t.mode_until) {
         t.mode = TMode::kRunning;
-        for (PipelineObserver* o : observers_) o->on_halt_exit(cpu, now_);
+        for (PipelineObserver* o : subscribers(Hook::kHaltExit)) {
+          o->on_halt_exit(cpu, now_);
+        }
       }
       break;
     case TMode::kExiting:
@@ -299,7 +310,9 @@ int Core::retire_thread(Thread& t, CpuId cpu) {
       // The store-buffer entry stays occupied until the drain completes.
     }
 
-    for (PipelineObserver* o : observers_) o->on_retire(cpu, u, uops, now_);
+    for (PipelineObserver* o : subscribers(Hook::kRetire)) {
+      o->on_retire(cpu, u, uops, now_);
+    }
 
     ++t.head;
     ++retired;
@@ -324,11 +337,18 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     // Structural check + reservation: the first candidate port with
     // capacity left, and the unpipelined divider, if the unit needs one.
     // Portless uops (nop/pause/halt/ipi) take an issue slot only: port -1.
+    // The first ready uop denied either is kept for scan_issue_blocks.
     const DynUop& u = e.uop;
     const int port = first_free_port(u.unit, caps_);
-    if (port < 0 && !candidate_ports(u.unit).empty()) continue;
+    if (port < 0 && !candidate_ports(u.unit).empty()) {
+      if (t.first_denied == kNoneDenied) t.first_denied = t.scan_pos;
+      continue;
+    }
     const int div = unpipelined_divider(u.unit, cfg_);
-    if (div >= 0 && dividers_[div].busy_until > now_) continue;
+    if (div >= 0 && dividers_[div].busy_until > now_) {
+      if (t.first_denied == kNoneDenied) t.first_denied = t.scan_pos;
+      continue;
+    }
 
     Cycle done;
     if (u.is_load) {
@@ -352,7 +372,7 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     // by scan_issue_blocks; simulation state is never read from these).
     ++uops_issued_[idx(cpu)];
     if (port >= 0) ++port_issued_[idx(cpu)][port];
-    for (PipelineObserver* o : observers_) {
+    for (PipelineObserver* o : subscribers(Hook::kIssue)) {
       o->on_issue(cpu, u, port, done, now_);
     }
     // The next uop slides into scan_pos; a zero-latency issue's consumers
@@ -370,10 +390,17 @@ void Core::scan_issue_blocks() {
   // context, find the oldest dep-ready unissued uop still in the scheduler
   // window. It failed to issue this cycle, so it is blocked on structure —
   // either an unpipelined divider that is mid-operation, or a port taken by
-  // other uops this cycle. Reads the same state try_issue_one reads through
-  // the same readiness helper, and writes only the Thread attribution
-  // fields and exact ready-cycle cache entries, so the simulation itself is
-  // unperturbed. In an event-skip window nothing issues and no divider or
+  // other uops this cycle (or the issue slots, when the budget ran out
+  // before the issue scan reached it). The issue scan already looked at
+  // every entry before scan_pos, and those it found unready stay unready
+  // for the rest of the cycle (see Thread::scan_pos), so the oldest ready
+  // entry is the first one it denied, or else the first ready one from
+  // scan_pos on. Reads the same state try_issue_one reads through the same
+  // readiness helper, and writes only the Thread attribution fields and
+  // exact ready-cycle cache entries (those an end-of-cycle walk from index
+  // 0 would write), so the simulation itself is unperturbed. The blocked
+  // uop is classified against the end-of-cycle caps and divider state.
+  // In an event-skip window nothing issues and no divider or
   // dependency deadline expires mid-window, so the fields stay constant and
   // record_cycle_counters can replay them exactly over n cycles (a frozen
   // cycle leaves every cap full and port_issued_ all-zero, so the only
@@ -385,7 +412,7 @@ void Core::scan_issue_blocks() {
     t.issue_block.active = false;
     const size_t window = std::min(
         static_cast<size_t>(sched_window_limit(cpu)), t.unissued.size());
-    for (size_t k = 0; k < window; ++k) {
+    for (size_t k = std::min(t.first_denied, t.scan_pos); k < window; ++k) {
       Pending& p = t.unissued[k];
       if (!ready(t, p)) continue;
       const RobEntry& e = t.rob[p.seq & rob_mask_];
@@ -486,7 +513,9 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     t.uq.pop_front();
     ++dispatched;
     ctr_.add(cpu, Event::kDispatchedUops);
-    for (PipelineObserver* o : observers_) o->on_dispatch(cpu, e.uop, now_);
+    for (PipelineObserver* o : subscribers(Hook::kDispatch)) {
+      o->on_dispatch(cpu, e.uop, now_);
+    }
   }
   return dispatched;
 }
@@ -541,13 +570,15 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
     // time makes the call sequence an exact sequentially consistent
     // interleaving of both contexts' accesses, with the stored / exchanged
     // value known. Pure observation — no simulation state is touched.
-    if (!observers_.empty() && (u.is_load || u.is_store) && !u.is_prefetch) {
+    const std::vector<PipelineObserver*>& accesses =
+        subscribers(Hook::kGuestAccess);
+    if (!accesses.empty() && (u.is_load || u.is_store) && !u.is_prefetch) {
       const GuestAccess kind = in.op == Opcode::kXchg ? GuestAccess::kXchg
                                : u.is_store           ? GuestAccess::kStore
                                                       : GuestAccess::kLoad;
       const uint64_t value =
           kind == GuestAccess::kStore ? mem_.read_u64(r.addr) : r.loaded;
-      for (PipelineObserver* o : observers_) {
+      for (PipelineObserver* o : accesses) {
         o->on_guest_access(cpu, u.pc, r.addr, kind, value, now_);
       }
     }
@@ -563,7 +594,9 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
 
     t.uq.push_back(u);
     ++fetched;
-    for (PipelineObserver* o : observers_) o->on_fetch(cpu, u, now_);
+    for (PipelineObserver* o : subscribers(Hook::kFetch)) {
+      o->on_fetch(cpu, u, now_);
+    }
 
     switch (r.special) {
       case ExecResult::Special::kPause:
@@ -573,11 +606,15 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
         return fetched;
       case ExecResult::Special::kHalt:
         t.mode = TMode::kHalting;
-        for (PipelineObserver* o : observers_) o->on_halt_enter(cpu, now_);
+        for (PipelineObserver* o : subscribers(Hook::kHaltEnter)) {
+          o->on_halt_enter(cpu, now_);
+        }
         return fetched;
       case ExecResult::Special::kIpi:
         ctr_.add(cpu, Event::kIpisSent);
-        for (PipelineObserver* o : observers_) o->on_ipi_send(cpu, now_);
+        for (PipelineObserver* o : subscribers(Hook::kIpiSend)) {
+          o->on_ipi_send(cpu, now_);
+        }
         deliver_ipi(other(cpu));
         break;
       default:
@@ -624,7 +661,10 @@ bool Core::step_cycle() {
   caps_ = port_caps(cfg_);
   port_issued_ = {};
   uops_issued_ = {};
-  for (Thread& t : threads_) t.scan_pos = 0;
+  for (Thread& t : threads_) {
+    t.scan_pos = 0;
+    t.first_denied = kNoneDenied;
+  }
   {
     int budget = cfg_.issue_width;
     bool progress = true;
@@ -749,7 +789,7 @@ void Core::record_cycle_counters(Cycle first, Cycle n) {
 }
 
 void Core::notify_block(CpuId cpu, const Block& b, Cycle first, Cycle n) {
-  for (PipelineObserver* o : observers_) {
+  for (PipelineObserver* o : subscribers(Hook::kBlock)) {
     o->on_block(cpu, b.reason, b.pc, b.sibling, b.port, n, first);
   }
 }

@@ -37,14 +37,16 @@
 // bulk-accumulating the per-cycle counters, so halt-synchronized workloads
 // simulate quickly.
 //
-// Instruments attach through one observer bus (cpu/observer.h): a single
-// list filled by add_observer(), fanned out at every hook site — fetch,
+// Instruments attach through one observer bus (cpu/observer.h): one
+// subscriber list per hook, filled by add_observer() with the hooks each
+// observer's class overrides, and fanned out at that hook's site — fetch,
 // dispatch, issue, retire, demand misses, guest accesses, halt/IPI
 // transitions, and one merged on_block per stalled cycle carrying the
-// self-vs-sibling blame and the contended port. With the list empty each
-// site costs one emptiness test. The counter sampler stays outside the
-// bus (set_sampler): it is a clock that splits event-skip windows at its
-// boundaries, not an event sink.
+// self-vs-sibling blame and the contended port. A site whose list is
+// empty costs one emptiness test, so an observer costs only at the hooks
+// it records. The counter sampler stays outside the bus (set_sampler): it
+// is a clock that splits event-skip windows at its boundaries, not an
+// event sink.
 #pragma once
 
 #include <array>
@@ -135,13 +137,14 @@ class Core {
 
   Cycle now() const { return now_; }
 
-  /// Adds `obs` to the observer bus (not owned; it must outlive the run).
-  /// Every hook site fans out over the attached observers in attachment
-  /// order. Attaching never perturbs a counter or the simulation; its
-  /// wants_issue_blocks() is read here, once.
-  void add_observer(PipelineObserver* obs) {
-    observers_.push_back(obs);
-    scan_issue_blocks_ = scan_issue_blocks_ || obs->wants_issue_blocks();
+  /// Adds `obs` to the observer bus (not owned; it must outlive the run),
+  /// subscribed to hooks_of<T>(): the hooks a final T overrides, every
+  /// hook otherwise. Each hook site fans out over its subscribers in
+  /// attachment order. Attaching never perturbs a counter or the
+  /// simulation; its wants_issue_blocks() is read here, once.
+  template <typename T>
+  void add_observer(T* obs) {
+    subscribe(obs, hooks_of<T>());
   }
 
   /// Attaches the windowed counter sampler (may be null to detach). Not a
@@ -211,6 +214,7 @@ class Core {
     Cycle ready_at = 0;
   };
   static constexpr Cycle kReadyUnknown = std::numeric_limits<Cycle>::max();
+  static constexpr size_t kNoneDenied = std::numeric_limits<size_t>::max();
 
   /// The uop queue: a fixed ring of uop_queue_size entries (fetch pushes,
   /// dispatch pops the front).
@@ -256,6 +260,11 @@ class Core {
     // producer that sits earlier in the list, and a known ready cycle
     // after now_ stays after it). Reset to 0 before each issue stage.
     size_t scan_pos = 0;
+    // The first index this cycle's scan found ready but denied a port or
+    // its divider (kNoneDenied if none). Entries before scan_pos never
+    // shift within a cycle, so it still names that uop once the scan has
+    // moved past it; scan_issue_blocks starts there. Reset with scan_pos.
+    size_t first_denied = kNoneDenied;
     // last_writer[reg] = seq + 1 of the most recent dispatched writer
     // (0 = none in recorded history).
     std::array<uint64_t, isa::kNumRegs> last_writer{};
@@ -290,6 +299,12 @@ class Core {
     size_t rob_occupancy() const { return static_cast<size_t>(next - head); }
     bool pipeline_empty() const { return uq.empty() && next == head; }
   };
+
+  void subscribe(PipelineObserver* obs, HookSet hooks);
+  /// The observers subscribed to hook `h`, in attachment order.
+  const std::vector<PipelineObserver*>& subscribers(Hook h) const {
+    return subscribers_[static_cast<int>(h)];
+  }
 
   // --- per-cycle stages ----------------------------------------------------
   /// Returns true if any architectural progress happened this cycle.
@@ -338,9 +353,9 @@ class Core {
   RunResult run_until(Cycle max_cycles, bool (Core::*stop)() const);
   /// True once some bound context has exited.
   bool any_done() const;
-  /// Recomputes Thread::issue_block for both contexts (called after the
-  /// issue stage; only while an observer wants issue blocks — the scan is
-  /// read-only).
+  /// Recomputes Thread::issue_block for both contexts from where the
+  /// issue scan left them (called after the issue stage; only while an
+  /// observer wants issue blocks — the scan is read-only).
   void scan_issue_blocks();
   void mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
                            bool is_load, uint32_t pc);
@@ -354,7 +369,8 @@ class Core {
   mem::SimMemory& mem_;
   perfmon::PerfCounters& ctr_;
   std::function<bool()> cancel_;  // host cancellation predicate (may be empty)
-  std::vector<PipelineObserver*> observers_;  // the observer bus
+  // The observer bus: one subscriber list per Hook.
+  std::array<std::vector<PipelineObserver*>, kNumHooks> subscribers_;
   bool scan_issue_blocks_ = false;  // some observer wants issue blocks
   trace::CounterSampler* sampler_ = nullptr;
 

@@ -1,13 +1,15 @@
 // The observer bus of cpu::Core: the dynamic-uop record and the one hook
 // interface every instrument attaches through.
 //
-// The core keeps a single list of PipelineObserver pointers (filled by
-// Core::add_observer) and raises every hook over that list at a fixed
-// point of its pipeline: the Pin-analog mix profiler, the per-PC and
-// interference profilers, the race detector, the telemetry timeline, the
-// pipeview (Kanata) recorder and the flight recorder are all clients. The
-// windowed CounterSampler is deliberately not: it is a clock that reshapes
-// the core's event-skip accumulation, not an event sink (Core::set_sampler).
+// The core keeps one subscriber list per hook (filled by Core::add_observer
+// from hooks_of<T>(), the hooks an observer's class overrides) and raises
+// each hook over its own list at a fixed point of its pipeline, so an
+// observer costs nothing at the hooks it leaves at the default: the
+// Pin-analog mix profiler, the per-PC and interference profilers, the race
+// detector, the telemetry timeline, the pipeview (Kanata) recorder and the
+// flight recorder are all clients. The windowed CounterSampler is
+// deliberately not: it is a clock that reshapes the core's event-skip
+// accumulation, not an event sink (Core::set_sampler).
 //
 // Contract for every client: observers are pure. They only read what a
 // hook hands them (and, at most, the core's read-only snapshots), so
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/types.h"
 #include "cpu/ports.h"
@@ -97,7 +100,8 @@ inline const char* name(GuestAccess k) {
 }
 
 /// A client of the core's observer bus. Override only the hooks you
-/// consume; `now` is always the core's current cycle.
+/// consume, and make the class final: the core then raises only those
+/// hooks on it (hooks_of). `now` is always the core's current cycle.
 class PipelineObserver {
  public:
   virtual ~PipelineObserver() = default;
@@ -163,5 +167,76 @@ class PipelineObserver {
   /// A waking `cpu` finished paying the wake cost and runs again.
   virtual void on_halt_exit(CpuId /*cpu*/, Cycle /*now*/) {}
 };
+
+/// The hooks of PipelineObserver, one per virtual hook; they index the
+/// core's subscriber lists.
+enum class Hook : uint8_t {
+  kFetch,
+  kDispatch,
+  kIssue,
+  kRetire,
+  kBlock,
+  kDemandMiss,
+  kGuestAccess,
+  kIpiSend,
+  kIpiWake,
+  kHaltEnter,
+  kHaltExit,
+};
+inline constexpr int kNumHooks = 11;
+
+/// A set of hooks, one bit per Hook.
+using HookSet = uint32_t;
+inline constexpr HookSet kAllHooks = (HookSet{1} << kNumHooks) - 1;
+inline constexpr HookSet bit(Hook h) {
+  return HookSet{1} << static_cast<int>(h);
+}
+
+namespace detail {
+// `&T::on_x` has the type of PipelineObserver's member pointer exactly when
+// neither T nor a class between it and PipelineObserver overrides on_x.
+template <typename Mine, typename Base>
+constexpr HookSet bit_if_overridden(Hook h) {
+  return std::is_same_v<Mine, Base> ? 0 : bit(h);
+}
+}  // namespace detail
+
+/// The hooks an observer of static type T must receive: those T overrides
+/// when T is final (its dynamic type is then T), every hook otherwise (a
+/// class derived from T may override more, and a plain PipelineObserver*
+/// says nothing about its target).
+template <typename T>
+constexpr HookSet hooks_of() {
+  static_assert(std::is_base_of_v<PipelineObserver, T>);
+  if constexpr (!std::is_final_v<T>) {
+    return kAllHooks;
+  } else {
+    using B = PipelineObserver;
+    using detail::bit_if_overridden;
+    return bit_if_overridden<decltype(&T::on_fetch),
+                             decltype(&B::on_fetch)>(Hook::kFetch) |
+           bit_if_overridden<decltype(&T::on_dispatch),
+                             decltype(&B::on_dispatch)>(Hook::kDispatch) |
+           bit_if_overridden<decltype(&T::on_issue),
+                             decltype(&B::on_issue)>(Hook::kIssue) |
+           bit_if_overridden<decltype(&T::on_retire),
+                             decltype(&B::on_retire)>(Hook::kRetire) |
+           bit_if_overridden<decltype(&T::on_block),
+                             decltype(&B::on_block)>(Hook::kBlock) |
+           bit_if_overridden<decltype(&T::on_demand_miss),
+                             decltype(&B::on_demand_miss)>(Hook::kDemandMiss) |
+           bit_if_overridden<decltype(&T::on_guest_access),
+                             decltype(&B::on_guest_access)>(
+               Hook::kGuestAccess) |
+           bit_if_overridden<decltype(&T::on_ipi_send),
+                             decltype(&B::on_ipi_send)>(Hook::kIpiSend) |
+           bit_if_overridden<decltype(&T::on_ipi_wake),
+                             decltype(&B::on_ipi_wake)>(Hook::kIpiWake) |
+           bit_if_overridden<decltype(&T::on_halt_enter),
+                             decltype(&B::on_halt_enter)>(Hook::kHaltEnter) |
+           bit_if_overridden<decltype(&T::on_halt_exit),
+                             decltype(&B::on_halt_exit)>(Hook::kHaltExit);
+  }
+}
 
 }  // namespace smt::cpu

@@ -26,8 +26,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cpu/observer.h"
 #include "isa/program.h"
@@ -42,6 +43,8 @@ struct PcStats {
   uint64_t l2_misses = 0;       // demand accesses missing L2 too
   std::array<uint64_t, cpu::kNumBlockReasons> stalls{};   // cycles, by reason
   std::array<uint64_t, cpu::kNumIssuePorts> port_uops{};  // issued, by port
+
+  bool operator==(const PcStats&) const = default;
 };
 
 class PcProfiler final : public cpu::PipelineObserver {
@@ -60,25 +63,33 @@ class PcProfiler final : public cpu::PipelineObserver {
   /// disassembly and stay self-contained.
   void set_program(CpuId cpu, const isa::Program& prog);
 
-  /// Per-PC attribution map, in PC order (std::map keeps it deterministic).
-  const std::map<uint32_t, PcStats>& pcs(CpuId cpu) const {
-    return pcs_[idx(cpu)];
-  }
+  /// The PCs of `cpu` with any nonzero stat, with their stats, in PC
+  /// order: every PC some hook attributed to, since each hook adds a
+  /// nonzero amount.
+  std::vector<std::pair<uint32_t, PcStats>> pcs(CpuId cpu) const;
   /// Whole-run uop count per issue port for this context.
   const std::array<uint64_t, cpu::kNumIssuePorts>& port_totals(
       CpuId cpu) const {
     return port_totals_[idx(cpu)];
   }
   /// Disassembly for `pc` as loaded via set_program ("" if unknown).
-  std::string disasm(CpuId cpu, uint32_t pc) const;
+  const std::string& disasm(CpuId cpu, uint32_t pc) const;
 
   void reset();
 
  private:
-  std::array<std::map<uint32_t, PcStats>, kNumLogicalCpus> pcs_{};
+  /// The stats of (cpu, pc), growing the table for a PC past its end.
+  PcStats& at(CpuId cpu, uint32_t pc) {
+    std::vector<PcStats>& v = pcs_[idx(cpu)];
+    if (pc >= v.size()) v.resize(pc + 1);
+    return v[pc];
+  }
+
+  // Indexed by PC (PCs are dense program indices); sized by set_program.
+  std::array<std::vector<PcStats>, kNumLogicalCpus> pcs_{};
   std::array<std::array<uint64_t, cpu::kNumIssuePorts>, kNumLogicalCpus>
       port_totals_{};
-  std::array<std::map<uint32_t, std::string>, kNumLogicalCpus> disasm_{};
+  std::array<std::vector<std::string>, kNumLogicalCpus> disasm_{};
 };
 
 }  // namespace smt::profile

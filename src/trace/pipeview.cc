@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/io.h"
 #include "isa/disasm.h"
 #include "isa/program.h"
@@ -16,18 +17,14 @@ void PipeViewRecorder::on_fetch(CpuId cpu, const cpu::DynUop& uop,
     ++dropped_;
     return;
   }
+  if (recs_.empty()) first_uid_ = uop.uid;
+  SMT_DCHECK(uop.uid == first_uid_ + recs_.size());
   UopRecord r;
   r.uid = uop.uid;
   r.pc = uop.pc;
   r.cpu = static_cast<uint8_t>(idx(cpu));
   r.fetch = now;
-  index_.emplace(uop.uid, recs_.size());
   recs_.push_back(r);
-}
-
-PipeViewRecorder::UopRecord* PipeViewRecorder::find(uint64_t uid) {
-  const auto it = index_.find(uid);
-  return it == index_.end() ? nullptr : &recs_[it->second];
 }
 
 void PipeViewRecorder::on_dispatch(CpuId /*cpu*/, const cpu::DynUop& uop,

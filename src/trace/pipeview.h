@@ -12,18 +12,19 @@
 // Recording is bounded two ways: only uops fetched inside the configured
 // cycle window [begin, end] are captured (and only those that also retire
 // by `end` are emitted, so every cycle in the file is <= end), and a
-// max_uops cap backstops memory on dense windows. Like the other trace
-// instruments the recorder is a pure observer — uop ids advance in the
-// core whether or not one is attached, so attaching never perturbs a
-// counter or a simulation artifact (asserted byte-for-byte by the sweep
-// smoke test's --pipeview run).
+// max_uops cap backstops memory on dense windows. The core assigns uids
+// consecutively at fetch and raises on_fetch for every one, so the
+// captured uids are one run and a record is found by its offset from the
+// first. Like the other trace instruments the recorder is a pure
+// observer — uop ids advance in the core whether or not one is attached,
+// so attaching never perturbs a counter or a simulation artifact
+// (asserted byte-for-byte by the sweep smoke test's --pipeview run).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -84,12 +85,17 @@ class PipeViewRecorder final : public cpu::PipelineObserver {
     Cycle retire = 0;
   };
 
-  UopRecord* find(uint64_t uid);
+  /// The record of `uid`, or null when it was not captured: one range
+  /// check, since recs_[i] holds uid first_uid_ + i.
+  UopRecord* find(uint64_t uid) {
+    const uint64_t i = uid - first_uid_;
+    return i < recs_.size() ? &recs_[i] : nullptr;
+  }
 
   PipeViewConfig cfg_;
   std::array<std::optional<isa::Program>, kNumLogicalCpus> progs_{};
   std::vector<UopRecord> recs_;
-  std::unordered_map<uint64_t, size_t> index_;
+  uint64_t first_uid_ = 0;  // uid of recs_.front()
   uint64_t dropped_ = 0;
 };
 

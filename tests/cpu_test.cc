@@ -723,33 +723,70 @@ TEST(IdivPort, CoScheduledUnpipelinedDividersBarelyInterfere) {
 // Issue-stage semantics: same-cycle forwarding and the scheduler window
 // ---------------------------------------------------------------------------
 
-/// Records every issue the core reports, in order.
+/// Records every issue and every issue-stage block (kPortConflict,
+/// kDividerBusy) the core reports, in order.
 class IssueRecorder : public cpu::PipelineObserver {
  public:
   struct Issue {
+    CpuId cpu;
     uint32_t pc;
     Cycle done;
     Cycle now;
   };
+  struct Block {
+    CpuId cpu;
+    cpu::BlockReason reason;
+    uint32_t pc;
+    bool sibling;
+    int port;
+    Cycle now;
+  };
 
-  void on_issue(CpuId /*cpu*/, const cpu::DynUop& uop, int /*port*/,
+  bool wants_issue_blocks() const override { return true; }
+
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int /*port*/,
                 Cycle done, Cycle now) override {
-    issues_.push_back({uop.pc, done, now});
+    issues_.push_back({cpu, uop.pc, done, now});
+  }
+  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
+                bool sibling, int port, Cycle /*cycles*/,
+                Cycle now) override {
+    if (reason == cpu::BlockReason::kPortConflict ||
+        reason == cpu::BlockReason::kDividerBusy) {
+      blocks_.push_back({cpu, reason, pc, sibling, port, now});
+    }
   }
 
   const std::vector<Issue>& issues() const { return issues_; }
 
-  /// The cycle the (single) dynamic instance of `pc` issued in.
-  Cycle cycle_of(uint32_t pc) const {
+  /// The cycle `cpu`'s (single) dynamic instance of `pc` issued in.
+  Cycle cycle_of(uint32_t pc, CpuId cpu = kC0) const {
     for (const Issue& i : issues_) {
-      if (i.pc == pc) return i.now;
+      if (i.cpu == cpu && i.pc == pc) return i.now;
     }
-    ADD_FAILURE() << "pc " << pc << " never issued";
+    ADD_FAILURE() << "cpu" << idx(cpu) << " pc " << pc << " never issued";
     return 0;
+  }
+  /// `cpu`'s issues in cycle `now`, as pcs in issue order.
+  std::vector<uint32_t> issued_in(CpuId cpu, Cycle now) const {
+    std::vector<uint32_t> pcs;
+    for (const Issue& i : issues_) {
+      if (i.cpu == cpu && i.now == now) pcs.push_back(i.pc);
+    }
+    return pcs;
+  }
+  /// The issue-stage blocks reported for the cycle `now`.
+  std::vector<Block> blocks_in(Cycle now) const {
+    std::vector<Block> out;
+    for (const Block& b : blocks_) {
+      if (b.now == now) out.push_back(b);
+    }
+    return out;
   }
 
  private:
   std::vector<Issue> issues_;
+  std::vector<Block> blocks_;
 };
 
 TEST(IssueStage, DependentSimpleAluUopsIssueInOneCycle) {
@@ -949,6 +986,99 @@ TEST(IssueStage, DividerBusyBlameNamesTheDividesOwner) {
     EXPECT_GT(checker.blocks(c, /*sibling=*/false), 0);
     EXPECT_GT(checker.blocks(c, /*sibling=*/true), 0);
   }
+}
+
+/// fdiv f0, then two fadds and one fmov that all read f0: when the divide
+/// completes the three become ready together, and the fmov (FP-move port)
+/// is younger than the second fadd (FP port). Returns the program and,
+/// through the out-param, the pc of the first fadd.
+isa::Program fp_port_probe(uint32_t* first_fadd) {
+  AsmBuilder a("fp-port-probe");
+  a.fmovi(FReg::F0, 1.0);
+  a.fmovi(FReg::F8, 1.0);
+  a.fdiv(FReg::F0, FReg::F0, FReg::F8);
+  *first_fadd = static_cast<uint32_t>(a.pos());
+  a.fadd(FReg::F1, FReg::F0, FReg::F8);
+  a.fadd(FReg::F2, FReg::F0, FReg::F8);
+  a.fmov(FReg::F3, FReg::F0);
+  a.exit();
+  return a.take();
+}
+
+TEST(IssueStage, PortDeniedUopBehindAYoungerIssueIsTheBlockedUop) {
+  // In the cycle the divide completes, the first fadd takes the FP port,
+  // the second is ready but denied it, and the younger fmov issues on the
+  // FP-move port past it. The cycle's issue block is that second fadd, on
+  // the FP port, self-blamed, although the scan ended beyond it; the next
+  // cycle it issues and nothing is blocked.
+  uint32_t fadd = 0;
+  const isa::Program p = fp_port_probe(&fadd);
+  Machine m;
+  IssueRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, p);
+  m.run();
+  const Cycle d = rec.cycle_of(fadd);
+  ASSERT_EQ(rec.issued_in(kC0, d),
+            (std::vector<uint32_t>{fadd, fadd + 2}));  // fadd, then fmov
+  EXPECT_EQ(rec.cycle_of(fadd + 1), d + 1);
+  const std::vector<IssueRecorder::Block> blocks = rec.blocks_in(d);
+  ASSERT_EQ(blocks.size(), 1u);
+  const IssueRecorder::Block& b = blocks.front();
+  EXPECT_EQ(b.cpu, kC0);
+  EXPECT_EQ(b.reason, cpu::BlockReason::kPortConflict);
+  EXPECT_EQ(b.pc, fadd + 1);
+  EXPECT_EQ(b.port, static_cast<int>(cpu::IssuePort::kFp));
+  EXPECT_FALSE(b.sibling);
+  EXPECT_TRUE(rec.blocks_in(d + 1).empty());
+}
+
+TEST(IssueStage, IssueBudgetExhaustionBlamesTheSiblingWithNoPort) {
+  // Issue width 3. Context 0 runs the FP-port probe; context 1 streams
+  // independent iadds, so it has ready uops every cycle and owns the
+  // issue slots while context 0 waits on its divide. In the cycle the
+  // divide completes, context 0 issues first: its first fadd, then one of
+  // context 1's iadds, then context 0's fmov past its port-denied second
+  // fadd, which spends the budget. Context 1's next ready iadd never got
+  // a scan: its block is a port conflict on no port (issue bandwidth),
+  // blamed on the sibling that took the slots. Context 0's block is its
+  // second fadd on the FP port, self-blamed.
+  uint32_t fadd = 0;
+  const isa::Program p0 = fp_port_probe(&fadd);
+  AsmBuilder a("iadd-stream");
+  a.imovi(IReg::R0, 1);
+  a.imovi(IReg::R1, 2);
+  for (int i = 0; i < 400; ++i) {
+    a.iadd(isa::ireg_n(2 + i % 6), IReg::R0, IReg::R1);
+  }
+  a.exit();
+  const isa::Program p1 = a.take();
+  MachineConfig cfg;
+  cfg.core.issue_width = 3;
+  Machine m{cfg};
+  IssueRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, p0);
+  m.load_program(kC1, p1);
+  m.run();
+  const Cycle d = rec.cycle_of(fadd);
+  ASSERT_EQ(rec.issued_in(kC0, d), (std::vector<uint32_t>{fadd, fadd + 2}));
+  const std::vector<uint32_t> sib = rec.issued_in(kC1, d);
+  ASSERT_EQ(sib.size(), 1u);
+  const std::vector<IssueRecorder::Block> blocks = rec.blocks_in(d);
+  ASSERT_EQ(blocks.size(), 2u);
+  const IssueRecorder::Block& b0 = blocks[0];
+  EXPECT_EQ(b0.cpu, kC0);
+  EXPECT_EQ(b0.reason, cpu::BlockReason::kPortConflict);
+  EXPECT_EQ(b0.pc, fadd + 1);
+  EXPECT_EQ(b0.port, static_cast<int>(cpu::IssuePort::kFp));
+  EXPECT_FALSE(b0.sibling);
+  const IssueRecorder::Block& b1 = blocks[1];
+  EXPECT_EQ(b1.cpu, kC1);
+  EXPECT_EQ(b1.reason, cpu::BlockReason::kPortConflict);
+  EXPECT_EQ(b1.pc, sib[0] + 1);  // the oldest unissued iadd
+  EXPECT_EQ(b1.port, -1);
+  EXPECT_TRUE(b1.sibling);
 }
 
 // ---------------------------------------------------------------------------

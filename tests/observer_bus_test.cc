@@ -7,6 +7,7 @@
 // every kind, so every hook fires.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -19,6 +20,8 @@
 #include "common/hash.h"
 #include "core/flight_recorder.h"
 #include "core/machine.h"
+#include "core/run_report.h"
+#include "core/runner.h"
 #include "host/experiments.h"
 #include "kernels/matmul.h"
 #include "perfmon/counters.h"
@@ -142,6 +145,50 @@ std::string flight_output(const core::FlightRecorder& fr) {
   }
   return os.str();
 }
+
+/// Counts the calls of every hook. Not final, so it subscribes to every
+/// hook through any pointer type.
+class HookCountsBase : public cpu::PipelineObserver {
+ public:
+  void on_fetch(CpuId, const cpu::DynUop&, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kFetch)];
+  }
+  void on_dispatch(CpuId, const cpu::DynUop&, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kDispatch)];
+  }
+  void on_issue(CpuId, const cpu::DynUop&, int, Cycle, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kIssue)];
+  }
+  void on_retire(CpuId, const cpu::DynUop&, int, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kRetire)];
+  }
+  void on_block(CpuId, cpu::BlockReason, uint32_t, bool, int, Cycle,
+                Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kBlock)];
+  }
+  void on_demand_miss(CpuId, uint32_t, bool, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kDemandMiss)];
+  }
+  void on_guest_access(CpuId, uint32_t, Addr, cpu::GuestAccess, uint64_t,
+                       Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kGuestAccess)];
+  }
+  void on_ipi_send(CpuId, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kIpiSend)];
+  }
+  void on_ipi_wake(CpuId, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kIpiWake)];
+  }
+  void on_halt_enter(CpuId, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kHaltEnter)];
+  }
+  void on_halt_exit(CpuId, Cycle) override {
+    ++calls[static_cast<int>(cpu::Hook::kHaltExit)];
+  }
+
+  std::array<uint64_t, cpu::kNumHooks> calls{};
+};
+class HookCounts final : public HookCountsBase {};
 
 /// The SPR matmul every test here runs: worker + prefetcher with halt
 /// barriers.
@@ -288,6 +335,66 @@ TEST(ObserverBus, PerPcCountsSumToMixProfilerAndCounters) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-hook subscription
+// ---------------------------------------------------------------------------
+
+using cpu::bit;
+using cpu::Hook;
+
+TEST(ObserverBus, ProductionObserversSubscribeToExactlyTheHooksTheyOverride) {
+  EXPECT_EQ(cpu::hooks_of<profile::PcProfiler>(),
+            bit(Hook::kIssue) | bit(Hook::kBlock) | bit(Hook::kDemandMiss) |
+                bit(Hook::kRetire));
+  EXPECT_EQ(cpu::hooks_of<profile::InterferenceProfiler>(), bit(Hook::kBlock));
+  EXPECT_EQ(cpu::hooks_of<profile::MixProfiler>(), bit(Hook::kRetire));
+  EXPECT_EQ(cpu::hooks_of<core::FlightRecorder>(), bit(Hook::kRetire));
+  EXPECT_EQ(cpu::hooks_of<analysis::RaceDetector>(),
+            bit(Hook::kGuestAccess) | bit(Hook::kIpiSend) |
+                bit(Hook::kIpiWake));
+  EXPECT_EQ(cpu::hooks_of<trace::TraceRecorder>(),
+            bit(Hook::kHaltEnter) | bit(Hook::kHaltExit) |
+                bit(Hook::kIpiSend) | bit(Hook::kIpiWake) |
+                bit(Hook::kDemandMiss) | bit(Hook::kGuestAccess));
+  EXPECT_EQ(cpu::hooks_of<trace::PipeViewRecorder>(),
+            bit(Hook::kFetch) | bit(Hook::kDispatch) | bit(Hook::kIssue) |
+                bit(Hook::kRetire));
+  // Without a final class the dynamic type may override anything.
+  EXPECT_EQ(cpu::hooks_of<cpu::PipelineObserver>(), cpu::kAllHooks);
+  EXPECT_EQ(cpu::hooks_of<HookCountsBase>(), cpu::kAllHooks);
+  // Overrides in a class between T and PipelineObserver count as T's.
+  EXPECT_EQ(cpu::hooks_of<HookCounts>(), cpu::kAllHooks);
+}
+
+TEST(ObserverBus, BasePointerObserverReceivesEveryHook) {
+  // A final observer overriding every hook, attached through a plain
+  // PipelineObserver*, beside a MixProfiler (subscribed to retire only).
+  MatMulWorkload w(spr_matmul());
+  Machine m{};
+  HookCounts counts;
+  profile::MixProfiler mix;
+  cpu::PipelineObserver* plain = &counts;
+  m.core().add_observer(plain);
+  m.core().add_observer(&mix);
+  w.setup(m);
+  const std::vector<isa::Program> progs = w.programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  m.run();
+  EXPECT_TRUE(w.verify(m));
+  for (int h = 0; h < cpu::kNumHooks; ++h) {
+    EXPECT_GT(counts.calls[h], 0u) << "hook " << h;
+  }
+  uint64_t retired = 0;
+  for (int c = 0; c < kNumLogicalCpus; ++c) {
+    const CpuId cpu = static_cast<CpuId>(c);
+    EXPECT_EQ(mix.total(cpu), m.counters().get(cpu, Event::kInstrRetired));
+    retired += mix.total(cpu);
+  }
+  EXPECT_EQ(counts.calls[static_cast<int>(Hook::kRetire)], retired);
+}
+
+// ---------------------------------------------------------------------------
 // Golden hook-stream digests
 // ---------------------------------------------------------------------------
 
@@ -379,6 +486,73 @@ TEST(ObserverBus, HookStreamDigestOfTlpCoarseLuIsGolden) {
   ASSERT_NE(def, nullptr);
   const std::unique_ptr<core::Workload> w = def->make();
   EXPECT_EQ(hook_digest(*w), "41f43c64915566ff/1721161");
+}
+
+// ---------------------------------------------------------------------------
+// Golden instrument-output digests
+// ---------------------------------------------------------------------------
+
+// The hook-stream digests pin the bus; these pin what each instrument
+// builds from it. The pipeview window starts mid-run and its max_uops cap
+// is hit, so the recorder's first captured uid is nonzero and late hooks
+// land past the cap.
+constexpr trace::PipeViewConfig kMidRunPipeview{
+    .begin = 50'000, .end = 200'000, .max_uops = 4096};
+
+/// Runs registry job `name` with every production instrument attached
+/// (telemetry, per-PC and interference profilers, an unconfigured race
+/// detector, the mid-run pipeview and the flight recorder) and returns
+/// "<output> <fnv1a64>/<bytes>" for the run report JSON, the Kanata log,
+/// the Chrome trace JSON and the race detector's summary.
+std::string instrument_digests(const char* name) {
+  const host::ExperimentDef* def = host::find_experiment(name);
+  EXPECT_NE(def, nullptr);
+  if (def == nullptr) return "";
+  const std::unique_ptr<core::Workload> w = def->make();
+  Machine m{};
+  trace::TelemetryConfig tc;
+  tc.enabled = true;
+  tc.pc_profile = true;
+  m.enable_telemetry(tc);
+  m.enable_interference();
+  m.enable_race_detector();
+  m.enable_pipeview(kMidRunPipeview);
+  m.enable_flight_recorder();
+  w->setup(m);
+  std::vector<isa::Program> progs = w->programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), std::move(progs[i]));
+  }
+  m.run();
+  const core::RunStats stats =
+      core::stats_from_machine(m, w->name(), w->verify(m));
+  EXPECT_TRUE(stats.verified);
+  EXPECT_GT(m.pipeview()->dropped(), 0u);  // the cap was hit
+
+  std::string out;
+  const auto fold = [&out](const char* what, const std::string& text) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s%s %s/%zu", out.empty() ? "" : " ",
+                  what, fnv1a64_hex(text).c_str(), text.size());
+    out += buf;
+  };
+  fold("report", core::RunReport::from(stats).to_json());
+  fold("kanata", m.pipeview()->to_kanata());
+  fold("trace", trace::chrome_trace_json(*m.telemetry()));
+  fold("race", m.race_detector()->summary());
+  return out;
+}
+
+TEST(ObserverBus, InstrumentOutputDigestOfTlpCoarseMatmulIsGolden) {
+  EXPECT_EQ(instrument_digests("mm.tlp-coarse.n64"),
+            "report 3040d2e550a2d13a/114439 kanata 059cfe9659b0b85c/694230 "
+            "trace 4aa0abfc964aa614/67792 race cbf29ce484222325/0");
+}
+
+TEST(ObserverBus, InstrumentOutputDigestOfTlpCoarseLuIsGolden) {
+  EXPECT_EQ(instrument_digests("lu.tlp-coarse.n64"),
+            "report e1659282d4058816/119024 kanata 9cd58393531d82e8/696181 "
+            "trace 8ac9f65d940ba99f/26190 race a918d52c4b1460e5/157");
 }
 
 }  // namespace
