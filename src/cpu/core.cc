@@ -59,6 +59,8 @@ Core::Core(const CoreConfig& cfg, mem::CacheHierarchy& hierarchy,
   rob_mask_ = ring - 1;
   for (Thread& t : threads_) {
     t.rob.resize(ring);
+    t.ready_at.resize(ring);
+    t.next_link.resize(ring * kLinksPerUop);
     t.unissued.reserve(ring);
     t.uq.init(static_cast<size_t>(cfg_.uop_queue_size));
   }
@@ -126,22 +128,43 @@ int Core::sched_window_limit(CpuId cpu) const {
   return partitioned(cpu) ? cfg_.sched_window / 2 : cfg_.sched_window;
 }
 
-bool Core::ready(const Thread& t, Pending& p) const {
-  if (p.ready_at == kReadyUnknown) {
-    const RobEntry& e = t.rob[p.seq & rob_mask_];
-    Cycle at = 0;
-    for (int d = 0; d < e.ndeps; ++d) {
-      const uint64_t dep = e.dep[d];
-      // A retired producer's result is long available (its done_at was at
-      // most the cycle it retired in), and its slot may be reused.
-      if (dep < t.head) continue;
-      const RobEntry& producer = t.rob[dep & rob_mask_];
-      if (!producer.issued) return false;
-      at = std::max(at, producer.done_at);
+void Core::link_producers(Thread& t, uint32_t slot) {
+  RobEntry& e = t.rob[slot];
+  e.waiting_on = 0;
+  e.producers_done = 0;
+  e.waiters = kNoLink;
+  // RAW dependences only: the physical register file is large enough to
+  // rename away WAW/WAR (128 entries on Netburst), so a destination
+  // conflict never delays issue. The paper's |T|-register ILP
+  // construction still serializes because its accumulations read their
+  // target (t = t op s). A source read twice takes two links to the same
+  // producer and is woken twice, which the count and the max absorb.
+  for (int d = 0; d < e.uop.ndep_regs; ++d) {
+    const uint64_t w = t.last_writer[e.uop.dep_regs[d]];
+    // A retired producer's result is long available (its done_at was at
+    // most the cycle it retired in), and its slot may be reused.
+    if (w == 0 || w - 1 < t.head) continue;
+    RobEntry& producer = t.rob[(w - 1) & rob_mask_];
+    if (producer.issued) {
+      e.producers_done = std::max(e.producers_done, producer.done_at);
+      continue;
     }
-    p.ready_at = at;
+    const uint32_t link = slot * kLinksPerUop + static_cast<uint32_t>(d);
+    t.next_link[link] = producer.waiters;
+    producer.waiters = link;
+    ++e.waiting_on;
   }
-  return p.ready_at <= now_;
+  t.ready_at[slot] = e.waiting_on == 0 ? e.producers_done : kReadyUnknown;
+}
+
+void Core::wake_waiters(Thread& t, RobEntry& e, Cycle done) {
+  for (uint32_t link = e.waiters; link != kNoLink; link = t.next_link[link]) {
+    const uint32_t slot = link / kLinksPerUop;
+    RobEntry& w = t.rob[slot];
+    w.producers_done = std::max(w.producers_done, done);
+    if (--w.waiting_on == 0) t.ready_at[slot] = w.producers_done;
+  }
+  e.waiters = kNoLink;
 }
 
 void Core::reclaim_store_buffer(Thread& t) {
@@ -330,9 +353,9 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
       static_cast<size_t>(sched_window_limit(cpu)), t.unissued.size());
   // Resume where this cycle's previous call stopped (see Thread::scan_pos).
   for (; t.scan_pos < window; ++t.scan_pos) {
-    Pending& p = t.unissued[t.scan_pos];
-    if (!ready(t, p)) continue;
-    RobEntry& e = t.rob[p.seq & rob_mask_];
+    const uint64_t seq = t.unissued[t.scan_pos];
+    if (!ready(t, seq)) continue;
+    RobEntry& e = t.rob[seq & rob_mask_];
 
     // Structural check + reservation: the first candidate port with
     // capacity left, and the unpipelined divider, if the unit needs one.
@@ -367,6 +390,7 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
 
     e.issued = true;
     e.done_at = done;
+    wake_waiters(t, e, done);
     ctr_.add(cpu, Event::kIssuedUops);
     // Interference bookkeeping: who took which port this cycle (consumed
     // by scan_issue_blocks; simulation state is never read from these).
@@ -376,7 +400,8 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
       o->on_issue(cpu, u, port, done, now_);
     }
     // The next uop slides into scan_pos; a zero-latency issue's consumers
-    // sit after it, so they are examined after it issued.
+    // were just woken ready for this cycle, and they sit after it, so the
+    // rest of this scan examines them.
     t.unissued.erase(t.unissued.begin() +
                      static_cast<std::ptrdiff_t>(t.scan_pos));
     --budget;
@@ -396,10 +421,9 @@ void Core::scan_issue_blocks() {
   // for the rest of the cycle (see Thread::scan_pos), so the oldest ready
   // entry is the first one it denied, or else the first ready one from
   // scan_pos on. Reads the same state try_issue_one reads through the same
-  // readiness helper, and writes only the Thread attribution fields and
-  // exact ready-cycle cache entries (those an end-of-cycle walk from index
-  // 0 would write), so the simulation itself is unperturbed. The blocked
-  // uop is classified against the end-of-cycle caps and divider state.
+  // readiness helper and writes only the Thread attribution fields, so
+  // the simulation itself is unperturbed. The blocked uop is classified
+  // against the end-of-cycle caps and divider state.
   // In an event-skip window nothing issues and no divider or
   // dependency deadline expires mid-window, so the fields stay constant and
   // record_cycle_counters can replay them exactly over n cycles (a frozen
@@ -413,9 +437,9 @@ void Core::scan_issue_blocks() {
     const size_t window = std::min(
         static_cast<size_t>(sched_window_limit(cpu)), t.unissued.size());
     for (size_t k = std::min(t.first_denied, t.scan_pos); k < window; ++k) {
-      Pending& p = t.unissued[k];
-      if (!ready(t, p)) continue;
-      const RobEntry& e = t.rob[p.seq & rob_mask_];
+      const uint64_t seq = t.unissued[k];
+      if (!ready(t, seq)) continue;
+      const RobEntry& e = t.rob[seq & rob_mask_];
       // The same candidate list and caps try_issue_one reads: with a
       // candidate port free, only a busy divider can have held it back.
       const int div = unpipelined_divider(e.uop.unit, cfg_);
@@ -481,30 +505,14 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     const DynUop& u = t.uq.front();
 
     SMT_DCHECK(t.rob_occupancy() <= rob_mask_);
-    RobEntry& e = t.rob[t.next & rob_mask_];
+    const uint32_t slot = static_cast<uint32_t>(t.next & rob_mask_);
+    RobEntry& e = t.rob[slot];
     e.uop = u;
     e.issued = false;
     e.done_at = 0;
-    e.ndeps = 0;
-    auto add_dep = [&](isa::RegId r) {
-      if (r == isa::kNoReg) return;
-      const uint64_t w = t.last_writer[r];
-      if (w == 0 || w - 1 < t.head) return;  // no in-flight producer
-      const uint64_t seq = w - 1;
-      for (int d = 0; d < e.ndeps; ++d) {
-        if (e.dep[d] == seq) return;
-      }
-      SMT_DCHECK(e.ndeps < 4);
-      e.dep[e.ndeps++] = seq;
-    };
-    // RAW dependences only: the physical register file is large enough to
-    // rename away WAW/WAR (128 entries on Netburst), so a destination
-    // conflict never delays issue. The paper's |T|-register ILP
-    // construction still serializes because its accumulations read their
-    // target (t = t op s).
-    for (int i = 0; i < u.ndep_regs; ++i) add_dep(u.dep_regs[i]);
+    link_producers(t, slot);
 
-    t.unissued.push_back({t.next, kReadyUnknown});
+    t.unissued.push_back(t.next);
     if (u.dst != isa::kNoReg) t.last_writer[u.dst] = t.next + 1;
     if (u.is_load && !u.is_prefetch) ++t.lq_used;
     if (u.is_store) ++t.sb_used;

@@ -13,11 +13,15 @@
 //                       with capacity left); loads/stores access the
 //                       shared cache hierarchy. Each context keeps its
 //                       unissued uops in an ordered list (the scheduler
-//                       window is its first sched_window entries) with a
-//                       cached ready cycle per uop, and each cycle's scan
-//                       resumes where the previous issue left off, so issue
-//                       work is proportional to the uops looked at, not to
-//                       ROB occupancy
+//                       window is its first sched_window entries), and
+//                       each cycle's scan resumes where the previous issue
+//                       left off, so issue work is proportional to the
+//                       uops looked at, not to ROB occupancy. Readiness is
+//                       wakeup-driven: dispatch links a uop to each
+//                       producer that has not issued, and a producer's
+//                       issue wakes its waiters, so a uop's ready cycle is
+//                       known the moment its last producer issues and the
+//                       readiness check is one compare
 //   4. dispatch       — up to dispatch_width uops from the uop queue into
 //                       the ROB; statically partitioned ROB / load queue /
 //                       store buffer limits; stall reasons recorded here
@@ -53,6 +57,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -198,21 +203,27 @@ class Core {
     int port = -1;         // contended IssuePort for kPortConflict, else -1
   };
 
+  /// One waiter link per source-register slot of a uop: link
+  /// slot * kLinksPerUop + d stands for source d of the uop in ROB slot
+  /// `slot` while it waits on an unissued producer.
+  static constexpr uint32_t kLinksPerUop =
+      static_cast<uint32_t>(std::extent_v<decltype(DynUop::dep_regs)>);
+  static constexpr uint32_t kNoLink = std::numeric_limits<uint32_t>::max();
+
   struct RobEntry {
     DynUop uop;
-    uint64_t dep[4];  // producer sequence numbers within this thread
-    int ndeps = 0;
     bool issued = false;
     Cycle done_at = 0;
+    // Wakeup state, set at dispatch. While unissued: how many of its
+    // producers have not issued yet, and the max done_at of those that
+    // have. Until it issues: the head of its own waiter list — the links
+    // of the consumers dispatched before it issued (Thread::next_link).
+    uint32_t waiting_on = 0;
+    Cycle producers_done = 0;
+    uint32_t waiters = kNoLink;
   };
 
-  /// One dispatched but unissued uop. `ready_at` is the max done_at of its
-  /// in-flight producers, kReadyUnknown until every one of them has issued;
-  /// once known it is exact, because done_at never changes after issue.
-  struct Pending {
-    uint64_t seq = 0;
-    Cycle ready_at = 0;
-  };
+  /// Thread::ready_at of a uop with a producer that has not issued yet.
   static constexpr Cycle kReadyUnknown = std::numeric_limits<Cycle>::max();
   static constexpr size_t kNoneDenied = std::numeric_limits<size_t>::max();
 
@@ -251,9 +262,18 @@ class Core {
     std::vector<RobEntry> rob;   // ring indexed by seq & rob_mask_
     uint64_t head = 0;           // oldest in-flight seq
     uint64_t next = 0;           // next seq to allocate
-    // The unissued uops in seq order: dispatch appends, issue erases. The
-    // scheduler window is its first sched_window_limit() entries.
-    std::vector<Pending> unissued;
+    // Per ROB slot: the cycle its unissued uop's last producer result is
+    // done, kReadyUnknown while a producer has not issued. Dispatch sets
+    // it; the issue of the last producer fills it in, and it is exact from
+    // then on, because done_at never changes after issue.
+    std::vector<Cycle> ready_at;
+    // Per waiter link (see kLinksPerUop): the next link in the same
+    // producer's waiter list, kNoLink at the end. A link is in a list
+    // only while its uop waits, so a reused slot's links are free.
+    std::vector<uint32_t> next_link;
+    // The unissued uops' seqs in order: dispatch appends, issue erases.
+    // The scheduler window is its first sched_window_limit() entries.
+    std::vector<uint64_t> unissued;
     // Where this cycle's issue scan resumes: every entry before it was
     // rejected this cycle and stays rejected (port caps and divider state
     // only tighten within a cycle, an unready uop waits on an unissued
@@ -323,10 +343,18 @@ class Core {
   int lq_limit(CpuId cpu) const;
   int sb_limit(CpuId cpu) const;
   int uq_limit(CpuId cpu) const;
-  /// Whether the unissued uop `p` of `t` may issue in cycle now_ as far as
-  /// its dependences go; fills in p.ready_at once it is known. The one
+  /// Whether the unissued uop `seq` of `t` may issue in cycle now_ as far
+  /// as its dependences go: one compare, no dependence walk. The one
   /// readiness definition of the issue stage and of scan_issue_blocks.
-  bool ready(const Thread& t, Pending& p) const;
+  bool ready(const Thread& t, uint64_t seq) const {
+    return t.ready_at[seq & rob_mask_] <= now_;
+  }
+  /// Links the uop being dispatched into slot `slot` of `t` to its
+  /// producers and sets its ready cycle.
+  void link_producers(Thread& t, uint32_t slot);
+  /// Tells the consumers waiting on `e` (just issued, result done at
+  /// `done`) that it has issued.
+  void wake_waiters(Thread& t, RobEntry& e, Cycle done);
   void reclaim_store_buffer(Thread& t);
   /// Classifies the allocation stall of `t`'s next uop (inactive when the
   /// uop queue is empty or the uop fits) — the one copy of the ROB / load

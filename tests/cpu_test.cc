@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/machine.h"
@@ -1082,6 +1083,163 @@ TEST(IssueStage, IssueBudgetExhaustionBlamesTheSiblingWithNoPort) {
 }
 
 // ---------------------------------------------------------------------------
+// Wakeup: a consumer becomes ready exactly when its last producer's result
+// does, however its dispatch interleaves with the producers' issue
+// ---------------------------------------------------------------------------
+
+/// Records the dispatch, issue, done and retire cycles of every pc of one
+/// context (the probes below run each pc once).
+class LifetimeRecorder final : public cpu::PipelineObserver {
+ public:
+  struct Life {
+    Cycle dispatched = 0;
+    Cycle issued = 0;
+    Cycle done = 0;
+    Cycle retired = 0;
+  };
+
+  void on_dispatch(CpuId cpu, const cpu::DynUop& uop, Cycle now) override {
+    if (cpu == kC0) lives_[uop.pc].dispatched = now;
+  }
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int /*port*/, Cycle done,
+                Cycle now) override {
+    if (cpu != kC0) return;
+    lives_[uop.pc].issued = now;
+    lives_[uop.pc].done = done;
+  }
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int /*uops*/,
+                 Cycle now) override {
+    if (cpu == kC0) lives_[uop.pc].retired = now;
+  }
+
+  const Life& of(uint32_t pc) const {
+    static const Life kNever;
+    const auto it = lives_.find(pc);
+    if (it != lives_.end()) return it->second;
+    ADD_FAILURE() << "pc " << pc << " never dispatched";
+    return kNever;
+  }
+
+ private:
+  std::map<uint32_t, Life> lives_;
+};
+
+/// Runs `p` alone on context 0 of a default machine.
+LifetimeRecorder record_lifetimes(const isa::Program& p) {
+  Machine m;
+  LifetimeRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, p);
+  m.run();
+  return rec;
+}
+
+TEST(IssueStage, ConsumerOfTwoProducersIssuesAtTheLaterDone) {
+  // Two producers that issue in different cycles, once with the earlier
+  // issue finishing last (a divide, then a short fmul/fadd chain) and once
+  // with the later issue finishing last (an fadd, then a divide behind a
+  // short fmul chain). Either way the consumer issues in the cycle the
+  // later result is done — not when the last producer issues, and not
+  // when the first result is done.
+  for (const bool earlier_finishes_last : {true, false}) {
+    SCOPED_TRACE(earlier_finishes_last ? "earlier issue finishes last"
+                                       : "later issue finishes last");
+    AsmBuilder a("two-producers");
+    a.fmovi(FReg::F0, 2.0);
+    a.fmovi(FReg::F1, 3.0);
+    a.fmovi(FReg::F8, 1.0);
+    const uint32_t early = static_cast<uint32_t>(a.pos());
+    if (earlier_finishes_last) {
+      a.fdiv(FReg::F0, FReg::F0, FReg::F8);
+    } else {
+      a.fadd(FReg::F0, FReg::F0, FReg::F8);
+    }
+    a.fmul(FReg::F1, FReg::F1, FReg::F8);
+    a.fmul(FReg::F1, FReg::F1, FReg::F8);
+    const uint32_t late = static_cast<uint32_t>(a.pos());
+    if (earlier_finishes_last) {
+      a.fadd(FReg::F1, FReg::F1, FReg::F8);
+    } else {
+      a.fdiv(FReg::F1, FReg::F1, FReg::F8);
+    }
+    const uint32_t consumer = static_cast<uint32_t>(a.pos());
+    a.fadd(FReg::F2, FReg::F0, FReg::F1);
+    a.exit();
+    const LifetimeRecorder rec = record_lifetimes(a.take());
+    const LifetimeRecorder::Life& e = rec.of(early);
+    const LifetimeRecorder::Life& l = rec.of(late);
+    ASSERT_LT(e.issued, l.issued);
+    ASSERT_EQ(e.done > l.done, earlier_finishes_last);
+    EXPECT_EQ(rec.of(consumer).issued, std::max(e.done, l.done));
+  }
+}
+
+TEST(IssueStage, ConsumerDispatchedAfterItsProducerIssuedWaitsForItsDone) {
+  // The divide issues before its consumer reaches the ROB (thirty
+  // independent iadds sit between them), and completes after.
+  AsmBuilder a("issued-producer");
+  a.imovi(IReg::R0, 1);
+  a.imovi(IReg::R1, 2);
+  a.fmovi(FReg::F0, 2.0);
+  a.fmovi(FReg::F8, 1.0);
+  const uint32_t producer = static_cast<uint32_t>(a.pos());
+  a.fdiv(FReg::F0, FReg::F0, FReg::F8);
+  for (int i = 0; i < 30; ++i) a.iadd(isa::ireg_n(2 + i % 6), IReg::R0, IReg::R1);
+  const uint32_t consumer = static_cast<uint32_t>(a.pos());
+  a.fadd(FReg::F1, FReg::F0, FReg::F8);
+  a.exit();
+  const LifetimeRecorder rec = record_lifetimes(a.take());
+  const LifetimeRecorder::Life& p = rec.of(producer);
+  const LifetimeRecorder::Life& c = rec.of(consumer);
+  ASSERT_LT(p.issued, c.dispatched);
+  ASSERT_LT(c.dispatched, p.done);
+  EXPECT_EQ(c.issued, p.done);
+}
+
+TEST(IssueStage, ConsumerDispatchedAfterItsProducerRetiredIsReady) {
+  // The producer retires long before its consumer is dispatched (three
+  // hundred independent iadds sit between them): its result counts as
+  // available, so the consumer issues in the cycle after its dispatch, as
+  // the iadds around it do.
+  AsmBuilder a("retired-producer");
+  a.imovi(IReg::R0, 1);
+  a.imovi(IReg::R1, 2);
+  const uint32_t producer = static_cast<uint32_t>(a.pos());
+  a.iadd(IReg::R9, IReg::R0, IReg::R1);
+  for (int i = 0; i < 300; ++i) {
+    a.iadd(isa::ireg_n(2 + i % 6), IReg::R0, IReg::R1);
+  }
+  const uint32_t consumer = static_cast<uint32_t>(a.pos());
+  a.iadd(IReg::R10, IReg::R9, IReg::R1);
+  a.exit();
+  const isa::Program p = a.take();
+  const LifetimeRecorder rec = record_lifetimes(p);
+  const LifetimeRecorder::Life& c = rec.of(consumer);
+  ASSERT_LT(rec.of(producer).retired, c.dispatched);
+  EXPECT_EQ(c.issued, c.dispatched + 1);
+}
+
+TEST(IssueStage, ConsumerOfAnL2MissingLoadIssuesAtTheLoadsReadyCycle) {
+  AsmBuilder a("missing-load");
+  a.imovi(IReg::R0, 1);
+  a.imovi(IReg::R1, 0x400000);
+  const uint32_t load = static_cast<uint32_t>(a.pos());
+  a.load(IReg::R2, Mem::bd(IReg::R1));
+  const uint32_t consumer = static_cast<uint32_t>(a.pos());
+  a.iadd(IReg::R3, IReg::R2, IReg::R0);
+  a.exit();
+  Machine m;
+  LifetimeRecorder rec;
+  m.core().add_observer(&rec);
+  m.load_program(kC0, a.take());
+  m.run();
+  ASSERT_EQ(m.counters().get(kC0, Event::kL2ReadMisses), 1u);
+  const LifetimeRecorder::Life& l = rec.of(load);
+  ASSERT_GE(l.done, l.issued + m.config().mem.mem_lat);
+  EXPECT_EQ(rec.of(consumer).issued, l.done);
+}
+
+// ---------------------------------------------------------------------------
 // IPI delivery windows (sticky wake-up protocol)
 // ---------------------------------------------------------------------------
 
@@ -1183,11 +1341,12 @@ void expect_identical_counters(const Machine& skip, const Machine& step) {
 
 // Runs the two given programs (second may be empty) under event_skip on and
 // off and requires identical cycles and counters.
-void check_skip_equivalence(const isa::Program& p0, const isa::Program* p1) {
-  MachineConfig skip_cfg;
+void check_skip_equivalence(const isa::Program& p0, const isa::Program* p1,
+                            const MachineConfig& base = {}) {
+  MachineConfig skip_cfg = base;
   skip_cfg.core.event_skip = true;
   Machine skip{skip_cfg};
-  MachineConfig step_cfg;
+  MachineConfig step_cfg = base;
   step_cfg.core.event_skip = false;
   Machine step{step_cfg};
   for (Machine* m : {&skip, &step}) {
@@ -1250,6 +1409,208 @@ TEST(EventSkip, StorePressureCountsIdentically) {
   a.exit();
   const isa::Program p = a.take();
   check_skip_equivalence(p, nullptr);
+}
+
+/// One dependent chain through every latency class per iteration — a
+/// zero-latency add, shifts, a multiply, and a store/load round trip whose
+/// address is the chain value — beside an FP add/multiply chain.
+isa::Program chain_loop(Addr buf, int iters) {
+  AsmBuilder a("chain");
+  a.imovi(IReg::R0, 1);
+  a.imovi(IReg::R1, 1);
+  a.imovi(IReg::R6, 0);
+  a.imovi(IReg::R7, static_cast<int64_t>(buf));
+  a.fmovi(FReg::F0, 1.0);
+  a.fmovi(FReg::F8, 1.0);
+  Label loop = a.here();
+  a.iadd(IReg::R0, IReg::R0, IReg::R1);
+  a.ishli(IReg::R0, IReg::R0, 1);
+  a.ishri(IReg::R0, IReg::R0, 1);
+  a.imul(IReg::R0, IReg::R0, IReg::R1);
+  a.iandi(IReg::R3, IReg::R0, 63);
+  a.store(IReg::R0, Mem::bi(IReg::R7, IReg::R3, 3));
+  a.load(IReg::R2, Mem::bi(IReg::R7, IReg::R3, 3));
+  a.iadd(IReg::R0, IReg::R2, IReg::R1);
+  a.iandi(IReg::R0, IReg::R0, 0xffff);
+  a.fadd(FReg::F0, FReg::F0, FReg::F8);
+  a.fmul(FReg::F0, FReg::F0, FReg::F8);
+  a.iaddi(IReg::R6, IReg::R6, 1);
+  a.bri(BrCond::kLt, IReg::R6, iters, loop);
+  a.exit();
+  return a.take();
+}
+
+TEST(IssueStage, LongChainsAtATinyRobCountIdenticallyAcrossEventSkip) {
+  // Four ROB slots (two per context while both run): every slot and every
+  // waiter link is reused thousands of times.
+  MachineConfig tiny;
+  tiny.core.rob_size = 4;
+  const isa::Program p0 = chain_loop(0x80000, 300);
+  const isa::Program p1 = chain_loop(0x90000, 200);
+  check_skip_equivalence(p0, &p1, tiny);
+  check_skip_equivalence(p0, nullptr, tiny);
+}
+
+// ---------------------------------------------------------------------------
+// Generated programs: every uop issues after its RAW producers have issued
+// and no earlier than their results are done
+// ---------------------------------------------------------------------------
+
+class Lcg {
+ public:
+  explicit Lcg(uint64_t seed) : seed_(seed) {}
+  uint64_t operator()() {
+    seed_ = seed_ * 6364136223846793005ull + 1442695040888963407ull;
+    return seed_ >> 33;
+  }
+
+ private:
+  uint64_t seed_;
+};
+
+/// A terminating program: a counted loop over a random body of integer
+/// adds, shifts, multiplies and divides, FP adds, multiplies and divides,
+/// and loads and stores into the 64-word buffer at `buf`. R0-R5 and F0-F5
+/// carry data, R6 counts iterations, R7 holds `buf`, R8 is the word
+/// index. Integer results are masked to 16 bits, so no operation
+/// overflows.
+isa::Program random_program(Lcg& next, Addr buf) {
+  AsmBuilder a("random");
+  for (int r = 0; r < 6; ++r) {
+    a.imovi(isa::ireg_n(r), static_cast<int64_t>(1 + next() % 100));
+    a.fmovi(isa::freg_n(r), 0.5 + static_cast<double>(next() % 8));
+  }
+  a.imovi(IReg::R6, 0);
+  a.imovi(IReg::R7, static_cast<int64_t>(buf));
+  const auto ireg = [&next] { return isa::ireg_n(static_cast<int>(next() % 6)); };
+  const auto freg = [&next] { return isa::freg_n(static_cast<int>(next() % 6)); };
+  const auto word = [&](IReg from) {
+    a.iandi(IReg::R8, from, 63);
+    return Mem::bi(IReg::R7, IReg::R8, 3);
+  };
+  Label loop = a.here();
+  const uint64_t body = 2 + next() % 14;
+  for (uint64_t i = 0; i < body; ++i) {
+    const uint64_t kind = next() % 10;
+    const IReg d = ireg(), s1 = ireg(), s2 = ireg();
+    const FReg fd = freg(), f1 = freg(), f2 = freg();
+    switch (kind) {
+      case 0: a.iadd(d, s1, s2); break;
+      case 1: a.ishli(d, s1, static_cast<int64_t>(next() % 8)); break;
+      case 2: a.imul(d, s1, s2); break;
+      case 3: a.idiv(d, s1, s2); break;
+      case 4: a.fadd(fd, f1, f2); break;
+      case 5: a.fmul(fd, f1, f2); break;
+      case 6: a.fdiv(fd, f1, f2); break;
+      case 7: a.load(d, word(s1)); break;
+      case 8: a.store(s2, word(s1)); break;
+      default:
+        if (next() % 2 == 0) {
+          a.fload(fd, word(s1));
+        } else {
+          a.fstore(f1, word(s1));
+        }
+        break;
+    }
+    if (kind <= 3 || kind == 7) a.iandi(d, d, 0xffff);
+  }
+  a.iaddi(IReg::R6, IReg::R6, 1);
+  a.bri(BrCond::kLt, IReg::R6, static_cast<int64_t>(1 + next() % 24), loop);
+  a.exit();
+  return a.take();
+}
+
+/// Checks issue order against RAW dependences derived from the fetch
+/// stream alone: a uop's producers are the last writers, in its context's
+/// fetch order, of the registers it reads (address registers included).
+class RawIssueChecker final : public cpu::PipelineObserver {
+ public:
+  void on_fetch(CpuId cpu, const cpu::DynUop& uop, Cycle /*now*/) override {
+    if (uops_.size() <= uop.uid) uops_.resize(uop.uid + 1);
+    Uop& u = uops_[uop.uid];
+    for (int i = 0; i < uop.ndep_regs; ++i) {
+      u.producers[u.nproducers++] = last_writer_[idx(cpu)][uop.dep_regs[i]];
+    }
+    if (uop.dst != isa::kNoReg) last_writer_[idx(cpu)][uop.dst] = uop.uid;
+    ++fetched_;
+  }
+  void on_issue(CpuId /*cpu*/, const cpu::DynUop& uop, int /*port*/,
+                Cycle done, Cycle now) override {
+    Uop& u = uops_[uop.uid];
+    for (int i = 0; i < u.nproducers; ++i) {
+      const uint64_t p = u.producers[i];
+      if (p == 0) continue;  // no writer fetched yet
+      ++checked_;
+      const Uop& w = uops_[p];
+      if (!w.issued) {
+        note(uop, now, "issued before its producer");
+      } else if (now < w.done) {
+        note(uop, now, "issued before its producer's result was done");
+      }
+    }
+    u.issued = true;
+    u.done = done;
+    ++issued_;
+  }
+
+  uint64_t fetched() const { return fetched_; }
+  uint64_t issued() const { return issued_; }
+  uint64_t checked() const { return checked_; }
+  uint64_t violations() const { return violations_; }
+  const std::string& first_violation() const { return first_; }
+
+ private:
+  struct Uop {
+    std::array<uint64_t, 4> producers{};  // uids; 0 = none
+    int nproducers = 0;
+    bool issued = false;
+    Cycle done = 0;
+  };
+
+  void note(const cpu::DynUop& uop, Cycle now, const char* what) {
+    if (violations_++ == 0) {
+      first_ = "uid " + std::to_string(uop.uid) + " pc " +
+               std::to_string(uop.pc) + " cycle " + std::to_string(now) +
+               ": " + what;
+    }
+  }
+
+  std::vector<Uop> uops_;
+  std::array<std::array<uint64_t, isa::kNumRegs>, kNumLogicalCpus>
+      last_writer_{};
+  uint64_t fetched_ = 0;
+  uint64_t issued_ = 0;
+  uint64_t checked_ = 0;
+  uint64_t violations_ = 0;
+  std::string first_;
+};
+
+TEST(GeneratedPrograms, EveryUopIssuesAfterItsProducersUnderBothSkipModes) {
+  Lcg next(0x2545f4914f6cdd1dull);
+  uint64_t checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const isa::Program p0 = random_program(next, 0x100000);
+    const isa::Program p1 = random_program(next, 0x200000);
+    MachineConfig skip_cfg;
+    skip_cfg.core.event_skip = true;
+    Machine skip{skip_cfg};
+    MachineConfig step_cfg;
+    step_cfg.core.event_skip = false;
+    Machine step{step_cfg};
+    for (Machine* m : {&skip, &step}) {
+      RawIssueChecker checker;
+      m->core().add_observer(&checker);
+      m->load_program(kC0, p0);
+      m->load_program(kC1, p1);
+      m->run(10'000'000);
+      EXPECT_EQ(checker.violations(), 0u) << checker.first_violation();
+      EXPECT_EQ(checker.issued(), checker.fetched());
+      checked += checker.checked();
+    }
+    expect_identical_counters(skip, step);
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -246,6 +246,30 @@ TEST(Hierarchy, RedundantPrefetchDoesNotRefetch) {
   EXPECT_EQ(h.stats(CpuId::kCpu0).prefetch_fills, 1u);
 }
 
+TEST(Hierarchy, QueuedPrefetchFillsDelayALaterDemandMissByTheirBusTime) {
+  // Prefetch fills reserve the front-side bus even when every MSHR is
+  // busy, so k of them issued back to back push a later demand miss out by
+  // about k bus transfers. This pins the current model (a model question,
+  // not a requirement): a burst of software prefetches can hold off a
+  // sibling's demand miss for thousands of cycles.
+  const HierConfig cfg;  // default: 8 MSHRs, 40 bus cycles per line
+  const Cycle bus = cfg.bus_cycles_per_line;
+  const Addr demand = 0x4000000;
+  const Cycle alone =
+      CacheHierarchy(cfg).access(demand, false, CpuId::kCpu0, 1).ready;
+  for (const int k : {8, 32, 128}) {
+    SCOPED_TRACE(testing::Message() << k << " prefetches");
+    CacheHierarchy h(cfg);
+    for (int i = 0; i < k; ++i) {
+      h.prefetch(0x100000 + static_cast<Addr>(i) * 4096, false,
+                 CpuId::kCpu1, 0);
+    }
+    const Cycle delayed = h.access(demand, false, CpuId::kCpu0, 1).ready;
+    EXPECT_GE(delayed, alone + static_cast<Cycle>(k - 1) * bus);
+    EXPECT_LE(delayed, alone + static_cast<Cycle>(k + 1) * bus);
+  }
+}
+
 TEST(Hierarchy, PerPcMissAttribution) {
   CacheHierarchy h(tiny_hier());
   h.set_track_pc_misses(true);
