@@ -105,11 +105,10 @@ std::map<WaitKind, Outcome>& results() {
   return r;
 }
 
-void register_all() {
+void run_all() {
   for (WaitKind k : {WaitKind::kNone, WaitKind::kTight, WaitKind::kPause,
                      WaitKind::kHalt}) {
-    register_run(std::string("sync.") + name(k),
-                 [k] { results()[k] = run_experiment(k); });
+    results()[k] = run_experiment(k);
   }
 }
 
@@ -140,6 +139,6 @@ void print_all() {
 }  // namespace smt::bench
 
 int main(int argc, char** argv) {
-  return smt::bench::bench_main(argc, argv, smt::bench::register_all,
+  return smt::bench::bench_main(argc, argv, smt::bench::run_all,
                                 smt::bench::print_all);
 }

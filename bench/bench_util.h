@@ -1,13 +1,13 @@
-// Shared infrastructure for the paper-reproduction benchmark binaries.
-//
-// Every bench binary registers its experiment runs as google-benchmark
-// benchmarks (one iteration each — the simulator is deterministic, so
-// repetition adds nothing), records the measurements in a shared registry,
-// and prints the corresponding paper table/figure as aligned text after
-// the google-benchmark run completes.
+// Shared infrastructure for the bench binaries that drive Machines by
+// hand (Figures 1-2, Table 1, the sync ablation and the multiprogrammed
+// pairs). Each is a plain main: it runs its experiments once (the
+// simulator is deterministic, so repetition adds nothing), records the
+// measurements in a shared registry, and prints the corresponding paper
+// table/figure as aligned text. The kernel figures (3-5) and their
+// ablations are registry jobs instead: smt_sweep runs them and
+// tools/smt_figures prints their tables.
 //
 // Environment knobs:
-//   SMT_BENCH_FULL=1          also run the largest (paper-scale-ratio) sizes
 //   SMT_BENCH_CSV=1           additionally dump each table as CSV
 //   SMT_BENCH_REPORT_DIR=dir  write a RunReport JSON artifact per recorded
 //                             run into `dir` (see core/run_report.h)
@@ -28,16 +28,19 @@
 //                             Kanata file *.kanata — loadable in the
 //                             Konata viewer — lands beside each report
 //   SMT_BENCH_PIPEVIEW_WINDOW=B:E  (or just E) bound the pipeview capture
-//                             to cycles [B, E] (default 0:100000)
+//                             to cycles [B, E] (default 0:100000); any
+//                             other value, or E <= B, exits 2 before any
+//                             simulation
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,94 +55,56 @@
 
 namespace smt::bench {
 
-inline bool full_mode() {
-  const char* v = std::getenv("SMT_BENCH_FULL");
+/// True when environment knob `name` is set to 1.
+inline bool env_on(const char* name) {
+  const char* v = std::getenv(name);
   return v != nullptr && v[0] == '1';
 }
 
-inline bool csv_mode() {
-  const char* v = std::getenv("SMT_BENCH_CSV");
-  return v != nullptr && v[0] == '1';
-}
-
-inline bool profile_mode() {
-  const char* v = std::getenv("SMT_BENCH_PROFILE");
-  return v != nullptr && v[0] == '1';
-}
-
-inline bool interference_mode() {
-  const char* v = std::getenv("SMT_BENCH_INTERFERENCE");
-  return v != nullptr && v[0] == '1';
-}
-
-inline bool pipeview_mode() {
-  const char* v = std::getenv("SMT_BENCH_PIPEVIEW");
-  return v != nullptr && v[0] == '1';
+/// The value of environment knob `name`, or "" when unset.
+inline std::string env_dir(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? v : "";
 }
 
 /// Parses SMT_BENCH_PIPEVIEW_WINDOW ("begin:end" or just "end") into the
-/// capture bounds; leaves the defaults untouched when unset or malformed.
+/// capture bounds; leaves the defaults untouched when unset. A malformed
+/// or empty window is a usage error: the process exits 2 naming the
+/// variable, so a mistyped window never records the default one.
 inline void pipeview_window(Cycle* begin, Cycle* end) {
   const char* v = std::getenv("SMT_BENCH_PIPEVIEW_WINDOW");
-  if (v == nullptr || v[0] == '\0') return;
-  char* rest = nullptr;
-  const unsigned long long a = std::strtoull(v, &rest, 10);
-  if (rest == v) return;
-  if (*rest == ':') {
-    const char* second = rest + 1;
-    const unsigned long long b = std::strtoull(second, &rest, 10);
-    if (rest == second || b <= a) return;
-    *begin = static_cast<Cycle>(a);
-    *end = static_cast<Cycle>(b);
-  } else if (*rest == '\0') {
-    *end = static_cast<Cycle>(a);
+  if (v == nullptr) return;
+  const char* const stop = v + std::strlen(v);
+  const char* colon = std::find(v, stop, ':');
+  Cycle b = 0, e = 0;
+  const auto whole = [](const char* first, const char* last, Cycle* out) {
+    const auto [ptr, ec] = std::from_chars(first, last, *out);
+    return ec == std::errc() && ptr == last && first != last;
+  };
+  const bool ok = colon == stop
+                      ? whole(v, stop, &e)
+                      : whole(v, colon, &b) && whole(colon + 1, stop, &e);
+  if (!ok || e <= b) {
+    std::fprintf(stderr,
+                 "SMT_BENCH_PIPEVIEW_WINDOW=\"%s\": want BEGIN:END or END, "
+                 "whole cycle counts with END > BEGIN\n",
+                 v);
+    std::exit(2);
   }
-}
-
-/// Directory for RunReport JSON artifacts, or "" when reporting is off.
-inline const std::string& report_dir() {
-  static const std::string dir = [] {
-    const char* v = std::getenv("SMT_BENCH_REPORT_DIR");
-    return std::string(v != nullptr ? v : "");
-  }();
-  return dir;
-}
-
-/// Directory for Chrome trace-event artifacts, or "" when tracing is off.
-/// A nonempty value also enables process-global telemetry (see bench_main),
-/// which adds a `timeseries` section to the RunReport artifacts.
-inline const std::string& trace_dir() {
-  static const std::string dir = [] {
-    const char* v = std::getenv("SMT_BENCH_TRACE_DIR");
-    return std::string(v != nullptr ? v : "");
-  }();
-  return dir;
+  *begin = b;
+  *end = e;
 }
 
 /// Per-binary filename prefix for report artifacts (the basename of
 /// argv[0], set by bench_main).
 inline std::string& report_prefix() {
-  static std::string prefix = "bench";
+  static std::string prefix;
   return prefix;
 }
 
-/// Turns a registry key into a safe filename fragment. Collision-free:
-/// distinct keys yield distinct fragments (keys with replaced characters
-/// get a short hash of the raw key appended — see common/io.h — so e.g.
-/// "a/b" and "a_b" no longer overwrite each other's artifacts).
-inline std::string sanitize_key(const std::string& key) {
-  return sanitize_artifact_key(key);
-}
-
-/// Registry of named measurements filled during the benchmark run and
-/// consumed by the table printers afterwards.
-///
-/// Thread-safety contract: every accessor takes the registry mutex, so
-/// runs may record results from multiple host threads (the sweep job
-/// pool) concurrently. Keys are write-once — nothing is ever erased and
-/// re-putting a key while another thread holds a reference from get() is
-/// outside the contract — so the std::map node stability makes the
-/// references returned by get() safe to hold after the lock is released.
+/// Registry of named measurements filled while a bench binary runs its
+/// experiments and consumed by its table printer afterwards; put() writes
+/// a recorded run's artifacts.
 class Results {
  public:
   static Results& instance() {
@@ -147,114 +112,80 @@ class Results {
     return r;
   }
 
-  void put(const std::string& key, core::RunStats stats) {
-    if (!report_dir().empty()) {
-      const std::string path = report_dir() + "/" + report_prefix() + "." +
-                               sanitize_key(key) + ".json";
-      if (!core::RunReport::from(stats).write_json_file(path)) {
-        std::fprintf(stderr, "warning: could not write report %s\n",
-                     path.c_str());
-      }
+  /// Writes a recorded run's artifacts: its report into
+  /// SMT_BENCH_REPORT_DIR, its Chrome trace into SMT_BENCH_TRACE_DIR, and
+  /// its Kanata trace beside the report (or the trace when only tracing
+  /// is on). The file names are the binary's name, then `key`.
+  void put(const std::string& key, const core::RunStats& stats) {
+    static const std::string reports = env_dir("SMT_BENCH_REPORT_DIR");
+    static const std::string traces = env_dir("SMT_BENCH_TRACE_DIR");
+    const auto path = [&key](const std::string& dir, const char* ext) {
+      return dir + "/" + report_prefix() + "." + sanitize_artifact_key(key) +
+             ext;
+    };
+    const auto warn = [](const char* what, const std::string& file) {
+      std::fprintf(stderr, "warning: could not write %s %s\n", what,
+                   file.c_str());
+    };
+    if (!reports.empty() && !core::RunReport::from(stats).write_json_file(
+                                path(reports, ".json"))) {
+      warn("report", path(reports, ".json"));
     }
-    if (!trace_dir().empty() && stats.telemetry != nullptr) {
-      const std::string path = trace_dir() + "/" + report_prefix() + "." +
-                               sanitize_key(key) + ".trace.json";
-      if (!trace::write_chrome_trace_file(*stats.telemetry, path)) {
-        std::fprintf(stderr, "warning: could not write trace %s\n",
-                     path.c_str());
-      }
+    if (!traces.empty() && stats.telemetry != nullptr &&
+        !trace::write_chrome_trace_file(*stats.telemetry,
+                                        path(traces, ".trace.json"))) {
+      warn("trace", path(traces, ".trace.json"));
     }
-    // Kanata pipeline traces land beside the reports (or the traces when
-    // only tracing is on).
-    const std::string& kanata_dir =
-        !report_dir().empty() ? report_dir() : trace_dir();
-    if (!kanata_dir.empty() && stats.pipeview != nullptr) {
-      const std::string path = kanata_dir + "/" + report_prefix() + "." +
-                               sanitize_key(key) + ".kanata";
-      if (!trace::write_kanata_file(*stats.pipeview, path)) {
-        std::fprintf(stderr, "warning: could not write pipeview %s\n",
-                     path.c_str());
-      }
+    const std::string& kanata = !reports.empty() ? reports : traces;
+    if (!kanata.empty() && stats.pipeview != nullptr &&
+        !trace::write_kanata_file(*stats.pipeview, path(kanata, ".kanata"))) {
+      warn("pipeview", path(kanata, ".kanata"));
     }
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_[key] = std::move(stats);
-  }
-
-  const core::RunStats& get(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto it = stats_.find(key);
-    SMT_CHECK_MSG(it != stats_.end(), key.c_str());
-    return it->second;
-  }
-
-  bool has(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return stats_.count(key) > 0;
   }
 
   void put_value(const std::string& key, double v) {
-    const std::lock_guard<std::mutex> lock(mu_);
     values_[key] = v;
   }
   double value(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mu_);
     auto it = values_.find(key);
     SMT_CHECK_MSG(it != values_.end(), key.c_str());
     return it->second;
   }
   bool has_value(const std::string& key) const {
-    const std::lock_guard<std::mutex> lock(mu_);
     return values_.count(key) > 0;
   }
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, core::RunStats> stats_;
   std::map<std::string, double> values_;
 };
-
-/// Registers a single-iteration benchmark that executes `fn` and reports
-/// simulated cycles as the benchmark's "items".
-inline void register_run(const std::string& name, std::function<void()> fn) {
-  benchmark::RegisterBenchmark(name.c_str(),
-                               [fn = std::move(fn)](benchmark::State& state) {
-                                 for (auto _ : state) fn();
-                               })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
 
 /// Prints a table (and optionally CSV) under a titled banner.
 inline void print_table(const std::string& title, const TextTable& t) {
   std::printf("\n=== %s ===\n%s", title.c_str(), t.to_string().c_str());
-  if (csv_mode()) std::printf("\n[csv]\n%s", t.to_csv().c_str());
+  if (env_on("SMT_BENCH_CSV")) {
+    std::printf("\n[csv]\n%s", t.to_csv().c_str());
+  }
   std::fflush(stdout);
 }
 
-/// Standard main body: initialize, run registered benchmarks, then call
-/// the binary's printer.
-inline int bench_main(int argc, char** argv, std::function<void()> register_all,
+/// Standard main body: read the environment knobs, run the binary's
+/// experiments, then call its printer. Takes no arguments.
+inline int bench_main(int argc, char** argv, std::function<void()> run_all,
                       std::function<void()> print_all) {
-  if (argc > 0 && argv[0] != nullptr) {
-    std::string base = argv[0];
-    const size_t slash = base.find_last_of('/');
-    if (slash != std::string::npos) base = base.substr(slash + 1);
-    if (!base.empty()) report_prefix() = base;
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (no arguments; see bench_util.h)\n",
+                 argc > 0 ? argv[0] : "bench");
+    return 2;
   }
-  if (!trace_dir().empty() || profile_mode() || interference_mode() ||
-      pipeview_mode()) {
-    trace::TelemetryConfig cfg;
-    cfg.enabled = !trace_dir().empty();
-    cfg.pc_profile = profile_mode();
-    cfg.interference = interference_mode();
-    cfg.pipeview = pipeview_mode();
-    pipeview_window(&cfg.pipeview_begin, &cfg.pipeview_end);
-    trace::set_global_telemetry(cfg);
-  }
-  benchmark::Initialize(&argc, argv);
-  register_all();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report_prefix() = std::filesystem::path(argv[0]).filename().string();
+  trace::TelemetryConfig cfg;
+  pipeview_window(&cfg.pipeview_begin, &cfg.pipeview_end);
+  cfg.enabled = !env_dir("SMT_BENCH_TRACE_DIR").empty();
+  cfg.pc_profile = env_on("SMT_BENCH_PROFILE");
+  cfg.interference = env_on("SMT_BENCH_INTERFERENCE");
+  cfg.pipeview = env_on("SMT_BENCH_PIPEVIEW");
+  trace::set_global_telemetry(cfg);
+  run_all();
   print_all();
   return 0;
 }

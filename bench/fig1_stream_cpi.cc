@@ -36,19 +36,16 @@ std::string key(StreamKind k, IlpLevel l, int threads) {
          std::to_string(threads) + "thr";
 }
 
-void register_all() {
+void run_all() {
+  auto& res = Results::instance();
   for (StreamKind k : kStreams) {
     for (IlpLevel l : kIlp) {
-      register_run(key(k, l, 1), [k, l] {
-        const auto m = streams::run_single(spec_for(k, l));
-        Results::instance().put_value(key(k, l, 1), m.cpi[0]);
-        Results::instance().put(key(k, l, 1), m.stats);
-      });
-      register_run(key(k, l, 2), [k, l] {
-        const auto m = streams::run_pair(spec_for(k, l), spec_for(k, l));
-        Results::instance().put_value(key(k, l, 2), m.cpi[0]);
-        Results::instance().put(key(k, l, 2), m.stats);
-      });
+      const auto one = streams::run_single(spec_for(k, l));
+      res.put_value(key(k, l, 1), one.cpi[0]);
+      res.put(key(k, l, 1), one.stats);
+      const auto two = streams::run_pair(spec_for(k, l), spec_for(k, l));
+      res.put_value(key(k, l, 2), two.cpi[0]);
+      res.put(key(k, l, 2), two.stats);
     }
   }
 }
@@ -76,6 +73,6 @@ void print_all() {
 }  // namespace smt::bench
 
 int main(int argc, char** argv) {
-  return smt::bench::bench_main(argc, argv, smt::bench::register_all,
+  return smt::bench::bench_main(argc, argv, smt::bench::run_all,
                                 smt::bench::print_all);
 }

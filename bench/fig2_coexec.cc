@@ -59,31 +59,26 @@ std::string pkey(StreamKind v, StreamKind a, IlpLevel l) {
          streams::name(l);
 }
 
+/// Runs every victim's single and pair runs that an earlier panel did not.
 template <size_t NV, size_t NA>
-void register_panel(const StreamKind (&victims)[NV],
-                    const StreamKind (&aggressors)[NA]) {
+void run_panel(const StreamKind (&victims)[NV],
+               const StreamKind (&aggressors)[NA]) {
   auto& res = Results::instance();
   for (StreamKind v : victims) {
     for (IlpLevel l : kIlp) {
       if (!res.has_value(skey(v, l))) {
-        res.put_value(skey(v, l), -1.0);  // reserve; filled by the run
-        register_run(skey(v, l), [v, l] {
-          const auto m = streams::run_single(make(v, l));
-          Results::instance().put_value(skey(v, l), m.cpi[0]);
-          Results::instance().put(skey(v, l), m.stats);
-        });
+        const auto m = streams::run_single(make(v, l));
+        res.put_value(skey(v, l), m.cpi[0]);
+        res.put(skey(v, l), m.stats);
       }
       for (StreamKind a : aggressors) {
         const std::string k = pkey(v, a, l);
         if (res.has_value(k)) continue;
-        res.put_value(k, -1.0);
-        register_run(k, [v, a, l, k] {
-          // The aggressor runs 4x longer so the victim's whole execution is
-          // overlapped (mirrors the paper's continuous co-execution).
-          const auto m = streams::run_pair(make(v, l), make(a, l, 4));
-          Results::instance().put_value(k, m.cpi[0]);
-          Results::instance().put(k, m.stats);
-        });
+        // The aggressor runs 4x longer so the victim's whole execution is
+        // overlapped (mirrors the paper's continuous co-execution).
+        const auto m = streams::run_pair(make(v, l), make(a, l, 4));
+        res.put_value(k, m.cpi[0]);
+        res.put(k, m.stats);
       }
     }
   }
@@ -113,11 +108,11 @@ void print_panel(const char* title, const StreamKind (&victims)[NV],
   print_table(title, t);
 }
 
-void register_all() {
-  register_panel(kFpSet, kFpSet);
-  register_panel(kIntSet, kIntSet);
-  register_panel(kFpArith, kIntArith);
-  register_panel(kIntArith, kFpArith);
+void run_all() {
+  run_panel(kFpSet, kFpSet);
+  run_panel(kIntSet, kIntSet);
+  run_panel(kFpArith, kIntArith);
+  run_panel(kIntArith, kFpArith);
 }
 
 void print_all() {
@@ -140,6 +135,6 @@ void print_all() {
 }  // namespace smt::bench
 
 int main(int argc, char** argv) {
-  return smt::bench::bench_main(argc, argv, smt::bench::register_all,
+  return smt::bench::bench_main(argc, argv, smt::bench::run_all,
                                 smt::bench::print_all);
 }

@@ -83,46 +83,38 @@ std::string pair_key(const std::string& a, const std::string& b) {
   return a + "+" + b;
 }
 
-void register_all() {
+/// CPU 0's cycles per retired instruction while it was active.
+double cpu0_cpi(const core::Machine& m) {
+  return static_cast<double>(
+             m.counters().get(CpuId::kCpu0, Event::kCyclesActive)) /
+         m.counters().get(CpuId::kCpu0, Event::kInstrRetired);
+}
+
+void run_all() {
   auto& res = Results::instance();
   for (const char* a : kApps) {
-    register_run(solo_key(a), [a] {
-      core::Machine m{core::MachineConfig{}};
-      App app = make_app(a, m, 0);
-      m.load_program(CpuId::kCpu0, app.program);
-      m.run();
-      const bool ok = app.workload->verify(m);
-      SMT_CHECK(ok);
-      Results::instance().put(solo_key(a),
-                              core::stats_from_machine(m, solo_key(a), ok));
-      Results::instance().put_value(
-          solo_key(a),
-          static_cast<double>(
-              m.counters().get(CpuId::kCpu0, Event::kCyclesActive)) /
-              m.counters().get(CpuId::kCpu0, Event::kInstrRetired));
-    });
+    core::Machine m{core::MachineConfig{}};
+    App app = make_app(a, m, 0);
+    m.load_program(CpuId::kCpu0, app.program);
+    m.run();
+    const bool ok = app.workload->verify(m);
+    SMT_CHECK(ok);
+    res.put(solo_key(a), core::stats_from_machine(m, solo_key(a), ok));
+    res.put_value(solo_key(a), cpu0_cpi(m));
   }
   for (const char* a : kApps) {
     for (const char* b : kApps) {
       const std::string k = pair_key(a, b);
-      if (res.has_value(k)) continue;
-      res.put_value(k, -1.0);
-      register_run(k, [a, b, k] {
-        core::Machine m{core::MachineConfig{}};
-        App app_a = make_app(a, m, 0);
-        App app_b = make_app(b, m, 1);
-        m.load_program(CpuId::kCpu0, app_a.program);
-        m.load_program(CpuId::kCpu1, app_b.program);
-        // Measure over the fully-overlapped window (first finisher), like
-        // the stream pair experiments; CPI of app A is the victim metric.
-        m.run_until_any_done();
-        Results::instance().put(
-            k, core::stats_from_machine(m, k, /*verified=*/true));
-        Results::instance().put_value(
-            k, static_cast<double>(
-                   m.counters().get(CpuId::kCpu0, Event::kCyclesActive)) /
-                   m.counters().get(CpuId::kCpu0, Event::kInstrRetired));
-      });
+      core::Machine m{core::MachineConfig{}};
+      App app_a = make_app(a, m, 0);
+      App app_b = make_app(b, m, 1);
+      m.load_program(CpuId::kCpu0, app_a.program);
+      m.load_program(CpuId::kCpu1, app_b.program);
+      // Measure over the fully-overlapped window (first finisher), like
+      // the stream pair experiments; CPI of app A is the victim metric.
+      m.run_until_any_done();
+      res.put(k, core::stats_from_machine(m, k, /*verified=*/true));
+      res.put_value(k, cpu0_cpi(m));
     }
   }
 }
@@ -157,6 +149,6 @@ void print_all() {
 }  // namespace smt::bench
 
 int main(int argc, char** argv) {
-  return smt::bench::bench_main(argc, argv, smt::bench::register_all,
+  return smt::bench::bench_main(argc, argv, smt::bench::run_all,
                                 smt::bench::print_all);
 }

@@ -26,11 +26,12 @@ struct Column {
   uint64_t total = 0;
 };
 
-/// Runs a workload with the profiler attached and extracts the column for
-/// `view` (the instrumented thread). `key` names the run in the results
-/// registry (and its report artifact).
-template <typename W>
-Column profile_workload(W& w, CpuId view, const std::string& key) {
+/// Runs workload W on `p` with the profiler attached and extracts the
+/// column for `view` (the instrumented thread). `key` names the run's
+/// report artifact.
+template <typename W, typename P>
+Column profile_workload(const P& p, CpuId view, const std::string& key) {
+  W w(p);
   core::Machine m{core::MachineConfig{}};
   MixProfiler prof;
   m.core().add_observer(&prof);
@@ -60,96 +61,48 @@ std::map<std::string, AppColumns>& apps() {
   return a;
 }
 
-void register_all() {
-  register_run("table1.mm", [] {
-    AppColumns c;
-    kernels::MatMulParams p;
-    p.n = 64;
-    p.tile = 16;
-    {
-      kernels::MatMulWorkload w(p);
-      c.serial = profile_workload(w, CpuId::kCpu0, "table1.mm.serial");
-    }
-    p.mode = kernels::MmMode::kTlpCoarse;
-    {
-      kernels::MatMulWorkload w(p);
-      c.tlp = profile_workload(w, CpuId::kCpu0, "table1.mm.tlp");
-    }
-    p.mode = kernels::MmMode::kTlpPfetch;
-    p.halt_barriers = true;
-    {
-      kernels::MatMulWorkload w(p);
-      c.spr = profile_workload(w, CpuId::kCpu1, "table1.mm.spr");
-    }
-    apps()["MM"] = c;
-  });
+/// One application's columns: `p` run serially, then in mode `tlp` and
+/// in mode `spr` (with halt/IPI barriers when `spr_halts`). `key` names
+/// the runs.
+template <typename W, typename P, typename Mode>
+AppColumns profile_app(const std::string& key, P p, Mode tlp, Mode spr,
+                       bool spr_halts) {
+  AppColumns c;
+  c.serial = profile_workload<W>(p, CpuId::kCpu0, key + ".serial");
+  p.mode = tlp;
+  c.tlp = profile_workload<W>(p, CpuId::kCpu0, key + ".tlp");
+  p.mode = spr;
+  p.halt_barriers = spr_halts;
+  c.spr = profile_workload<W>(p, CpuId::kCpu1, key + ".spr");
+  return c;
+}
 
-  register_run("table1.lu", [] {
-    AppColumns c;
-    kernels::LuParams p;
-    p.n = 64;
-    p.tile = 16;
-    {
-      kernels::LuWorkload w(p);
-      c.serial = profile_workload(w, CpuId::kCpu0, "table1.lu.serial");
-    }
-    p.mode = kernels::LuMode::kTlpCoarse;
-    {
-      kernels::LuWorkload w(p);
-      c.tlp = profile_workload(w, CpuId::kCpu0, "table1.lu.tlp");
-    }
-    p.mode = kernels::LuMode::kTlpPfetch;
-    {
-      kernels::LuWorkload w(p);
-      c.spr = profile_workload(w, CpuId::kCpu1, "table1.lu.spr");
-    }
-    apps()["LU"] = c;
-  });
-
-  register_run("table1.cg", [] {
-    AppColumns c;
-    kernels::CgParams p;
-    p.n = 4096;
-    p.nz_per_row = 8;
-    p.iters = 4;
-    {
-      kernels::CgWorkload w(p);
-      c.serial = profile_workload(w, CpuId::kCpu0, "table1.cg.serial");
-    }
-    p.mode = kernels::CgMode::kTlpCoarse;
-    {
-      kernels::CgWorkload w(p);
-      c.tlp = profile_workload(w, CpuId::kCpu0, "table1.cg.tlp");
-    }
-    p.mode = kernels::CgMode::kTlpPfetch;
-    {
-      kernels::CgWorkload w(p);
-      c.spr = profile_workload(w, CpuId::kCpu1, "table1.cg.spr");
-    }
-    apps()["CG"] = c;
-  });
-
-  register_run("table1.bt", [] {
-    AppColumns c;
-    kernels::BtParams p;
-    p.lines = 32;
-    p.cells = 16;
-    {
-      kernels::BtWorkload w(p);
-      c.serial = profile_workload(w, CpuId::kCpu0, "table1.bt.serial");
-    }
-    p.mode = kernels::BtMode::kTlpCoarse;
-    {
-      kernels::BtWorkload w(p);
-      c.tlp = profile_workload(w, CpuId::kCpu0, "table1.bt.tlp");
-    }
-    p.mode = kernels::BtMode::kTlpPfetch;
-    {
-      kernels::BtWorkload w(p);
-      c.spr = profile_workload(w, CpuId::kCpu1, "table1.bt.spr");
-    }
-    apps()["BT"] = c;
-  });
+void run_all() {
+  kernels::MatMulParams mm;
+  mm.n = 64;
+  mm.tile = 16;
+  apps()["MM"] = profile_app<kernels::MatMulWorkload>(
+      "table1.mm", mm, kernels::MmMode::kTlpCoarse,
+      kernels::MmMode::kTlpPfetch, /*spr_halts=*/true);
+  kernels::LuParams lu;
+  lu.n = 64;
+  lu.tile = 16;
+  apps()["LU"] = profile_app<kernels::LuWorkload>(
+      "table1.lu", lu, kernels::LuMode::kTlpCoarse,
+      kernels::LuMode::kTlpPfetch, /*spr_halts=*/false);
+  kernels::CgParams cg;
+  cg.n = 4096;
+  cg.nz_per_row = 8;
+  cg.iters = 4;
+  apps()["CG"] = profile_app<kernels::CgWorkload>(
+      "table1.cg", cg, kernels::CgMode::kTlpCoarse,
+      kernels::CgMode::kTlpPfetch, /*spr_halts=*/false);
+  kernels::BtParams bt;
+  bt.lines = 32;
+  bt.cells = 16;
+  apps()["BT"] = profile_app<kernels::BtWorkload>(
+      "table1.bt", bt, kernels::BtMode::kTlpCoarse,
+      kernels::BtMode::kTlpPfetch, /*spr_halts=*/false);
 }
 
 void print_all() {
@@ -184,6 +137,6 @@ void print_all() {
 }  // namespace smt::bench
 
 int main(int argc, char** argv) {
-  return smt::bench::bench_main(argc, argv, smt::bench::register_all,
+  return smt::bench::bench_main(argc, argv, smt::bench::run_all,
                                 smt::bench::print_all);
 }

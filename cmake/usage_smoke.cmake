@@ -1,0 +1,55 @@
+# Usage errors fail loudly before any simulation, with exit 2 and the
+# offending option or variable named on stderr:
+#   * smt_sweep: every numeric value must be a whole decimal number in its
+#     option's range, and a manifest one the registry defines (each bad
+#     form rides with --list, so a parser that wrongly accepted it would
+#     exit 0 instead of simulating);
+#   * a bench binary: SMT_BENCH_PIPEVIEW_WINDOW must be BEGIN:END or END
+#     with END > BEGIN (no report may land before the refusal).
+# Invoked by ctest (see tools/CMakeLists.txt) as:
+#   cmake -DSWEEP=... -DBENCH=... -DREPORT_DIR=... -P usage_smoke.cmake
+
+# expect_usage(NAME COMMAND...): COMMAND must exit 2 naming NAME.
+function(expect_usage name)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  string(FIND "${err}" "${name}" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "${ARGN}: exit ${rc}, want 2 naming ${name}:\n${err}")
+  endif()
+endfunction()
+
+foreach(bad "--jobs;abc" "--jobs;0" "--jobs;-1" "--jobs;4x" "--jobs;5000" "--cycle-budget;abc" "--cycle-budget;-1" "--cycle-budget;0"
+    "--cycle-budget;1e6" "--cycle-budget;18446744073709551616"
+    "--timeout-ms;-5" "--timeout-ms;abc" "--timeout-ms; 5"
+    "--timeout-ms;99999999999" "--cancel-after;0" "--cancel-after;two"
+    "--cache-verify=0" "--cache-verify=x" "--manifest;nosuch")
+  list(GET bad 0 option)
+  string(REGEX REPLACE "=.*" "" option "${option}")
+  string(REPLACE "--" "" name "${option}")
+  expect_usage(${name} "${SWEEP}" ${bad} --cache store --list)
+endforeach()
+
+# Well-formed values pass, and --list names each job's manifest.
+execute_process(COMMAND "${SWEEP}" --jobs 2 --cycle-budget 1000
+  --timeout-ms 0 --cancel-after 3 --manifest ablation --list
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(CONCAT want "\nmm.serial.n64 +default\n.*\ncg.serial.i4 +ablation\n"
+  ".*\nmm.serial.n256 +full\n.*\nselftest.deadlock +selftest\n")
+if(NOT rc EQUAL 0 OR NOT "\n${out}" MATCHES "${want}")
+  message(FATAL_ERROR "well-formed options: exit ${rc}\n${out}${err}")
+endif()
+
+set(ENV{SMT_BENCH_PIPEVIEW} "1")
+set(ENV{SMT_BENCH_REPORT_DIR} "${REPORT_DIR}")
+foreach(window "20000:5000" "5000:5000" "abc" "5000:" ":20000" "0" "-1"
+               "1:2:3" "10k")
+  file(REMOVE_RECURSE "${REPORT_DIR}")
+  file(MAKE_DIRECTORY "${REPORT_DIR}")
+  set(ENV{SMT_BENCH_PIPEVIEW_WINDOW} "${window}")
+  expect_usage(SMT_BENCH_PIPEVIEW_WINDOW "${BENCH}")
+  file(GLOB written "${REPORT_DIR}/*")
+  if(written)
+    message(FATAL_ERROR "window \"${window}\" simulated first: ${written}")
+  endif()
+endforeach()

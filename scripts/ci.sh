@@ -24,6 +24,9 @@
 # exactly, two sweeps against one store must produce a 100%-hit warm
 # run whose index is byte-identical modulo wall-clock fields, and a
 # --cache-verify sample must re-simulate hits against the stored bytes.
+# The paper's kernel figures and ablations, rendered by smt_figures from
+# the cold sweep and an ablation-manifest sweep, must equal the golden
+# tables in tests/golden/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,16 +115,19 @@ if [[ "${SMT_CI_FAST:-0}" != "1" ]]; then
     --index "$tsan_sweep_dir/sweep_index.json"
 fi
 
-# Profiled run of the fig3 matmul bench: reports whose per-PC
-# attributions must validate, annotate cleanly, and gate regressions.
+# Profiled run of the Table 1 bench: reports whose per-PC attributions
+# must validate, annotate cleanly, and gate regressions. Its
+# table1.mm.serial run is the serial n = 64 MM workload of the registry's
+# mm.serial.n64 (the instruction-mix profiler it attaches is a pure
+# observer).
 make_temp_dir profile_dir
 SMT_BENCH_REPORT_DIR="$profile_dir" SMT_BENCH_PROFILE=1 \
-  ./build/bench/fig3_matmul > /dev/null
+  ./build/bench/table1_mix > /dev/null
 ./build/tools/check_reports "$profile_dir"
 
 # The annotated disassembly must surface ALU0 traffic (the paper's
 # mask-instruction serialization signature of the blocked-layout MM).
-mm_report="$profile_dir/fig3_matmul.mm.serial.n64.json"
+mm_report="$profile_dir/table1_mix.table1.mm.serial.json"
 ./build/tools/smt_annotate "$mm_report" --cpu 0 > "$profile_dir/annotated.txt"
 # The port table's alu0 row must count uops: a bare grep for "alu0" would
 # also match the hotspot column header.
@@ -180,27 +186,27 @@ grep -q '"interference":\[' "$inter_dir"/*.json
 inter_report=$(ls "$inter_dir"/*.json | head -1)
 ./build/tools/report_diff "$inter_report" "$inter_report"
 
-# Pipeline lifetime traces: a pipeview'd fig3 matmul run must drop a
+# Pipeline lifetime traces: a pipeview'd Table 1 run must drop a
 # non-empty, window-bounded Kanata file beside each report (the C/C=
 # cycle advances must sum to no more than the configured window).
 make_temp_dir pview_dir
 SMT_BENCH_REPORT_DIR="$pview_dir" SMT_BENCH_PIPEVIEW=1 \
   SMT_BENCH_PIPEVIEW_WINDOW=0:20000 \
-  ./build/bench/fig3_matmul > /dev/null
-mm_kanata="$pview_dir/fig3_matmul.mm.serial.n64.kanata"
+  ./build/bench/table1_mix > /dev/null
+mm_kanata="$pview_dir/table1_mix.table1.mm.serial.kanata"
 head -1 "$mm_kanata" | grep -q "Kanata"
 test "$(wc -l < "$mm_kanata")" -gt 10
 awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
   END{exit (start+adv <= 20000) ? 0 : 1}' "$mm_kanata"
 # A window that starts mid-run, so the recorder's first captured uid is
 # nonzero: every cycle in every Kanata file must lie in [5000, 20000].
-# (The n128 SPR jobs retire nothing inside this window, so their files
-# hold only the header; the n64 serial file must have lifetimes.)
+# (A run that retires nothing inside this window leaves a file holding
+# only the header; the MM serial file must have lifetimes.)
 make_temp_dir pview_mid_dir
 SMT_BENCH_REPORT_DIR="$pview_mid_dir" SMT_BENCH_PIPEVIEW=1 \
   SMT_BENCH_PIPEVIEW_WINDOW=5000:20000 \
-  ./build/bench/fig3_matmul > /dev/null
-test "$(wc -l < "$pview_mid_dir/fig3_matmul.mm.serial.n64.kanata")" -gt 10
+  ./build/bench/table1_mix > /dev/null
+test "$(wc -l < "$pview_mid_dir/table1_mix.table1.mm.serial.kanata")" -gt 10
 for kanata in "$pview_mid_dir"/*.kanata; do
   awk -F'\t' '/^C=/{cyc=$2; if (cyc < 5000) bad=1} /^C\t/{cyc+=$2}
     END{exit (!bad && cyc <= 20000) ? 0 : 1}' "$kanata"
@@ -221,6 +227,21 @@ make_temp_dir cache_dir
 # The committed bench/history baselines pin every registry job's counters
 # exactly: the cold sweep must match all of them.
 ./build/tools/smt_history check --sweep "$cache_dir/cold" --history bench/history
+# Figures 3-5 rendered from that sweep must equal the golden tables, and
+# so must the two kernel ablations, rendered from it plus an
+# ablation-manifest sweep whose jobs also match their bench/history
+# baselines.
+./build/tools/smt_figures --index "$cache_dir/cold/sweep_index.json" \
+  --figure 3 --figure 4 --figure 5 > "$cache_dir/figures.txt"
+diff -u tests/golden/figures.txt "$cache_dir/figures.txt"
+./build/tools/smt_sweep --quiet --manifest ablation \
+  --out "$cache_dir/ablation" > /dev/null
+./build/tools/smt_history check --sweep "$cache_dir/ablation" \
+  --history bench/history
+./build/tools/smt_figures --index "$cache_dir/cold/sweep_index.json" \
+  --index "$cache_dir/ablation/sweep_index.json" \
+  --figure spr-span --figure partitioning > "$cache_dir/ablations.txt"
+diff -u tests/golden/ablations.txt "$cache_dir/ablations.txt"
 ./build/tools/smt_sweep --quiet --out "$cache_dir/warm" \
   --cache "$cache_dir/store" \
   --metrics "$cache_dir/warm/metrics.json" > /dev/null

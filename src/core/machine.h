@@ -51,9 +51,9 @@ class Machine {
 
   /// Attaches time-resolved telemetry (counter time-series + event
   /// timeline; see src/trace/telemetry.h). The constructor calls this
-  /// automatically when the process-global default is enabled (bench
-  /// binaries with SMT_BENCH_TRACE_DIR set). Call before running;
-  /// enabling never perturbs any counter.
+  /// automatically when the process-global default is enabled (the
+  /// hand-driven bench binaries with SMT_BENCH_TRACE_DIR set). Call
+  /// before running; enabling never perturbs any counter.
   void enable_telemetry(const trace::TelemetryConfig& cfg);
 
   /// The attached telemetry (null when disabled). Shared so RunStats can
@@ -65,8 +65,9 @@ class Machine {
   /// Attaches the per-PC attribution profiler (read-only pipeline
   /// observer; see src/profile/pc_profiler.h). The constructor calls this
   /// automatically when the process-global telemetry default has
-  /// pc_profile set (bench binaries with SMT_BENCH_PROFILE=1). Call
-  /// before running; enabling never perturbs any counter.
+  /// pc_profile set (the hand-driven bench binaries with
+  /// SMT_BENCH_PROFILE=1). Call before running; enabling never perturbs
+  /// any counter.
   void enable_pc_profiler();
 
   /// The attached profiler (null when disabled). Shared so RunStats can
@@ -93,8 +94,9 @@ class Machine {
   /// Attaches the SMT interference profiler (read-only pipeline observer;
   /// see src/profile/interference.h) and turns on the hierarchy's L2
   /// eviction bookkeeping. The constructor calls this automatically when
-  /// the process-global telemetry default has `interference` set (bench
-  /// binaries with SMT_BENCH_INTERFERENCE=1). Call before running;
+  /// the process-global telemetry default has `interference` set (the
+  /// hand-driven bench binaries with SMT_BENCH_INTERFERENCE=1). Call
+  /// before running;
   /// enabling never perturbs any counter. Coexists with every other
   /// observer on the core's bus.
   void enable_interference();
@@ -114,8 +116,9 @@ class Machine {
 
   /// Attaches the pipeline-lifetime (Kanata) recorder; see
   /// src/trace/pipeview.h. The constructor calls this automatically when
-  /// the process-global telemetry default has `pipeview` set (bench
-  /// binaries with SMT_BENCH_PIPEVIEW=1). Call before running; recording
+  /// the process-global telemetry default has `pipeview` set (smt_sweep
+  /// --pipeview, or the hand-driven bench binaries with
+  /// SMT_BENCH_PIPEVIEW=1). Call before running; recording
   /// never perturbs any counter.
   void enable_pipeview(const trace::PipeViewConfig& cfg);
 

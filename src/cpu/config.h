@@ -32,7 +32,8 @@ struct CoreConfig {
   // contexts. Setting this to false models an idealized dynamically-shared
   // design (each context may fill any structure completely) — the
   // counterfactual the paper's §2 discussion of [Tuck & Tullsen]
-  // contrasts against; see bench/ablation_partitioning.
+  // contrasts against; the `.dynpart` registry jobs run it (smt_figures
+  // --figure partitioning).
   bool static_partitioning = true;
 
   // Scheduler lookahead: how many unissued uops past the ROB head are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -28,43 +29,57 @@ using kernels::MmMode;
 // structured-outcome paths (never part of the default manifest).
 // ---------------------------------------------------------------------------
 
+/// A single-program self test with no data: `program` builds its one
+/// program, and any run that completes verifies.
+class ProgramWorkload : public core::Workload {
+ public:
+  ProgramWorkload(std::string name, std::function<isa::Program()> program)
+      : name_(std::move(name)), program_(std::move(program)) {}
+  const std::string& name() const override { return name_; }
+  void setup(core::Machine&) override {}
+  std::vector<isa::Program> programs() const override { return {program_()}; }
+  bool verify(const core::Machine&) const override { return true; }
+
+ private:
+  std::string name_;
+  std::function<isa::Program()> program_;
+};
+
 /// Halts its only context with no sibling to ever send the wake-up IPI —
 /// the canonical lost-wake-up deadlock the watchdog used to abort on.
-class DeadlockWorkload : public core::Workload {
- public:
-  const std::string& name() const override { return name_; }
-  void setup(core::Machine&) override {}
-  std::vector<isa::Program> programs() const override {
-    isa::AsmBuilder a("sleeper");
-    a.halt();
-    a.exit();
-    return {a.take()};
-  }
-  bool verify(const core::Machine&) const override { return true; }
-
- private:
-  std::string name_ = "selftest.deadlock";
-};
+isa::Program deadlock_program() {
+  isa::AsmBuilder a("sleeper");
+  a.halt();
+  a.exit();
+  return a.take();
+}
 
 /// Counts far beyond what its job's cycle budget allows.
-class BudgetWorkload : public core::Workload {
- public:
-  const std::string& name() const override { return name_; }
-  void setup(core::Machine&) override {}
-  std::vector<isa::Program> programs() const override {
-    isa::AsmBuilder a("counter");
-    a.imovi(isa::IReg::R0, 0);
-    const isa::Label loop = a.here();
-    a.iaddi(isa::IReg::R0, isa::IReg::R0, 1);
-    a.bri(isa::BrCond::kLt, isa::IReg::R0, 1'000'000'000, loop);
-    a.exit();
-    return {a.take()};
-  }
-  bool verify(const core::Machine&) const override { return true; }
+isa::Program budget_program() {
+  isa::AsmBuilder a("counter");
+  a.imovi(isa::IReg::R0, 0);
+  const isa::Label loop = a.here();
+  a.iaddi(isa::IReg::R0, isa::IReg::R0, 1);
+  a.bri(isa::BrCond::kLt, isa::IReg::R0, 1'000'000'000, loop);
+  a.exit();
+  return a.take();
+}
 
- private:
-  std::string name_ = "selftest.budget";
-};
+/// Emits a seeded verifier violation (an uninitialized-register read)
+/// when SMT_SELFTEST_LINT_BREAK is set in the environment — the sweep's
+/// --lint gate smoke flips it on to exercise the structured
+/// "lint_failed" outcome end to end. Clean otherwise, so the
+/// registry-wide zero-error lint gates hold.
+isa::Program lint_trap_program() {
+  isa::AsmBuilder a("lint-trap");
+  if (std::getenv("SMT_SELFTEST_LINT_BREAK") != nullptr) {
+    a.iaddi(isa::IReg::R0, isa::IReg::R1, 1);  // R1 never written
+  } else {
+    a.imovi(isa::IReg::R0, 1);
+  }
+  a.exit();
+  return a.take();
+}
 
 /// Two contexts hammering one shared word with no synchronization at all:
 /// the canonical data race the happens-before detector must flag. Runs
@@ -119,31 +134,6 @@ class RaceWorkload : public core::Workload {
   std::vector<mem::MemoryLayout::Region> regions_;
 };
 
-/// Emits a seeded verifier violation (an uninitialized-register read)
-/// when SMT_SELFTEST_LINT_BREAK is set in the environment — the sweep's
-/// --lint gate smoke flips it on to exercise the structured
-/// "lint_failed" outcome end to end. Clean otherwise, so the
-/// registry-wide zero-error lint gates hold.
-class LintTrapWorkload : public core::Workload {
- public:
-  const std::string& name() const override { return name_; }
-  void setup(core::Machine&) override {}
-  std::vector<isa::Program> programs() const override {
-    isa::AsmBuilder a("lint-trap");
-    if (std::getenv("SMT_SELFTEST_LINT_BREAK") != nullptr) {
-      a.iaddi(isa::IReg::R0, isa::IReg::R1, 1);  // R1 never written
-    } else {
-      a.imovi(isa::IReg::R0, 1);
-    }
-    a.exit();
-    return {a.take()};
-  }
-  bool verify(const core::Machine&) const override { return true; }
-
- private:
-  std::string name_ = "selftest.lint";
-};
-
 /// Completes fine but fails its result check.
 class VerifyFailWorkload : public core::Workload {
  public:
@@ -163,137 +153,171 @@ class VerifyFailWorkload : public core::Workload {
 };
 
 // ---------------------------------------------------------------------------
-// Registry construction: the bench binaries' non-full-mode suites.
+// Registry construction: the kernel suites of Figures 3-5, their
+// ablations and full sizes, then the self tests.
 // ---------------------------------------------------------------------------
+
+/// A job of `manifest` named `name` whose factory is `make`.
+template <typename Make>
+ExperimentDef def(std::string name, const char* manifest, Make make) {
+  ExperimentDef d;
+  d.name = std::move(name);
+  d.make = [make] { return std::unique_ptr<core::Workload>(make()); };
+  d.manifest = manifest;
+  return d;
+}
+
+/// A kernel job running workload W on parameters `p`.
+template <typename W, typename P>
+ExperimentDef kernel_def(std::string name, const P& p, const char* manifest) {
+  return def(std::move(name), manifest, [p] { return std::make_unique<W>(p); });
+}
+
+ExperimentDef mm_def(MmMode mode, size_t n, const char* manifest) {
+  kernels::MatMulParams p;
+  p.n = n;
+  p.tile = 16;
+  p.mode = mode;
+  // Long span waits: the prefetcher sleeps via halt/IPI.
+  p.halt_barriers =
+      mode == MmMode::kTlpPfetch || mode == MmMode::kTlpPfetchWork;
+  return kernel_def<kernels::MatMulWorkload>(
+      std::string("mm.") + kernels::name(mode) + ".n" + std::to_string(n), p,
+      manifest);
+}
+
+ExperimentDef lu_def(LuMode mode, size_t n, const char* manifest) {
+  kernels::LuParams p;
+  p.n = n;
+  p.tile = 16;
+  p.mode = mode;
+  return kernel_def<kernels::LuWorkload>(
+      std::string("lu.") + kernels::name(mode) + ".n" + std::to_string(n), p,
+      manifest);
+}
+
+/// CG with 8 nonzeros per row; `suffix` tells the job from Figure 5's
+/// (n = 8192, 6 iterations, the default span).
+ExperimentDef cg_def(CgMode mode, size_t n, int iters, size_t span_rows,
+                     const std::string& suffix, const char* manifest) {
+  kernels::CgParams p;
+  // Working set ~5 MB >> L2, like Class A's relation to the Xeon caches.
+  p.n = n;
+  p.nz_per_row = 8;
+  p.iters = iters;
+  p.span_rows = span_rows;
+  p.mode = mode;
+  return kernel_def<kernels::CgWorkload>(
+      std::string("cg.") + kernels::name(mode) + suffix, p, manifest);
+}
+
+/// BT; `suffix` tells the job from Figure 5's (64 lines of 32 cells).
+ExperimentDef bt_def(BtMode mode, size_t lines, size_t cells,
+                     const std::string& suffix, const char* manifest) {
+  kernels::BtParams p;
+  p.lines = lines;
+  p.cells = cells;
+  p.mode = mode;
+  return kernel_def<kernels::BtWorkload>(
+      std::string("bt.") + kernels::name(mode) + suffix, p, manifest);
+}
+
+/// `d` on a machine whose buffering structures are shared dynamically
+/// instead of statically partitioned.
+ExperimentDef dynpart(ExperimentDef d) {
+  d.name += ".dynpart";
+  d.config.core.static_partitioning = false;
+  return d;
+}
+
+constexpr MmMode kMmModes[] = {MmMode::kSerial, MmMode::kTlpFine,
+                               MmMode::kTlpCoarse, MmMode::kTlpPfetch,
+                               MmMode::kTlpPfetchWork};
+constexpr LuMode kLuModes[] = {LuMode::kSerial, LuMode::kTlpCoarse,
+                               LuMode::kTlpPfetch};
+constexpr CgMode kCgModes[] = {CgMode::kSerial, CgMode::kTlpCoarse,
+                               CgMode::kTlpPfetch, CgMode::kTlpPfetchWork};
+constexpr BtMode kBtModes[] = {BtMode::kSerial, BtMode::kTlpCoarse,
+                               BtMode::kTlpPfetch};
+constexpr size_t kCgSpan = kernels::CgParams{}.span_rows;
 
 std::vector<ExperimentDef> build_registry() {
   std::vector<ExperimentDef> defs;
 
-  // Figure 3: MM, five variants at n = 64 and 128 (bench/fig3_matmul.cc).
+  // Figure 3: MM, five variants at n = 64 and 128; Figure 4: LU, three
+  // variants at the same sizes; Figure 5: NAS CG and BT.
   for (size_t n : {size_t{64}, size_t{128}}) {
-    for (MmMode mode :
-         {MmMode::kSerial, MmMode::kTlpFine, MmMode::kTlpCoarse,
-          MmMode::kTlpPfetch, MmMode::kTlpPfetchWork}) {
-      ExperimentDef d;
-      d.name = std::string("mm.") + kernels::name(mode) + ".n" +
-               std::to_string(n);
-      d.make = [mode, n] {
-        kernels::MatMulParams p;
-        p.n = n;
-        p.tile = 16;
-        p.mode = mode;
-        p.halt_barriers = mode == MmMode::kTlpPfetch ||
-                          mode == MmMode::kTlpPfetchWork;
-        return std::make_unique<kernels::MatMulWorkload>(p);
-      };
-      defs.push_back(std::move(d));
-    }
+    for (MmMode mode : kMmModes) defs.push_back(mm_def(mode, n, "default"));
   }
-
-  // Figure 4: LU, three variants at n = 64 and 128 (bench/fig4_lu.cc).
   for (size_t n : {size_t{64}, size_t{128}}) {
-    for (LuMode mode :
-         {LuMode::kSerial, LuMode::kTlpCoarse, LuMode::kTlpPfetch}) {
-      ExperimentDef d;
-      d.name = std::string("lu.") + kernels::name(mode) + ".n" +
-               std::to_string(n);
-      d.make = [mode, n] {
-        kernels::LuParams p;
-        p.n = n;
-        p.tile = 16;
-        p.mode = mode;
-        return std::make_unique<kernels::LuWorkload>(p);
-      };
-      defs.push_back(std::move(d));
-    }
+    for (LuMode mode : kLuModes) defs.push_back(lu_def(mode, n, "default"));
+  }
+  for (CgMode mode : kCgModes) {
+    defs.push_back(cg_def(mode, 8192, 6, kCgSpan, "", "default"));
+  }
+  for (BtMode mode : kBtModes) {
+    defs.push_back(bt_def(mode, 64, 32, "", "default"));
   }
 
-  // Figure 5: NAS CG and BT (bench/fig5_nas.cc).
-  for (CgMode mode : {CgMode::kSerial, CgMode::kTlpCoarse, CgMode::kTlpPfetch,
-                      CgMode::kTlpPfetchWork}) {
-    ExperimentDef d;
-    d.name = std::string("cg.") + kernels::name(mode);
-    d.make = [mode] {
-      kernels::CgParams p;
-      p.n = 8192;
-      p.nz_per_row = 8;
-      p.iters = 6;
-      p.mode = mode;
-      return std::make_unique<kernels::CgWorkload>(p);
-    };
-    defs.push_back(std::move(d));
+  // Ablation (paper 3.2): CG's SPR precomputation span, against the
+  // serial run, at 4 iterations.
+  defs.push_back(cg_def(CgMode::kSerial, 8192, 4, kCgSpan, ".i4", "ablation"));
+  for (size_t span : {8, 16, 32, 64, 128, 256}) {
+    defs.push_back(cg_def(CgMode::kTlpPfetch, 8192, 4, span,
+                          ".i4.span" + std::to_string(span), "ablation"));
   }
-  for (BtMode mode :
-       {BtMode::kSerial, BtMode::kTlpCoarse, BtMode::kTlpPfetch}) {
-    ExperimentDef d;
-    d.name = std::string("bt.") + kernels::name(mode);
-    d.make = [mode] {
-      kernels::BtParams p;
-      p.lines = 64;
-      p.cells = 32;
-      p.mode = mode;
-      return std::make_unique<kernels::BtWorkload>(p);
-    };
-    defs.push_back(std::move(d));
+  // Ablation: static vs dynamic partitioning. MM and LU reuse the
+  // default n = 128 jobs; CG and BT run smaller than Figure 5.
+  const ExperimentDef cg_coarse =
+      cg_def(CgMode::kTlpCoarse, 8192, 4, kCgSpan, ".i4", "ablation");
+  const ExperimentDef bt_coarse =
+      bt_def(BtMode::kTlpCoarse, 48, 24, ".l48c24", "ablation");
+  defs.push_back(cg_coarse);
+  defs.push_back(bt_def(BtMode::kSerial, 48, 24, ".l48c24", "ablation"));
+  defs.push_back(bt_coarse);
+  defs.push_back(dynpart(mm_def(MmMode::kTlpCoarse, 128, "ablation")));
+  defs.push_back(dynpart(lu_def(LuMode::kTlpCoarse, 128, "ablation")));
+  defs.push_back(dynpart(cg_coarse));
+  defs.push_back(dynpart(bt_coarse));
+
+  // Full sizes: Figures 3-4 at n = 256, Figure 5 at twice CG's unknowns
+  // (8 iterations) and 1.5x BT's lines.
+  for (MmMode mode : kMmModes) defs.push_back(mm_def(mode, 256, "full"));
+  for (LuMode mode : kLuModes) defs.push_back(lu_def(mode, 256, "full"));
+  for (CgMode mode : kCgModes) {
+    defs.push_back(cg_def(mode, 16384, 8, kCgSpan, ".n16384.i8", "full"));
+  }
+  for (BtMode mode : kBtModes) {
+    defs.push_back(bt_def(mode, 96, 32, ".l96c32", "full"));
   }
 
-  // Self tests: structured-failure probes, excluded from the default
-  // manifest (CI injects them by name).
-  {
-    ExperimentDef d;
-    d.name = "selftest.deadlock";
-    d.make = [] { return std::make_unique<DeadlockWorkload>(); };
-    d.in_default_manifest = false;
-    defs.push_back(std::move(d));
-  }
-  {
-    ExperimentDef d;
-    d.name = "selftest.budget";
-    d.make = [] { return std::make_unique<BudgetWorkload>(); };
-    d.cycle_budget = 100'000;  // the count loop needs orders of magnitude more
-    d.in_default_manifest = false;
-    defs.push_back(std::move(d));
-  }
-  {
-    ExperimentDef d;
-    d.name = "selftest.verify-fail";
-    d.make = [] { return std::make_unique<VerifyFailWorkload>(); };
-    d.in_default_manifest = false;
-    defs.push_back(std::move(d));
-  }
-  {
-    ExperimentDef d;
-    d.name = "selftest.lint";
-    d.make = [] { return std::make_unique<LintTrapWorkload>(); };
-    d.in_default_manifest = false;
-    defs.push_back(std::move(d));
-  }
-  {
-    ExperimentDef d;
-    d.name = "selftest.race";
-    d.make = [] { return std::make_unique<RaceWorkload>(); };
-    d.in_default_manifest = false;
-    d.race_detect = true;
-    defs.push_back(std::move(d));
-  }
-  {
-    // Rides the mm.serial.n64 workload so the surviving retry's report is
-    // byte-comparable against that job's reference artifact; the injected
-    // first-attempt timeout (and the garbage files it strands) happens in
-    // the sweep's job fn, before any simulation.
-    ExperimentDef d;
-    d.name = "selftest.timeout-once";
-    d.make = [] {
-      kernels::MatMulParams p;
-      p.n = 64;
-      p.tile = 16;
-      p.mode = MmMode::kSerial;
-      return std::make_unique<kernels::MatMulWorkload>(p);
-    };
-    d.in_default_manifest = false;
-    d.timeout_first_attempt = true;
-    defs.push_back(std::move(d));
-  }
+  // Self tests: structured-failure probes, in their own manifest (CI
+  // injects them by name).
+  const auto selftest = [](const std::string& name, auto make) {
+    return def("selftest." + name, "selftest", make);
+  };
+  const auto program_selftest = [&selftest](const std::string& name,
+                                            isa::Program (*program)()) {
+    return selftest(name, [name, program] {
+      return std::make_unique<ProgramWorkload>("selftest." + name, program);
+    });
+  };
+  defs.push_back(program_selftest("deadlock", deadlock_program));
+  defs.push_back(program_selftest("budget", budget_program));
+  defs.back().cycle_budget = 100'000;  // the count loop needs far more
+  defs.push_back(selftest(
+      "verify-fail", [] { return std::make_unique<VerifyFailWorkload>(); }));
+  defs.push_back(program_selftest("lint", lint_trap_program));
+  defs.push_back(
+      selftest("race", [] { return std::make_unique<RaceWorkload>(); }));
+  defs.back().race_detect = true;
+  // Rides the mm.serial.n64 workload so the surviving retry's report is
+  // byte-comparable against that job's reference artifact; the injected
+  // first-attempt timeout (and the garbage files it strands) happens in
+  // the sweep's job fn, before any simulation.
+  defs.push_back(mm_def(MmMode::kSerial, 64, "selftest"));
+  defs.back().name = "selftest.timeout-once";
+  defs.back().timeout_first_attempt = true;
 
   return defs;
 }
@@ -309,6 +333,9 @@ void check_registry_invariants(const std::vector<ExperimentDef>& defs) {
     SMT_CHECK_MSG(!d.name.empty(), "experiment with empty name");
     SMT_CHECK_MSG(names.insert(d.name).second,
                   ("duplicate experiment name: " + d.name).c_str());
+    SMT_CHECK_MSG(std::find(std::begin(kManifests), std::end(kManifests),
+                            d.manifest) != std::end(kManifests),
+                  ("unknown manifest for " + d.name).c_str());
     const auto [it, fresh] =
         files.emplace(sanitize_artifact_key(d.name), d.name);
     SMT_CHECK_MSG(
@@ -336,10 +363,10 @@ const ExperimentDef* find_experiment(const std::string& name) {
   return nullptr;
 }
 
-std::vector<std::string> default_manifest() {
+std::vector<std::string> manifest(const std::string& name) {
   std::vector<std::string> names;
   for (const ExperimentDef& d : experiments()) {
-    if (d.in_default_manifest) names.push_back(d.name);
+    if (d.manifest == name) names.push_back(d.name);
   }
   return names;
 }

@@ -1,8 +1,9 @@
 // Named experiment definitions for the sweep orchestrator: the paper's
-// figure/table workload suite (the same kernel parameterizations the
-// bench binaries run — see bench/fig3_matmul.cc, fig4_lu.cc, fig5_nas.cc)
-// plus a few deliberately failing self-test jobs used to exercise the
-// structured failure paths in CI.
+// figure workload suite (Figures 3-5, rendered by tools/smt_figures),
+// the kernel ablations, the full-size runs, and a few deliberately
+// failing self-test jobs used to exercise the structured failure paths
+// in CI. Each job belongs to one named manifest (kManifests), which
+// smt_sweep --manifest selects.
 //
 // Every definition is fully deterministic: the factory builds a fresh
 // Workload with fixed sizes and seeds, so a job's report depends only on
@@ -20,21 +21,31 @@
 #include "analysis/lint.h"
 #include "common/json.h"
 #include "common/types.h"
+#include "core/machine.h"
 #include "core/workload.h"
 #include "isa/program.h"
 
 namespace smt::host {
 
+/// The registry's manifests, in registry order: "default" (Figures 3-5
+/// at the bench sizes, the suite bench/history and CI sweep), "ablation"
+/// (the SPR-span and partitioning ablations' own jobs), "full" (the
+/// largest, paper-scale-ratio sizes) and "selftest" (structured-failure
+/// probes, injected by name).
+inline constexpr const char* kManifests[] = {"default", "ablation", "full",
+                                             "selftest"};
+
 struct ExperimentDef {
-  /// Registry key, matching the bench result keys (e.g. "mm.serial.n64").
+  /// Registry key (e.g. "mm.serial.n64").
   std::string name;
   /// Builds a fresh, deterministic instance of the workload.
   std::function<std::unique_ptr<core::Workload>()> make;
+  /// The machine the job runs on (part of its result key).
+  core::MachineConfig config;
   /// Per-job simulated-cycle budget (try_run_workload's max_cycles).
   Cycle cycle_budget = 4'000'000'000ull;
-  /// Whether the job belongs to smt_sweep's default manifest (the
-  /// selftest.* jobs do not — they exist to be injected explicitly).
-  bool in_default_manifest = true;
+  /// The manifest the job belongs to: one of kManifests.
+  std::string manifest = "default";
   /// Run with the happens-before race detector attached
   /// (core::RunOptions::race_detect); a detected race comes back as a
   /// structured kRaceDetected outcome.
@@ -52,8 +63,9 @@ const std::vector<ExperimentDef>& experiments();
 /// Looks up a definition by name; nullptr when unknown.
 const ExperimentDef* find_experiment(const std::string& name);
 
-/// The names of every default-manifest experiment, in registry order.
-std::vector<std::string> default_manifest();
+/// The names of manifest `name`'s experiments, in registry order; empty
+/// when `name` is not one of kManifests.
+std::vector<std::string> manifest(const std::string& name);
 
 /// One workload's programs and their static verifier findings.
 struct WorkloadLint {

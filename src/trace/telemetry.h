@@ -6,8 +6,8 @@
 //
 // A Machine owns at most one Telemetry, created either explicitly via
 // Machine::enable_telemetry() or implicitly when the process-global
-// default (set_global_telemetry, wired to SMT_BENCH_TRACE_DIR by
-// bench/bench_util.h) is enabled. Disabled telemetry costs nothing:
+// default (set_global_telemetry, wired to SMT_BENCH_TRACE_DIR in the
+// hand-driven bench binaries) is enabled. Disabled telemetry costs nothing:
 // neither instrument is attached to the core (the recorder rides the
 // observer bus, the sampler the core's sampler slot). Enabled
 // telemetry never perturbs a measurement: both instruments are read-only
@@ -40,11 +40,12 @@ struct TelemetryConfig {
   /// Attach the SMT interference profiler (src/profile/interference.h;
   /// run reports gain an `interference` section).
   /// Independent of `enabled`, like pc_profile. Wired to
-  /// SMT_BENCH_INTERFERENCE by bench/bench_util.h.
+  /// SMT_BENCH_INTERFERENCE in the hand-driven bench binaries.
   bool interference = false;
-  /// Attach the pipeline-lifetime recorder (src/trace/pipeview.h; bench
-  /// drivers write a Kanata .kanata file beside each report). Wired to
-  /// SMT_BENCH_PIPEVIEW / SMT_BENCH_PIPEVIEW_WINDOW by bench/bench_util.h.
+  /// Attach the pipeline-lifetime recorder (src/trace/pipeview.h; its
+  /// owner writes a Kanata .kanata file per run). Set by smt_sweep
+  /// --pipeview, and from SMT_BENCH_PIPEVIEW / SMT_BENCH_PIPEVIEW_WINDOW
+  /// in the hand-driven bench binaries.
   bool pipeview = false;
   Cycle pipeview_begin = 0;
   Cycle pipeview_end = 100'000;

@@ -2,6 +2,7 @@
 // the sweep experiment registry and its lint report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -637,17 +638,97 @@ TEST(Experiments, RegistryInvariantCheckRejectsBadRegistries) {
 }
 
 TEST(Experiments, DefaultManifestExcludesSelfTests) {
-  const std::vector<std::string> manifest = default_manifest();
-  EXPECT_FALSE(manifest.empty());
-  for (const std::string& name : manifest) {
+  // Nor any ablation or full-size job: the default manifest is the
+  // figure suite CI sweeps on every change.
+  for (const std::string& name : manifest("default")) {
+    const ExperimentDef* d = find_experiment(name);
+    ASSERT_NE(d, nullptr) << name;
     EXPECT_EQ(name.find("selftest."), std::string::npos) << name;
+    EXPECT_TRUE(d->config.core.static_partitioning) << name;
   }
-  // The figure suites are all present.
-  const std::set<std::string> set(manifest.begin(), manifest.end());
-  EXPECT_TRUE(set.count("mm.serial.n64"));
-  EXPECT_TRUE(set.count("lu.tlp-pfetch.n128"));
-  EXPECT_TRUE(set.count("cg.tlp-pfetch+work"));
-  EXPECT_TRUE(set.count("bt.tlp-coarse"));
+  for (const char* other : {"selftest", "ablation", "full"}) {
+    for (const std::string& name : manifest(other)) {
+      const std::vector<std::string> def = manifest("default");
+      EXPECT_EQ(std::find(def.begin(), def.end(), name), def.end()) << name;
+    }
+  }
+}
+
+TEST(Experiments, DefaultManifestIsTheFigureSuiteInItsOrder) {
+  // The 23 jobs bench/history pins, in the order every sweep index lists
+  // them.
+  const std::vector<std::string> want = {
+      "mm.serial.n64",       "mm.tlp-fine.n64",         "mm.tlp-coarse.n64",
+      "mm.tlp-pfetch.n64",   "mm.tlp-pfetch+work.n64",  "mm.serial.n128",
+      "mm.tlp-fine.n128",    "mm.tlp-coarse.n128",      "mm.tlp-pfetch.n128",
+      "mm.tlp-pfetch+work.n128", "lu.serial.n64",       "lu.tlp-coarse.n64",
+      "lu.tlp-pfetch.n64",   "lu.serial.n128",          "lu.tlp-coarse.n128",
+      "lu.tlp-pfetch.n128",  "cg.serial",               "cg.tlp-coarse",
+      "cg.tlp-pfetch",       "cg.tlp-pfetch+work",      "bt.serial",
+      "bt.tlp-coarse",       "bt.tlp-pfetch"};
+  EXPECT_EQ(manifest("default"), want);
+}
+
+TEST(Experiments, EveryJobIsInExactlyOneKnownManifest) {
+  size_t listed = 0;
+  for (const char* m : kManifests) {
+    const std::vector<std::string> names = manifest(m);
+    EXPECT_FALSE(names.empty()) << m;
+    for (const std::string& name : names) {
+      EXPECT_EQ(find_experiment(name)->manifest, m) << name;
+    }
+    listed += names.size();
+  }
+  EXPECT_EQ(listed, experiments().size());
+  EXPECT_TRUE(manifest("no-such-manifest").empty());
+  for (const std::string& name : manifest("selftest")) {
+    EXPECT_EQ(name.rfind("selftest.", 0), 0u) << name;
+  }
+  EXPECT_EQ(manifest("ablation").size(), 14u);
+  EXPECT_EQ(manifest("full").size(), 15u);
+}
+
+TEST(Experiments, DynpartJobsDifferFromTheirStaticTwinOnlyInPartitioning) {
+  int twins = 0;
+  for (const ExperimentDef& d : experiments()) {
+    const size_t at = d.name.rfind(".dynpart");
+    if (at == std::string::npos) continue;
+    ++twins;
+    const ExperimentDef* twin = find_experiment(d.name.substr(0, at));
+    ASSERT_NE(twin, nullptr) << d.name;
+    EXPECT_FALSE(d.config.core.static_partitioning) << d.name;
+    EXPECT_TRUE(twin->config.core.static_partitioning) << twin->name;
+    core::MachineConfig flipped = twin->config;
+    flipped.core.static_partitioning = false;
+    EXPECT_EQ(core::machine_config_json(flipped),
+              core::machine_config_json(d.config));
+    EXPECT_EQ(d.cycle_budget, twin->cycle_budget);
+    EXPECT_EQ(d.race_detect, twin->race_detect);
+    EXPECT_EQ(d.timeout_first_attempt, twin->timeout_first_attempt);
+
+    // Same programs, different key: only the config hash (and the
+    // name) tells them apart.
+    core::RunOptions ro;
+    ro.flight_recorder = true;
+    const ResultKey a = result_key(*twin, twin->config, twin->cycle_budget, ro);
+    const ResultKey b = result_key(d, d.config, d.cycle_budget, ro);
+    EXPECT_EQ(a.program_digests, b.program_digests) << d.name;
+    EXPECT_NE(a.config_hash, b.config_hash) << d.name;
+    EXPECT_NE(a.hash(), b.hash()) << d.name;
+  }
+  EXPECT_EQ(twins, 4);
+}
+
+TEST(Experiments, DefaultJobKeysAreUnchanged) {
+  // The key smt_sweep computes for mm.serial.n64 (flight recorder on):
+  // the registry's machine config is the default one, so the cache and
+  // bench/history entries of every default job keep their addresses.
+  const ExperimentDef* def = find_experiment("mm.serial.n64");
+  ASSERT_NE(def, nullptr);
+  core::RunOptions ro;
+  ro.flight_recorder = true;
+  EXPECT_EQ(result_key(*def, def->config, def->cycle_budget, ro).hash(),
+            "10a46e17308b7f2c");
 }
 
 TEST(Experiments, SelfTestsFailTheWayTheyPromise) {

@@ -165,7 +165,7 @@ TEST(RaceDetection, RacySelfTestYieldsStructuredOutcome) {
   const host::ExperimentDef* def = host::find_experiment("selftest.race");
   ASSERT_NE(def, nullptr);
   EXPECT_TRUE(def->race_detect);
-  EXPECT_FALSE(def->in_default_manifest);
+  EXPECT_EQ(def->manifest, "selftest");
 
   const core::RunOutcome o = run_def(*def, /*race_detect=*/true);
   EXPECT_EQ(o.status, core::RunStatus::kRaceDetected);

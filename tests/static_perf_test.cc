@@ -137,7 +137,7 @@ TEST(StaticPerf, BoundIsDeterministic) {
 // ---------------------------------------------------------------------------
 
 TEST(StaticPerfRegistry, BoundNeverExceedsMeasuredCpiOnAnyBenchKernel) {
-  const std::vector<std::string> names = host::default_manifest();
+  const std::vector<std::string> names = host::manifest("default");
   ASSERT_GT(names.size(), 20u);
 
   std::mutex mu;

@@ -5,8 +5,9 @@
 //
 //   --jobs N          worker threads (default: host hardware concurrency)
 //   --out DIR         output directory (default "sweep-out")
-//   --manifest FILE   newline-separated experiment names ('#' comments);
-//                     default: every default-manifest registry entry
+//   --manifest NAME   run a registry manifest (host::kManifests: default,
+//                     ablation, full, selftest) after any named jobs;
+//                     with no names and no manifest, runs "default"
 //   --cycle-budget N  per-job simulated-cycle budget override
 //   --timeout-ms N    per-attempt wall-clock watchdog (0 = off, default);
 //                     a watchdog-killed job is retried once
@@ -58,7 +59,11 @@
 //                     (exit 1) and its diagnostics go to stderr. Warnings
 //                     are reported but do not gate.
 //   --quiet           errors only: no progress line, log level error
-//   --list            print the experiment registry and exit
+//   --list            print the experiment registry (each job with its
+//                     manifest) and exit
+//
+// Every numeric value must be a whole decimal number in its option's
+// range; anything else is a usage error.
 //
 // Every job runs a fresh deterministic Machine simulation through the
 // non-aborting core::try_run_workload path on the host::JobPool, so one
@@ -81,14 +86,16 @@
 //
 // Exit status: 0 when every job is ok; 1 with the failed jobs logged
 // otherwise (the index and surviving reports are complete either way);
-// 2 on usage/manifest errors; 3 when an artifact cannot be written or a
+// 2 on usage errors (an unknown option, manifest or experiment, or a
+// malformed number); 3 when an artifact cannot be written or a
 // --resume index does not parse.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -97,6 +104,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -132,7 +140,7 @@ constexpr int kExitIo = 3;
 struct SweepOptions {
   int jobs = static_cast<int>(std::thread::hardware_concurrency());
   std::string out_dir = "sweep-out";
-  std::string manifest_path;
+  std::string manifest;          // "" = none named
   std::string metrics_path;
   std::string trace_path;
   smt::Cycle cycle_budget = 0;  // 0: use each definition's own budget
@@ -172,7 +180,7 @@ struct CacheCounters {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--jobs N] [--out DIR] [--manifest FILE]\n"
+               "usage: %s [--jobs N] [--out DIR] [--manifest NAME]\n"
                "       [--cycle-budget N] [--timeout-ms N]\n"
                "       [--metrics FILE] [--trace FILE] [--pipeview]\n"
                "       [--cache DIR] [--cache-verify[=N]] [--resume]\n"
@@ -180,6 +188,25 @@ int usage(const char* argv0) {
                "       [--quiet] [--list] [experiment names...]\n",
                argv0);
   return kExitUsage;
+}
+
+/// `text` as a whole decimal number in [lo, hi]; std::nullopt, logged
+/// with `flag`, when it is anything else (a sign, trailing characters,
+/// out of range).
+std::optional<uint64_t> parse_count(const char* flag, const char* text,
+                                    uint64_t lo, uint64_t hi) {
+  uint64_t v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || ptr == text || v < lo || v > hi) {
+    smt::log::error("option needs a whole number in range",
+                    {{"option", flag},
+                     {"value", text},
+                     {"min", lo},
+                     {"max", hi}});
+    return std::nullopt;
+  }
+  return v;
 }
 
 bool parse_args(int argc, char** argv, SweepOptions* opt) {
@@ -192,56 +219,53 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
       }
       return argv[++i];
     };
+    // Stores the value of option `flag` in `*out`: a string as is, a
+    // number through parse_count's [lo, hi] check.
+    auto text = [&](const char* flag, std::string* out) {
+      const char* v = next(flag);
+      if (v != nullptr) *out = v;
+      return v != nullptr;
+    };
+    auto number = [&](const char* flag, auto* out, uint64_t lo, uint64_t hi) {
+      const char* v = next(flag);
+      const std::optional<uint64_t> n =
+          v == nullptr ? std::nullopt : parse_count(flag, v, lo, hi);
+      if (n.has_value()) *out = static_cast<std::decay_t<decltype(*out)>>(*n);
+      return n.has_value();
+    };
+    bool ok = true;
     if (a == "--jobs") {
-      const char* v = next("--jobs");
-      if (v == nullptr) return false;
-      opt->jobs = std::atoi(v);
+      ok = number("--jobs", &opt->jobs, 1, 1024);
     } else if (a == "--out") {
-      const char* v = next("--out");
-      if (v == nullptr) return false;
-      opt->out_dir = v;
+      ok = text("--out", &opt->out_dir);
     } else if (a == "--manifest") {
-      const char* v = next("--manifest");
-      if (v == nullptr) return false;
-      opt->manifest_path = v;
+      ok = text("--manifest", &opt->manifest);
+      if (ok && smt::host::manifest(opt->manifest).empty()) {
+        smt::log::error("unknown manifest", {{"manifest", opt->manifest}});
+        ok = false;
+      }
     } else if (a == "--metrics") {
-      const char* v = next("--metrics");
-      if (v == nullptr) return false;
-      opt->metrics_path = v;
+      ok = text("--metrics", &opt->metrics_path);
     } else if (a == "--trace") {
-      const char* v = next("--trace");
-      if (v == nullptr) return false;
-      opt->trace_path = v;
+      ok = text("--trace", &opt->trace_path);
     } else if (a == "--cycle-budget") {
-      const char* v = next("--cycle-budget");
-      if (v == nullptr) return false;
-      opt->cycle_budget = std::strtoull(v, nullptr, 10);
+      ok = number("--cycle-budget", &opt->cycle_budget, 1, UINT64_MAX);
     } else if (a == "--timeout-ms") {
-      const char* v = next("--timeout-ms");
-      if (v == nullptr) return false;
-      opt->timeout_ms = std::atol(v);
+      ok = number("--timeout-ms", &opt->timeout_ms, 0, INT32_MAX);
     } else if (a == "--cache") {
-      const char* v = next("--cache");
-      if (v == nullptr) return false;
-      opt->cache_dir = v;
+      ok = text("--cache", &opt->cache_dir);
     } else if (a == "--cache-verify") {
       opt->cache_verify = LONG_MAX;  // audit every hit
     } else if (a.rfind("--cache-verify=", 0) == 0) {
-      opt->cache_verify = std::atol(a.c_str() + std::strlen("--cache-verify="));
-      if (opt->cache_verify < 1) {
-        smt::log::error("--cache-verify=N requires N >= 1");
-        return false;
-      }
+      const auto v = parse_count("--cache-verify",
+                                 argv[i] + std::strlen("--cache-verify="), 1,
+                                 LONG_MAX);
+      ok = v.has_value();
+      if (ok) opt->cache_verify = static_cast<long>(*v);
     } else if (a == "--resume") {
       opt->resume = true;
     } else if (a == "--cancel-after") {
-      const char* v = next("--cancel-after");
-      if (v == nullptr) return false;
-      opt->cancel_after = std::atol(v);
-      if (opt->cancel_after < 1) {
-        smt::log::error("--cancel-after requires a positive count");
-        return false;
-      }
+      ok = number("--cancel-after", &opt->cancel_after, 1, LONG_MAX);
     } else if (a == "--lint") {
       opt->lint = true;
     } else if (a == "--pipeview") {
@@ -252,12 +276,13 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
       opt->list = true;
     } else if (!a.empty() && a[0] == '-') {
       smt::log::error("unknown option", {{"option", a}});
-      return false;
+      ok = false;
     } else {
       opt->names.push_back(a);
     }
+    if (!ok) return false;
   }
-  if (opt->jobs < 1) opt->jobs = 1;
+  if (opt->jobs < 1) opt->jobs = 1;  // hardware_concurrency() may be 0
   if (opt->cache_verify != -1 && opt->cache_dir.empty()) {
     smt::log::error("--cache-verify requires --cache");
     return false;
@@ -303,26 +328,6 @@ bool load_resume_index(const std::string& out_dir,
 bool artifact_intact(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return in && in.peek() != std::ifstream::traits_type::eof();
-}
-
-/// Reads a manifest file: one experiment name per line, blank lines and
-/// '#' comments skipped.
-bool read_manifest(const std::string& path, std::vector<std::string>* names) {
-  std::ifstream in(path);
-  if (!in) {
-    smt::log::error("cannot open manifest", {{"path", path}});
-    return false;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    size_t b = line.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
-    size_t e = line.find_last_not_of(" \t\r");
-    names->push_back(line.substr(b, e - b + 1));
-  }
-  return true;
 }
 
 /// Terminal progress line: "[done/total] ok=N failed=N eta=…s", redrawn
@@ -392,19 +397,19 @@ int main(int argc, char** argv) {
 
   if (opt.list) {
     for (const ExperimentDef& d : smt::host::experiments()) {
-      std::printf("%-28s %s\n", d.name.c_str(),
-                  d.in_default_manifest ? "" : "(selftest)");
+      std::printf("%-30s %s\n", d.name.c_str(), d.manifest.c_str());
     }
     return 0;
   }
 
-  // Assemble the manifest: explicit names > manifest file > default suite.
+  // Assemble the job list: explicit names, then the named manifest; the
+  // default manifest when neither is given.
   std::vector<std::string> manifest = opt.names;
-  if (!opt.manifest_path.empty() &&
-      !read_manifest(opt.manifest_path, &manifest)) {
-    return kExitUsage;
+  if (!opt.manifest.empty()) {
+    const std::vector<std::string> named = smt::host::manifest(opt.manifest);
+    manifest.insert(manifest.end(), named.begin(), named.end());
   }
-  if (manifest.empty()) manifest = smt::host::default_manifest();
+  if (manifest.empty()) manifest = smt::host::manifest("default");
 
   // Resolve every name up front so a typo fails loudly before any work.
   // Index entries are preallocated, one per manifest slot; each is
@@ -513,7 +518,7 @@ int main(int argc, char** argv) {
       // job's content address (and stays byte-identical to a cached
       // run's, modulo the "cached" field).
       const smt::host::ResultKey content_key =
-          smt::host::result_key(def, smt::core::MachineConfig{}, budget, ro);
+          smt::host::result_key(def, def.config, budget, ro);
       rec.key = content_key.hash();
 
       // The pool status the entry's outcome stands for.
@@ -555,7 +560,7 @@ int main(int argc, char** argv) {
       const auto simulate = [&] {
         const std::unique_ptr<smt::core::Workload> w = def.make();
         const smt::core::RunOutcome o = smt::core::try_run_workload(
-            smt::core::MachineConfig{}, *w, budget,
+            def.config, *w, budget,
             [&token] { return token.expired(); }, ro);
         if (o.stats.pipeview != nullptr &&
             !smt::trace::write_kanata_file(*o.stats.pipeview, kanata_path)) {
