@@ -24,10 +24,12 @@
 #      run id and the second ingest is a complete no-op. The exact gate:
 #      `check` accepts the cold sweep and flags, with exit 1, a report
 #      one cycle off, a baselined job that did not end ok, a history
-#      file with no trajectory for the sweep's config, and the cold
-#      sweep once a perturbed copy has been ingested over it; `list`
-#      refuses a malformed history file with exit 3.
-#   5. guard rails: --pipeview with --cache must be refused up front.
+#      file with no trajectory for the sweep's config, an ok job with no
+#      history file (the cold sweep against an empty store), and the
+#      cold sweep once a perturbed copy has been ingested over it;
+#      `list` refuses a malformed history file with exit 3.
+#   5. guard rails: --pipeview or --telemetry with --cache must be
+#      refused up front.
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
 set(manifest mm.serial.n64 lu.serial.n64 bt.serial selftest.deadlock)
@@ -195,6 +197,11 @@ file(WRITE "${OUT_DIR}/failed/sweep_index.json" "${failed_index}")
 check_history(1 "${OUT_DIR}/failed" "${OUT_DIR}/history"
   "a baselined job that ended verify_failed")
 
+# No baseline at all: every ok job of the cold sweep is a finding.
+file(MAKE_DIRECTORY "${OUT_DIR}/history-empty")
+check_history(1 "${OUT_DIR}/cold" "${OUT_DIR}/history-empty"
+  "a sweep whose ok jobs have no history file")
+
 # A history file whose only trajectory belongs to another config.
 file(COPY "${OUT_DIR}/history/" DESTINATION "${OUT_DIR}/history-other")
 set(other "${OUT_DIR}/history-other/BENCH_mm.serial.n64.json")
@@ -227,13 +234,15 @@ if(NOT rc EQUAL 3)
     "exited ${rc}, not 3")
 endif()
 
-# Phase 5: incompatible-flag guard.
-execute_process(COMMAND "${SWEEP}" --pipeview --cache "${OUT_DIR}/cache"
-  --out "${OUT_DIR}/never" bt.serial RESULT_VARIABLE rc
-  ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "--pipeview with --cache was not refused")
-endif()
-if(EXISTS "${OUT_DIR}/never/sweep_index.json")
-  message(FATAL_ERROR "refused sweep still wrote an index")
-endif()
+# Phase 5: incompatible-flag guards.
+foreach(option --pipeview --telemetry)
+  execute_process(COMMAND "${SWEEP}" ${option} --cache "${OUT_DIR}/cache"
+    --out "${OUT_DIR}/never" bt.serial RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${option} with --cache was not refused")
+  endif()
+  if(EXISTS "${OUT_DIR}/never/sweep_index.json")
+    message(FATAL_ERROR "refused ${option} sweep still wrote an index")
+  endif()
+endforeach()

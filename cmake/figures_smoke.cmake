@@ -1,10 +1,12 @@
 # Figure renderer smoke: sweep the three n = 64 LU jobs and render Figure
 # 4 from the index; its rows must equal the golden Figure 4's n = 64 rows
 # (compared with runs of spaces squeezed: column widths depend on which
-# rows a table holds). Then an index missing one of those jobs, an index
-# where one failed, and two indexes sharing one must each be refused with
-# exit 1 naming the job. Invoked by ctest (see tools/CMakeLists.txt) as:
-#   cmake -DSWEEP=... -DFIGURES=... -DGOLDEN=... -DOUT_DIR=...
+# rows a table holds). Sweep the sync manifest and render the sync
+# ablation: it must equal its golden file byte for byte. Then an index
+# missing one of the LU jobs, an index where one failed, and two indexes
+# sharing one must each be refused with exit 1 naming the job. Invoked
+# by ctest (see tools/CMakeLists.txt) as:
+#   cmake -DSWEEP=... -DFIGURES=... -DGOLDEN_DIR=... -DOUT_DIR=...
 #     -P figures_smoke.cmake
 file(REMOVE_RECURSE "${OUT_DIR}")
 
@@ -24,7 +26,7 @@ execute_process(COMMAND "${FIGURES}" --index "${OUT_DIR}/all/sweep_index.json"
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "smt_figures failed: ${rc}")
 endif()
-file(READ "${GOLDEN}" golden)
+file(READ "${GOLDEN_DIR}/figures.txt" golden)
 string(REGEX MATCH "=== Figure 4[^\n]*\n[^=]*" golden "${golden}")
 foreach(text golden rendered)
   string(REGEX REPLACE " +" " " ${text} "${${text}}")
@@ -32,7 +34,16 @@ foreach(text golden rendered)
 endforeach()
 list(LENGTH golden rows)
 if(NOT rows EQUAL 3 OR NOT rendered STREQUAL golden)
-  message(FATAL_ERROR "Figure 4's n = 64 rows differ from ${GOLDEN}:\n"
+  message(FATAL_ERROR "Figure 4's n = 64 rows differ from figures.txt:\n"
+    "want:${golden}\ngot:${rendered}")
+endif()
+
+sweep(sync --manifest sync)
+execute_process(COMMAND "${FIGURES}" --index "${OUT_DIR}/sync/sweep_index.json"
+  --figure sync RESULT_VARIABLE rc OUTPUT_VARIABLE rendered)
+file(READ "${GOLDEN_DIR}/sync.txt" golden)
+if(NOT rc EQUAL 0 OR NOT rendered STREQUAL golden)
+  message(FATAL_ERROR "the sync table (exit ${rc}) differs from sync.txt:\n"
     "want:${golden}\ngot:${rendered}")
 endif()
 

@@ -1,52 +1,84 @@
-# Smoke test driver: run a bench binary with report emission enabled —
-# and, when TRACE_DIR is given, with telemetry enabled too; when PROFILE
-# is set, with the per-PC profiler on; when INTERFERENCE is set, with
-# interference attribution on — then validate the artifacts with
-# check_reports. When ANNOTATE is given, smt_annotate must also accept
-# one emitted report. When DIFF is given, report_diff must accept that
-# report against itself and reject (exit 1) both a still-valid copy that
-# retired one more branch and a copy truncated to its schema, cycles and
-# totals, which is not a valid run report. Invoked by
-# ctest (see tools/CMakeLists.txt) as:
-#   cmake -DBENCH=... -DCHECKER=... -DREPORT_DIR=... [-DTRACE_DIR=...]
-#     [-DPROFILE=1] [-DINTERFERENCE=1] [-DANNOTATE=...] [-DDIFF=...]
-#     -P report_smoke.cmake
+# Smoke test: sweep the sync manifest (the cheapest, four jobs)
+# with the instruments TELEMETRY, PROFILE and INTERFERENCE name attached
+# (smt_sweep --telemetry, --profile, --interference), then validate the
+# reports, metrics and index with check_reports. Each of --telemetry,
+# --profile and --interference must give every report its section
+# (timeseries, profile, interference), and --telemetry must also drop a
+# Chrome trace per job in <out>/traces/, which check_reports validates
+# too. When ANNOTATE is given, smt_annotate must also accept one report.
+# When DIFF is given, report_diff must accept that report against itself
+# and reject (exit 1) both a still-valid copy that retired one more
+# branch and a copy truncated to its schema, cycles and totals, which is
+# not a valid run report. Invoked by ctest (see tools/CMakeLists.txt) as:
+#   cmake -DSWEEP=... -DCHECKER=... -DOUT_DIR=...
+#     [-DTELEMETRY=1] [-DPROFILE=1] [-DINTERFERENCE=1]
+#     [-DANNOTATE=...] [-DDIFF=...] -P report_smoke.cmake
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
-file(REMOVE_RECURSE "${REPORT_DIR}")
-file(MAKE_DIRECTORY "${REPORT_DIR}")
+file(REMOVE_RECURSE "${OUT_DIR}")
+set(REPORT_DIR "${OUT_DIR}/reports")
+set(INSTRUMENTS "")
+foreach(instrument TELEMETRY PROFILE INTERFERENCE)
+  if(${instrument})
+    string(TOLOWER "--${instrument}" option)
+    list(APPEND INSTRUMENTS "${option}")
+  endif()
+endforeach()
 
-set(ENV{SMT_BENCH_REPORT_DIR} "${REPORT_DIR}")
-if(TRACE_DIR)
-  file(REMOVE_RECURSE "${TRACE_DIR}")
-  file(MAKE_DIRECTORY "${TRACE_DIR}")
-  set(ENV{SMT_BENCH_TRACE_DIR} "${TRACE_DIR}")
-endif()
-if(PROFILE)
-  set(ENV{SMT_BENCH_PROFILE} "1")
-endif()
-if(INTERFERENCE)
-  set(ENV{SMT_BENCH_INTERFERENCE} "1")
-endif()
-execute_process(COMMAND "${BENCH}" RESULT_VARIABLE bench_rc)
-if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "bench binary failed: ${bench_rc}")
+execute_process(COMMAND "${SWEEP}" --quiet --jobs 2 --manifest sync
+  --out "${OUT_DIR}" --metrics "${OUT_DIR}/metrics.json" ${INSTRUMENTS}
+  RESULT_VARIABLE sweep_rc OUTPUT_QUIET)
+if(NOT sweep_rc EQUAL 0)
+  message(FATAL_ERROR "smt_sweep --manifest sync ${INSTRUMENTS} failed: "
+    "${sweep_rc}")
 endif()
 
-if(TRACE_DIR)
-  execute_process(COMMAND "${CHECKER}" "${REPORT_DIR}" "${TRACE_DIR}"
+file(GLOB reports "${REPORT_DIR}/*.json")
+list(LENGTH reports n)
+if(NOT n EQUAL 4)
+  message(FATAL_ERROR "the sync sweep wrote ${n} reports, expected 4")
+endif()
+foreach(pair "--telemetry;timeseries" "--profile;profile"
+    "--interference;interference")
+  list(GET pair 0 option)
+  list(GET pair 1 section)
+  list(FIND INSTRUMENTS "${option}" wanted)
+  foreach(report IN LISTS reports)
+    file(READ "${report}" report_json)
+    string(FIND "${report_json}" "\"${section}\":" at)
+    if(wanted EQUAL -1 AND NOT at EQUAL -1)
+      message(FATAL_ERROR "${report} has a ${section} section without "
+        "${option}")
+    elseif(NOT wanted EQUAL -1 AND at EQUAL -1)
+      message(FATAL_ERROR "${report} lacks its ${section} section")
+    endif()
+  endforeach()
+endforeach()
+
+list(FIND INSTRUMENTS "--telemetry" traced)
+if(NOT traced EQUAL -1)
+  file(GLOB traces "${OUT_DIR}/traces/*.trace.json")
+  list(LENGTH traces n)
+  if(NOT n EQUAL 4)
+    message(FATAL_ERROR "the traced sweep wrote ${n} Chrome traces, "
+      "expected 4")
+  endif()
+  execute_process(COMMAND "${CHECKER}" "${REPORT_DIR}" "${OUT_DIR}/traces"
+    --metrics "${OUT_DIR}/metrics.json" --index "${OUT_DIR}/sweep_index.json"
     RESULT_VARIABLE rc)
 else()
-  execute_process(COMMAND "${CHECKER}" "${REPORT_DIR}" RESULT_VARIABLE rc)
+  execute_process(COMMAND "${CHECKER}" "${REPORT_DIR}"
+    --metrics "${OUT_DIR}/metrics.json" --index "${OUT_DIR}/sweep_index.json"
+    RESULT_VARIABLE rc)
 endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "artifacts failed validation: ${rc}")
 endif()
 
+list(SORT reports)
+list(GET reports 0 report)
+
 if(ANNOTATE)
-  file(GLOB reports "${REPORT_DIR}/*.json")
-  list(SORT reports)
-  list(GET reports 0 report)
   execute_process(COMMAND "${ANNOTATE}" "${report}" --top 5
     RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
@@ -55,9 +87,6 @@ if(ANNOTATE)
 endif()
 
 if(DIFF)
-  file(GLOB reports "${REPORT_DIR}/*.json")
-  list(SORT reports)
-  list(GET reports 0 report)
   execute_process(COMMAND "${DIFF}" "${report}" "${report}"
     RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
@@ -77,7 +106,7 @@ if(DIFF)
     bump_counter(tail branches_retired)
   endif()
   bump_counter(head branches_retired)
-  set(bumped_dir "${REPORT_DIR}/bumped")
+  set(bumped_dir "${OUT_DIR}/bumped")
   file(MAKE_DIRECTORY "${bumped_dir}")
   file(WRITE "${bumped_dir}/bumped.json" "${head}${tail}")
   execute_process(COMMAND "${CHECKER}" "${bumped_dir}" RESULT_VARIABLE rc
@@ -99,7 +128,7 @@ if(DIFF)
   if(NOT schema OR NOT cycles OR NOT totals)
     message(FATAL_ERROR "${report} lacks schema/cycles/totals")
   endif()
-  set(truncated "${REPORT_DIR}/truncated.json.bad")
+  set(truncated "${OUT_DIR}/truncated.json.bad")
   file(WRITE "${truncated}" "{${schema},${cycles},${totals}}")
   execute_process(COMMAND "${DIFF}" "${report}" "${truncated}"
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

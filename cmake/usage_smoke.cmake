@@ -1,13 +1,13 @@
 # Usage errors fail loudly before any simulation, with exit 2 and the
-# offending option or variable named on stderr:
-#   * smt_sweep: every numeric value must be a whole decimal number in its
-#     option's range, and a manifest one the registry defines (each bad
-#     form rides with --list, so a parser that wrongly accepted it would
-#     exit 0 instead of simulating);
-#   * a bench binary: SMT_BENCH_PIPEVIEW_WINDOW must be BEGIN:END or END
-#     with END > BEGIN (no report may land before the refusal).
+# offending option named on stderr:
+#   * every numeric value must be a whole decimal number in its option's
+#     range, and a manifest one the registry defines (each bad form rides
+#     with --list, so a parser that wrongly accepted it would exit 0
+#     instead of simulating);
+#   * a --pipeview= window must be BEGIN:END or END with END > BEGIN (no
+#     artifact may land before the refusal).
 # Invoked by ctest (see tools/CMakeLists.txt) as:
-#   cmake -DSWEEP=... -DBENCH=... -DREPORT_DIR=... -P usage_smoke.cmake
+#   cmake -DSWEEP=... -DOUT_DIR=... -P usage_smoke.cmake
 
 # expect_usage(NAME COMMAND...): COMMAND must exit 2 naming NAME.
 function(expect_usage name)
@@ -40,15 +40,13 @@ if(NOT rc EQUAL 0 OR NOT "\n${out}" MATCHES "${want}")
   message(FATAL_ERROR "well-formed options: exit ${rc}\n${out}${err}")
 endif()
 
-set(ENV{SMT_BENCH_PIPEVIEW} "1")
-set(ENV{SMT_BENCH_REPORT_DIR} "${REPORT_DIR}")
 foreach(window "20000:5000" "5000:5000" "abc" "5000:" ":20000" "0" "-1"
                "1:2:3" "10k")
-  file(REMOVE_RECURSE "${REPORT_DIR}")
-  file(MAKE_DIRECTORY "${REPORT_DIR}")
-  set(ENV{SMT_BENCH_PIPEVIEW_WINDOW} "${window}")
-  expect_usage(SMT_BENCH_PIPEVIEW_WINDOW "${BENCH}")
-  file(GLOB written "${REPORT_DIR}/*")
+  file(REMOVE_RECURSE "${OUT_DIR}")
+  file(MAKE_DIRECTORY "${OUT_DIR}")
+  expect_usage(pipeview "${SWEEP}" "--pipeview=${window}" --out "${OUT_DIR}"
+    sync.none)
+  file(GLOB_RECURSE written "${OUT_DIR}/*")
   if(written)
     message(FATAL_ERROR "window \"${window}\" simulated first: ${written}")
   endif()

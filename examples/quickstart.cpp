@@ -66,7 +66,7 @@ int main() {
 
   // 6. A structured run report: top-down cycle accounting per logical CPU,
   //    plus a JSON artifact with every counter and the machine config —
-  //    the same format all bench binaries emit under SMT_BENCH_REPORT_DIR.
+  //    the same format every smt_sweep job writes to <out>/reports/.
   const core::RunReport report = core::report_from_machine(
       m, "quickstart.sum",
       /*verified=*/m.memory().read_f64(out) == 0.5 * 63 * 64 / 2);

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI: configure (warnings as errors), build, run the full test
-# suite (which includes the lint, bench-report and bench-trace smoke
-# tests) and the host-performance benchmark's correctness gates, then run
-# only the end-to-end assertions no ctest makes: the lint report through
+# suite (which includes the lint, report and trace smoke tests) and the
+# host-performance benchmark's correctness gates, then run only the
+# end-to-end assertions no ctest makes: the lint report through
 # check_reports, the sweep's lint gate, profiled and
-# interference-attributed bench reports, pipeline traces, sweep
+# interference-attributed sweep reports, pipeline traces, sweep
 # observability artifacts, benchmark history, the result cache's
-# determinism contract and the post-mortem explainer. (A sweep with
+# determinism contract, every paper table against its golden file and
+# the post-mortem explainer. (A sweep with
 # injected failing jobs is the sweep_smoke ctest's.)
 #
 # The sanitizer matrix rides behind the main job (skip with SMT_CI_FAST=1):
@@ -24,9 +25,9 @@
 # exactly, two sweeps against one store must produce a 100%-hit warm
 # run whose index is byte-identical modulo wall-clock fields, and a
 # --cache-verify sample must re-simulate hits against the stored bytes.
-# The paper's kernel figures and ablations, rendered by smt_figures from
-# the cold sweep and an ablation-manifest sweep, must equal the golden
-# tables in tests/golden/.
+# Every paper table, rendered by smt_figures from the cold sweep and one
+# sweep per other manifest, must equal its golden file in tests/golden/,
+# and every manifest's jobs must match their bench/history baselines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,19 +116,25 @@ if [[ "${SMT_CI_FAST:-0}" != "1" ]]; then
     --index "$tsan_sweep_dir/sweep_index.json"
 fi
 
-# Profiled run of the Table 1 bench: reports whose per-PC attributions
-# must validate, annotate cleanly, and gate regressions. Its
-# table1.mm.serial run is the serial n = 64 MM workload of the registry's
-# mm.serial.n64 (the instruction-mix profiler it attaches is a pure
-# observer).
+# Table 1's profiled sweep: its MM and LU columns (six default-manifest
+# jobs) and the table1 manifest, with the per-PC profiler attached.
+# Reports whose per-PC attributions must validate, match the
+# bench/history baselines (the profiler is a pure observer), annotate
+# cleanly, gate regressions, and render Table 1 equal to its golden file.
+table1_jobs=(mm.serial.n64 mm.tlp-coarse.n64 mm.tlp-pfetch.n64
+  lu.serial.n64 lu.tlp-coarse.n64 lu.tlp-pfetch.n64)
 make_temp_dir profile_dir
-SMT_BENCH_REPORT_DIR="$profile_dir" SMT_BENCH_PROFILE=1 \
-  ./build/bench/table1_mix > /dev/null
-./build/tools/check_reports "$profile_dir"
+./build/tools/smt_sweep --quiet --profile --manifest table1 \
+  --out "$profile_dir" "${table1_jobs[@]}" > /dev/null
+./build/tools/check_reports "$profile_dir/reports"
+./build/tools/smt_history check --sweep "$profile_dir" --history bench/history
+./build/tools/smt_figures --index "$profile_dir/sweep_index.json" \
+  --figure table1 > "$profile_dir/table1.txt"
+diff -u tests/golden/table1.txt "$profile_dir/table1.txt"
 
 # The annotated disassembly must surface ALU0 traffic (the paper's
 # mask-instruction serialization signature of the blocked-layout MM).
-mm_report="$profile_dir/table1_mix.table1.mm.serial.json"
+mm_report="$profile_dir/reports/mm.serial.n64.json"
 ./build/tools/smt_annotate "$mm_report" --cpu 0 > "$profile_dir/annotated.txt"
 # The port table's alu0 row must count uops: a bare grep for "alu0" would
 # also match the hotspot column header.
@@ -179,21 +186,20 @@ fi
 # (validated by check_reports), and report_diff must accept a self-diff
 # of the interference section.
 make_temp_dir inter_dir
-SMT_BENCH_REPORT_DIR="$inter_dir" SMT_BENCH_INTERFERENCE=1 \
-  ./build/bench/ablation_sync > /dev/null
-grep -q '"interference":\[' "$inter_dir"/*.json
-./build/tools/check_reports "$inter_dir"
-inter_report=$(ls "$inter_dir"/*.json | head -1)
+./build/tools/smt_sweep --quiet --interference --manifest sync \
+  --out "$inter_dir" > /dev/null
+grep -q '"interference":\[' "$inter_dir"/reports/*.json
+./build/tools/check_reports "$inter_dir/reports"
+inter_report=$(ls "$inter_dir"/reports/*.json | head -1)
 ./build/tools/report_diff "$inter_report" "$inter_report"
 
-# Pipeline lifetime traces: a pipeview'd Table 1 run must drop a
-# non-empty, window-bounded Kanata file beside each report (the C/C=
-# cycle advances must sum to no more than the configured window).
+# Pipeline lifetime traces: a pipeview'd sweep of Table 1's jobs must drop
+# a non-empty, window-bounded Kanata file per job in <out>/pipeview/ (the
+# C/C= cycle advances must sum to no more than the configured window).
 make_temp_dir pview_dir
-SMT_BENCH_REPORT_DIR="$pview_dir" SMT_BENCH_PIPEVIEW=1 \
-  SMT_BENCH_PIPEVIEW_WINDOW=0:20000 \
-  ./build/bench/table1_mix > /dev/null
-mm_kanata="$pview_dir/table1_mix.table1.mm.serial.kanata"
+./build/tools/smt_sweep --quiet --pipeview=0:20000 --manifest table1 \
+  --out "$pview_dir" "${table1_jobs[@]}" > /dev/null
+mm_kanata="$pview_dir/pipeview/mm.serial.n64.kanata"
 head -1 "$mm_kanata" | grep -q "Kanata"
 test "$(wc -l < "$mm_kanata")" -gt 10
 awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
@@ -203,11 +209,10 @@ awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
 # (A run that retires nothing inside this window leaves a file holding
 # only the header; the MM serial file must have lifetimes.)
 make_temp_dir pview_mid_dir
-SMT_BENCH_REPORT_DIR="$pview_mid_dir" SMT_BENCH_PIPEVIEW=1 \
-  SMT_BENCH_PIPEVIEW_WINDOW=5000:20000 \
-  ./build/bench/table1_mix > /dev/null
-test "$(wc -l < "$pview_mid_dir/table1_mix.table1.mm.serial.kanata")" -gt 10
-for kanata in "$pview_mid_dir"/*.kanata; do
+./build/tools/smt_sweep --quiet --pipeview=5000:20000 --manifest table1 \
+  --out "$pview_mid_dir" "${table1_jobs[@]}" > /dev/null
+test "$(wc -l < "$pview_mid_dir/pipeview/mm.serial.n64.kanata")" -gt 10
+for kanata in "$pview_mid_dir"/pipeview/*.kanata; do
   awk -F'\t' '/^C=/{cyc=$2; if (cyc < 5000) bad=1} /^C\t/{cyc+=$2}
     END{exit (!bad && cyc <= 20000) ? 0 : 1}' "$kanata"
 done
@@ -242,6 +247,28 @@ diff -u tests/golden/figures.txt "$cache_dir/figures.txt"
   --index "$cache_dir/ablation/sweep_index.json" \
   --figure spr-span --figure partitioning > "$cache_dir/ablations.txt"
 diff -u tests/golden/ablations.txt "$cache_dir/ablations.txt"
+# Figures 1-2, Table 1's unprofiled jobs, the sync ablation and the
+# multiprogram pairs (whose MM and LU solo runs are cold-sweep jobs).
+for manifest in streams table1 sync multiprog; do
+  ./build/tools/smt_sweep --quiet --manifest "$manifest" \
+    --out "$cache_dir/$manifest" > /dev/null
+  ./build/tools/smt_history check --sweep "$cache_dir/$manifest" \
+    --history bench/history
+done
+streams_index="$cache_dir/streams/sweep_index.json"
+./build/tools/smt_figures --index "$streams_index" --figure 1 \
+  > "$cache_dir/fig1.txt"
+diff -u tests/golden/fig1.txt "$cache_dir/fig1.txt"
+./build/tools/smt_figures --index "$streams_index" --figure 2 \
+  > "$cache_dir/fig2.txt"
+diff -u tests/golden/fig2.txt "$cache_dir/fig2.txt"
+./build/tools/smt_figures --index "$cache_dir/sync/sweep_index.json" \
+  --figure sync > "$cache_dir/sync.txt"
+diff -u tests/golden/sync.txt "$cache_dir/sync.txt"
+./build/tools/smt_figures --index "$cache_dir/cold/sweep_index.json" \
+  --index "$cache_dir/multiprog/sweep_index.json" --figure multiprog \
+  > "$cache_dir/multiprog.txt"
+diff -u tests/golden/multiprog.txt "$cache_dir/multiprog.txt"
 ./build/tools/smt_sweep --quiet --out "$cache_dir/warm" \
   --cache "$cache_dir/store" \
   --metrics "$cache_dir/warm/metrics.json" > /dev/null

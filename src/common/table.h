@@ -1,8 +1,8 @@
-// Plain-text table formatting for the benchmark harnesses.
+// Plain-text table formatting for the figure renderer.
 //
-// Every bench binary reproduces one figure/table of the paper and prints it
-// as an aligned ASCII table (and optionally CSV); this keeps the output
-// diffable and lets EXPERIMENTS.md quote rows verbatim.
+// tools/smt_figures prints each figure/table of the paper as an aligned
+// ASCII table (and optionally CSV); this keeps the output diffable and
+// lets EXPERIMENTS.md quote rows verbatim.
 #pragma once
 
 #include <string>

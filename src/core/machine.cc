@@ -8,15 +8,18 @@ Machine::Machine(const MachineConfig& cfg)
     : cfg_(cfg),
       hierarchy_(cfg.mem),
       core_(cfg.core, hierarchy_, memory_, counters_) {
-  if (trace::global_telemetry().enabled) {
-    enable_telemetry(trace::global_telemetry());
-  } else if (trace::global_telemetry().pc_profile) {
+  attach_instruments(trace::global_telemetry());
+}
+
+void Machine::attach_instruments(const trace::TelemetryConfig& cfg) {
+  if (cfg.enabled) {
+    enable_telemetry(cfg);
+  } else if (cfg.pc_profile) {
     enable_pc_profiler();
   }
-  if (trace::global_telemetry().interference) enable_interference();
-  if (trace::global_telemetry().pipeview) {
-    enable_pipeview({.begin = trace::global_telemetry().pipeview_begin,
-                     .end = trace::global_telemetry().pipeview_end});
+  if (cfg.interference) enable_interference();
+  if (cfg.pipeview) {
+    enable_pipeview({.begin = cfg.pipeview_begin, .end = cfg.pipeview_end});
   }
 }
 

@@ -49,11 +49,19 @@ class Machine {
   const cpu::Core& core() const { return core_; }
   const MachineConfig& config() const { return cfg_; }
 
+  /// Attaches every instrument `cfg` asks for: telemetry when `enabled`
+  /// (with the per-PC profiler when `pc_profile`), else the per-PC
+  /// profiler alone when `pc_profile`; the interference profiler when
+  /// `interference`; the pipeview recorder over its window when
+  /// `pipeview`. Attaches nothing when cfg.any() is false. The
+  /// constructor calls it with the process-global default
+  /// (trace::global_telemetry); core::try_run_workload with
+  /// RunOptions::telemetry. Call before running.
+  void attach_instruments(const trace::TelemetryConfig& cfg);
+
   /// Attaches time-resolved telemetry (counter time-series + event
-  /// timeline; see src/trace/telemetry.h). The constructor calls this
-  /// automatically when the process-global default is enabled (the
-  /// hand-driven bench binaries with SMT_BENCH_TRACE_DIR set). Call
-  /// before running; enabling never perturbs any counter.
+  /// timeline; see src/trace/telemetry.h). Call before running; enabling
+  /// never perturbs any counter.
   void enable_telemetry(const trace::TelemetryConfig& cfg);
 
   /// The attached telemetry (null when disabled). Shared so RunStats can
@@ -63,11 +71,8 @@ class Machine {
   }
 
   /// Attaches the per-PC attribution profiler (read-only pipeline
-  /// observer; see src/profile/pc_profiler.h). The constructor calls this
-  /// automatically when the process-global telemetry default has
-  /// pc_profile set (the hand-driven bench binaries with
-  /// SMT_BENCH_PROFILE=1). Call before running; enabling never perturbs
-  /// any counter.
+  /// observer; see src/profile/pc_profiler.h). Call before running;
+  /// enabling never perturbs any counter.
   void enable_pc_profiler();
 
   /// The attached profiler (null when disabled). Shared so RunStats can
@@ -93,12 +98,8 @@ class Machine {
 
   /// Attaches the SMT interference profiler (read-only pipeline observer;
   /// see src/profile/interference.h) and turns on the hierarchy's L2
-  /// eviction bookkeeping. The constructor calls this automatically when
-  /// the process-global telemetry default has `interference` set (the
-  /// hand-driven bench binaries with SMT_BENCH_INTERFERENCE=1). Call
-  /// before running;
-  /// enabling never perturbs any counter. Coexists with every other
-  /// observer on the core's bus.
+  /// eviction bookkeeping. Call before running; enabling never perturbs
+  /// any counter. Coexists with every other observer on the core's bus.
   void enable_interference();
 
   /// Copies the hierarchy's L2 sibling-eviction counts into the
@@ -115,11 +116,8 @@ class Machine {
   }
 
   /// Attaches the pipeline-lifetime (Kanata) recorder; see
-  /// src/trace/pipeview.h. The constructor calls this automatically when
-  /// the process-global telemetry default has `pipeview` set (smt_sweep
-  /// --pipeview, or the hand-driven bench binaries with
-  /// SMT_BENCH_PIPEVIEW=1). Call before running; recording
-  /// never perturbs any counter.
+  /// src/trace/pipeview.h. Call before running; recording never perturbs
+  /// any counter.
   void enable_pipeview(const trace::PipeViewConfig& cfg);
 
   /// The attached pipeline-lifetime recorder (null when disabled).
@@ -160,6 +158,11 @@ class Machine {
   }
   CpuId run_until_any_done(Cycle max_cycles = 4'000'000'000ull) {
     return core_.run_until_any_done(max_cycles);
+  }
+  /// Non-aborting twin of run_until_any_done, as try_run is of run().
+  cpu::RunResult try_run_until_any_done(
+      Cycle max_cycles = 4'000'000'000ull) {
+    return core_.try_run_until_any_done(max_cycles);
   }
 
   Cycle cycles() const { return core_.now(); }

@@ -1,10 +1,9 @@
 // RunReport: a structured, machine-readable artifact describing one
 // simulated run — the RunStats, a top-down per-CPU cycle-accounting
 // breakdown derived from them, and the machine configuration the run
-// executed on. Every smt_sweep job writes one of these as JSON, and so
-// does every run of a hand-driven bench binary given SMT_BENCH_REPORT_DIR,
-// so results are comparable across configs and revisions without
-// scraping stdout tables (tools/smt_figures prints the kernel figures
+// executed on. Every smt_sweep job writes one of these as JSON, so
+// results are comparable across configs and revisions without scraping
+// stdout tables (tools/smt_figures prints every paper figure and table
 // from them).
 //
 // JSON schema. This comment is its one description; its invariants live

@@ -42,6 +42,7 @@ RunOutcome try_run_workload(const MachineConfig& cfg, Workload& w,
   RunOutcome out;
 
   Machine m(cfg);
+  m.attach_instruments(opt.telemetry);
   if (cancel) m.set_cancel_check(std::move(cancel));
   w.setup(m);
   if (opt.race_detect) {
@@ -64,7 +65,9 @@ RunOutcome try_run_workload(const MachineConfig& cfg, Workload& w,
   for (size_t i = 0; i < progs.size(); ++i) {
     m.load_program(static_cast<CpuId>(i), std::move(progs[i]));
   }
-  const cpu::RunResult run = m.try_run(max_cycles);
+  const cpu::RunResult run = opt.until_first_done
+                                 ? m.try_run_until_any_done(max_cycles)
+                                 : m.try_run(max_cycles);
 
   // The stats always describe the run, even a failed one: a partial report
   // (cycles so far, all counters, finalized telemetry) is still valid data.

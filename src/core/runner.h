@@ -73,6 +73,15 @@ struct RunOptions {
   /// `smt-core-dump/1` document (the smt_explain input). Pure observer:
   /// every perf counter stays bit-identical.
   bool flight_recorder = false;
+  /// The instruments to attach (Machine::attach_instruments): telemetry,
+  /// the per-PC profiler, interference attribution, the pipeview
+  /// recorder. Each adds its report section or its stats member; none
+  /// perturbs a counter. Attaches nothing by default.
+  trace::TelemetryConfig telemetry{};
+  /// Stop when the first bound context exits (the co-execution
+  /// experiments' fully-overlapped window) instead of when all have;
+  /// the workload's verify() then sees the sibling still running.
+  bool until_first_done = false;
 };
 
 /// Structured result of a non-aborting workload run. `stats` is always
@@ -96,8 +105,8 @@ struct RunOutcome {
 /// plus its shared telemetry (finalized), per-PC profile, race detector,
 /// interference attribution (L2 dimension finalized) and pipeview
 /// recorder. The one place a Machine becomes RunStats — try_run_workload,
-/// report_from_machine, the stream drivers and benches that drive a
-/// Machine by hand all call it.
+/// report_from_machine and the tests that drive a Machine by hand all
+/// call it.
 RunStats stats_from_machine(const Machine& m, std::string workload,
                             bool verified);
 

@@ -922,8 +922,12 @@ bool Core::any_done() const {
   return false;
 }
 
+RunResult Core::try_run_until_any_done(Cycle max_cycles) {
+  return run_until(max_cycles, &Core::any_done);
+}
+
 CpuId Core::run_until_any_done(Cycle max_cycles) {
-  const RunResult r = run_until(max_cycles, &Core::any_done);
+  const RunResult r = try_run_until_any_done(max_cycles);
   SMT_CHECK_MSG(r.ok(), r.message.c_str());
   int i = 0;
   while (!done(static_cast<CpuId>(i))) ++i;

@@ -132,10 +132,14 @@ class Core {
   }
 
   /// Runs until the first bound context exits (used by the co-execution
-  /// stream experiments, which measure CPI over the fully-overlapped
-  /// window). Returns the id of the finished context. The same loop as
-  /// try_run with an earlier stop; aborts like run() on its failures.
+  /// experiments, which measure CPI over the fully-overlapped window).
+  /// Returns the id of the finished context. The same loop as try_run
+  /// with an earlier stop; aborts like run() on its failures.
   CpuId run_until_any_done(Cycle max_cycles = 4'000'000'000ull);
+
+  /// Non-aborting twin of run_until_any_done, as try_run is of run(): on
+  /// kDone at least one bound context has exited (see done()).
+  RunResult try_run_until_any_done(Cycle max_cycles = 4'000'000'000ull);
 
   bool done(CpuId cpu) const { return threads_[idx(cpu)].mode == TMode::kDone; }
   bool all_done() const;

@@ -1,10 +1,12 @@
 #include "host/experiments.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/check.h"
 #include "common/io.h"
@@ -14,6 +16,8 @@
 #include "kernels/cg.h"
 #include "kernels/lu.h"
 #include "kernels/matmul.h"
+#include "streams/stream_runner.h"
+#include "sync/primitives.h"
 
 namespace smt::host {
 
@@ -23,6 +27,8 @@ using kernels::BtMode;
 using kernels::CgMode;
 using kernels::LuMode;
 using kernels::MmMode;
+using streams::IlpLevel;
+using streams::StreamKind;
 
 // ---------------------------------------------------------------------------
 // Self-test workloads: deterministic failures for exercising the sweep's
@@ -153,8 +159,220 @@ class VerifyFailWorkload : public core::Workload {
 };
 
 // ---------------------------------------------------------------------------
+// Kernel parameters: the one definition of each kernel job's sizes.
+// ---------------------------------------------------------------------------
+
+kernels::MatMulParams mm_params(MmMode mode, size_t n) {
+  kernels::MatMulParams p;
+  p.n = n;
+  p.tile = 16;
+  p.mode = mode;
+  // Long span waits: the prefetcher sleeps via halt/IPI.
+  p.halt_barriers =
+      mode == MmMode::kTlpPfetch || mode == MmMode::kTlpPfetchWork;
+  return p;
+}
+
+kernels::LuParams lu_params(LuMode mode, size_t n) {
+  kernels::LuParams p;
+  p.n = n;
+  p.tile = 16;
+  p.mode = mode;
+  return p;
+}
+
+/// CG with 8 nonzeros per row.
+kernels::CgParams cg_params(CgMode mode, size_t n, int iters,
+                            size_t span_rows) {
+  kernels::CgParams p;
+  p.n = n;
+  p.nz_per_row = 8;
+  p.iters = iters;
+  p.span_rows = span_rows;
+  p.mode = mode;
+  return p;
+}
+
+kernels::BtParams bt_params(BtMode mode, size_t lines, size_t cells) {
+  kernels::BtParams p;
+  p.lines = lines;
+  p.cells = cells;
+  p.mode = mode;
+  return p;
+}
+
+constexpr size_t kCgSpan = kernels::CgParams{}.span_rows;
+
+// ---------------------------------------------------------------------------
+// Paper 3.1's sync ablation: what an idle sibling costs a working thread,
+// per spin-wait flavour.
+// ---------------------------------------------------------------------------
+
+/// How the worker's sibling waits: absent, spinning tightly, spinning
+/// with pause, or asleep via halt until the worker's IPI.
+enum class WaitKind { kNone, kTight, kPause, kHalt };
+
+/// Context 0 runs a dispatch-hungry high-IPC integer workload (the regime
+/// of the paper's optimized kernels, where an active sibling costs real
+/// slots), then arrives at a barrier — waking its sibling when that one
+/// sleeps. Context 1 (absent for kNone) waits at the barrier the whole
+/// time.
+class SyncWaitWorkload final : public core::Workload {
+ public:
+  static constexpr int kWork = 240'000;  // int ALU operations on six chains
+
+  SyncWaitWorkload(std::string name, WaitKind kind)
+      : name_(std::move(name)), kind_(kind) {}
+
+  const std::string& name() const override { return name_; }
+
+  void setup(core::Machine&) override {
+    using isa::IReg;
+    mem::MemoryLayout lay(0x8000);
+    const sync::TwoThreadBarrier bar(lay, "ab");
+    flags_ = {bar.flag_addr(0), bar.flag_addr(1)};
+    regions_ = lay.regions();
+
+    isa::AsmBuilder w("worker");
+    bar.emit_init(w, IReg::R15);
+    for (int c = 0; c < 6; ++c) w.imovi(isa::ireg_n(c), 0);
+    w.imovi(IReg::R8, 1);
+    w.imovi(IReg::R0, 0);
+    const isa::Label loop = w.here();
+    for (int i = 0; i < 24; ++i) {
+      const IReg t = isa::ireg_n(i % 6);
+      w.iadd(t, t, IReg::R8);
+    }
+    w.iaddi(IReg::R0, IReg::R0, 24);
+    w.bri(isa::BrCond::kLt, IReg::R0, kWork, loop);
+    if (kind_ == WaitKind::kHalt) {
+      bar.emit_wait_waker(w, 0, IReg::R15, IReg::R14, sync::SpinKind::kPause);
+    } else if (kind_ != WaitKind::kNone) {
+      bar.emit_wait(w, 0, IReg::R15, IReg::R14, sync::SpinKind::kPause);
+    }
+    w.exit();
+    programs_ = {w.take()};
+    if (kind_ == WaitKind::kNone) return;
+
+    isa::AsmBuilder s("waiter");
+    bar.emit_init(s, IReg::R15);
+    switch (kind_) {
+      case WaitKind::kTight:
+        bar.emit_wait(s, 1, IReg::R15, IReg::R14, sync::SpinKind::kTight);
+        break;
+      case WaitKind::kPause:
+        bar.emit_wait(s, 1, IReg::R15, IReg::R14, sync::SpinKind::kPause);
+        break;
+      default:
+        bar.emit_wait_sleeper(s, 1, IReg::R15, IReg::R14);
+        break;
+    }
+    s.exit();
+    programs_.push_back(s.take());
+  }
+
+  std::vector<isa::Program> programs() const override { return programs_; }
+
+  /// Both contexts published the one barrier episode (no flag moved
+  /// without a sibling).
+  bool verify(const core::Machine& m) const override {
+    const int64_t episode = kind_ == WaitKind::kNone ? 0 : 1;
+    return m.memory().read_i64(flags_[0]) == episode &&
+           m.memory().read_i64(flags_[1]) == episode;
+  }
+
+  core::MemInfo mem_info() const override { return {{}, regions_, true}; }
+
+ private:
+  std::string name_;
+  WaitKind kind_;
+  std::array<Addr, 2> flags_{};
+  std::vector<mem::MemoryLayout::Region> regions_;
+  std::vector<isa::Program> programs_;
+};
+
+// ---------------------------------------------------------------------------
+// Multiprogrammed kernel pairs: two serial kernels, one per logical CPU.
+// ---------------------------------------------------------------------------
+
+/// Serial kernel `app` in address-space window `slot`: windows are
+/// 64 MiB apart, so two apps on one machine never alias. In window 0 each
+/// is its solo job (multiprog_solo_job).
+std::unique_ptr<core::Workload> multiprog_app(const std::string& app,
+                                              int slot) {
+  constexpr Addr kWindowBytes = 64ull << 20;
+  const auto at = [slot](auto p) {
+    p.mem_base += slot * kWindowBytes;
+    p.sync_base += slot * kWindowBytes;
+    return p;
+  };
+  if (app == "mm") {
+    return std::make_unique<kernels::MatMulWorkload>(
+        at(mm_params(MmMode::kSerial, 64)));
+  }
+  if (app == "lu") {
+    return std::make_unique<kernels::LuWorkload>(
+        at(lu_params(LuMode::kSerial, 128)));
+  }
+  if (app == "cg") {
+    return std::make_unique<kernels::CgWorkload>(
+        at(cg_params(CgMode::kSerial, 4096, 3, kCgSpan)));
+  }
+  SMT_CHECK(app == "bt");
+  return std::make_unique<kernels::BtWorkload>(
+      at(bt_params(BtMode::kSerial, 24, 24)));
+}
+
+/// Apps `a` (CPU 0, window 0) and `b` (CPU 1, window 1), run until the
+/// first exits: the fully-overlapped window over which the row app's CPI
+/// is measured. Verifies every app whose program finished.
+class MultiprogWorkload final : public core::Workload {
+ public:
+  MultiprogWorkload(std::string name, const std::string& a,
+                    const std::string& b)
+      : name_(std::move(name)),
+        apps_{multiprog_app(a, 0), multiprog_app(b, 1)} {}
+
+  const std::string& name() const override { return name_; }
+
+  void setup(core::Machine& m) override {
+    for (const auto& app : apps_) app->setup(m);
+  }
+
+  std::vector<isa::Program> programs() const override {
+    return {apps_[0]->programs().at(0), apps_[1]->programs().at(0)};
+  }
+
+  bool verify(const core::Machine& m) const override {
+    bool finished = false;
+    for (int i = 0; i < kNumLogicalCpus; ++i) {
+      if (!m.core().done(static_cast<CpuId>(i))) continue;
+      finished = true;
+      if (!apps_[i]->verify(m)) return false;
+    }
+    return finished;
+  }
+
+  core::MemInfo mem_info() const override {
+    core::MemInfo out{{}, {}, true};
+    for (const auto& app : apps_) {
+      const core::MemInfo mi = app->mem_info();
+      out.data.insert(out.data.end(), mi.data.begin(), mi.data.end());
+      out.sync.insert(out.sync.end(), mi.sync.begin(), mi.sync.end());
+      out.complete = out.complete && mi.complete;
+    }
+    return out;
+  }
+
+ private:
+  std::string name_;
+  std::array<std::unique_ptr<core::Workload>, 2> apps_;
+};
+
+// ---------------------------------------------------------------------------
 // Registry construction: the kernel suites of Figures 3-5, their
-// ablations and full sizes, then the self tests.
+// ablations and full sizes, the stream, Table 1, sync and multiprogram
+// runs, then the self tests.
 // ---------------------------------------------------------------------------
 
 /// A job of `manifest` named `name` whose factory is `make`.
@@ -174,52 +392,65 @@ ExperimentDef kernel_def(std::string name, const P& p, const char* manifest) {
 }
 
 ExperimentDef mm_def(MmMode mode, size_t n, const char* manifest) {
-  kernels::MatMulParams p;
-  p.n = n;
-  p.tile = 16;
-  p.mode = mode;
-  // Long span waits: the prefetcher sleeps via halt/IPI.
-  p.halt_barriers =
-      mode == MmMode::kTlpPfetch || mode == MmMode::kTlpPfetchWork;
   return kernel_def<kernels::MatMulWorkload>(
-      std::string("mm.") + kernels::name(mode) + ".n" + std::to_string(n), p,
-      manifest);
+      std::string("mm.") + kernels::name(mode) + ".n" + std::to_string(n),
+      mm_params(mode, n), manifest);
 }
 
 ExperimentDef lu_def(LuMode mode, size_t n, const char* manifest) {
-  kernels::LuParams p;
-  p.n = n;
-  p.tile = 16;
-  p.mode = mode;
   return kernel_def<kernels::LuWorkload>(
-      std::string("lu.") + kernels::name(mode) + ".n" + std::to_string(n), p,
-      manifest);
+      std::string("lu.") + kernels::name(mode) + ".n" + std::to_string(n),
+      lu_params(mode, n), manifest);
 }
 
-/// CG with 8 nonzeros per row; `suffix` tells the job from Figure 5's
-/// (n = 8192, 6 iterations, the default span).
+/// CG; `suffix` tells the job from Figure 5's (n = 8192, 6 iterations,
+/// the default span: a working set ~5 MB >> L2, like Class A's relation
+/// to the Xeon caches).
 ExperimentDef cg_def(CgMode mode, size_t n, int iters, size_t span_rows,
                      const std::string& suffix, const char* manifest) {
-  kernels::CgParams p;
-  // Working set ~5 MB >> L2, like Class A's relation to the Xeon caches.
-  p.n = n;
-  p.nz_per_row = 8;
-  p.iters = iters;
-  p.span_rows = span_rows;
-  p.mode = mode;
   return kernel_def<kernels::CgWorkload>(
-      std::string("cg.") + kernels::name(mode) + suffix, p, manifest);
+      std::string("cg.") + kernels::name(mode) + suffix,
+      cg_params(mode, n, iters, span_rows), manifest);
 }
 
 /// BT; `suffix` tells the job from Figure 5's (64 lines of 32 cells).
 ExperimentDef bt_def(BtMode mode, size_t lines, size_t cells,
                      const std::string& suffix, const char* manifest) {
-  kernels::BtParams p;
-  p.lines = lines;
-  p.cells = cells;
-  p.mode = mode;
   return kernel_def<kernels::BtWorkload>(
-      std::string("bt.") + kernels::name(mode) + suffix, p, manifest);
+      std::string("bt.") + kernels::name(mode) + suffix,
+      bt_params(mode, lines, cells), manifest);
+}
+
+/// A streams-manifest job running `specs` (one stream, or a pair run to
+/// the first one's exit).
+ExperimentDef stream_def(std::string name,
+                         std::vector<streams::StreamSpec> specs) {
+  ExperimentDef d = def(std::move(name), "streams", [specs] {
+    return std::make_unique<streams::StreamWorkload>(specs);
+  });
+  d.until_first_done = specs.size() == 2;
+  return d;
+}
+
+streams::StreamSpec stream_spec(StreamKind kind, IlpLevel ilp,
+                                uint64_t ops) {
+  streams::StreamSpec s;
+  s.kind = kind;
+  s.ilp = ilp;
+  s.ops = ops;
+  return s;
+}
+
+/// Figure 2's operation count for `kind`: long-latency streams get fewer
+/// operations so the whole figure stays quick (the CPI measurement is
+/// rate-based and insensitive to length).
+uint64_t fig2_ops(StreamKind kind) {
+  switch (kind) {
+    case StreamKind::kFDiv: return 6'000;
+    case StreamKind::kIDiv: return 4'000;
+    case StreamKind::kIMul: return 40'000;
+    default: return 120'000;
+  }
 }
 
 /// `d` on a machine whose buffering structures are shared dynamically
@@ -239,7 +470,6 @@ constexpr CgMode kCgModes[] = {CgMode::kSerial, CgMode::kTlpCoarse,
                                CgMode::kTlpPfetch, CgMode::kTlpPfetchWork};
 constexpr BtMode kBtModes[] = {BtMode::kSerial, BtMode::kTlpCoarse,
                                BtMode::kTlpPfetch};
-constexpr size_t kCgSpan = kernels::CgParams{}.span_rows;
 
 std::vector<ExperimentDef> build_registry() {
   std::vector<ExperimentDef> defs;
@@ -291,6 +521,80 @@ std::vector<ExperimentDef> build_registry() {
     defs.push_back(bt_def(mode, 96, 32, ".l96c32", "full"));
   }
 
+  // Figure 1: each stream alone and beside a copy of itself, every run
+  // around a million cycles.
+  for (StreamKind k : kFig1Streams) {
+    for (IlpLevel l : kIlpLevels) {
+      const streams::StreamSpec s = stream_spec(k, l, 300'000);
+      defs.push_back(stream_def(fig1_job(k, l, 1), {s}));
+      defs.push_back(stream_def(fig1_job(k, l, 2), {s, s}));
+    }
+  }
+  // Figure 2: every victim alone and beside every aggressor of its
+  // panels, each job once. The aggressor runs 4x longer, so the
+  // victim's whole execution is overlapped (the paper's continuous
+  // co-execution).
+  std::set<std::string> seen;
+  const auto panel = [&](std::span<const StreamKind> victims,
+                         std::span<const StreamKind> aggressors) {
+    for (StreamKind v : victims) {
+      for (IlpLevel l : kIlpLevels) {
+        const streams::StreamSpec victim = stream_spec(v, l, fig2_ops(v));
+        if (seen.insert(fig2_job(v, std::nullopt, l)).second) {
+          defs.push_back(stream_def(fig2_job(v, std::nullopt, l), {victim}));
+        }
+        for (StreamKind a : aggressors) {
+          if (!seen.insert(fig2_job(v, a, l)).second) continue;
+          defs.push_back(stream_def(fig2_job(v, a, l),
+                                    {victim, stream_spec(a, l, 4 * fig2_ops(a))}));
+        }
+      }
+    }
+  };
+  panel(kFig2FpSet, kFig2FpSet);
+  panel(kFig2IntSet, kFig2IntSet);
+  panel(kFig2FpArith, kFig2IntArith);
+  panel(kFig2IntArith, kFig2FpArith);
+
+  // Table 1: the MM and LU columns are the default n = 64 jobs; CG and
+  // BT run smaller than Figure 5.
+  for (CgMode mode : {CgMode::kSerial, CgMode::kTlpCoarse,
+                      CgMode::kTlpPfetch}) {
+    defs.push_back(cg_def(mode, 4096, 4, kCgSpan, ".n4096.i4", "table1"));
+  }
+  for (BtMode mode : kBtModes) {
+    defs.push_back(bt_def(mode, 32, 16, ".l32c16", "table1"));
+  }
+
+  // Ablation (paper 3.1): the worker beside each waiting sibling.
+  const std::pair<const char*, WaitKind> waits[] = {
+      {"none", WaitKind::kNone},
+      {"tight", WaitKind::kTight},
+      {"pause", WaitKind::kPause},
+      {"halt", WaitKind::kHalt}};
+  for (const auto& [suffix, kind] : waits) {
+    const std::string name = std::string("sync.") + suffix;
+    defs.push_back(def(name, "sync", [name, kind] {
+      return std::make_unique<SyncWaitWorkload>(name, kind);
+    }));
+  }
+
+  // Multiprogrammed pairs. MM's and LU's solo runs are the default
+  // mm.serial.n64 and lu.serial.n128 jobs.
+  for (const char* app : {"cg", "bt"}) {
+    defs.push_back(def(multiprog_solo_job(app), "multiprog",
+                       [app] { return multiprog_app(app, 0); }));
+  }
+  for (const char* a : kMultiprogApps) {
+    for (const char* b : kMultiprogApps) {
+      const std::string name = multiprog_job(a, b);
+      defs.push_back(def(name, "multiprog", [name, a, b] {
+        return std::make_unique<MultiprogWorkload>(name, a, b);
+      }));
+      defs.back().until_first_done = true;
+    }
+  }
+
   // Self tests: structured-failure probes, in their own manifest (CI
   // injects them by name).
   const auto selftest = [](const std::string& name, auto make) {
@@ -323,6 +627,30 @@ std::vector<ExperimentDef> build_registry() {
 }
 
 }  // namespace
+
+std::string fig1_job(StreamKind kind, IlpLevel ilp, int threads) {
+  return std::string("fig1.") + streams::name(kind) + "." +
+         streams::name(ilp) + "." + std::to_string(threads) + "thr";
+}
+
+std::string fig2_job(StreamKind victim, std::optional<StreamKind> aggressor,
+                     IlpLevel ilp) {
+  std::string out = std::string("fig2.") + streams::name(victim);
+  if (aggressor.has_value()) out += std::string("_") + streams::name(*aggressor);
+  return out + "." + streams::name(ilp);
+}
+
+std::string multiprog_job(const std::string& a, const std::string& b) {
+  return "multiprog." + a + "_" + b;
+}
+
+std::string multiprog_solo_job(const std::string& app) {
+  if (app == "mm") return "mm.serial.n64";
+  if (app == "lu") return "lu.serial.n128";
+  if (app == "cg") return "cg.serial.n4096.i3";
+  SMT_CHECK(app == "bt");
+  return "bt.serial.l24c24";
+}
 
 namespace detail {
 

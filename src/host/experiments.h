@@ -1,20 +1,20 @@
-// Named experiment definitions for the sweep orchestrator: the paper's
-// figure workload suite (Figures 3-5, rendered by tools/smt_figures),
-// the kernel ablations, the full-size runs, and a few deliberately
-// failing self-test jobs used to exercise the structured failure paths
-// in CI. Each job belongs to one named manifest (kManifests), which
-// smt_sweep --manifest selects.
+// Named experiment definitions for the sweep orchestrator: every run
+// behind the paper's figures and tables (rendered by tools/smt_figures),
+// the ablations, the full-size runs, and a few deliberately failing
+// self-test jobs used to exercise the structured failure paths in CI.
+// Each job belongs to one named manifest (kManifests), which smt_sweep
+// --manifest selects; a table that reuses another manifest's jobs reads
+// both sweeps.
 //
 // Every definition is fully deterministic: the factory builds a fresh
 // Workload with fixed sizes and seeds, so a job's report depends only on
 // its name — never on which worker ran it, in what order, or whether the
-// watchdog forced a retry. The stream/co-execution experiments (Figures
-// 1-2, Table 1) drive machines by hand inside their bench binaries and
-// are not part of this registry.
+// watchdog forced a retry.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,16 +24,21 @@
 #include "core/machine.h"
 #include "core/workload.h"
 #include "isa/program.h"
+#include "streams/stream_gen.h"
 
 namespace smt::host {
 
 /// The registry's manifests, in registry order: "default" (Figures 3-5
-/// at the bench sizes, the suite bench/history and CI sweep), "ablation"
-/// (the SPR-span and partitioning ablations' own jobs), "full" (the
-/// largest, paper-scale-ratio sizes) and "selftest" (structured-failure
-/// probes, injected by name).
-inline constexpr const char* kManifests[] = {"default", "ablation", "full",
-                                             "selftest"};
+/// at the bench sizes), "ablation" (the SPR-span and partitioning
+/// ablations' own jobs), "full" (the largest, paper-scale-ratio sizes),
+/// "streams" (Figures 1-2's stream runs), "table1" (Table 1's CG and BT
+/// runs; its MM and LU columns are default jobs), "sync" (the paper 3.1
+/// spin/pause/halt ablation), "multiprog" (the multiprogrammed kernel
+/// pairs and the solo runs no other manifest holds) and "selftest"
+/// (structured-failure probes, injected by name).
+inline constexpr const char* kManifests[] = {
+    "default", "ablation", "full",      "streams",
+    "table1",  "sync",     "multiprog", "selftest"};
 
 struct ExperimentDef {
   /// Registry key (e.g. "mm.serial.n64").
@@ -46,6 +51,9 @@ struct ExperimentDef {
   Cycle cycle_budget = 4'000'000'000ull;
   /// The manifest the job belongs to: one of kManifests.
   std::string manifest = "default";
+  /// Stop at the first context's exit (core::RunOptions::
+  /// until_first_done): the co-execution pairs' fully-overlapped window.
+  bool until_first_done = false;
   /// Run with the happens-before race detector attached
   /// (core::RunOptions::race_detect); a detected race comes back as a
   /// structured kRaceDetected outcome.
@@ -56,6 +64,50 @@ struct ExperimentDef {
   /// JobPool's pre-retry artifact scrub end to end.
   bool timeout_first_attempt = false;
 };
+
+// The stream sets of Figures 1-2 (the rows and columns smt_figures
+// prints) and the ILP levels each is run at.
+inline constexpr streams::IlpLevel kIlpLevels[] = {
+    streams::IlpLevel::kMin, streams::IlpLevel::kMed, streams::IlpLevel::kMax};
+inline constexpr streams::StreamKind kFig1Streams[] = {
+    streams::StreamKind::kFAdd, streams::StreamKind::kFMul,
+    streams::StreamKind::kFAddMul, streams::StreamKind::kIAdd,
+    streams::StreamKind::kILoad};
+/// Figure 2(a)'s victims and aggressors.
+inline constexpr streams::StreamKind kFig2FpSet[] = {
+    streams::StreamKind::kFAdd, streams::StreamKind::kFSub,
+    streams::StreamKind::kFMul, streams::StreamKind::kFDiv,
+    streams::StreamKind::kFLoad, streams::StreamKind::kFStore};
+/// Figure 2(b)'s victims and aggressors.
+inline constexpr streams::StreamKind kFig2IntSet[] = {
+    streams::StreamKind::kIAdd, streams::StreamKind::kISub,
+    streams::StreamKind::kIMul, streams::StreamKind::kIDiv,
+    streams::StreamKind::kILoad, streams::StreamKind::kIStore};
+/// Figure 2(c)'s victims (2(c')'s aggressors) and the reverse.
+inline constexpr streams::StreamKind kFig2FpArith[] = {
+    streams::StreamKind::kFAdd, streams::StreamKind::kFMul,
+    streams::StreamKind::kFDiv};
+inline constexpr streams::StreamKind kFig2IntArith[] = {
+    streams::StreamKind::kIAdd, streams::StreamKind::kIMul,
+    streams::StreamKind::kIDiv};
+
+/// Figure 1's job: `kind` at `ilp`, alone (threads 1) or beside a copy of
+/// itself (threads 2); e.g. "fig1.fadd.minILP.2thr".
+std::string fig1_job(streams::StreamKind kind, streams::IlpLevel ilp,
+                     int threads);
+/// Figure 2's job: `victim` at `ilp` alone (no aggressor; e.g.
+/// "fig2.fadd.minILP") or beside `aggressor` ("fig2.fadd_fmul.minILP").
+std::string fig2_job(streams::StreamKind victim,
+                     std::optional<streams::StreamKind> aggressor,
+                     streams::IlpLevel ilp);
+/// The multiprogram study's applications (serial kernels), in table
+/// order.
+inline constexpr const char* kMultiprogApps[] = {"mm", "lu", "cg", "bt"};
+/// The multiprogram pair job of `a` on CPU 0 beside `b` on CPU 1, e.g.
+/// "multiprog.mm_lu".
+std::string multiprog_job(const std::string& a, const std::string& b);
+/// The job that runs multiprogram app `app` (mm, lu, cg or bt) alone.
+std::string multiprog_solo_job(const std::string& app);
 
 /// The full registry, in canonical (figure/table) order.
 const std::vector<ExperimentDef>& experiments();

@@ -33,6 +33,7 @@ std::string meta_json(const ResultKey& key, const CachedResult& r) {
   w.kv("cycle_budget", static_cast<uint64_t>(key.cycle_budget));
   w.kv("race_detect", key.race_detect);
   w.kv("flight_recorder", key.flight_recorder);
+  if (!key.options.empty()) w.kv("options", key.options);
   w.kv("report_epoch", key.report_epoch);
   w.kv("outcome", r.outcome);
   w.kv("message", r.message);
@@ -55,11 +56,32 @@ std::string ResultKey::canonical() const {
   out += std::string("race_detect ") + (race_detect ? "1" : "0") + "\n";
   out += std::string("flight_recorder ") + (flight_recorder ? "1" : "0") +
          "\n";
+  if (!options.empty()) out += "options " + options + "\n";
   out += "report_epoch " + report_epoch + "\n";
   return out;
 }
 
 std::string ResultKey::hash() const { return fnv1a64_hex(canonical()); }
+
+std::string options_text(const core::RunOptions& opt) {
+  std::string out;
+  const trace::TelemetryConfig& t = opt.telemetry;
+  if (t.any()) {
+    const auto flag = [](bool b) { return b ? "1" : "0"; };
+    out += std::string("telemetry=") + flag(t.enabled) + "/" +
+           std::to_string(t.sample_window) + "/" +
+           std::to_string(t.ring_capacity) + "/" +
+           std::to_string(t.l2_burst_gap) + " pc_profile=" +
+           flag(t.pc_profile) + " interference=" + flag(t.interference) +
+           " pipeview=" + flag(t.pipeview) + "/" +
+           std::to_string(t.pipeview_begin) + ":" +
+           std::to_string(t.pipeview_end);
+  }
+  if (opt.until_first_done) {
+    out += std::string(out.empty() ? "" : " ") + "until_first_done";
+  }
+  return out;
+}
 
 ResultKey result_key(const ExperimentDef& def, const core::MachineConfig& cfg,
                      Cycle cycle_budget, const core::RunOptions& opt) {
@@ -75,6 +97,7 @@ ResultKey result_key(const ExperimentDef& def, const core::MachineConfig& cfg,
   key.cycle_budget = cycle_budget;
   key.race_detect = opt.race_detect;
   key.flight_recorder = opt.flight_recorder;
+  key.options = options_text(opt);
   return key;
 }
 
@@ -119,6 +142,7 @@ std::optional<CachedResult> ResultStore::load(const ResultKey& key) const {
   const JsonValue* digests = meta->find("program_digests");
   const JsonValue* budget = meta->find("cycle_budget");
   const JsonValue* cycles = meta->find("cycles");
+  const JsonValue* options = meta->find("options");
   bool race_detect = false;
   bool flight_recorder = false;
   bool verified = false;
@@ -137,7 +161,10 @@ std::optional<CachedResult> ResultStore::load(const ResultKey& key) const {
       !boolean("verified", &verified) || !boolean("has_dump", &has_dump)) {
     return std::nullopt;
   }
-  if (static_cast<Cycle>(budget->number) != key.cycle_budget) {
+  if (static_cast<Cycle>(budget->number) != key.cycle_budget ||
+      (options == nullptr ? !key.options.empty()
+                          : !options->is_string() ||
+                                options->string != key.options)) {
     return std::nullopt;
   }
   if (digests->array.size() != key.program_digests.size()) return std::nullopt;

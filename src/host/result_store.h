@@ -12,7 +12,9 @@
 //     (core::machine_config_json — byte-identical to the report's
 //     "config" section by construction);
 //   * the run options that steer the simulation: cycle budget,
-//     race_detect, flight_recorder;
+//     race_detect, flight_recorder, and — only when set, so the keys of
+//     jobs run without them never move — the attached instruments and
+//     the until-first-done stop (ResultKey::options);
 //   * the report-schema epoch (kReportEpoch) — bumped whenever report
 //     serialization changes, so stale objects age out instead of
 //     resurfacing old bytes.
@@ -60,6 +62,10 @@ struct ResultKey {
   Cycle cycle_budget = 0;
   bool race_detect = false;
   bool flight_recorder = false;
+  /// options_text of the run's RunOptions: "" for a run with no
+  /// instruments and the all-done stop, and then absent from canonical()
+  /// and meta.json.
+  std::string options;
   std::string report_epoch = kReportEpoch;
 
   /// The full key as one canonical byte string (what hash() digests and
@@ -69,6 +75,11 @@ struct ResultKey {
   /// 16-hex FNV-1a digest of canonical() — the object directory name.
   std::string hash() const;
 };
+
+/// The canonical text of the RunOptions members that only some runs set:
+/// the attached instruments (RunOptions::telemetry, every field, when it
+/// attaches any) and until_first_done. "" when neither is set.
+std::string options_text(const core::RunOptions& opt);
 
 /// Builds the key for one registry experiment under the given machine
 /// config and run options. Instantiates a throwaway workload and runs

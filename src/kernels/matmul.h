@@ -45,7 +45,7 @@ struct MatMulParams {
   sync::SpinKind spin = sync::SpinKind::kPause;
   /// Base of this workload's simulated-memory window (data) and of its
   /// synchronization variables; override to co-locate two workloads on
-  /// one machine without aliasing (see bench/multiprog_pairs).
+  /// one machine without aliasing (see host::MultiprogWorkload).
   Addr mem_base = 0x10000;
   Addr sync_base = 0x8000;
   /// Use halt/IPI sleeper barriers for the prefetcher's long-duration

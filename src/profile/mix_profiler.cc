@@ -37,22 +37,50 @@ Subunit subunit_of(isa::UnitClass u) {
   return Subunit::kOther;
 }
 
+double MixCounts::pct(Subunit s) const {
+  if (total == 0) return 0.0;
+  return 100.0 * static_cast<double>(counts[static_cast<int>(s)]) /
+         static_cast<double>(total);
+}
+
+std::optional<MixCounts> mix_from_report(const JsonValue& report, int cpu) {
+  const JsonValue* prof = report.find("profile");
+  const JsonValue* hotspots =
+      prof != nullptr ? prof->find("hotspots") : nullptr;
+  if (hotspots == nullptr || !hotspots->is_array() ||
+      static_cast<size_t>(cpu) >= hotspots->array.size()) {
+    return std::nullopt;
+  }
+  const JsonValue* pcs = hotspots->array[cpu].find("pcs");
+  if (pcs == nullptr || !pcs->is_array()) return std::nullopt;
+  MixCounts mix;
+  for (const JsonValue& pc : pcs->array) {
+    const JsonValue* disasm = pc.find("disasm");
+    if (disasm == nullptr || !disasm->is_string()) return std::nullopt;
+    const std::string op = disasm->string.substr(0, disasm->string.find(' '));
+    int code = 0;
+    while (code < isa::kNumOpcodeValues &&
+           op != isa::name(static_cast<isa::Opcode>(code))) {
+      ++code;
+    }
+    if (code == isa::kNumOpcodeValues) return std::nullopt;
+    const auto retired =
+        static_cast<uint64_t>(number_or(pc, "retired_instrs", 0.0));
+    const Subunit s = subunit_of(isa::unit_class(static_cast<isa::Opcode>(code)));
+    mix.counts[static_cast<int>(s)] += retired;
+    mix.total += retired;
+  }
+  return mix;
+}
+
 void MixProfiler::on_retire(CpuId cpu, const cpu::DynUop& uop, int /*uops*/,
                             Cycle /*now*/) {
-  ++counts_[idx(cpu)][static_cast<int>(subunit_of(uop.unit))];
-  ++total_[idx(cpu)];
+  MixCounts& m = mix_[idx(cpu)];
+  ++m.counts[static_cast<int>(subunit_of(uop.unit))];
+  ++m.total;
 }
 
-double MixProfiler::pct(CpuId cpu, Subunit s) const {
-  const uint64_t t = total_[idx(cpu)];
-  if (t == 0) return 0.0;
-  return 100.0 * static_cast<double>(count(cpu, s)) / static_cast<double>(t);
-}
-
-void MixProfiler::reset() {
-  counts_ = {};
-  total_ = {};
-}
+void MixProfiler::reset() { mix_ = {}; }
 
 std::string MixProfiler::column(CpuId cpu) const {
   std::string out;

@@ -5,9 +5,10 @@
 // chrome://tracing).
 //
 // A Machine owns at most one Telemetry, created either explicitly via
-// Machine::enable_telemetry() or implicitly when the process-global
-// default (set_global_telemetry, wired to SMT_BENCH_TRACE_DIR in the
-// hand-driven bench binaries) is enabled. Disabled telemetry costs nothing:
+// Machine::enable_telemetry() / Machine::attach_instruments() (which
+// core::try_run_workload calls with RunOptions::telemetry, set by
+// smt_sweep --telemetry) or implicitly when the process-global default
+// (set_global_telemetry) is enabled. Disabled telemetry costs nothing:
 // neither instrument is attached to the core (the recorder rides the
 // observer bus, the sampler the core's sampler slot). Enabled
 // telemetry never perturbs a measurement: both instruments are read-only
@@ -39,20 +40,23 @@ struct TelemetryConfig {
   bool pc_profile = false;
   /// Attach the SMT interference profiler (src/profile/interference.h;
   /// run reports gain an `interference` section).
-  /// Independent of `enabled`, like pc_profile. Wired to
-  /// SMT_BENCH_INTERFERENCE in the hand-driven bench binaries.
+  /// Independent of `enabled`, like pc_profile.
   bool interference = false;
   /// Attach the pipeline-lifetime recorder (src/trace/pipeview.h; its
-  /// owner writes a Kanata .kanata file per run). Set by smt_sweep
-  /// --pipeview, and from SMT_BENCH_PIPEVIEW / SMT_BENCH_PIPEVIEW_WINDOW
-  /// in the hand-driven bench binaries.
+  /// owner writes a Kanata .kanata file per run) over cycles
+  /// [pipeview_begin, pipeview_end].
   bool pipeview = false;
   Cycle pipeview_begin = 0;
   Cycle pipeview_end = 100'000;
+
+  /// True when the config attaches any instrument.
+  bool any() const { return enabled || pc_profile || interference || pipeview; }
 };
 
 /// Process-global default consulted by Machine's constructor; disabled
-/// unless a driver (bench_main) turns it on.
+/// unless a caller turns it on. Only the sim_perf benchmark's `observed`
+/// workload still does: every other caller attaches instruments per run
+/// through core::RunOptions::telemetry.
 const TelemetryConfig& global_telemetry();
 void set_global_telemetry(const TelemetryConfig& cfg);
 

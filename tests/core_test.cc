@@ -284,6 +284,63 @@ TEST(TryRunWorkload, CancelHookWindsTheRunDown) {
   EXPECT_FALSE(o.message.empty());
 }
 
+/// Two counting loops of different lengths, one per logical CPU.
+class CountPairWorkload : public Workload {
+ public:
+  CountPairWorkload(int n0, int n1) : n0_(n0), n1_(n1) {}
+  const std::string& name() const override { return name_; }
+  void setup(Machine&) override {}
+  std::vector<isa::Program> programs() const override {
+    return {count_to(n0_, 0x9000), count_to(n1_, 0x9040)};
+  }
+  bool verify(const Machine& m) const override {
+    return m.memory().read_i64(0x9000) == n0_;
+  }
+
+ private:
+  std::string name_ = "count-pair";
+  int n0_, n1_;
+};
+
+TEST(TryRunWorkload, UntilFirstDoneMatchesRunUntilAnyDone) {
+  // The shorter loop finishes first on either CPU: the non-aborting
+  // until-first-done run must stop at the same cycle with the same
+  // counters and the same finished context as run_until_any_done.
+  for (const auto& [n0, n1] : {std::pair{2'000, 9'000}, std::pair{9'000, 2'000}}) {
+    Machine m;
+    m.load_program(CpuId::kCpu0, count_to(n0, 0x9000));
+    m.load_program(CpuId::kCpu1, count_to(n1, 0x9040));
+    const CpuId first = m.run_until_any_done();
+
+    CountPairWorkload w(n0, n1);
+    RunOptions opt;
+    opt.until_first_done = true;
+    const RunOutcome o =
+        try_run_workload(MachineConfig{}, w, 4'000'000'000ull, nullptr, opt);
+    EXPECT_EQ(first, n0 < n1 ? CpuId::kCpu0 : CpuId::kCpu1);
+    EXPECT_EQ(o.status, n0 < n1 ? RunStatus::kOk : RunStatus::kVerifyFailed);
+    EXPECT_EQ(o.stats.cycles, m.cycles());
+    EXPECT_EQ(o.stats.events.v, m.counters().snapshot().v);
+
+    Machine twin;
+    twin.load_program(CpuId::kCpu0, count_to(n0, 0x9000));
+    twin.load_program(CpuId::kCpu1, count_to(n1, 0x9040));
+    EXPECT_TRUE(twin.try_run_until_any_done().ok());
+    EXPECT_TRUE(twin.core().done(first));
+    EXPECT_FALSE(twin.core().done(first == CpuId::kCpu0 ? CpuId::kCpu1
+                                                        : CpuId::kCpu0));
+    EXPECT_EQ(twin.cycles(), m.cycles());
+  }
+}
+
+TEST(TryRunWorkload, UntilFirstDoneReportsABudgetInsteadOfAborting) {
+  Machine m;
+  m.load_program(CpuId::kCpu0, count_to(1'000'000'000, 0x9000));
+  m.load_program(CpuId::kCpu1, count_to(1'000'000'000, 0x9040));
+  const cpu::RunResult r = m.try_run_until_any_done(/*max_cycles=*/1000);
+  EXPECT_EQ(r.termination, cpu::RunTermination::kCycleBudgetExceeded);
+}
+
 TEST(TryRunWorkloadDeath, LegacyRunWorkloadStillAbortsOnDeadlock) {
   HaltForeverWorkload w;
   EXPECT_DEATH(run_workload(MachineConfig{}, w), "no future event");

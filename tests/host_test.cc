@@ -15,12 +15,15 @@
 #include <vector>
 
 #include "common/json.h"
+#include "core/machine.h"
 #include "core/run_report.h"
 #include "core/runner.h"
 #include "host/experiments.h"
 #include "host/job_pool.h"
 #include "host/result_store.h"
 #include "host/sweep_index.h"
+#include "isa/serialize.h"
+#include "profile/mix_profiler.h"
 
 namespace smt::host {
 namespace {
@@ -606,6 +609,19 @@ TEST(SweepIndex, EntryWithoutKeyOrCachedReadsAsPreCache) {
 // Experiment registry
 // ---------------------------------------------------------------------------
 
+/// mm.serial.n64's canonical result key with the flight recorder on and
+/// no other run option, as smt_sweep computes it.
+constexpr char kMmSerialN64CanonicalKey[] =
+    "smt-result-key/1\n"
+    "experiment mm.serial.n64\n"
+    "programs 1\n"
+    "b5f301883ca868b0\n"
+    "config 0241c0c2edb24cae\n"
+    "cycle_budget 4000000000\n"
+    "race_detect 0\n"
+    "flight_recorder 1\n"
+    "report_epoch smt-run-report/4\n";
+
 TEST(Experiments, RegistryNamesAreUniqueAndLookupsWork) {
   std::set<std::string> names;
   for (const ExperimentDef& d : experiments()) {
@@ -729,6 +745,138 @@ TEST(Experiments, DefaultJobKeysAreUnchanged) {
   ro.flight_recorder = true;
   EXPECT_EQ(result_key(*def, def->config, def->cycle_budget, ro).hash(),
             "10a46e17308b7f2c");
+}
+
+TEST(Experiments, DefaultJobCanonicalKeyWithoutInstruments) {
+  // The whole canonical key of a default job run as smt_sweep runs it
+  // with no instrument option: no options line, so the key (and every
+  // cache object and history entry filed under it) is the one the
+  // registry had before run options could carry instruments.
+  const ExperimentDef* def = find_experiment("mm.serial.n64");
+  ASSERT_NE(def, nullptr);
+  core::RunOptions ro;
+  ro.flight_recorder = true;
+  EXPECT_EQ(options_text(ro), "");
+  EXPECT_EQ(result_key(*def, def->config, def->cycle_budget, ro).canonical(),
+            kMmSerialN64CanonicalKey);
+}
+
+TEST(Experiments, InstrumentsAndTheFirstDoneStopEnterTheKey) {
+  const ExperimentDef* def = find_experiment("mm.serial.n64");
+  ASSERT_NE(def, nullptr);
+  core::RunOptions plain;
+  plain.flight_recorder = true;
+  const ResultKey base =
+      result_key(*def, def->config, def->cycle_budget, plain);
+  std::set<std::string> hashes = {base.hash()};
+  for (int variant = 0; variant < 4; ++variant) {
+    core::RunOptions ro = plain;
+    ro.telemetry.pc_profile = variant == 0;
+    ro.telemetry.interference = variant == 1;
+    ro.telemetry.enabled = variant == 2;
+    ro.until_first_done = variant == 3;
+    const ResultKey k = result_key(*def, def->config, def->cycle_budget, ro);
+    EXPECT_EQ(k.program_digests, base.program_digests);
+    EXPECT_FALSE(k.options.empty());
+    EXPECT_TRUE(hashes.insert(k.hash()).second) << k.canonical();
+  }
+}
+
+TEST(Experiments, MultiprogPairVerifiesTheAppThatFinished) {
+  const ExperimentDef* def = find_experiment("multiprog.mm_bt");
+  ASSERT_NE(def, nullptr);
+  ASSERT_TRUE(def->until_first_done);
+  core::RunOptions ro;
+  ro.until_first_done = true;
+  const core::RunOutcome o = core::try_run_workload(
+      def->config, *def->make(), def->cycle_budget, nullptr, ro);
+  ASSERT_EQ(o.status, core::RunStatus::kOk) << o.message;
+  const std::optional<JsonValue> report =
+      parse_json(core::RunReport::from(o.stats).to_json());
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(report->find("verified")->boolean);
+
+  // The same run by hand: the verdict is the finished app's own check,
+  // so wiping that app's address-space window fails it.
+  const std::unique_ptr<core::Workload> w = def->make();
+  core::Machine m(def->config);
+  w->setup(m);
+  const std::vector<isa::Program> progs = w->programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  const CpuId first = m.run_until_any_done();
+  EXPECT_EQ(m.cycles(), o.stats.cycles);
+  EXPECT_TRUE(w->verify(m));
+  constexpr Addr kWindowBytes = 64ull << 20;
+  const Addr lo = idx(first) * kWindowBytes;
+  for (const mem::MemoryLayout::Region& r : w->mem_info().data) {
+    if (r.base < lo || r.base >= lo + kWindowBytes) continue;
+    for (Addr a = r.base; a + 8 <= r.base + r.bytes; a += 8) {
+      m.memory().write_i64(a, 0);
+    }
+  }
+  EXPECT_FALSE(w->verify(m));
+}
+
+TEST(Experiments, MultiprogAppsInWindowZeroAreTheirSoloJobs) {
+  // A pair's CPU 0 program is its row app's solo job's program: the
+  // table's baseline is the same code in the same window.
+  const auto digest0 = [](const ExperimentDef& d) {
+    const std::unique_ptr<core::Workload> w = d.make();
+    core::Machine m(d.config);
+    w->setup(m);
+    return isa::program_digest(w->programs().at(0));
+  };
+  for (const char* app : kMultiprogApps) {
+    const ExperimentDef* solo = find_experiment(multiprog_solo_job(app));
+    const ExperimentDef* pair = find_experiment(multiprog_job(app, "mm"));
+    ASSERT_NE(solo, nullptr) << app;
+    ASSERT_NE(pair, nullptr) << app;
+    EXPECT_EQ(digest0(*solo), digest0(*pair)) << app;
+  }
+}
+
+TEST(Experiments, Table1MixFromAProfiledReportEqualsTheMixProfiler) {
+  // Table 1 reads the mix from a --profile report; MixProfiler counts it
+  // at retire. On an SPR job both contexts retire, so both CPUs compare.
+  const ExperimentDef* def = find_experiment("mm.tlp-pfetch.n64");
+  ASSERT_NE(def, nullptr);
+  const std::unique_ptr<core::Workload> w = def->make();
+  core::Machine m(def->config);
+  trace::TelemetryConfig profile;
+  profile.pc_profile = true;
+  m.attach_instruments(profile);
+  profile::MixProfiler mix;
+  m.core().add_observer(&mix);
+  w->setup(m);
+  const std::vector<isa::Program> progs = w->programs();
+  ASSERT_EQ(progs.size(), 2u);
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), progs[i]);
+  }
+  m.run();
+  const std::optional<JsonValue> report = parse_json(
+      core::RunReport::from(core::stats_from_machine(m, def->name, true))
+          .to_json());
+  ASSERT_TRUE(report.has_value());
+  for (int c = 0; c < kNumLogicalCpus; ++c) {
+    const std::optional<profile::MixCounts> got =
+        profile::mix_from_report(*report, c);
+    ASSERT_TRUE(got.has_value()) << c;
+    const profile::MixCounts& want = mix.mix(static_cast<CpuId>(c));
+    EXPECT_GT(want.total, 0u) << c;
+    EXPECT_EQ(got->total, want.total) << c;
+    EXPECT_EQ(got->counts, want.counts) << c;
+  }
+  // A report without a profile section has no mix.
+  const std::optional<JsonValue> plain = parse_json(
+      core::RunReport::from(core::try_run_workload(def->config, *def->make(),
+                                                   def->cycle_budget)
+                                .stats)
+          .to_json());
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_FALSE(profile::mix_from_report(*plain, 0).has_value());
 }
 
 TEST(Experiments, SelfTestsFailTheWayTheyPromise) {

@@ -1,6 +1,6 @@
 // Tests for the structured run-report layer: the minimal JSON
 // writer/parser, the top-down cycle-accounting derivation, the
-// RunReport JSON artifact every bench binary emits, and the report
+// RunReport JSON artifact every sweep job writes, and the report
 // validator (core::check_run_report) that check_reports shares.
 #include <gtest/gtest.h>
 

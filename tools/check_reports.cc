@@ -1,4 +1,4 @@
-// Validates the artifacts a bench binary or sweep wrote:
+// Validates the artifacts a sweep or a tool wrote:
 //
 //   $ check_reports <report-dir> [trace-dir] [--dumps <dir>]
 //                   [--metrics <metrics.json> --index <sweep_index.json>]

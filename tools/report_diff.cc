@@ -14,9 +14,9 @@
 // values differ at all is a mismatch. Every mismatch is printed; the exit
 // code is the gate: 0 = the reports match, 1 = mismatch(es) or a file
 // that core::check_run_report rejects (the finding names the file),
-// 2 = usage error, 3 = unreadable input. Diff a fresh
-// SMT_BENCH_REPORT_DIR artifact against a checked-in baseline; the
-// cross-run store of baselines is smt_history.
+// 2 = usage error, 3 = unreadable input. Diff a fresh smt_sweep report
+// against a checked-in baseline; the cross-run store of baselines is
+// smt_history.
 #include <cstdio>
 #include <map>
 #include <optional>

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   const JsonValue* prof = v->find("profile");
   if (prof == nullptr) {
     smt::log::error(
-        "no profile section (run the bench with SMT_BENCH_PROFILE=1)",
+        "no profile section (run smt_sweep --profile)",
         {{"path", path}});
     return 1;
   }

@@ -9,8 +9,8 @@
 // between the two contexts, and a one-paragraph verdict (e.g. "both
 // contexts are waiting on each other — a lost wake-up cycle").
 //
-// When a companion RunReport with an `interference` section (enable via
-// SMT_BENCH_INTERFERENCE=1) is also given, the diagnosis is extended with
+// When a companion RunReport with an `interference` section (from
+// smt_sweep --interference) is also given, the diagnosis is extended with
 // the top sibling-blamed stall resources per CPU and what machine
 // parameter each one implicates.
 //
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     if (inter == nullptr) {
       std::printf(
           "\nnote: the sibling-blame ranking needs an `interference` "
-          "section; %s has none (run with SMT_BENCH_INTERFERENCE=1)\n",
+          "section; %s has none (run smt_sweep --interference)\n",
           report_path);
     } else {
       std::printf("\nsibling-blamed stalls (from %s):\n", report_path);

@@ -1,26 +1,38 @@
-// smt_figures: prints the paper's kernel figures (3-5) and the two kernel
-// ablations from registry sweeps; it simulates nothing.
+// smt_figures: prints the paper's figures and tables, its ablations and
+// the multiprogram extension from registry sweeps; it simulates nothing.
 //
 //   $ smt_figures --index FILE [--index FILE...]
-//                 [--figure 3|4|5|spr-span|partitioning]... [--csv]
+//                 [--figure 1|2|3|4|5|table1|sync|spr-span|partitioning|
+//                           multiprog]... [--csv]
 //
 // Jobs are looked up by name across the sweep indexes given, their run
-// reports beside them. Figures 3-5 need a default-manifest sweep, the
-// ablations also a `--manifest ablation` one. Figures 3-4 print every
-// matrix size the indexes hold a job of (a `--manifest full` sweep adds
-// n = 256); Figure 5 prints the full sizes instead of the default ones
-// when the indexes hold them. --figure picks tables, in the order given
-// (default: all five); --csv adds CSV. A job a table needs that is
-// missing, did not end ok or is unverified, or that two indexes share,
-// is a "<job>: <finding>" stderr line, and nothing prints. Exit status:
-// 0 ok; 1 any finding (including an invalid index or report); 2 usage
-// error; 3 an unreadable index or report.
+// reports beside them. Each figure reads the sweeps of these manifests:
+//   1, 2          streams (Figure 2 prints its four panels)
+//   3, 4, 5       default
+//   table1        default's MM and LU n = 64 jobs and table1, both swept
+//                 with --profile: the mix comes from each report's
+//                 `profile` section
+//   sync          sync
+//   spr-span      default and ablation
+//   partitioning  default and ablation
+//   multiprog     default (MM's and LU's solo runs) and multiprog
+// Figures 3-4 print every matrix size the indexes hold a job of (a
+// `--manifest full` sweep adds n = 256); Figure 5 prints the full sizes
+// instead of the default ones when the indexes hold them. --figure picks
+// tables, in the order given (default: all, in the order above); --csv
+// adds CSV. A job a table needs that is missing, did not end ok or is
+// unverified, or that two indexes share, or a Table 1 job without a
+// profile section, is a "<job>: <finding>" stderr line, and nothing
+// prints. Exit status: 0 ok; 1 any finding (including an invalid index
+// or report); 2 usage error; 3 an unreadable index or report.
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,8 +41,10 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "core/report_check.h"
+#include "host/experiments.h"
 #include "host/sweep_index.h"
 #include "perfmon/events.h"
+#include "profile/mix_profiler.h"
 
 namespace fs = std::filesystem;
 
@@ -58,6 +72,14 @@ struct Run {
     }
     return t;
   }
+  /// CPU `c`'s cycles per retired instruction while active (0 when it
+  /// retired nothing).
+  double cpi(size_t c) const {
+    const uint64_t instrs = cpu(c, Event::kInstrRetired);
+    const uint64_t active = cpu(c, Event::kCyclesActive);
+    if (instrs == 0 || active == 0) return 0.0;
+    return static_cast<double>(active) / static_cast<double>(instrs);
+  }
 };
 using Runs = std::map<std::string, Run>;
 
@@ -72,9 +94,37 @@ struct Table {
   std::vector<std::string> jobs;
   std::function<std::vector<std::vector<std::string>>(const Runs&)> rows;
   const char* note;  // the shape-check paragraph printed after it
+  /// Its jobs' reports must carry a `profile` section.
+  bool profiled = false;
 };
 
 // Each table's shape-check paragraph.
+constexpr char kFig1Note[] =
+    "\nPaper shape check: fadd/fmul min-ILP CPI is flat from 1thr to 2thr\n"
+    "(pure TLP win); best throughput at 1thr-maxILP; 2thr-maxILP gains\n"
+    "nothing over 1thr-maxILP; iadd is ~flat everywhere.\n";
+constexpr char kFig2Note[] =
+    "\nPaper shape check: fdiv-fdiv 120-140%; fadd/fsub up to ~100% vs fp\n"
+    "streams; min-ILP fadd/fmul/fdiv pairs coexist near 0% (except\n"
+    "fdiv-fdiv); iadd-iadd ~100% (serialized); imul/idiv nearly\n"
+    "unaffected.\n";
+constexpr char kTable1Note[] =
+    "\nPaper shape check: MM ~25% logical (ALU0-only) ops and ~39% loads;\n"
+    "LU the highest ALU share, and an SPR thread with a comparable total\n"
+    "instruction count to the worker; CG load-heavy; BT the lowest ALU\n"
+    "share and fp-dense. SPR threads execute no FP_ADD/FP_MUL at all.\n";
+constexpr char kSyncNote[] =
+    "\nPaper shape check: tight spinning hurts the worker most and incurs\n"
+    "machine clears on exit; pause reduces the waiter's uop consumption\n"
+    "drastically; halting releases the partitioned resources so the\n"
+    "worker runs at (nearly) stand-alone speed, paying the transition\n"
+    "cost in its own wait at the end.\n";
+constexpr char kMultiprogNote[] =
+    "\nReading: each cell is how much slower the row application runs\n"
+    "when the column application occupies the sibling hardware context\n"
+    "(both serial, disjoint address windows). Complementary mixes (fp-\n"
+    "dense beside load-heavy) interfere less than identical pairs — the\n"
+    "application-level analogue of Figure 2.\n";
 constexpr char kFig3Note[] =
     "\nPaper shape check (1024-4096 on real HT hardware): no dual-threaded\n"
     "method beats serial; tlp-pfetch is the fastest dual method, nearly\n"
@@ -267,21 +317,248 @@ Table partitioning() {
   return t;
 }
 
-/// The named table over `cat`; nullopt for an unknown name.
-std::optional<Table> figure(const std::string& name, const Catalog& cat) {
+using smt::streams::IlpLevel;
+using smt::streams::StreamKind;
+
+/// Figure 1: CPU 0's CPI of each stream alone and beside a copy of
+/// itself (the two contexts are symmetric), at each ILP level.
+Table figure1() {
+  Table t{"Figure 1: average CPI per TLP/ILP execution mode",
+          {"stream"},
+          {},
+          nullptr,
+          kFig1Note};
+  for (int threads : {1, 2}) {
+    for (IlpLevel l : smt::host::kIlpLevels) {
+      t.header.push_back(std::to_string(threads) + "thr-" +
+                         smt::streams::name(l));
+    }
+  }
+  for (StreamKind k : smt::host::kFig1Streams) {
+    for (int threads : {1, 2}) {
+      for (IlpLevel l : smt::host::kIlpLevels) {
+        t.jobs.push_back(smt::host::fig1_job(k, l, threads));
+      }
+    }
+  }
+  t.rows = [](const Runs& runs) {
+    std::vector<std::vector<std::string>> out;
+    for (StreamKind k : smt::host::kFig1Streams) {
+      std::vector<std::string> row{smt::streams::name(k)};
+      for (int threads : {1, 2}) {
+        for (IlpLevel l : smt::host::kIlpLevels) {
+          row.push_back(
+              smt::fmt(runs.at(smt::host::fig1_job(k, l, threads)).cpi(0), 2));
+        }
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  };
+  return t;
+}
+
+/// One Figure 2 panel: each victim's CPI increase beside each aggressor,
+/// against its CPI alone (0% = unaffected, 100% = doubled CPI).
+Table figure2_panel(const char* title, std::span<const StreamKind> victims,
+                    std::span<const StreamKind> aggressors, const char* note) {
+  Table t{title, {"victim \\ with"}, {}, nullptr, note};
+  for (StreamKind a : aggressors) t.header.push_back(smt::streams::name(a));
+  for (StreamKind v : victims) {
+    for (IlpLevel l : smt::host::kIlpLevels) {
+      t.jobs.push_back(smt::host::fig2_job(v, std::nullopt, l));
+      for (StreamKind a : aggressors) {
+        t.jobs.push_back(smt::host::fig2_job(v, a, l));
+      }
+    }
+  }
+  t.rows = [victims, aggressors](const Runs& runs) {
+    std::vector<std::vector<std::string>> out;
+    for (StreamKind v : victims) {
+      for (IlpLevel l : smt::host::kIlpLevels) {
+        std::vector<std::string> row{std::string(smt::streams::name(v)) +
+                                     "." + smt::streams::name(l)};
+        const double base =
+            runs.at(smt::host::fig2_job(v, std::nullopt, l)).cpi(0);
+        for (StreamKind a : aggressors) {
+          const double pair = runs.at(smt::host::fig2_job(v, a, l)).cpi(0);
+          row.push_back(smt::fmt(100.0 * (pair / base - 1.0), 0) + "%");
+        }
+        out.push_back(std::move(row));
+      }
+    }
+    return out;
+  };
+  return t;
+}
+
+/// Table 1: each application's instruction mix per Table-1 category for
+/// the serial run, one thread of the TLP run (CPU 0) and the SPR run's
+/// prefetcher (CPU 1), from the jobs' profile sections. A category no
+/// column uses is left out.
+Table table1() {
+  struct App {
+    const char* name;
+    std::array<std::string, 3> jobs;  // serial, tlp, spr
+  };
+  const std::vector<App> apps = {
+      {"MM", {"mm.serial.n64", "mm.tlp-coarse.n64", "mm.tlp-pfetch.n64"}},
+      {"LU", {"lu.serial.n64", "lu.tlp-coarse.n64", "lu.tlp-pfetch.n64"}},
+      {"CG",
+       {"cg.serial.n4096.i4", "cg.tlp-coarse.n4096.i4",
+        "cg.tlp-pfetch.n4096.i4"}},
+      {"BT", {"bt.serial.l32c16", "bt.tlp-coarse.l32c16",
+              "bt.tlp-pfetch.l32c16"}}};
+  Table t{"Table 1: processor subunit utilization per thread",
+          {"app", "EX. UNIT", "serial", "tlp", "spr"},
+          {},
+          nullptr,
+          kTable1Note,
+          /*profiled=*/true};
+  for (const App& app : apps) {
+    t.jobs.insert(t.jobs.end(), app.jobs.begin(), app.jobs.end());
+  }
+  t.rows = [apps](const Runs& runs) {
+    using smt::profile::Subunit;
+    constexpr Subunit kRows[] = {Subunit::kAlus,   Subunit::kFpAdd,
+                                 Subunit::kFpMul,  Subunit::kFpDiv,
+                                 Subunit::kFpMove, Subunit::kLoad,
+                                 Subunit::kStore};
+    std::vector<std::vector<std::string>> out;
+    for (const App& app : apps) {
+      std::array<smt::profile::MixCounts, 3> mix;
+      for (int c = 0; c < 3; ++c) {
+        mix[c] = *smt::profile::mix_from_report(runs.at(app.jobs[c]).report,
+                                                c == 2 ? 1 : 0);
+      }
+      for (Subunit s : kRows) {
+        if (mix[0].pct(s) < 0.005 && mix[1].pct(s) < 0.005 &&
+            mix[2].pct(s) < 0.005) {
+          continue;
+        }
+        out.push_back({app.name, smt::profile::name(s)});
+        for (const smt::profile::MixCounts& m : mix) {
+          out.back().push_back(smt::fmt(m.pct(s), 2) + "%");
+        }
+      }
+      out.push_back({app.name, "Total instr."});
+      for (const smt::profile::MixCounts& m : mix) {
+        out.back().push_back(smt::fmt_eng(static_cast<double>(m.total), 2));
+      }
+    }
+    return out;
+  };
+  return t;
+}
+
+/// Ablation (paper 3.1): the worker's cycles beside each waiting sibling
+/// against its cycles alone, and what the waiter consumed.
+Table sync_ablation() {
+  const std::vector<std::pair<std::string, std::string>> waits = {
+      {"no sibling", "sync.none"},
+      {"tight spin", "sync.tight"},
+      {"pause spin", "sync.pause"},
+      {"halt+IPI", "sync.halt"}};
+  Table t{"Ablation (paper 3.1): cost of an idle sibling per wait flavour",
+          {"sibling wait", "worker cycles", "slowdown vs alone", "waiter uops",
+           "machine clears", "waiter halted cyc"},
+          {},
+          nullptr,
+          kSyncNote};
+  for (const auto& [label, job] : waits) t.jobs.push_back(job);
+  t.rows = [waits](const Runs& runs) {
+    const uint64_t alone = runs.at("sync.none").cpu(0, Event::kCyclesActive);
+    std::vector<std::vector<std::string>> out;
+    for (const auto& [label, job] : waits) {
+      const Run& r = runs.at(job);
+      const uint64_t worker = r.cpu(0, Event::kCyclesActive);
+      out.push_back({label, smt::fmt_count(worker),
+                     smt::fmt(static_cast<double>(worker) /
+                                  static_cast<double>(alone),
+                              3),
+                     smt::fmt_count(r.cpu(1, Event::kUopsRetired)),
+                     smt::fmt_count(r.total(Event::kMachineClears)),
+                     smt::fmt_count(r.cpu(1, Event::kCyclesHalted))});
+    }
+    return out;
+  };
+  return t;
+}
+
+/// Extension: each serial application's CPI beside each other one, over
+/// the fully-overlapped window, against its CPI alone.
+Table multiprog() {
+  const std::vector<std::string> apps(std::begin(smt::host::kMultiprogApps),
+                                      std::end(smt::host::kMultiprogApps));
+  Table t{"Extension: multiprogrammed kernel pairs (CPI slowdown of the row "
+          "app)",
+          {"app \\ beside"},
+          {},
+          nullptr,
+          kMultiprogNote};
+  t.header.insert(t.header.end(), apps.begin(), apps.end());
+  t.header.push_back("solo CPI");
+  for (const std::string& a : apps) {
+    t.jobs.push_back(smt::host::multiprog_solo_job(a));
+    for (const std::string& b : apps) {
+      t.jobs.push_back(smt::host::multiprog_job(a, b));
+    }
+  }
+  t.rows = [apps](const Runs& runs) {
+    std::vector<std::vector<std::string>> out;
+    for (const std::string& a : apps) {
+      const double solo = runs.at(smt::host::multiprog_solo_job(a)).cpi(0);
+      std::vector<std::string> row{a};
+      for (const std::string& b : apps) {
+        const double cpi = runs.at(smt::host::multiprog_job(a, b)).cpi(0);
+        row.push_back(smt::fmt(100.0 * (cpi / solo - 1.0), 0) + "%");
+      }
+      row.push_back(smt::fmt(solo, 2));
+      out.push_back(std::move(row));
+    }
+    return out;
+  };
+  return t;
+}
+
+/// The named figure's tables over `cat`; nullopt for an unknown name.
+std::optional<std::vector<Table>> figure(const std::string& name,
+                                         const Catalog& cat) {
+  if (name == "1") return std::vector<Table>{figure1()};
+  if (name == "2") {
+    return std::vector<Table>{
+        figure2_panel(
+            "Figure 2(a): slowdown of fp streams co-executing with fp streams",
+            smt::host::kFig2FpSet, smt::host::kFig2FpSet, ""),
+        figure2_panel("Figure 2(b): slowdown of int streams co-executing "
+                      "with int streams",
+                      smt::host::kFig2IntSet, smt::host::kFig2IntSet, ""),
+        figure2_panel("Figure 2(c): slowdown of fp arithmetic co-executing "
+                      "with int arithmetic",
+                      smt::host::kFig2FpArith, smt::host::kFig2IntArith, ""),
+        figure2_panel("Figure 2(c'): slowdown of int arithmetic co-executing "
+                      "with fp arithmetic",
+                      smt::host::kFig2IntArith, smt::host::kFig2FpArith,
+                      kFig2Note)};
+  }
   if (name == "3") {
-    return sized_figure(cat, "mm",
-                        {"serial", "tlp-fine", "tlp-coarse", "tlp-pfetch",
-                         "tlp-pfetch+work"},
-                        "Figure 3: Matrix Multiplication kernel", kFig3Note);
+    return std::vector<Table>{
+        sized_figure(cat, "mm",
+                     {"serial", "tlp-fine", "tlp-coarse", "tlp-pfetch",
+                      "tlp-pfetch+work"},
+                     "Figure 3: Matrix Multiplication kernel", kFig3Note)};
   }
   if (name == "4") {
-    return sized_figure(cat, "lu", {"serial", "tlp-coarse", "tlp-pfetch"},
-                        "Figure 4: LU decomposition kernel", kFig4Note);
+    return std::vector<Table>{
+        sized_figure(cat, "lu", {"serial", "tlp-coarse", "tlp-pfetch"},
+                     "Figure 4: LU decomposition kernel", kFig4Note)};
   }
-  if (name == "5") return figure5(cat);
-  if (name == "spr-span") return spr_span();
-  if (name == "partitioning") return partitioning();
+  if (name == "5") return std::vector<Table>{figure5(cat)};
+  if (name == "table1") return std::vector<Table>{table1()};
+  if (name == "sync") return std::vector<Table>{sync_ablation()};
+  if (name == "spr-span") return std::vector<Table>{spr_span()};
+  if (name == "partitioning") return std::vector<Table>{partitioning()};
+  if (name == "multiprog") return std::vector<Table>{multiprog()};
   return std::nullopt;
 }
 
@@ -351,8 +628,10 @@ std::optional<int> load_runs(const Catalog& cat,
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --index FILE [--index FILE...] "
-               "[--figure 3|4|5|spr-span|partitioning]... [--csv]\n",
+               "usage: %s --index FILE [--index FILE...]\n"
+               "       [--figure 1|2|3|4|5|table1|sync|spr-span|partitioning|"
+               "multiprog]...\n"
+               "       [--csv]\n",
                argv0);
   return 2;
 }
@@ -375,24 +654,45 @@ int main(int argc, char** argv) {
     }
   }
   if (indexes.empty()) return usage(argv[0]);
-  if (names.empty()) names = {"3", "4", "5", "spr-span", "partitioning"};
+  if (names.empty()) {
+    names = {"1",    "2",        "3",            "4",        "5", "table1",
+             "sync", "spr-span", "partitioning", "multiprog"};
+  }
 
   Catalog cat;
   if (const auto rc = load_catalog(indexes, &cat)) return *rc;
   std::vector<Table> tables;
   for (const std::string& name : names) {
-    std::optional<Table> t = figure(name, cat);
+    std::optional<std::vector<Table>> t = figure(name, cat);
     if (!t.has_value()) {
       smt::log::error("unknown figure", {{"figure", name}});
       return usage(argv[0]);
     }
-    tables.push_back(std::move(*t));
+    for (Table& table : *t) tables.push_back(std::move(table));
   }
   // Every table's jobs load before any table prints.
   std::set<std::string> jobs;
-  for (const Table& t : tables) jobs.insert(t.jobs.begin(), t.jobs.end());
+  std::set<std::string> profiled;
+  for (const Table& t : tables) {
+    jobs.insert(t.jobs.begin(), t.jobs.end());
+    if (t.profiled) profiled.insert(t.jobs.begin(), t.jobs.end());
+  }
   Runs runs;
   if (const auto rc = load_runs(cat, jobs, &runs)) return *rc;
+  int findings = 0;
+  for (const std::string& name : profiled) {
+    for (int cpu = 0; cpu < smt::kNumLogicalCpus; ++cpu) {
+      if (!smt::profile::mix_from_report(runs.at(name).report, cpu)) {
+        std::fprintf(stderr,
+                     "%s: no instruction mix for CPU %d in its report (sweep "
+                     "it with --profile)\n",
+                     name.c_str(), cpu);
+        ++findings;
+        break;
+      }
+    }
+  }
+  if (findings > 0) return 1;
   for (const Table& t : tables) {
     smt::TextTable text(t.header);
     for (std::vector<std::string>& row : t.rows(runs)) {

@@ -30,10 +30,12 @@
 // (==) those of the latest run in the trajectory matching its config
 // hash and report schema. Every difference is a finding — a changed
 // value, a metric present on one side only, a history file with no
-// trajectory for the job's key, or a job with a history file whose
-// outcome is not ok. A finding is a model change: either a bug or an
-// intentional change whose numbers should be re-ingested as the new
-// baseline. Only a job with no history file at all is reported as new.
+// trajectory for the job's key, a job with a history file whose outcome
+// is not ok, or an ok job with no history file at all (a deleted or
+// never-ingested baseline must not pass the gate). A finding is a model
+// change, a bug, or a new experiment whose numbers should be ingested as
+// its baseline. Only a failed job with no history file is passed over
+// (the sweep's own exit status reports it).
 //
 // `list` prints every stored trajectory, read through the same loader.
 //
@@ -386,13 +388,17 @@ int cmd_check(const Options& opt) {
 
   int findings = 0;
   int matched = 0;
-  int fresh = 0;
+  int unbaselined = 0;  // failed jobs with no history file
   for (const SweepRun& r : *runs) {
     std::error_code ec;
     if (!fs::exists(history_file(opt, r.job.name), ec)) {
-      ++fresh;
-      smt::log::info("no history file (new experiment)",
-                     {{"experiment", r.job.name}});
+      if (r.job.ok()) {
+        std::printf("MISMATCH %-24s no history file (ingest a baseline)\n",
+                    r.job.name.c_str());
+        ++findings;
+      } else {
+        ++unbaselined;
+      }
       continue;
     }
     const auto h = load_history(opt, r.job.name);
@@ -418,12 +424,14 @@ int cmd_check(const Options& opt) {
     if (n == 0) ++matched;
   }
   if (findings > 0) {
-    std::printf("%d finding(s); %d job(s) match their baseline, %d new\n",
-                findings, matched, fresh);
+    std::printf("%d finding(s); %d job(s) match their baseline, %d failed "
+                "job(s) without one\n",
+                findings, matched, unbaselined);
     return kExitFinding;
   }
-  std::printf("OK: %d job(s) match their baseline exactly, %d new\n",
-              matched, fresh);
+  std::printf("OK: %d job(s) match their baseline exactly, %d failed job(s) "
+              "without one\n",
+              matched, unbaselined);
   return 0;
 }
 

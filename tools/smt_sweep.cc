@@ -6,8 +6,9 @@
 //   --jobs N          worker threads (default: host hardware concurrency)
 //   --out DIR         output directory (default "sweep-out")
 //   --manifest NAME   run a registry manifest (host::kManifests: default,
-//                     ablation, full, selftest) after any named jobs;
-//                     with no names and no manifest, runs "default"
+//                     ablation, full, streams, table1, sync, multiprog,
+//                     selftest) after any named jobs; with no names and
+//                     no manifest, runs "default"
 //   --cycle-budget N  per-job simulated-cycle budget override
 //   --timeout-ms N    per-attempt wall-clock watchdog (0 = off, default);
 //                     a watchdog-killed job is retried once
@@ -18,9 +19,26 @@
 //   --trace FILE      write a Chrome trace-event (Perfetto-loadable)
 //                     timeline of the sweep: one track per worker, one
 //                     span per job attempt colored by its outcome
-//   --pipeview        record per-uop pipeline lifetimes for every job; a
-//                     Kanata file (Konata-loadable) per job lands in
-//                     <out>/pipeview/ (reports stay byte-identical)
+//   --profile         attach the per-PC attribution profiler to every
+//                     job: reports gain a `profile` section (hotspots and
+//                     port occupancy; tools/smt_annotate reads it, and
+//                     Table 1's instruction mix comes from it)
+//   --interference    attach the SMT interference profiler to every job:
+//                     reports gain an `interference` section (self- vs
+//                     sibling-blamed stall cycles per resource;
+//                     tools/smt_explain reads it)
+//   --telemetry       attach time-resolved telemetry to every job:
+//                     reports gain a `timeseries` section, and a Chrome
+//                     trace-event file (Perfetto-loadable) per job lands
+//                     in <out>/traces/
+//   --pipeview[=B:E]  record per-uop pipeline lifetimes for every job
+//                     over cycles [B, E] (or [0, E] given just E; default
+//                     0:100000); a Kanata file (Konata-loadable) per job
+//                     lands in <out>/pipeview/. Any other window, or
+//                     E <= B, is a usage error. The other reports stay
+//                     byte-identical.
+//                     Each instrument enters the jobs' result keys, so a
+//                     --cache never mixes instrumented and plain reports.
 //   --cache DIR       content-addressed result store (host::ResultStore):
 //                     jobs whose key (program digests + config hash +
 //                     budget/options + report epoch) already has a stored
@@ -30,8 +48,9 @@
 //                     byte-identical to an uncached run's modulo that
 //                     field (and wall_ms, which is wall-clock data).
 //                     Misses store their result after simulating.
-//                     Incompatible with --pipeview (Kanata artifacts are
-//                     not cached, so a hit could not reproduce them).
+//                     Incompatible with --pipeview and --telemetry (Kanata
+//                     and Chrome-trace artifacts are not cached, so a hit
+//                     could not reproduce them).
 //   --cache-verify[=N]  determinism audit (requires --cache): re-simulate
 //                     every cache hit (or the first N of them) and
 //                     byte-compare report and dump against the stored
@@ -87,8 +106,8 @@
 // Exit status: 0 when every job is ok; 1 with the failed jobs logged
 // otherwise (the index and surviving reports are complete either way);
 // 2 on usage errors (an unknown option, manifest or experiment, or a
-// malformed number); 3 when an artifact cannot be written or a
-// --resume index does not parse.
+// malformed number or pipeview window); 3 when an artifact cannot be
+// written or a --resume index does not parse.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -150,7 +169,9 @@ struct SweepOptions {
   bool resume = false;
   long cancel_after = 0;        // 0 = off
   bool lint = false;
-  bool pipeview = false;
+  /// The instruments attached to every job (--profile, --interference,
+  /// --telemetry, --pipeview).
+  smt::trace::TelemetryConfig instruments;
   bool quiet = false;
   bool list = false;
   std::vector<std::string> names;  // explicit positional selections
@@ -182,7 +203,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--jobs N] [--out DIR] [--manifest NAME]\n"
                "       [--cycle-budget N] [--timeout-ms N]\n"
-               "       [--metrics FILE] [--trace FILE] [--pipeview]\n"
+               "       [--metrics FILE] [--trace FILE] [--profile]\n"
+               "       [--interference] [--telemetry] [--pipeview[=B:E]]\n"
                "       [--cache DIR] [--cache-verify[=N]] [--resume]\n"
                "       [--cancel-after N] [--lint]\n"
                "       [--quiet] [--list] [experiment names...]\n",
@@ -207,6 +229,31 @@ std::optional<uint64_t> parse_count(const char* flag, const char* text,
     return std::nullopt;
   }
   return v;
+}
+
+/// Parses a --pipeview window ("B:E", or "E" for [0, E]) into `cfg`;
+/// false, logged, when it is anything else or E <= B.
+bool parse_pipeview_window(const char* text,
+                           smt::trace::TelemetryConfig* cfg) {
+  const char* const stop = text + std::strlen(text);
+  const char* colon = std::find(text, stop, ':');
+  smt::Cycle b = 0, e = 0;
+  const auto whole = [](const char* first, const char* last, smt::Cycle* out) {
+    const auto [ptr, ec] = std::from_chars(first, last, *out);
+    return ec == std::errc() && ptr == last && first != last;
+  };
+  const bool ok = colon == stop
+                      ? whole(text, stop, &e)
+                      : whole(text, colon, &b) && whole(colon + 1, stop, &e);
+  if (!ok || e <= b) {
+    smt::log::error("pipeview window needs BEGIN:END or END, whole cycle "
+                    "counts with END > BEGIN",
+                    {{"option", "--pipeview"}, {"value", text}});
+    return false;
+  }
+  cfg->pipeview_begin = b;
+  cfg->pipeview_end = e;
+  return true;
 }
 
 bool parse_args(int argc, char** argv, SweepOptions* opt) {
@@ -268,8 +315,18 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
       ok = number("--cancel-after", &opt->cancel_after, 1, LONG_MAX);
     } else if (a == "--lint") {
       opt->lint = true;
+    } else if (a == "--profile") {
+      opt->instruments.pc_profile = true;
+    } else if (a == "--interference") {
+      opt->instruments.interference = true;
+    } else if (a == "--telemetry") {
+      opt->instruments.enabled = true;
     } else if (a == "--pipeview") {
-      opt->pipeview = true;
+      opt->instruments.pipeview = true;
+    } else if (a.rfind("--pipeview=", 0) == 0) {
+      opt->instruments.pipeview = true;
+      ok = parse_pipeview_window(argv[i] + std::strlen("--pipeview="),
+                                 &opt->instruments);
     } else if (a == "--quiet") {
       opt->quiet = true;
     } else if (a == "--list") {
@@ -287,11 +344,14 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
     smt::log::error("--cache-verify requires --cache");
     return false;
   }
-  if (opt->pipeview && (!opt->cache_dir.empty() || opt->resume)) {
-    // A cache/resume hit skips simulation, so a pipeview'd sweep could
-    // not reproduce its Kanata artifacts from reused results — refuse up
-    // front rather than silently dropping traces.
-    smt::log::error("--pipeview is incompatible with --cache/--resume");
+  if ((opt->instruments.pipeview || opt->instruments.enabled) &&
+      (!opt->cache_dir.empty() || opt->resume)) {
+    // A cache/resume hit skips simulation, so a pipeview'd or traced
+    // sweep could not reproduce its Kanata or Chrome-trace artifacts from
+    // reused results — refuse up front rather than silently dropping
+    // traces.
+    smt::log::error(
+        "--pipeview and --telemetry are incompatible with --cache/--resume");
     return false;
   }
   return true;
@@ -430,15 +490,6 @@ int main(int argc, char** argv) {
   }
   if (unknown) return kExitUsage;
 
-  // --pipeview flips the process-global telemetry config before any job's
-  // Machine is constructed; the config is read-only for the rest of the
-  // sweep, so concurrent job workers see a consistent value.
-  if (opt.pipeview) {
-    smt::trace::TelemetryConfig cfg;
-    cfg.pipeview = true;
-    smt::trace::set_global_telemetry(cfg);
-  }
-
   // Resume map: prior completed jobs a --resume run may carry over.
   std::map<std::string, IndexEntry> prior;
   bool resume_active = false;
@@ -504,15 +555,19 @@ int main(int argc, char** argv) {
     const std::string dump_path = opt.out_dir + "/" + dump_rel;
     const std::string kanata_path =
         opt.out_dir + "/pipeview/" + key + ".kanata";
+    const std::string trace_path =
+        opt.out_dir + "/traces/" + key + ".trace.json";
 
     job.name = def.name;
-    job.artifacts = {report_path, dump_path, kanata_path};
-    job.fn = [&, budget, report_path, dump_rel, dump_path, kanata_path](
-                 const smt::host::CancelToken& token, int attempt,
-                 std::string* message) {
+    job.artifacts = {report_path, dump_path, kanata_path, trace_path};
+    job.fn = [&, budget, report_path, dump_rel, dump_path, kanata_path,
+              trace_path](const smt::host::CancelToken& token, int attempt,
+                          std::string* message) {
       smt::core::RunOptions ro;
       ro.race_detect = def.race_detect;
       ro.flight_recorder = true;
+      ro.telemetry = opt.instruments;
+      ro.until_first_done = def.until_first_done;
       // Content key: everything this job's artifacts can depend on. Also
       // computed for cache-less sweeps so the index always carries the
       // job's content address (and stays byte-identical to a cached
@@ -555,8 +610,9 @@ int main(int argc, char** argv) {
       };
       // One deterministic simulation of this job: the report bytes are
       // fully determined by the content key (the determinism contract
-      // the cache relies on and --cache-verify audits). The Kanata trace
-      // is never cached, so it is written here, not materialized.
+      // the cache relies on and --cache-verify audits). The Kanata and
+      // Chrome traces are never cached, so they are written here, not
+      // materialized.
       const auto simulate = [&] {
         const std::unique_ptr<smt::core::Workload> w = def.make();
         const smt::core::RunOutcome o = smt::core::try_run_workload(
@@ -566,6 +622,12 @@ int main(int argc, char** argv) {
             !smt::trace::write_kanata_file(*o.stats.pipeview, kanata_path)) {
           std::fprintf(stderr, "warning: could not write pipeview %s\n",
                        kanata_path.c_str());
+        }
+        if (o.stats.telemetry != nullptr &&
+            !smt::trace::write_chrome_trace_file(*o.stats.telemetry,
+                                                 trace_path)) {
+          std::fprintf(stderr, "warning: could not write trace %s\n",
+                       trace_path.c_str());
         }
         const bool timeout = o.status == smt::core::RunStatus::kCancelled;
         return smt::host::CachedResult{
