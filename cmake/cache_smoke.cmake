@@ -28,7 +28,11 @@
 #      history file (the cold sweep against an empty store), and the
 #      cold sweep once a perturbed copy has been ingested over it;
 #      `list` refuses a malformed history file with exit 3.
-#   5. guard rails: --pipeview or --telemetry with --cache must be
+#   5. partial store: an interrupted sweep finishes through --cache.
+#      Two of the jobs swept into a fresh store, then all four into the
+#      same store and out dir: the stored two hit, only the other two
+#      simulate and store, and the two reports stay byte-identical.
+#   6. guard rails: --pipeview or --telemetry with --cache must be
 #      refused up front.
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
@@ -234,7 +238,50 @@ if(NOT rc EQUAL 3)
     "exited ${rc}, not 3")
 endif()
 
-# Phase 5: incompatible-flag guards.
+# Phase 5: a store holding part of the manifest, as a killed sweep leaves
+# it. Re-running the whole manifest into the same store and out dir
+# simulates only the jobs the store lacks.
+set(stored mm.serial.n64 lu.serial.n64)
+execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/partial"
+  --cache "${OUT_DIR}/partial-cache" ${stored} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "partial sweep failed: ${rc}")
+endif()
+foreach(job IN LISTS stored)
+  file(COPY "${OUT_DIR}/partial/reports/${job}.json"
+    DESTINATION "${OUT_DIR}/partial-saved")
+endforeach()
+execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/partial"
+  --cache "${OUT_DIR}/partial-cache"
+  --metrics "${OUT_DIR}/partial/metrics.json" ${manifest}
+  RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "finishing sweep with a failing self-test exited 0")
+endif()
+file(READ "${OUT_DIR}/partial/metrics.json" partial_metrics)
+foreach(needle "\"cache.hits\":2" "\"cache.misses\":2" "\"cache.stores\":2")
+  string(FIND "${partial_metrics}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "finishing sweep metrics lack ${needle}")
+  endif()
+endforeach()
+foreach(job IN LISTS stored)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${OUT_DIR}/partial-saved/${job}.json"
+    "${OUT_DIR}/partial/reports/${job}.json" RESULT_VARIABLE cmp)
+  if(NOT cmp EQUAL 0)
+    message(FATAL_ERROR "stored report ${job}.json changed when the sweep "
+      "was finished")
+  endif()
+endforeach()
+execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/partial/reports"
+  --metrics "${OUT_DIR}/partial/metrics.json"
+  --index "${OUT_DIR}/partial/sweep_index.json" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "finishing sweep artifacts failed validation: ${rc}")
+endif()
+
+# Phase 6: incompatible-flag guards.
 foreach(option --pipeview --telemetry)
   execute_process(COMMAND "${SWEEP}" ${option} --cache "${OUT_DIR}/cache"
     --out "${OUT_DIR}/never" bt.serial RESULT_VARIABLE rc

@@ -2,7 +2,7 @@
 # Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DSWEEP=... -DCHECKER=... -DOUT_DIR=... -P sweep_smoke.cmake
 #
-# Four runs:
+# Five runs:
 #   1. serial (--jobs 1) reference sweep over a small healthy manifest;
 #   2. the same manifest on 4 workers with the observability artifacts
 #      (--metrics/--trace) enabled — every per-job report must be
@@ -18,7 +18,12 @@
 #      a copy whose "failed" count is edited to 0 must not;
 #   4. the manifest again with --pipeview — Kanata artifacts must appear
 #      per job while every report stays byte-identical to the serial
-#      reference (pipeline tracing must not leak into measurements).
+#      reference (pipeline tracing must not leak into measurements);
+#   5. scrub: a job that dies by injected watchdog timeout on its first
+#      attempt strands garbage artifacts; the pool must delete them
+#      before the retry, leaving only the surviving attempt's bytes —
+#      the self-test shares mm.serial.n64's workload, so its report must
+#      be byte-identical to that job's report from the same sweep.
 set(manifest mm.serial.n64 mm.tlp-fine.n64 lu.serial.n64 bt.serial)
 
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -186,3 +191,45 @@ foreach(kf IN LISTS kanata_files)
     message(FATAL_ERROR "${kf} does not start with a Kanata header")
   endif()
 endforeach()
+
+# Injected first-attempt timeout — stale artifacts must be scrubbed
+# before the retry. selftest.timeout-once strands garbage report/dump
+# bytes, then (attempt 2) runs mm.serial.n64's workload; the surviving
+# report must be byte-identical to the healthy job's.
+execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/scrub"
+  --timeout-ms 60000 --metrics "${OUT_DIR}/scrub/metrics.json"
+  mm.serial.n64 selftest.timeout-once RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "scrub sweep failed: ${rc}")
+endif()
+file(READ "${OUT_DIR}/scrub/sweep_index.json" index)
+string(FIND "${index}" "\"name\":\"selftest.timeout-once\",\"outcome\":\"ok\""
+  pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "timeout-once job did not recover to ok")
+endif()
+string(REGEX MATCH "\"attempts\":2" retried "${index}")
+if(NOT retried)
+  message(FATAL_ERROR "timeout-once job was not retried")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  "${OUT_DIR}/scrub/reports/mm.serial.n64.json"
+  "${OUT_DIR}/scrub/reports/selftest.timeout-once.json" RESULT_VARIABLE cmp)
+if(NOT cmp EQUAL 0)
+  message(FATAL_ERROR
+    "surviving report differs from the reference workload's — stale "
+    "first-attempt bytes leaked through the retry")
+endif()
+# The stranded dump garbage must be gone: nothing in this sweep dies
+# with a core dump.
+file(GLOB scrub_dumps "${OUT_DIR}/scrub/dumps/*")
+list(LENGTH scrub_dumps n)
+if(NOT n EQUAL 0)
+  message(FATAL_ERROR "scrub sweep left ${n} stale dump artifact(s)")
+endif()
+execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/scrub/reports"
+  --metrics "${OUT_DIR}/scrub/metrics.json"
+  --index "${OUT_DIR}/scrub/sweep_index.json" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "scrub sweep artifacts failed validation: ${rc}")
+endif()

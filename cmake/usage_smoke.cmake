@@ -5,16 +5,19 @@
 #     with --list, so a parser that wrongly accepted it would exit 0
 #     instead of simulating);
 #   * a --pipeview= window must be BEGIN:END or END with END > BEGIN (no
-#     artifact may land before the refusal).
+#     artifact may land before the refusal);
+#   * the removed --resume and --cancel-after are unknown options (an
+#     interrupted sweep finishes through --cache), refused before any
+#     artifact lands.
 # Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DSWEEP=... -DOUT_DIR=... -P usage_smoke.cmake
 
-# expect_usage(NAME COMMAND...): COMMAND must exit 2 naming NAME.
+# expect_usage(NAME COMMAND...): COMMAND must exit 2 with stderr
+# matching the regex NAME.
 function(expect_usage name)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
     ERROR_VARIABLE err)
-  string(FIND "${err}" "${name}" at)
-  if(NOT rc EQUAL 2 OR at EQUAL -1)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${name}")
     message(FATAL_ERROR "${ARGN}: exit ${rc}, want 2 naming ${name}:\n${err}")
   endif()
 endfunction()
@@ -22,7 +25,7 @@ endfunction()
 foreach(bad "--jobs;abc" "--jobs;0" "--jobs;-1" "--jobs;4x" "--jobs;5000" "--cycle-budget;abc" "--cycle-budget;-1" "--cycle-budget;0"
     "--cycle-budget;1e6" "--cycle-budget;18446744073709551616"
     "--timeout-ms;-5" "--timeout-ms;abc" "--timeout-ms; 5"
-    "--timeout-ms;99999999999" "--cancel-after;0" "--cancel-after;two"
+    "--timeout-ms;99999999999"
     "--cache-verify=0" "--cache-verify=x" "--manifest;nosuch")
   list(GET bad 0 option)
   string(REGEX REPLACE "=.*" "" option "${option}")
@@ -32,7 +35,7 @@ endforeach()
 
 # Well-formed values pass, and --list names each job's manifest.
 execute_process(COMMAND "${SWEEP}" --jobs 2 --cycle-budget 1000
-  --timeout-ms 0 --cancel-after 3 --manifest ablation --list
+  --timeout-ms 0 --manifest ablation --list
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 string(CONCAT want "\nmm.serial.n64 +default\n.*\ncg.serial.i4 +ablation\n"
   ".*\nmm.serial.n256 +full\n.*\nselftest.deadlock +selftest\n")
@@ -49,5 +52,17 @@ foreach(window "20000:5000" "5000:5000" "abc" "5000:" ":20000" "0" "-1"
   file(GLOB_RECURSE written "${OUT_DIR}/*")
   if(written)
     message(FATAL_ERROR "window \"${window}\" simulated first: ${written}")
+  endif()
+endforeach()
+
+foreach(removed "--resume" "--cancel-after;2")
+  file(REMOVE_RECURSE "${OUT_DIR}")
+  file(MAKE_DIRECTORY "${OUT_DIR}")
+  list(GET removed 0 option)
+  expect_usage("unknown option +option=${option}" "${SWEEP}" ${removed}
+    --out "${OUT_DIR}" sync.none)
+  file(GLOB_RECURSE written "${OUT_DIR}/*")
+  if(written)
+    message(FATAL_ERROR "removed ${option} simulated first: ${written}")
   endif()
 endforeach()

@@ -4,11 +4,11 @@
 # host-performance benchmark's correctness gates, then run only the
 # end-to-end assertions no ctest makes: the lint report through
 # check_reports, the sweep's lint gate, profiled and
-# interference-attributed sweep reports, pipeline traces, sweep
-# observability artifacts, benchmark history, the result cache's
-# determinism contract, every paper table against its golden file and
-# the post-mortem explainer. (A sweep with
-# injected failing jobs is the sweep_smoke ctest's.)
+# interference-attributed sweep reports, pipeline traces, the result
+# cache's determinism contract over the full registry and every paper
+# table against its golden file. (A metrics+trace sweep, a sweep with
+# injected failing jobs, the history gate's refusals and the post-mortem
+# explainer are the sweep_smoke, cache_smoke and explain_smoke ctests'.)
 #
 # The sanitizer matrix rides behind the main job (skip with SMT_CI_FAST=1):
 #   asan  ASan+UBSan build, full test suite;
@@ -17,14 +17,12 @@
 #         single-threaded; the job pool and metrics registry are what
 #         TSan is for.
 #
-# The tail gates the host observability artifacts: a --metrics/--trace
-# sweep must validate against its index, and smt_history must both
-# accept a fresh deterministic run and flag a perturbed one. It also
-# proves the result cache's determinism contract on the full registry:
-# the cold sweep must match every committed bench/history baseline
-# exactly, two sweeps against one store must produce a 100%-hit warm
-# run whose index is byte-identical modulo wall-clock fields, and a
-# --cache-verify sample must re-simulate hits against the stored bytes.
+# The tail proves the result cache's determinism contract on the full
+# registry: the cold sweep must match every committed bench/history
+# baseline exactly, two sweeps against one store must produce a
+# 100%-hit warm run whose index is byte-identical modulo wall-clock
+# fields, and a --cache-verify sample must re-simulate hits against the
+# stored bytes.
 # Every paper table, rendered by smt_figures from the cold sweep and one
 # sweep per other manifest, must equal its golden file in tests/golden/,
 # and every manifest's jobs must match their bench/history baselines.
@@ -153,34 +151,6 @@ if ./build/tools/report_diff "$mm_report" "$profile_dir/perturbed.json"; then
   exit 1
 fi
 
-# Host observability: the same orchestrator with --metrics/--trace must
-# write a smt-sweep-metrics/1 snapshot that cross-checks against the
-# sweep index and a Perfetto-loadable Chrome trace of the workers.
-make_temp_dir obs_dir
-make_temp_dir hist_dir
-./build/tools/smt_sweep --jobs 2 --out "$obs_dir" \
-  --metrics "$obs_dir/metrics.json" \
-  --trace "$obs_dir/trace/sweep.trace.json" \
-  mm.serial.n64 bt.serial cg.serial > /dev/null
-./build/tools/check_reports "$obs_dir/reports" "$obs_dir/trace" \
-  --metrics "$obs_dir/metrics.json" --index "$obs_dir/sweep_index.json"
-
-# Benchmark history: ingest + self-compare must pass through a fresh
-# store, and a perturbed report must trip the gate nonzero. (The
-# committed bench/history baselines are checked against the full
-# registry's cold sweep below.)
-./build/tools/smt_history ingest --sweep "$obs_dir" --history "$hist_dir" \
-  > /dev/null
-./build/tools/smt_history check --sweep "$obs_dir" --history "$hist_dir"
-cp -r "$obs_dir" "$hist_dir/perturbed"
-sed -E -i 's/"cycles":[0-9]+/"cycles":1/' \
-  "$hist_dir/perturbed/reports/mm.serial.n64.json"
-if ./build/tools/smt_history check --sweep "$hist_dir/perturbed" \
-    --history "$hist_dir" > /dev/null; then
-  echo "smt_history failed to flag a perturbed run" >&2
-  exit 1
-fi
-
 # Interference attribution: a report with an interference section whose
 # self+sibling sums must reproduce the stall counters bit-exactly
 # (validated by check_reports), and report_diff must accept a self-diff
@@ -295,16 +265,3 @@ done
   --metrics "$cache_dir/audit/metrics.json" > /dev/null
 grep -q '"cache.verified":3' "$cache_dir/audit/metrics.json"
 grep -q '"cache.verify_failed":0' "$cache_dir/audit/metrics.json"
-
-# Post-mortem flight recorder: an injected deadlock must leave a core
-# dump the smt_explain diagnoser renders into an explanation naming the
-# actual death cycle and the lost wake-up.
-make_temp_dir explain_dir
-./build/tools/smt_sweep --quiet --out "$explain_dir" selftest.deadlock \
-  || true
-dump="$explain_dir/dumps/selftest.deadlock.dump.json"
-./build/tools/check_reports "$explain_dir/reports" --dumps "$explain_dir/dumps"
-death_cycle=$(grep -o '"cycle":[0-9]*' "$dump" | head -1 | cut -d: -f2)
-./build/tools/smt_explain "$dump" > "$explain_dir/diagnosis.txt"
-grep -q "deadlock at cycle $death_cycle" "$explain_dir/diagnosis.txt"
-grep -q "awaiting IPI" "$explain_dir/diagnosis.txt"

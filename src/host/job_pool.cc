@@ -1,5 +1,6 @@
 #include "host/job_pool.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -15,7 +16,6 @@ const char* name(JobStatus s) {
     case JobStatus::kOk:      return "ok";
     case JobStatus::kFailed:  return "failed";
     case JobStatus::kTimeout: return "timeout";
-    case JobStatus::kSkipped: return "skipped";
   }
   return "?";
 }
@@ -39,7 +39,6 @@ struct PoolInstruments {
         jobs_failed(reg.counter("pool.jobs_failed")),
         jobs_timeout(reg.counter("pool.jobs_timeout")),
         jobs_retried(reg.counter("pool.jobs_retried")),
-        jobs_skipped(reg.counter("pool.jobs_skipped")),
         attempts(reg.counter("pool.attempts")),
         watchdog_fires(reg.counter("pool.watchdog_fires")),
         queue_depth(reg.gauge("pool.queue_depth")),
@@ -60,7 +59,6 @@ struct PoolInstruments {
   Counter& jobs_failed;
   Counter& jobs_timeout;
   Counter& jobs_retried;
-  Counter& jobs_skipped;
   Counter& attempts;
   Counter& watchdog_fires;
   Gauge& queue_depth;
@@ -125,7 +123,6 @@ JobResult run_one(const JobPoolConfig& cfg, const Job& job, size_t job_index,
         case JobStatus::kOk:      ins->jobs_ok.inc(); break;
         case JobStatus::kFailed:  ins->jobs_failed.inc(); break;
         case JobStatus::kTimeout: ins->jobs_timeout.inc(); break;
-        case JobStatus::kSkipped: break;  // job fns never return kSkipped
       }
     }
     return r;
@@ -151,11 +148,6 @@ std::vector<JobResult> run_jobs(const JobPoolConfig& cfg,
   }
   const Clock::time_point pool_start = Clock::now();
 
-  // Every slot starts out skipped; workers overwrite exactly the slots
-  // they claim, so after the join the skipped set is precisely the jobs
-  // the pool-level cancel kept from ever starting.
-  for (JobResult& r : results) r.status = JobStatus::kSkipped;
-
   // Work stealing off a shared atomic cursor; each worker writes only the
   // result slots of the jobs it claimed, so no further synchronization is
   // needed on `results`.
@@ -164,10 +156,6 @@ std::vector<JobResult> run_jobs(const JobPoolConfig& cfg,
     const Clock::time_point worker_start = Clock::now();
     double busy_ms = 0.0;
     while (true) {
-      // Pool-level cancellation point: checked between jobs only —
-      // claimed attempts always run to completion (their own per-attempt
-      // token handles wall-clock limits).
-      if (cfg.cancel != nullptr && cfg.cancel->expired()) break;
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) break;
       if (ins != nullptr) {
@@ -197,11 +185,6 @@ std::vector<JobResult> run_jobs(const JobPoolConfig& cfg,
     for (std::thread& t : threads) t.join();
   }
   if (ins != nullptr) {
-    uint64_t skipped = 0;
-    for (const JobResult& r : results) {
-      if (r.status == JobStatus::kSkipped) ++skipped;
-    }
-    ins->jobs_skipped.inc(skipped);
     cfg.metrics->counter("pool.wall_us")
         .inc(static_cast<uint64_t>(std::llround(ms_since(pool_start) * 1000.0)));
     cfg.metrics->counter("pool.workers").inc(static_cast<uint64_t>(workers));

@@ -18,8 +18,8 @@
 //     budget — the watchdog cannot preempt, only request.
 #pragma once
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,9 +27,7 @@
 namespace smt::host {
 
 /// Cooperative cancellation handle handed to each job attempt: expires
-/// when cancel() was called or the armed wall-clock deadline passed.
-/// expired() is safe to poll from the job's thread while any other thread
-/// calls cancel().
+/// once its armed wall-clock deadline has passed (never, unarmed).
 class CancelToken {
  public:
   CancelToken() = default;
@@ -39,15 +37,11 @@ class CancelToken {
     has_deadline_ = true;
   }
 
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
   bool expired() const {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
     return has_deadline_ && std::chrono::steady_clock::now() >= deadline_;
   }
 
  private:
-  std::atomic<bool> cancelled_{false};
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
 };
@@ -57,7 +51,6 @@ enum class JobStatus : uint8_t {
   kOk,
   kFailed,   // structured failure (deadlock, budget, verify, ...)
   kTimeout,  // the watchdog expired the token on every allowed attempt
-  kSkipped,  // never started: the pool-level cancel fired first
 };
 const char* name(JobStatus s);
 
@@ -117,12 +110,6 @@ struct JobPoolConfig {
   /// from worker threads, possibly concurrently — the callee
   /// synchronizes. Never invoked after run_jobs() returns.
   std::function<void(const AttemptEvent&)> on_attempt;
-  /// Optional pool-level cancellation: once expired, workers stop
-  /// claiming jobs (in-flight attempts run to completion — cancellation
-  /// between jobs, not preemption). Unclaimed jobs come back kSkipped
-  /// with zero attempts. The token outlives run_jobs(); the caller owns
-  /// it.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Runs every job to completion on the worker pool and returns the

@@ -177,7 +177,6 @@ std::string sweep_metrics_json(const MetricsRegistry& reg,
   w.kv("total", static_cast<int64_t>(index.jobs.size()));
   w.kv("failed", index.failed());
   w.kv("cache", reuse.cache);
-  w.kv("resume", reuse.resume);
   w.kv("cache_verify", reuse.cache_verify);
   w.end_object();
   append_metrics_json(w, s);
@@ -216,19 +215,16 @@ std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
   const double index_total = index.jobs.size();
   const double index_failed = index.failed();
   double index_attempts = 0;
-  double index_cancelled = 0;
   double index_lint_failed = 0;
   double index_cached = 0;
   double index_verify_failed = 0;
   for (const IndexEntry& job : index.jobs) {
-    if (job.outcome == "cancelled") ++index_cancelled;
     if (job.outcome == "lint_failed") ++index_lint_failed;
     if (job.outcome == "cache_verify_failed") ++index_verify_failed;
     if (job.cached) ++index_cached;
     index_attempts += job.attempts;
   }
-  const double index_started =
-      index_total - index_cancelled - index_lint_failed;
+  const double index_started = index_total - index_lint_failed;
 
   const JsonValue* sweep = metrics.find("sweep");
   const JsonValue* counters = metrics.find("counters");
@@ -258,12 +254,11 @@ std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
   expect("pool.jobs_started", counter("pool.jobs_started"), index_started);
   expect("pool.jobs_completed", counter("pool.jobs_completed"),
          index_started);
-  expect("pool.jobs_skipped", counter("pool.jobs_skipped"), index_cancelled);
   expect("pool.jobs_ok", counter("pool.jobs_ok"),
          index_total - index_failed);
   expect("pool.jobs_failed + pool.jobs_timeout",
          counter("pool.jobs_failed") + counter("pool.jobs_timeout"),
-         index_failed - index_cancelled - index_lint_failed);
+         index_failed - index_lint_failed);
   expect("pool.attempts", counter("pool.attempts"), index_attempts);
   expect("pool.attempts - pool.jobs_retried",
          counter("pool.attempts") - counter("pool.jobs_retried"),
@@ -271,17 +266,16 @@ std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
   expect("pool.watchdog_fires", counter("pool.watchdog_fires"),
          counter("pool.jobs_retried") + counter("pool.jobs_timeout"));
 
-  // Result-cache counters. A sweep that ran without --cache/--resume must
-  // show zero lookups; one that ran with either looks up every job it
-  // actually started, exactly once, and every lookup resolves to a hit,
-  // a miss, or a failed verification.
-  const auto flag = [&](const char* name) {
-    const JsonValue* v = sweep->find(name);
-    return v != nullptr && v->type == JsonValue::Type::kBool && v->boolean;
-  };
-  const bool reuse_enabled = flag("cache") || flag("resume");
+  // Result-cache counters. A sweep that ran without --cache must show
+  // zero lookups; one that ran with it looks up every job it actually
+  // started, exactly once, and every lookup resolves to a hit, a miss,
+  // or a failed verification.
+  const JsonValue* cache_flag = sweep->find("cache");
+  const bool cache_enabled = cache_flag != nullptr &&
+                             cache_flag->type == JsonValue::Type::kBool &&
+                             cache_flag->boolean;
   expect("cache.lookups", counter("cache.lookups"),
-         reuse_enabled ? index_started : 0.0);
+         cache_enabled ? index_started : 0.0);
   expect("cache.hits + cache.misses + cache.verify_failed",
          counter("cache.hits") + counter("cache.misses") +
              counter("cache.verify_failed"),
@@ -321,10 +315,7 @@ std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
   if (depth == nullptr || busy == nullptr) {
     findings.push_back("missing queue_depth/workers_busy gauges");
   } else {
-    // Skipped jobs are never dequeued, so a cancelled sweep's depth gauge
-    // drains to exactly the number of jobs the cancel left behind.
-    expect("queue_depth.value", number_or(*depth, "value", -1.0),
-           index_cancelled);
+    expect("queue_depth.value", number_or(*depth, "value", -1.0), 0);
     expect("queue_depth.max", number_or(*depth, "max", -1.0),
            index_total - index_lint_failed);
     expect("workers_busy.value", number_or(*busy, "value", -1.0), 0);

@@ -151,9 +151,7 @@ struct SweepIndex;
 /// How a sweep reused results: the flags of the metrics document's
 /// "sweep" section beside the index-derived workers/total/failed.
 struct SweepReuse {
-  bool cache = false;   // --cache was given
-  bool resume = false;  // --resume reuse was live, not merely requested: a
-                        // --resume with no prior index looks nothing up
+  bool cache = false;        // --cache was given
   int64_t cache_verify = 0;  // --cache-verify sample size; 0 = off
 };
 
@@ -171,27 +169,26 @@ std::string sweep_metrics_json(const MetricsRegistry& reg,
 /// beside; returns every finding as a one-line message without a file
 /// prefix, empty when consistent. A wrong schema or a missing section is
 /// the one finding. Otherwise the pool counters, which are redundant with
-/// the index by construction, are checked against it (cancelled = index
-/// jobs the pool-level cancel skipped before they started; lint_failed =
-/// jobs the --lint gate withheld from the pool, always with attempts == 0;
-/// started = total - cancelled - lint_failed):
+/// the index by construction, are checked against it (lint_failed = jobs
+/// the --lint gate withheld from the pool, always with attempts == 0;
+/// started = total - lint_failed; every other job starts):
 ///
-///   jobs_started == jobs_completed == started; jobs_skipped == cancelled
+///   jobs_started == jobs_completed == started
 ///   jobs_ok == total - failed;  jobs_failed + jobs_timeout ==
-///                                  failed - cancelled - lint_failed
+///                                  failed - lint_failed
 ///   attempts == sum(index jobs[].attempts) == started + jobs_retried
 ///   watchdog_fires == jobs_retried + jobs_timeout  (retries only follow
 ///                                                   watchdog timeouts)
 ///   attempt_wall_ms histogram: count == attempts, bucket counts sum to it
-///   queue_depth gauge drained to the cancelled count from a high
-///     watermark of total - lint_failed (lint-failed jobs are never
-///     enqueued); workers_busy drained to 0, peak <= requested
+///   queue_depth gauge drained to 0 from a high watermark of
+///     total - lint_failed (lint-failed jobs are never enqueued);
+///     workers_busy drained to 0, peak <= requested
 ///   one workers[] entry per pool worker, busy_us consistent with the
 ///   per-worker counters and <= wall_us + 1µs rounding slack
 ///
 ///   cache.* counters vs the index's "cached"/"outcome" fields:
 ///     lookups == hits + misses + verify_failed
-///     lookups == started when the sweep ran with cache/resume, else 0
+///     lookups == started when the sweep ran with --cache, else 0
 ///     hits == #jobs with "cached":true
 ///     verify_failed == #jobs with outcome "cache_verify_failed"
 ///     stores <= misses; verified <= hits

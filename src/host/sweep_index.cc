@@ -126,8 +126,7 @@ std::optional<std::string> parse_sweep_index(std::string_view text,
     read(job, w, "report", &e.report, &finding);
     read(job, w, "dump", &e.dump, &finding);
     if (finding) return finding;
-    if ((e.outcome == "cancelled" || e.outcome == "lint_failed") &&
-        e.attempts != 0) {
+    if (e.outcome == "lint_failed" && e.attempts != 0) {
       return w + "attempts: " + std::to_string(e.attempts) + " for a " +
              e.outcome + " job, which never started";
     }

@@ -1,8 +1,8 @@
 // The sweep index: the merged record smt_sweep writes as
 // <out>/sweep_index.json, and the one description of its format. This
-// module is its only writer and its only reader — smt_sweep writes it and
-// reads it back for --resume, check_reports --index cross-checks a metrics
-// snapshot against it, and smt_history ingests from it.
+// module is its only writer and its only reader — smt_sweep writes it,
+// check_reports --index cross-checks a metrics snapshot against it, and
+// smt_history ingests from it.
 //
 // The document is one JSON object without whitespace: "schema":
 // "smt-sweep-index/1", SweepIndex's workers and job_timeout_ms, "total"
@@ -11,8 +11,9 @@
 // members are IndexEntry's fields in declaration order. The writer
 // derives total and failed from the entries; the parser checks them
 // against the entries, along with every field's type and attempts == 0
-// for the jobs that never started. Indexes written before the result
-// cache lack key and cached; the parser reads them as "" and false.
+// for the lint-failed jobs, which never started. Indexes written before
+// the result cache lack key and cached; the parser reads them as "" and
+// false.
 #pragma once
 
 #include <cstdint>
@@ -35,15 +36,14 @@ struct IndexEntry {
                                // (deadlock, cycle_budget_exceeded,
                                // verify_failed, race_detected); "timeout"
                                // (the watchdog killed every attempt);
-                               // "cancelled" (the pool-level cancel fired
-                               // first); "lint_failed" (withheld by
-                               // --lint); "cache_verify_failed" (a hit
-                               // diverged from its re-simulation); or
+                               // "lint_failed" (withheld by --lint);
+                               // "cache_verify_failed" (a hit diverged
+                               // from its re-simulation); or
                                // "report_write_failed"
   std::string message;         // failure detail; "" when ok
   std::string key;             // host::ResultKey hash; "" if not computed
-  bool cached = false;         // artifacts came from the result cache or
-                               // a resumed index, not a simulation
+  bool cached = false;         // artifacts came from the result cache,
+                               // not a simulation
   int attempts = 0;            // 2 after a watchdog retry; 0 if the job
                                // never started
   double wall_ms = 0.0;        // host wall-clock across all attempts

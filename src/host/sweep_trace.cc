@@ -18,9 +18,8 @@ const char* status_cname(JobStatus s) {
     case JobStatus::kOk:      return "good";
     case JobStatus::kFailed:  return "terrible";
     case JobStatus::kTimeout: return "bad";
-    case JobStatus::kSkipped: return "grey";  // never attempted: no spans
   }
-  return "grey";
+  return "terrible";
 }
 
 uint64_t to_us(double ms) {

@@ -122,9 +122,13 @@ constexpr char kSyncNote[] =
 constexpr char kMultiprogNote[] =
     "\nReading: each cell is how much slower the row application runs\n"
     "when the column application occupies the sibling hardware context\n"
-    "(both serial, disjoint address windows). Complementary mixes (fp-\n"
-    "dense beside load-heavy) interfere less than identical pairs — the\n"
-    "application-level analogue of Figure 2.\n";
+    "(both serial, disjoint address windows). Identical pairs interfere\n"
+    "worst only for LU and CG. LU is the worst neighbour of every row but\n"
+    "CG's: MM slows about as much beside LU as beside itself, and BT\n"
+    "slows least beside itself. Complementary mixes co-exist better where\n"
+    "the row application is dispatch-bound (fp-dense MM beside load-heavy\n"
+    "CG) — the application-level analogue of Figure 2 — while the\n"
+    "memory-bound CG row is slowed by every neighbour.\n";
 constexpr char kFig3Note[] =
     "\nPaper shape check (1024-4096 on real HT hardware): no dual-threaded\n"
     "method beats serial; tlp-pfetch is the fastest dual method, nearly\n"

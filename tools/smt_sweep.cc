@@ -47,7 +47,10 @@
 //                     "cached":true in the index — which stays
 //                     byte-identical to an uncached run's modulo that
 //                     field (and wall_ms, which is wall-clock data).
-//                     Misses store their result after simulating.
+//                     Misses store their result as soon as their job
+//                     ends, so an interrupted sweep finishes when run
+//                     again with the same --cache: the stored jobs hit
+//                     and only the rest simulate.
 //                     Incompatible with --pipeview and --telemetry (Kanata
 //                     and Chrome-trace artifacts are not cached, so a hit
 //                     could not reproduce them).
@@ -58,18 +61,6 @@
 //                     outcome "cache_verify_failed" (job fails, fresh
 //                     artifacts win) — it means either nondeterminism or
 //                     a model change behind an unchanged key.
-//   --resume          reuse completed jobs from <out>'s existing
-//                     sweep_index.json: entries whose key still matches
-//                     and whose outcome is a deterministic completion
-//                     (with artifacts still on disk) are carried over as
-//                     "cached":true without re-simulating; cancelled,
-//                     timed-out and key-mismatched jobs re-execute.
-//                     Manifest order and the merged-index contract are
-//                     preserved.
-//   --cancel-after N  cancel the pool after N jobs complete (in-flight
-//                     jobs finish; unclaimed ones are indexed as
-//                     "cancelled") — the deterministic mid-sweep-kill
-//                     injection the resume tests use.
 //   --lint            static pre-run gate: run the abstract-interpretation
 //                     verifier (host::lint_workload, as smt_lint does)
 //                     over every job's emitted programs before the pool
@@ -107,7 +98,7 @@
 // otherwise (the index and surviving reports are complete either way);
 // 2 on usage errors (an unknown option, manifest or experiment, or a
 // malformed number or pipeview window); 3 when an artifact cannot be
-// written or a --resume index does not parse.
+// written.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -116,8 +107,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -166,8 +155,6 @@ struct SweepOptions {
   long timeout_ms = 0;
   std::string cache_dir;        // "" = no result cache
   long cache_verify = -1;       // -1 off; LONG_MAX bare flag; N = sample
-  bool resume = false;
-  long cancel_after = 0;        // 0 = off
   bool lint = false;
   /// The instruments attached to every job (--profile, --interference,
   /// --telemetry, --pipeview).
@@ -177,7 +164,7 @@ struct SweepOptions {
   std::vector<std::string> names;  // explicit positional selections
 };
 
-/// Cache/resume observability, shared across worker threads. Registered
+/// Cache observability, shared across worker threads. Registered
 /// in the metrics registry up front (all-zero when caching is off) so
 /// the metrics schema is stable and check_reports can cross-check:
 /// lookups == hits + misses + verify_failed, hits == index "cached"
@@ -205,8 +192,7 @@ int usage(const char* argv0) {
                "       [--cycle-budget N] [--timeout-ms N]\n"
                "       [--metrics FILE] [--trace FILE] [--profile]\n"
                "       [--interference] [--telemetry] [--pipeview[=B:E]]\n"
-               "       [--cache DIR] [--cache-verify[=N]] [--resume]\n"
-               "       [--cancel-after N] [--lint]\n"
+               "       [--cache DIR] [--cache-verify[=N]] [--lint]\n"
                "       [--quiet] [--list] [experiment names...]\n",
                argv0);
   return kExitUsage;
@@ -309,10 +295,6 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
                                  LONG_MAX);
       ok = v.has_value();
       if (ok) opt->cache_verify = static_cast<long>(*v);
-    } else if (a == "--resume") {
-      opt->resume = true;
-    } else if (a == "--cancel-after") {
-      ok = number("--cancel-after", &opt->cancel_after, 1, LONG_MAX);
     } else if (a == "--lint") {
       opt->lint = true;
     } else if (a == "--profile") {
@@ -345,49 +327,16 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
     return false;
   }
   if ((opt->instruments.pipeview || opt->instruments.enabled) &&
-      (!opt->cache_dir.empty() || opt->resume)) {
-    // A cache/resume hit skips simulation, so a pipeview'd or traced
+      !opt->cache_dir.empty()) {
+    // A cache hit skips simulation, so a pipeview'd or traced
     // sweep could not reproduce its Kanata or Chrome-trace artifacts from
     // reused results — refuse up front rather than silently dropping
     // traces.
     smt::log::error(
-        "--pipeview and --telemetry are incompatible with --cache/--resume");
+        "--pipeview and --telemetry are incompatible with --cache");
     return false;
   }
   return true;
-}
-
-/// Loads the prior index for --resume: name -> entry. An absent index
-/// resumes nothing (every job runs); a malformed one is an error —
-/// silently restarting a sweep the user asked to resume would discard
-/// work without saying so.
-bool load_resume_index(const std::string& out_dir,
-                       std::map<std::string, IndexEntry>* prior,
-                       bool* found) {
-  *found = false;
-  const std::string path = out_dir + "/" + smt::host::kSweepIndexFile;
-  const std::optional<std::string> text = smt::read_text_file(path);
-  if (!text.has_value()) {
-    smt::log::info("no prior index to resume from; running all jobs",
-                   {{"path", path}});
-    return true;
-  }
-  smt::host::SweepIndex index;
-  if (const auto finding = smt::host::parse_sweep_index(*text, &index)) {
-    smt::log::error("prior index is malformed",
-                    {{"path", path}, {"finding", *finding}});
-    return false;
-  }
-  for (IndexEntry& e : index.jobs) (*prior)[e.name] = std::move(e);
-  *found = true;
-  return true;
-}
-
-/// True when `path` exists and is non-empty — the artifact-presence bar
-/// a resumed entry must clear before its simulation is skipped.
-bool artifact_intact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return in && in.peek() != std::ifstream::traits_type::eof();
 }
 
 /// Terminal progress line: "[done/total] ok=N failed=N eta=…s", redrawn
@@ -489,14 +438,6 @@ int main(int argc, char** argv) {
     index.jobs.emplace_back().name = name;
   }
   if (unknown) return kExitUsage;
-
-  // Resume map: prior completed jobs a --resume run may carry over.
-  std::map<std::string, IndexEntry> prior;
-  bool resume_active = false;
-  if (opt.resume &&
-      !load_resume_index(opt.out_dir, &prior, &resume_active)) {
-    return kExitIo;
-  }
 
   std::optional<smt::host::ResultStore> cache;
   if (!opt.cache_dir.empty()) cache.emplace(opt.cache_dir);
@@ -639,46 +580,30 @@ int main(int argc, char** argv) {
             .dump_json = o.core_dump};
       };
 
-      // Reuse paths (resume, then cache) — first attempt only: a retry
-      // only ever follows a watchdog kill, and a reuse hit cannot time
-      // out, so attempt 1 always means "really simulate".
-      if (attempt == 0 && (resume_active || cache.has_value())) {
+      // Cache lookup — first attempt only: a retry only ever follows a
+      // watchdog kill, and a cache hit cannot time out, so attempt 1
+      // always means "really simulate".
+      if (attempt == 0 && cache.has_value()) {
         cache_counters.lookups.inc();
-        if (resume_active) {
-          const auto it = prior.find(def.name);
-          if (it != prior.end() && it->second.key == rec.key &&
-              smt::host::cacheable_outcome(it->second.outcome) &&
-              it->second.report == rec.report &&
-              artifact_intact(opt.out_dir + "/" + it->second.report) &&
-              (it->second.dump.empty() ||
-               artifact_intact(opt.out_dir + "/" + it->second.dump))) {
-            rec = it->second;  // attempts/wall_ms are this run's, below
-            rec.cached = true;
-            cache_counters.hits.inc();
-            return status();
-          }
-        }
-        if (cache.has_value()) {
-          if (const std::optional<smt::host::CachedResult> hit =
-                  cache->load(content_key)) {
-            // Determinism audit: re-simulate a sample of hits and demand
-            // byte-identical artifacts before trusting the cache.
-            if (verify_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
-              smt::host::CachedResult fresh = simulate();
-              if (fresh.report_json != hit->report_json ||
-                  fresh.dump_json != hit->dump_json) {
-                cache_counters.verify_failed.inc();
-                fresh.outcome = "cache_verify_failed";
-                fresh.message =
-                    "cached artifacts diverge from re-simulation (key " +
-                    rec.key + ")";
-                return materialize(fresh, /*cached=*/false);
-              }
-              cache_counters.verified.inc();
+        if (const std::optional<smt::host::CachedResult> hit =
+                cache->load(content_key)) {
+          // Determinism audit: re-simulate a sample of hits and demand
+          // byte-identical artifacts before trusting the cache.
+          if (verify_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
+            smt::host::CachedResult fresh = simulate();
+            if (fresh.report_json != hit->report_json ||
+                fresh.dump_json != hit->dump_json) {
+              cache_counters.verify_failed.inc();
+              fresh.outcome = "cache_verify_failed";
+              fresh.message =
+                  "cached artifacts diverge from re-simulation (key " +
+                  rec.key + ")";
+              return materialize(fresh, /*cached=*/false);
             }
-            cache_counters.hits.inc();
-            return materialize(*hit, /*cached=*/true);
+            cache_counters.verified.inc();
           }
+          cache_counters.hits.inc();
+          return materialize(*hit, /*cached=*/true);
         }
         cache_counters.misses.inc();
       }
@@ -713,35 +638,22 @@ int main(int argc, char** argv) {
   smt::log::info("sweep starting", {{"jobs", pool_jobs.size()},
                                     {"workers", opt.jobs},
                                     {"out", opt.out_dir},
-                                    {"cache", opt.cache_dir},
-                                    {"resume", resume_active}});
+                                    {"cache", opt.cache_dir}});
 
   std::mutex trace_mu;
   std::vector<AttemptEvent> trace_events;
   Progress progress(pool_jobs.size(),
                     !opt.quiet && isatty(fileno(stderr)) != 0);
 
-  smt::host::CancelToken sweep_cancel;
-  std::atomic<long> completions{0};
-
   smt::host::JobPoolConfig pool;
   pool.workers = opt.jobs;
   pool.job_timeout = std::chrono::milliseconds(opt.timeout_ms);
   pool.metrics = &metrics;
-  pool.cancel = &sweep_cancel;
   const bool want_trace = !opt.trace_path.empty();
   pool.on_attempt = [&](const AttemptEvent& e) {
     if (want_trace) {
       const std::lock_guard<std::mutex> lock(trace_mu);
       trace_events.push_back(e);
-    }
-    // --cancel-after: the deterministic mid-sweep-kill injection. Fires
-    // between jobs (the pool checks the token before each claim), so the
-    // N-th completion is the last job that runs under --jobs 1.
-    if (opt.cancel_after > 0 && !e.will_retry &&
-        completions.fetch_add(1, std::memory_order_relaxed) + 1 >=
-            opt.cancel_after) {
-      sweep_cancel.cancel();
     }
     progress.on_attempt(e, index.jobs[submit[e.job]].name);
   };
@@ -755,15 +667,6 @@ int main(int argc, char** argv) {
       IndexEntry& e = index.jobs[submit[k]];
       e.attempts = pool_results[k].attempts;
       e.wall_ms = pool_results[k].wall_ms;
-      // Jobs the pool-level cancel kept from starting: structured
-      // outcomes, no artifacts, attempts=0 — and re-executable by a
-      // later --resume.
-      if (pool_results[k].status == JobStatus::kSkipped) {
-        e.outcome = "cancelled";
-        e.message = "sweep cancelled before this job started";
-        e.report.clear();
-        e.dump.clear();
-      }
     }
   }
   progress.finish();
@@ -775,11 +678,8 @@ int main(int argc, char** argv) {
   const std::string index_path =
       opt.out_dir + "/" + smt::host::kSweepIndexFile;
   if (!smt::write_text_file(index_path, index.to_json())) return kExitIo;
-  // Reports whether resume *reuse* was live, not merely requested:
-  // check_sweep_metrics holds cache.lookups to exactly started jobs
-  // when it is set.
   const smt::host::SweepReuse reuse{
-      !opt.cache_dir.empty(), resume_active,
+      !opt.cache_dir.empty(),
       opt.cache_verify == -1 ? 0 : static_cast<int64_t>(opt.cache_verify)};
   if (!opt.metrics_path.empty() &&
       !smt::write_text_file(
