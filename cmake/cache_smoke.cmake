@@ -34,6 +34,13 @@
 #      simulate and store, and the two reports stay byte-identical.
 #   6. guard rails: --pipeview or --telemetry with --cache must be
 #      refused up front.
+#   7. claim order: smt_sweep hands the pool its jobs longest first by
+#      the bench/history baselines under its working directory. The
+#      manifest swept from a directory without one claims in manifest
+#      order; ingested into <dir>/bench/history and swept again from
+#      <dir>, its first attempt is the job with the most baseline cycles,
+#      and reports and index (modulo wall_ms) stay byte-identical. A
+#      truncated baseline costs its job the estimate and nothing else.
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
 set(manifest mm.serial.n64 lu.serial.n64 bt.serial selftest.deadlock)
@@ -293,3 +300,135 @@ foreach(option --pipeview --telemetry)
     message(FATAL_ERROR "refused ${option} sweep still wrote an index")
   endif()
 endforeach()
+
+# Phase 7: claim order. Every sweep here runs on one worker with a
+# trace, so the trace's first attempt is the first job claimed; the
+# estimate count is read off the human-format "sweep starting" record.
+set(ENV{SMT_LOG_LEVEL} info)
+set(ENV{SMT_LOG_FORMAT} human)
+# first_attempt(TRACE OUT): OUT = the job name of TRACE's earliest span.
+function(first_attempt trace out)
+  file(READ "${trace}" json)
+  string(JSON n LENGTH "${json}" traceEvents)
+  math(EXPR last "${n} - 1")
+  foreach(i RANGE ${last})
+    string(JSON ph GET "${json}" traceEvents ${i} ph)
+    if(ph STREQUAL "X")
+      string(JSON name GET "${json}" traceEvents ${i} name)
+      set(${out} "${name}" PARENT_SCOPE)
+      return()
+    endif()
+  endforeach()
+  message(FATAL_ERROR "${trace} holds no attempt span")
+endfunction()
+
+# Its longest job is not listed first, so the two orders differ.
+set(order_manifest lu.serial.n64 mm.serial.n64 selftest.deadlock)
+
+# order_sweep(TAG CWD): sweeps order_manifest from working directory CWD
+# into ${OUT_DIR}/order-TAG; sets order_rc, order_log (stderr) and
+# order_first (the first job claimed).
+macro(order_sweep tag cwd)
+  execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/order-${tag}"
+    --trace "${OUT_DIR}/order-${tag}/sweep.trace.json" ${order_manifest}
+    WORKING_DIRECTORY "${cwd}" RESULT_VARIABLE order_rc
+    ERROR_VARIABLE order_log OUTPUT_QUIET)
+  first_attempt("${OUT_DIR}/order-${tag}/sweep.trace.json" order_first)
+endmacro()
+
+# same_outputs(TAG): order-TAG's exit code, reports and index (modulo
+# wall_ms) are those of the manifest-order sweep.
+function(same_outputs tag)
+  if(NOT order_rc EQUAL manifest_rc)
+    message(FATAL_ERROR "${tag} sweep exited ${order_rc}, the manifest-order "
+      "one ${manifest_rc}")
+  endif()
+  file(GLOB reports "${OUT_DIR}/order-manifest/reports/*.json")
+  list(LENGTH reports n)
+  if(NOT n EQUAL 3)
+    message(FATAL_ERROR "manifest-order sweep wrote ${n} reports, expected 3")
+  endif()
+  foreach(report IN LISTS reports)
+    get_filename_component(fname "${report}" NAME)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+      "${report}"
+      "${OUT_DIR}/order-${tag}/reports/${fname}" RESULT_VARIABLE cmp)
+    if(NOT cmp EQUAL 0)
+      message(FATAL_ERROR "${tag} sweep report ${fname} differs from the "
+        "manifest-order sweep's")
+    endif()
+  endforeach()
+  foreach(which manifest ${tag})
+    file(READ "${OUT_DIR}/order-${which}/sweep_index.json" index)
+    string(REGEX REPLACE "\"wall_ms\":[0-9.e+-]+" "\"wall_ms\":0"
+      ${which}_norm "${index}")
+  endforeach()
+  if(NOT manifest_norm STREQUAL ${tag}_norm)
+    message(FATAL_ERROR "${tag} sweep index differs from the manifest-order "
+      "one beyond wall_ms")
+  endif()
+endfunction()
+
+# No bench/history under OUT_DIR: manifest order.
+order_sweep(manifest "${OUT_DIR}")
+set(manifest_rc ${order_rc})
+if(manifest_rc EQUAL 0)
+  message(FATAL_ERROR "manifest-order sweep with a failing self-test "
+    "exited 0")
+endif()
+list(GET order_manifest 0 first_listed)
+if(NOT order_first STREQUAL first_listed OR
+   NOT order_log MATCHES "estimated=0 ")
+  message(FATAL_ERROR "a sweep without bench/history claimed "
+    "${order_first} first, not ${first_listed}: ${order_log}")
+endif()
+
+# The job with the most cycles, from the sweep's own index.
+file(READ "${OUT_DIR}/order-manifest/sweep_index.json" order_index)
+string(JSON njobs LENGTH "${order_index}" jobs)
+math(EXPR last "${njobs} - 1")
+set(longest "")
+set(longest_cycles -1)
+foreach(i RANGE ${last})
+  string(JSON outcome GET "${order_index}" jobs ${i} outcome)
+  string(JSON cycles GET "${order_index}" jobs ${i} cycles)
+  if(outcome STREQUAL "ok" AND cycles GREATER longest_cycles)
+    string(JSON longest GET "${order_index}" jobs ${i} name)
+    set(longest_cycles ${cycles})
+  endif()
+endforeach()
+if(longest STREQUAL first_listed)
+  message(FATAL_ERROR "the manifest lists its longest job first; the "
+    "claim-order phase cannot tell the orders apart")
+endif()
+
+set(order_root "${OUT_DIR}/order-root")
+execute_process(COMMAND "${HISTORY}" ingest --sweep "${OUT_DIR}/order-manifest"
+  --history "${order_root}/bench/history" RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "ingested 2 run")
+  message(FATAL_ERROR "ingest of the manifest-order sweep (${rc}): ${out}")
+endif()
+
+# From a directory holding the baselines: longest first.
+order_sweep(longest "${order_root}")
+if(NOT order_first STREQUAL longest OR
+   NOT order_log MATCHES "estimated=2 ")
+  message(FATAL_ERROR "a sweep with bench/history claimed ${order_first} "
+    "first, not the longest job ${longest}: ${order_log}")
+endif()
+same_outputs(longest)
+
+# A truncated baseline: its job loses the estimate and nothing else.
+set(cut "${order_root}/bench/history/BENCH_${longest}.json")
+file(READ "${cut}" whole)
+string(LENGTH "${whole}" len)
+math(EXPR half "${len} / 2")
+string(SUBSTRING "${whole}" 0 ${half} whole)
+file(WRITE "${cut}" "${whole}")
+order_sweep(truncated "${order_root}")
+if(order_first STREQUAL longest OR NOT order_log MATCHES "estimated=1 ")
+  message(FATAL_ERROR "a sweep with a truncated baseline for ${longest} "
+    "still estimated it: first ${order_first}: ${order_log}")
+endif()
+same_outputs(truncated)

@@ -1,9 +1,11 @@
 #include "host/job_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <thread>
 
 #include "common/check.h"
@@ -18,6 +20,19 @@ const char* name(JobStatus s) {
     case JobStatus::kTimeout: return "timeout";
   }
   return "?";
+}
+
+std::vector<size_t> longest_first(
+    const std::vector<std::optional<double>>& estimates) {
+  std::vector<size_t> order(estimates.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const std::optional<double>& ea = estimates[a];
+    const std::optional<double>& eb = estimates[b];
+    if (ea.has_value() != eb.has_value()) return ea.has_value();
+    return ea.has_value() && *ea > *eb;
+  });
+  return order;
 }
 
 namespace {

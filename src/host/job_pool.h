@@ -16,11 +16,17 @@
 //     machine, same definition and seeds) before being reported as
 //     kTimeout. A job that ignores its token simply runs to its cycle
 //     budget — the watchdog cannot preempt, only request.
+//   * Claim order is the jobs vector's order: workers take the next
+//     unclaimed job off one atomic cursor. A caller that knows how long
+//     its jobs run hands them over longest first (longest_first), so a
+//     long job does not start last and run alone at the end; results
+//     still come back in job order, and no artifact depends on the order.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,5 +124,12 @@ struct JobPoolConfig {
 /// failed.
 std::vector<JobResult> run_jobs(const JobPoolConfig& cfg,
                                 const std::vector<Job>& jobs);
+
+/// Longest-processing-time-first claim order (Graham 1969): the indices
+/// of `estimates`, largest estimate first. Jobs without an estimate come
+/// after every estimated one; ties and the unestimated jobs keep their
+/// input order, so with no estimates at all the order is the identity.
+std::vector<size_t> longest_first(
+    const std::vector<std::optional<double>>& estimates);
 
 }  // namespace smt::host

@@ -18,6 +18,7 @@
 #include "core/machine.h"
 #include "core/run_report.h"
 #include "core/runner.h"
+#include "host/bench_history.h"
 #include "host/experiments.h"
 #include "host/job_pool.h"
 #include "host/result_store.h"
@@ -221,6 +222,59 @@ TEST(CancelToken, ExpiresOnlyOnceItsDeadlinePassed) {
   timed.arm_deadline(std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(1));
   EXPECT_TRUE(timed.expired());
+}
+
+// ---------------------------------------------------------------------------
+// Claim order
+// ---------------------------------------------------------------------------
+
+TEST(ClaimOrder, LongestFirstThenUnestimatedInInputOrder) {
+  const std::vector<std::optional<double>> estimates = {
+      std::nullopt, 5.0, 9.0, std::nullopt, 5.0, 12.0};
+  // 12 > 9 > 5 = 5 (input order kept on the tie), then the two jobs
+  // without an estimate, in input order.
+  EXPECT_EQ(longest_first(estimates),
+            (std::vector<size_t>{5, 2, 1, 4, 0, 3}));
+}
+
+TEST(ClaimOrder, NoEstimatesIsTheIdentity) {
+  EXPECT_EQ(longest_first(std::vector<std::optional<double>>(5)),
+            (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(longest_first({}).empty());
+  EXPECT_EQ(longest_first({3.0, 3.0, 3.0}),
+            (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(ClaimOrder, OnePoolWorkerClaimsInThatOrderAndResultsLandInTheirSlots) {
+  // As smt_sweep submits: pool job k is manifest slot submit[k], and each
+  // job writes only its own slot.
+  const std::vector<std::optional<double>> estimates = {1.0, std::nullopt,
+                                                        30.0, 20.0};
+  const std::vector<size_t> submit = longest_first(estimates);
+  std::vector<std::string> slots(estimates.size());
+  std::vector<size_t> claimed;  // one worker: no synchronization needed
+  std::vector<Job> jobs;
+  for (const size_t slot : submit) {
+    jobs.push_back(make_job(
+        "slot" + std::to_string(slot),
+        [&, slot](const CancelToken&, int, std::string* message) {
+          claimed.push_back(slot);
+          slots[slot] = "wrote " + std::to_string(slot);
+          *message = slots[slot];
+          return JobStatus::kOk;
+        }));
+  }
+  JobPoolConfig cfg;
+  cfg.workers = 1;
+  const std::vector<JobResult> results = run_jobs(cfg, jobs);
+  EXPECT_EQ(claimed, (std::vector<size_t>{2, 3, 0, 1}));
+  ASSERT_EQ(results.size(), submit.size());
+  for (size_t k = 0; k < results.size(); ++k) {
+    EXPECT_EQ(results[k].message, "wrote " + std::to_string(submit[k]));
+  }
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    EXPECT_EQ(slots[slot], "wrote " + std::to_string(slot));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -963,6 +1017,119 @@ TEST(LintReport, CheckNamesEachViolation) {
     c.mutate(r);
     EXPECT_EQ(check_lint_report(r), c.findings) << c.what;
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Benchmark history
+// ---------------------------------------------------------------------------
+
+class BenchHistoryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (fs::path(::testing::TempDir()) /
+            ("bench_history_test_" +
+             std::to_string(
+                 std::chrono::steady_clock::now().time_since_epoch().count())))
+               .string();
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  void write(const std::string& experiment, const std::string& text) {
+    std::ofstream(history_file(dir_, experiment)) << text;
+  }
+
+  std::string dir_;
+};
+
+History sample_history() {
+  return {"mm.serial.n64",
+          {{"aaaaaaaaaaaaaaaa",
+            kHistoryReportSchema,
+            {{"r1", "k1", {{"cycles", 100}, {"totals.ipc", 1.5}}},
+             {"r2", "", {{"cycles", 120}}}}},
+           {"bbbbbbbbbbbbbbbb", kHistoryReportSchema, {}}}};
+}
+
+TEST_F(BenchHistoryTest, SaveThenLoadRoundTripsAndRewritesTheSameBytes) {
+  const History h = sample_history();
+  ASSERT_TRUE(save_history(dir_, h));
+  const std::optional<History> back = load_history(dir_, h.experiment);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, h);
+  EXPECT_EQ(history_json(*back), history_json(h));
+  // An absent file is an empty history, not an error.
+  const std::optional<History> none = load_history(dir_, "lu.serial.n64");
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(*none, (History{"lu.serial.n64", {}}));
+}
+
+TEST_F(BenchHistoryTest, ParserNamesTheFirstMalformedPart) {
+  History h;
+  EXPECT_EQ(parse_history("{\"schema\":", &h),
+            "does not parse as a JSON object");
+  EXPECT_EQ(parse_history("{\"schema\":\"smt-bench-history/2\","
+                          "\"experiment\":\"x\",\"trajectories\":[]}",
+                          &h),
+            "malformed history file");
+  EXPECT_EQ(parse_history("{\"schema\":\"smt-bench-history/1\","
+                          "\"experiment\":\"x\",\"trajectories\":"
+                          "[{\"config_hash\":\"a\","
+                          "\"report_schema\":\"s\"}]}",
+                          &h),
+            "malformed trajectory");
+  EXPECT_EQ(parse_history("{\"schema\":\"smt-bench-history/1\","
+                          "\"experiment\":\"x\",\"trajectories\":"
+                          "[{\"config_hash\":\"a\",\"report_schema\":"
+                          "\"s\",\"runs\":[{\"run_id\":\"r\"}]}]}",
+                          &h),
+            "malformed run entry");
+  EXPECT_EQ(parse_history(history_json(sample_history()), &h), std::nullopt);
+  EXPECT_EQ(h, sample_history());
+}
+
+TEST_F(BenchHistoryTest, BaselineCyclesAreTheLatestRunOfTheMatchingConfig) {
+  ASSERT_TRUE(save_history(dir_, sample_history()));
+  EXPECT_EQ(baseline_cycles(dir_, "mm.serial.n64", "aaaaaaaaaaaaaaaa"),
+            120.0);
+  // Another config, a run-less trajectory, no file: no estimate.
+  EXPECT_EQ(baseline_cycles(dir_, "mm.serial.n64", "cccccccccccccccc"),
+            std::nullopt);
+  EXPECT_EQ(baseline_cycles(dir_, "mm.serial.n64", "bbbbbbbbbbbbbbbb"),
+            std::nullopt);
+  EXPECT_EQ(baseline_cycles(dir_, "lu.serial.n64", "aaaaaaaaaaaaaaaa"),
+            std::nullopt);
+  EXPECT_EQ(baseline_cycles(dir_ + "/absent", "mm.serial.n64",
+                            "aaaaaaaaaaaaaaaa"),
+            std::nullopt);
+}
+
+TEST_F(BenchHistoryTest, UnusableBaselineFilesGiveNoEstimate) {
+  const std::string good = history_json(sample_history());
+  write("mm.serial.n64", good.substr(0, good.size() / 2));  // truncated
+  EXPECT_EQ(baseline_cycles(dir_, "mm.serial.n64", "aaaaaaaaaaaaaaaa"),
+            std::nullopt);
+  EXPECT_EQ(load_history(dir_, "mm.serial.n64"), std::nullopt);
+  // A file named for one experiment that holds another.
+  write("lu.serial.n64", good);
+  EXPECT_EQ(baseline_cycles(dir_, "lu.serial.n64", "aaaaaaaaaaaaaaaa"),
+            std::nullopt);
+  EXPECT_EQ(load_history(dir_, "lu.serial.n64"), std::nullopt);
+}
+
+TEST(BenchHistory, MachineConfigHashEqualsItsReportsConfigHash) {
+  const ExperimentDef* def = find_experiment("mm.serial.n64");
+  ASSERT_NE(def, nullptr);
+  const core::Machine m(def->config);
+  const std::optional<JsonValue> report = parse_json(
+      core::report_from_machine(m, def->name, true).to_json());
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(history_config_hash(*report->find("config")),
+            history_config_hash(def->config));
+  core::MachineConfig other = def->config;
+  other.core.rob_size /= 2;
+  EXPECT_NE(history_config_hash(other), history_config_hash(def->config));
 }
 
 }  // namespace

@@ -10,20 +10,19 @@
 // through host::parse_sweep_index — format in src/host/sweep_index.h —
 // plus every ok job's run report, validated by core::check_run_report)
 // and makes each ok job's run the baseline of its experiment: it rewrites
-// `<history>/BENCH_<experiment>.json` (schema smt-bench-history/1) to
-// hold one trajectory with one run. A trajectory is keyed by (config
-// hash, report schema), where the config hash is the FNV-1a digest of
-// the report's canonicalized `config` section. A run records its id, its
-// job's content key (when present, so the entry can be traced back to
-// its smt_sweep --cache object) and its metrics: cycles plus the
-// report's numeric `totals`. The default run id is a digest of the
-// index's *deterministic* job fields (name, content key, outcome,
-// cycles, verified, report path), so two sweeps of the same work at the
-// same model get the same id no matter how long they took; indexes whose
-// jobs predate content keys fall back to the digest of the raw index
-// bytes. Ingest leaves a file untouched when it already holds exactly the
-// run it would write, so re-ingesting a re-run (or a fully cache-hit
-// sweep) of a stored sweep is a no-op.
+// `<history>/BENCH_<experiment>.json` (smt-bench-history/1, read and
+// written only through host/bench_history.h, which describes the format)
+// to hold one trajectory with one run, keyed by the report's config hash
+// and schema. A run records its id, its job's content key (when present,
+// so the entry can be traced back to its smt_sweep --cache object) and
+// its metrics: cycles plus the report's numeric `totals`. The default
+// run id is a digest of the index's *deterministic* job fields (name,
+// content key, outcome, cycles, verified, report path), so two sweeps
+// of the same work at the same model get the same id no matter how long
+// they took; indexes whose jobs predate content keys fall back to the
+// digest of the raw index bytes. Ingest leaves a file untouched when it
+// already holds exactly the run it would write, so re-ingesting a re-run
+// (or a fully cache-hit sweep) of a stored sweep is a no-op.
 //
 // `check` compares the same sweep against the store. The simulator is
 // deterministic, so the gate is exact: each ok job's metrics must equal
@@ -55,24 +54,29 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "core/report_check.h"
+#include "host/bench_history.h"
 #include "host/sweep_index.h"
 
 namespace fs = std::filesystem;
 
 namespace {
 
-using smt::JsonValue;
+using smt::host::find_trajectory;
+using smt::host::History;
+using smt::host::history_file;
+using smt::host::load_history;
+using smt::host::read_history;
+using smt::host::save_history;
+using smt::host::Trajectory;
 
 constexpr int kExitFinding = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-constexpr char kHistorySchema[] = "smt-bench-history/1";
-
 struct Options {
   std::string command;
   std::string sweep_dir;
-  std::string history_dir = "bench/history";
+  std::string history_dir = smt::host::kHistoryDir;
   std::string run_id;              // ingest; default = stable index digest
   std::vector<std::string> names;  // list: experiment filter
 };
@@ -86,33 +90,6 @@ int usage() {
   return kExitUsage;
 }
 
-// ---------------------------------------------------------------------------
-// On-disk model
-// ---------------------------------------------------------------------------
-
-struct RunEntry {
-  std::string run_id;
-  std::string key;  // sweep content-address key; "" for pre-cache runs
-  std::map<std::string, double> metrics;
-
-  bool operator==(const RunEntry&) const = default;
-};
-
-struct Trajectory {
-  std::string config_hash;
-  std::string report_schema;
-  std::vector<RunEntry> runs;  // oldest first
-
-  bool operator==(const Trajectory&) const = default;
-};
-
-struct History {
-  std::string experiment;
-  std::vector<Trajectory> trajectories;
-
-  bool operator==(const History&) const = default;
-};
-
 /// One job of the sweep being ingested/checked: its index entry plus, for
 /// an ok job, its report's trajectory key and metric set.
 struct SweepRun {
@@ -121,131 +98,6 @@ struct SweepRun {
   std::string report_schema;
   std::map<std::string, double> metrics;
 };
-
-std::optional<JsonValue> load_json(const fs::path& path) {
-  bool unreadable = false;
-  std::optional<JsonValue> v = smt::read_json_object(path, &unreadable);
-  if (!v.has_value() && !unreadable) {
-    smt::log::error("does not parse as a JSON object",
-                    {{"path", path.string()}});
-  }
-  return v;
-}
-
-fs::path history_file(const Options& opt, const std::string& experiment) {
-  return fs::path(opt.history_dir) /
-         ("BENCH_" + smt::sanitize_artifact_key(experiment) + ".json");
-}
-
-/// Reads one history file. nullopt (logged) when it does not parse or
-/// any part of it is malformed: a corrupt history must never be read as
-/// a shorter one, nor silently overwritten.
-std::optional<History> read_history(const fs::path& path) {
-  const auto v = load_json(path);
-  if (!v.has_value()) return std::nullopt;
-  const JsonValue* schema = v->find("schema");
-  const JsonValue* exp = v->find("experiment");
-  const JsonValue* trajs = v->find("trajectories");
-  if (schema == nullptr || schema->string != kHistorySchema ||
-      exp == nullptr || !exp->is_string() || trajs == nullptr ||
-      !trajs->is_array()) {
-    smt::log::error("malformed history file", {{"path", path.string()}});
-    return std::nullopt;
-  }
-  History h;
-  h.experiment = exp->string;
-  for (const JsonValue& tv : trajs->array) {
-    Trajectory t;
-    const JsonValue* hash = tv.find("config_hash");
-    const JsonValue* rs = tv.find("report_schema");
-    const JsonValue* runs = tv.find("runs");
-    if (hash == nullptr || !hash->is_string() || rs == nullptr ||
-        !rs->is_string() || runs == nullptr || !runs->is_array()) {
-      smt::log::error("malformed trajectory", {{"path", path.string()}});
-      return std::nullopt;
-    }
-    t.config_hash = hash->string;
-    t.report_schema = rs->string;
-    for (const JsonValue& rv : runs->array) {
-      RunEntry r;
-      const JsonValue* id = rv.find("run_id");
-      const JsonValue* metrics = rv.find("metrics");
-      if (id == nullptr || !id->is_string() || metrics == nullptr ||
-          !metrics->is_object()) {
-        smt::log::error("malformed run entry", {{"path", path.string()}});
-        return std::nullopt;
-      }
-      r.run_id = id->string;
-      const JsonValue* key = rv.find("key");
-      if (key != nullptr && key->is_string()) r.key = key->string;
-      for (const auto& [k, mv] : metrics->object) {
-        if (mv.is_number()) r.metrics[k] = mv.number;
-      }
-      t.runs.push_back(std::move(r));
-    }
-    h.trajectories.push_back(std::move(t));
-  }
-  return h;
-}
-
-/// Loads one experiment's history file: absent file -> empty history;
-/// malformed, or holding another experiment -> nullopt (logged).
-std::optional<History> load_history(const Options& opt,
-                                    const std::string& experiment) {
-  const fs::path path = history_file(opt, experiment);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return History{experiment, {}};
-  std::optional<History> h = read_history(path);
-  if (h.has_value() && h->experiment != experiment) {
-    smt::log::error("history file holds another experiment",
-                    {{"path", path.string()}, {"experiment", experiment}});
-    return std::nullopt;
-  }
-  return h;
-}
-
-bool save_history(const Options& opt, const History& h) {
-  smt::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", kHistorySchema);
-  w.kv("experiment", h.experiment);
-  w.key("trajectories");
-  w.begin_array();
-  for (const Trajectory& t : h.trajectories) {
-    w.begin_object();
-    w.kv("config_hash", t.config_hash);
-    w.kv("report_schema", t.report_schema);
-    w.key("runs");
-    w.begin_array();
-    for (const RunEntry& r : t.runs) {
-      w.begin_object();
-      w.kv("run_id", r.run_id);
-      w.kv("key", r.key);
-      w.key("metrics");
-      w.begin_object();
-      for (const auto& [k, v] : r.metrics) w.kv(k, v);
-      w.end_object();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return smt::write_text_file(history_file(opt, h.experiment).string(),
-                              w.str());
-}
-
-const Trajectory* find_trajectory(const History& h,
-                                  const std::string& config_hash,
-                                  const std::string& report_schema) {
-  for (const Trajectory& t : h.trajectories) {
-    if (t.config_hash == config_hash && t.report_schema == report_schema) {
-      return &t;
-    }
-  }
-  return nullptr;
-}
 
 // ---------------------------------------------------------------------------
 // Sweep-artifact ingestion
@@ -303,8 +155,7 @@ std::optional<std::vector<SweepRun>> load_sweep(const std::string& dir,
           smt::core::check_run_report, &unreadable);
       if (!rv.has_value()) return std::nullopt;
       r.report_schema = rv->find("schema")->string;
-      r.config_hash =
-          smt::fnv1a64_hex(smt::to_canonical_string(*rv->find("config")));
+      r.config_hash = smt::host::history_config_hash(*rv->find("config"));
       r.metrics["cycles"] = rv->find("cycles")->number;
       for (const auto& [k, tv] : rv->find("totals")->object) {
         if (tv.is_number()) r.metrics["totals." + k] = tv.number;
@@ -330,7 +181,7 @@ int cmd_ingest(const Options& opt) {
   int skipped = 0;
   for (const SweepRun& r : *runs) {
     if (!r.job.ok()) continue;  // partial numbers never ingest
-    const auto stored = load_history(opt, r.job.name);
+    const auto stored = load_history(opt.history_dir, r.job.name);
     if (!stored.has_value()) return kExitIo;
     const History baseline{
         r.job.name,
@@ -341,7 +192,7 @@ int cmd_ingest(const Options& opt) {
                                                {"run_id", run_id}});
       continue;
     }
-    if (!save_history(opt, baseline)) return kExitIo;
+    if (!save_history(opt.history_dir, baseline)) return kExitIo;
     ++ingested;
   }
   std::printf("ingested %d run(s), %d already present (run_id %s) into %s\n",
@@ -391,7 +242,7 @@ int cmd_check(const Options& opt) {
   int unbaselined = 0;  // failed jobs with no history file
   for (const SweepRun& r : *runs) {
     std::error_code ec;
-    if (!fs::exists(history_file(opt, r.job.name), ec)) {
+    if (!fs::exists(history_file(opt.history_dir, r.job.name), ec)) {
       if (r.job.ok()) {
         std::printf("MISMATCH %-24s no history file (ingest a baseline)\n",
                     r.job.name.c_str());
@@ -401,7 +252,7 @@ int cmd_check(const Options& opt) {
       }
       continue;
     }
-    const auto h = load_history(opt, r.job.name);
+    const auto h = load_history(opt.history_dir, r.job.name);
     if (!h.has_value()) return kExitIo;
     if (!r.job.ok()) {
       std::printf("MISMATCH %-24s outcome %s, not ok\n", r.job.name.c_str(),

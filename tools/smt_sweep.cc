@@ -77,20 +77,23 @@
 //
 // Every job runs a fresh deterministic Machine simulation through the
 // non-aborting core::try_run_workload path on the host::JobPool, so one
-// deadlocked or over-budget job cannot abort the process or lose the
-// other jobs' measurements. Per-job RunReport JSON artifacts land in
-// <out>/reports/ (also for failed jobs — a partial report is still
-// data), and a merged <out>/sweep_index.json (format:
-// src/host/sweep_index.h) records every job in manifest order regardless
-// of scheduling. Every job runs with the post-mortem flight recorder
-// attached (a pure observer — reports are unaffected); when a job dies in
-// deadlock / cycle-budget exhaustion / a detected race, its
-// smt-core-dump/1 document lands in <out>/dumps/, named by its index
-// entry — feed it to tools/smt_explain for a diagnosis. Because each
-// job's artifact depends only on its definition, a parallel sweep's
-// reports are byte-identical to a serial (--jobs 1) run's — and stay that
-// way with --metrics and --trace enabled, since those artifacts are
-// wall-clock data in separate files. While running, a progress line
+// deadlocked or over-budget job cannot abort the process or lose the other
+// jobs' measurements. Per-job RunReport JSON artifacts land in <out>/reports/
+// (also for failed jobs — a partial report is still data), and a merged
+// <out>/sweep_index.json (format: src/host/sweep_index.h) records every job in
+// manifest order regardless of scheduling. The pool claims jobs longest first:
+// a job's estimate is the cycles of its baseline in bench/history/ under the
+// working directory (host::baseline_cycles, the run smt_history check compares
+// against); jobs without one follow in manifest order, so with no bench/history
+// the claim order is the manifest's. The "sweep starting" log record counts the
+// estimated jobs. Every job runs with the post-mortem flight recorder attached
+// (a pure observer — reports are unaffected); when a job dies in deadlock /
+// cycle-budget exhaustion / a detected race, its smt-core-dump/1 document lands
+// in <out>/dumps/, named by its index entry — feed it to tools/smt_explain for
+// a diagnosis. Because each job's artifact depends only on its definition, a
+// parallel sweep's reports are byte-identical to a serial (--jobs 1) run's —
+// and stay that way with --metrics and --trace enabled, since those artifacts
+// are wall-clock data in separate files. While running, a progress line
 // (completed/total, failures, ETA) is maintained on stderr when it is a
 // terminal.
 //
@@ -125,6 +128,7 @@
 #include "core/run_report.h"
 #include "core/runner.h"
 #include "core/workload.h"
+#include "host/bench_history.h"
 #include "host/experiments.h"
 #include "host/job_pool.h"
 #include "host/metrics.h"
@@ -477,15 +481,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Jobs that survived the lint gate, in manifest order; submit[k] maps
-  // the pool's job index k back to the manifest/index slot.
+  // The jobs that survived the lint gate, in claim order (longest
+  // baseline first; see the header), so a long job listed last does not
+  // start last and run alone at the end. No artifact depends on it: each
+  // job writes its own manifest slot, and submit[k] maps the pool's job
+  // index k back to that slot.
   std::vector<size_t> submit;
-  std::vector<smt::host::Job> pool_jobs;
+  std::vector<std::optional<double>> estimates;
+  size_t estimated = 0;  // logged: a config-hash drift shows as a shortfall
   for (size_t i = 0; i < manifest.size(); ++i) {
+    if (index.jobs[i].outcome == "lint_failed") continue;  // never simulated
+    submit.push_back(i);
+    estimates.push_back(smt::host::baseline_cycles(
+        smt::host::kHistoryDir, defs[i]->name,
+        smt::host::history_config_hash(defs[i]->config)));
+    estimated += estimates.back().has_value() ? 1 : 0;
+  }
+  {
+    std::vector<size_t> claim_order;
+    for (const size_t k : smt::host::longest_first(estimates)) {
+      claim_order.push_back(submit[k]);
+    }
+    submit = std::move(claim_order);
+  }
+
+  std::vector<smt::host::Job> pool_jobs;
+  for (const size_t i : submit) {
     const ExperimentDef& def = *defs[i];
     IndexEntry& rec = index.jobs[i];
-    if (rec.outcome == "lint_failed") continue;  // never simulated
-    submit.push_back(i);
     smt::host::Job& job = pool_jobs.emplace_back();
     const std::string key = smt::sanitize_artifact_key(def.name);
     rec.report = "reports/" + key + ".json";
@@ -635,10 +658,12 @@ int main(int argc, char** argv) {
     };
   }
 
-  smt::log::info("sweep starting", {{"jobs", pool_jobs.size()},
-                                    {"workers", opt.jobs},
-                                    {"out", opt.out_dir},
-                                    {"cache", opt.cache_dir}});
+  smt::log::info("sweep starting",
+                 {{"jobs", pool_jobs.size()},
+                  {"estimated", estimated},
+                  {"workers", opt.jobs},
+                  {"out", opt.out_dir},
+                  {"cache", opt.cache_dir}});
 
   std::mutex trace_mu;
   std::vector<AttemptEvent> trace_events;
