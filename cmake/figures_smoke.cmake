@@ -1,44 +1,20 @@
-# Figure renderer smoke: sweep the three n = 64 LU jobs and render Figure
-# 4 from the index; its rows must equal the golden Figure 4's n = 64 rows
-# (compared with runs of spaces squeezed: column widths depend on which
-# rows a table holds). Sweep the sync manifest and render the sync
-# ablation: it must equal its golden file byte for byte. Then an index
-# missing one of the LU jobs, an index where one failed, and two indexes
-# sharing one must each be refused with exit 1 naming the job. Invoked
-# by ctest (see tools/CMakeLists.txt) as:
-#   cmake -DSWEEP=... -DFIGURES=... -DGOLDEN_DIR=... -DOUT_DIR=...
-#     -P figures_smoke.cmake
+# Figure renderer smoke: sweep the sync manifest and render the sync
+# ablation: it must equal its golden file byte for byte. Then smt_figures
+# must refuse, with exit 1 naming the job, three sets of indexes for
+# Figure 4: the sync sweep's (no LU jobs), an edited copy of the
+# registry_sweep fixture's index REGISTRY_SWEEP where one LU job failed,
+# and the fixture's index together with a plain copy of it (every job in
+# two indexes). Figures 3-5 rendered from the fixture are registry_gates'
+# check. Invoked by ctest (see tools/CMakeLists.txt) as:
+#   cmake -DSWEEP=... -DFIGURES=... -DGOLDEN_DIR=... -DREGISTRY_SWEEP=...
+#     -DOUT_DIR=... -P figures_smoke.cmake
 file(REMOVE_RECURSE "${OUT_DIR}")
 
-# sweep(DIR JOBS...): a cached sweep of JOBS into OUT_DIR/DIR.
-function(sweep dir)
-  execute_process(COMMAND "${SWEEP}" --quiet --jobs 3
-    --out "${OUT_DIR}/${dir}" --cache "${OUT_DIR}/store" ${ARGN}
-    RESULT_VARIABLE rc OUTPUT_QUIET)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "sweep ${ARGN} failed: ${rc}")
-  endif()
-endfunction()
-sweep(all lu.serial.n64 lu.tlp-coarse.n64 lu.tlp-pfetch.n64)
-
-execute_process(COMMAND "${FIGURES}" --index "${OUT_DIR}/all/sweep_index.json"
-  --figure 4 RESULT_VARIABLE rc OUTPUT_VARIABLE rendered)
+execute_process(COMMAND "${SWEEP}" --quiet --jobs 3 --manifest sync
+  --out "${OUT_DIR}/sync" RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "smt_figures failed: ${rc}")
+  message(FATAL_ERROR "sweep --manifest sync failed: ${rc}")
 endif()
-file(READ "${GOLDEN_DIR}/figures.txt" golden)
-string(REGEX MATCH "=== Figure 4[^\n]*\n[^=]*" golden "${golden}")
-foreach(text golden rendered)
-  string(REGEX REPLACE " +" " " ${text} "${${text}}")
-  string(REGEX MATCHALL "\n[a-z+-]+ 64 [^\n]*" ${text} "${${text}}")
-endforeach()
-list(LENGTH golden rows)
-if(NOT rows EQUAL 3 OR NOT rendered STREQUAL golden)
-  message(FATAL_ERROR "Figure 4's n = 64 rows differ from figures.txt:\n"
-    "want:${golden}\ngot:${rendered}")
-endif()
-
-sweep(sync --manifest sync)
 execute_process(COMMAND "${FIGURES}" --index "${OUT_DIR}/sync/sweep_index.json"
   --figure sync RESULT_VARIABLE rc OUTPUT_VARIABLE rendered)
 file(READ "${GOLDEN_DIR}/sync.txt" golden)
@@ -47,12 +23,19 @@ if(NOT rc EQUAL 0 OR NOT rendered STREQUAL golden)
     "want:${golden}\ngot:${rendered}")
 endif()
 
+# The copied indexes sit beside a copy of the fixture's reports, which
+# their report paths name relative to the index.
+set(edited "${OUT_DIR}/edited")
+file(COPY "${REGISTRY_SWEEP}/reports" "${REGISTRY_SWEEP}/sweep_index.json"
+  DESTINATION "${edited}")
+file(READ "${REGISTRY_SWEEP}/sweep_index.json" index)
+
 # expect_refusal(JOB INDEX...): smt_figures over INDEXes must exit 1 and
 # name JOB.
 function(expect_refusal job)
   set(args "")
-  foreach(dir IN LISTS ARGN)
-    list(APPEND args --index "${OUT_DIR}/${dir}/sweep_index.json")
+  foreach(path IN LISTS ARGN)
+    list(APPEND args --index "${path}")
   endforeach()
   execute_process(COMMAND "${FIGURES}" ${args} --figure 4
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
@@ -63,16 +46,14 @@ function(expect_refusal job)
   endif()
 endfunction()
 
-sweep(partial lu.serial.n64 lu.tlp-coarse.n64)
-expect_refusal(lu.tlp-pfetch.n64 partial)
+expect_refusal(lu.tlp-pfetch.n64 "${OUT_DIR}/sync/sweep_index.json")
 
-# The full index with lu.tlp-coarse.n64 recorded as a deadlock.
-file(READ "${OUT_DIR}/all/sweep_index.json" index)
+# The fixture's index with lu.tlp-coarse.n64 recorded as a deadlock.
 string(REPLACE "\"lu.tlp-coarse.n64\",\"outcome\":\"ok\""
   "\"lu.tlp-coarse.n64\",\"outcome\":\"deadlock\"" failed "${index}")
 string(REPLACE "\"failed\":0" "\"failed\":1" failed "${failed}")
-file(WRITE "${OUT_DIR}/failed/sweep_index.json" "${failed}")
-file(COPY "${OUT_DIR}/all/reports" DESTINATION "${OUT_DIR}/failed")
-expect_refusal(lu.tlp-coarse.n64 failed)
+file(WRITE "${edited}/failed.json" "${failed}")
+expect_refusal(lu.tlp-coarse.n64 "${edited}/failed.json")
 
-expect_refusal(lu.serial.n64 all partial)
+expect_refusal(lu.serial.n64 "${REGISTRY_SWEEP}/sweep_index.json"
+  "${edited}/sweep_index.json")

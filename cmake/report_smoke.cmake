@@ -5,7 +5,8 @@
 # --profile and --interference must give every report its section
 # (timeseries, profile, interference), and --telemetry must also drop a
 # Chrome trace per job in <out>/traces/, which check_reports validates
-# too. When ANNOTATE is given, smt_annotate must also accept one report.
+# too. When ANNOTATE is given, smt_annotate must also accept one report,
+# and with --predict print one static advisor bound per CPU.
 # When DIFF is given, report_diff must accept that report against itself
 # and reject (exit 1) both a still-valid copy that retired one more
 # branch and a copy truncated to its schema, cycles and totals, which is
@@ -83,6 +84,20 @@ if(ANNOTATE)
     RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "smt_annotate rejected ${report}: ${rc}")
+  endif()
+  # --predict adds the static advisor's bound under each CPU's port table.
+  execute_process(COMMAND "${ANNOTATE}" "${report}" --predict
+    RESULT_VARIABLE rc OUTPUT_VARIABLE annotated)
+  string(REGEX MATCHALL "\n=== cpu[0-9]+ port occupancy ===" cpus
+    "${annotated}")
+  string(REGEX MATCHALL "\nstatic advisor: cpi >= [0-9]" bounds
+    "${annotated}")
+  list(LENGTH cpus ncpus)
+  list(LENGTH bounds nbounds)
+  if(NOT rc EQUAL 0 OR ncpus EQUAL 0 OR NOT nbounds EQUAL ncpus)
+    message(FATAL_ERROR "smt_annotate --predict on ${report} (exit ${rc}) "
+      "printed ${nbounds} static advisor lines for ${ncpus} CPUs:\n"
+      "${annotated}")
   endif()
 endif()
 

@@ -5,12 +5,14 @@
 // single cycle is simulated.
 //
 // Soundness contract (cross-validated against the cycle-accurate core on
-// the full bench registry in tests/static_perf_test.cc): for any run of
-// the program that COMPLETES, the reported cpi_lb never exceeds the
-// measured per-CPU CPI (perfmon::CpuCycleBreakdown::cpi, active cycles
-// per retired instruction). The bound is NOT valid against a truncated
-// (budget-exceeded) run: a prefix of the execution can have a different
-// block mix than any whole execution.
+// the default manifest's reports in tests/static_perf_registry_test.cc):
+// for any run of the program that COMPLETES, the reported cpi_lb never
+// exceeds the measured per-CPU CPI (perfmon::CpuCycleBreakdown::cpi,
+// active cycles per retired instruction). The bound is NOT valid against
+// a truncated (budget-exceeded) run, nor against the partial context of
+// an until_first_done pair (stopped when its sibling exits): a prefix of
+// the execution can have a different block mix than any whole
+// execution.
 //
 // Two regimes:
 //   * exact — control flow is a straight nest of resolved counted loops

@@ -11,7 +11,8 @@ StreamWorkload::StreamWorkload(std::vector<StreamSpec> specs)
     : specs_(std::move(specs)) {
   SMT_CHECK(!specs_.empty() && specs_.size() <= kNumLogicalCpus);
   for (const StreamSpec& s : specs_) {
-    name_ += (name_.empty() ? "" : "+") + s.label();
+    if (!name_.empty()) name_ += '+';
+    name_ += s.label();
   }
 }
 

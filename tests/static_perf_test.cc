@@ -1,24 +1,13 @@
 // Tests for the static CPI lower-bound advisor: the constraint families
 // on hand-built programs (port pressure, unpipelined dividers,
 // loop-carried dependence chains, the retire-width floor), graceful
-// degradation on malformed programs, determinism — and the soundness
-// contract itself, cross-validated against the cycle-accurate core over
-// the full bench registry: the static bound must never exceed the
-// measured active-cycle CPI of any completed run.
-#include <atomic>
-#include <mutex>
-#include <sstream>
-#include <string>
-#include <thread>
+// degradation on malformed programs and determinism. The soundness
+// contract against the cycle-accurate core is static_perf_registry_test's.
 #include <vector>
 
 #include "analysis/static_perf.h"
-#include "core/machine.h"
-#include "core/runner.h"
 #include "gtest/gtest.h"
-#include "host/experiments.h"
 #include "isa/asm_builder.h"
-#include "perfmon/cycle_accounting.h"
 
 namespace smt::analysis {
 namespace {
@@ -130,82 +119,6 @@ TEST(StaticPerf, BoundIsDeterministic) {
   EXPECT_EQ(a.cycles_lb, b.cycles_lb);
   EXPECT_EQ(a.binding, b.binding);
   EXPECT_EQ(a.instrs, b.instrs);
-}
-
-// ---------------------------------------------------------------------------
-// The soundness contract, against the cycle-accurate core
-// ---------------------------------------------------------------------------
-
-TEST(StaticPerfRegistry, BoundNeverExceedsMeasuredCpiOnAnyBenchKernel) {
-  const std::vector<std::string> names = host::manifest("default");
-  ASSERT_GT(names.size(), 20u);
-
-  std::mutex mu;
-  std::vector<std::string> failures;
-  int validated = 0;
-  int exact_bounds = 0;
-  std::atomic<size_t> next{0};
-
-  const auto worker = [&] {
-    for (size_t i; (i = next.fetch_add(1)) < names.size();) {
-      const host::ExperimentDef* def = host::find_experiment(names[i]);
-      ASSERT_NE(def, nullptr) << names[i];
-
-      // The static bounds, from the program text alone.
-      const std::unique_ptr<core::Workload> probe = def->make();
-      core::Machine layout_only;
-      probe->setup(layout_only);
-      const std::vector<isa::Program> programs = probe->programs();
-      const core::MachineConfig mc;
-      std::vector<StaticPerf> bounds;
-      bounds.reserve(programs.size());
-      for (const isa::Program& p : programs) {
-        bounds.push_back(static_cpi_bound(p, mc.core));
-      }
-
-      // The measured run. The bound is only a contract for COMPLETED
-      // runs, so anything else is skipped (and would fail other gates).
-      const std::unique_ptr<core::Workload> w = def->make();
-      const core::RunOutcome out =
-          core::try_run_workload(mc, *w, def->cycle_budget);
-      if (!out.ok()) continue;
-      const perfmon::CycleAccounting acc =
-          perfmon::account_cycles(out.stats.events, out.stats.cycles);
-
-      std::lock_guard<std::mutex> lock(mu);
-      for (size_t c = 0; c < bounds.size(); ++c) {
-        const double measured = acc.cpu[c].cpi;
-        if (acc.cpu[c].instr_retired == 0) continue;
-        ++validated;
-        if (bounds[c].exact) ++exact_bounds;
-        if (bounds[c].cpi_lb > measured + 1e-9) {
-          std::ostringstream os;
-          os << names[i] << " cpu" << c << ": static bound "
-             << bounds[c].cpi_lb << " (" << bounds[c].binding
-             << (bounds[c].exact ? ", exact" : ", fallback")
-             << ") exceeds measured cpi " << measured;
-          failures.push_back(os.str());
-        }
-      }
-    }
-  };
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t nthreads =
-      std::min<size_t>(names.size(), hw == 0 ? 4 : hw);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < nthreads; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-
-  for (const std::string& f : failures) ADD_FAILURE() << f;
-  // Every default-manifest kernel completes, so every program's bound
-  // must have been exercised against a measurement.
-  EXPECT_GT(validated, 30);
-  // Only the serial kernels are eligible for exact bounds (every TLP
-  // variant spins on xchg/pause, which excludes exact mode by design),
-  // so the advisor must resolve at least a handful of them exactly
-  // rather than always falling back to the density bound.
-  EXPECT_GE(exact_bounds, 6);
 }
 
 }  // namespace
