@@ -2,7 +2,7 @@
 # Invoked by ctest (see tools/CMakeLists.txt) as:
 #   cmake -DSWEEP=... -DCHECKER=... -DOUT_DIR=... -P sweep_smoke.cmake
 #
-# Five runs:
+# Five phases:
 #   1. serial (--jobs 1) reference sweep over a small healthy manifest;
 #   2. the same manifest on 4 workers with the observability artifacts
 #      (--metrics/--trace) enabled — every per-job report must be
@@ -19,11 +19,12 @@
 #   4. the manifest again with --pipeview — Kanata artifacts must appear
 #      per job while every report stays byte-identical to the serial
 #      reference (pipeline tracing must not leak into measurements);
-#   5. scrub: a job that dies by injected watchdog timeout on its first
-#      attempt strands garbage artifacts; the pool must delete them
-#      before the retry, leaving only the surviving attempt's bytes —
-#      the self-test shares mm.serial.n64's workload, so its report must
-#      be byte-identical to that job's report from the same sweep.
+#   5. a real watchdog expiry: mm.serial.n64 under --timeout-ms 1 with a
+#      --cache must end as "timeout" after one attempt (exit 1), store
+#      nothing, mark the kill with a "watchdog" instant in its sweep
+#      trace, and leave reports, trace, metrics and index that validate; the
+#      same --cache without the watchdog must then finish the job (one
+#      miss, exit 0) with a report byte-identical to the serial run's.
 set(manifest mm.serial.n64 mm.tlp-fine.n64 lu.serial.n64 bt.serial)
 
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -192,44 +193,53 @@ foreach(kf IN LISTS kanata_files)
   endif()
 endforeach()
 
-# Injected first-attempt timeout — stale artifacts must be scrubbed
-# before the retry. selftest.timeout-once strands garbage report/dump
-# bytes, then (attempt 2) runs mm.serial.n64's workload; the surviving
-# report must be byte-identical to the healthy job's.
-execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/scrub"
-  --timeout-ms 60000 --metrics "${OUT_DIR}/scrub/metrics.json"
-  mm.serial.n64 selftest.timeout-once RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "scrub sweep failed: ${rc}")
+# A real watchdog expiry is final: the timed-out job is indexed once and
+# never stored, and re-running with the same --cache finishes it.
+set(store "${OUT_DIR}/timeout_store")
+execute_process(COMMAND "${SWEEP}" --jobs 1 --timeout-ms 1 --cache "${store}"
+  --out "${OUT_DIR}/timeout" --metrics "${OUT_DIR}/timeout/metrics.json"
+  --trace "${OUT_DIR}/timeout/trace/sweep.trace.json"
+  mm.serial.n64 RESULT_VARIABLE rc ERROR_VARIABLE timeout_err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "watchdog sweep: exit ${rc}, want 1:\n${timeout_err}")
 endif()
-file(READ "${OUT_DIR}/scrub/sweep_index.json" index)
-string(FIND "${index}" "\"name\":\"selftest.timeout-once\",\"outcome\":\"ok\""
-  pos)
+file(READ "${OUT_DIR}/timeout/sweep_index.json" index)
+foreach(needle "\"outcome\":\"timeout\"" "\"attempts\":1,")
+  string(FIND "${index}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "watchdog sweep index lacks ${needle}:\n${index}")
+  endif()
+endforeach()
+file(READ "${OUT_DIR}/timeout/metrics.json" metrics)
+if(NOT metrics MATCHES "\"cache.stores\":0[,}]")
+  message(FATAL_ERROR "a timed-out job was stored:\n${metrics}")
+endif()
+file(READ "${OUT_DIR}/timeout/trace/sweep.trace.json" trace)
+string(FIND "${trace}" "\"name\":\"watchdog\"" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR "timeout-once job did not recover to ok")
+  message(FATAL_ERROR "sweep trace lacks the watchdog instant:\n${trace}")
 endif()
-string(REGEX MATCH "\"attempts\":2" retried "${index}")
-if(NOT retried)
-  message(FATAL_ERROR "timeout-once job was not retried")
+execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/timeout/reports"
+  "${OUT_DIR}/timeout/trace" --metrics "${OUT_DIR}/timeout/metrics.json"
+  --index "${OUT_DIR}/timeout/sweep_index.json" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "watchdog sweep artifacts failed validation: ${rc}")
+endif()
+
+execute_process(COMMAND "${SWEEP}" --jobs 1 --cache "${store}"
+  --out "${OUT_DIR}/finish" --metrics "${OUT_DIR}/finish/metrics.json"
+  mm.serial.n64 RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "finishing sweep failed: ${rc}")
+endif()
+file(READ "${OUT_DIR}/finish/metrics.json" metrics)
+if(NOT metrics MATCHES "\"cache.misses\":1[,}]")
+  message(FATAL_ERROR "finishing sweep did not simulate the timed-out "
+    "job:\n${metrics}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  "${OUT_DIR}/scrub/reports/mm.serial.n64.json"
-  "${OUT_DIR}/scrub/reports/selftest.timeout-once.json" RESULT_VARIABLE cmp)
+  "${OUT_DIR}/serial/reports/mm.serial.n64.json"
+  "${OUT_DIR}/finish/reports/mm.serial.n64.json" RESULT_VARIABLE cmp)
 if(NOT cmp EQUAL 0)
-  message(FATAL_ERROR
-    "surviving report differs from the reference workload's — stale "
-    "first-attempt bytes leaked through the retry")
-endif()
-# The stranded dump garbage must be gone: nothing in this sweep dies
-# with a core dump.
-file(GLOB scrub_dumps "${OUT_DIR}/scrub/dumps/*")
-list(LENGTH scrub_dumps n)
-if(NOT n EQUAL 0)
-  message(FATAL_ERROR "scrub sweep left ${n} stale dump artifact(s)")
-endif()
-execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/scrub/reports"
-  --metrics "${OUT_DIR}/scrub/metrics.json"
-  --index "${OUT_DIR}/scrub/sweep_index.json" RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "scrub sweep artifacts failed validation: ${rc}")
+  message(FATAL_ERROR "finished report differs from the serial run's")
 endif()

@@ -615,13 +615,6 @@ std::vector<ExperimentDef> build_registry() {
   defs.push_back(
       selftest("race", [] { return std::make_unique<RaceWorkload>(); }));
   defs.back().race_detect = true;
-  // Rides the mm.serial.n64 workload so the surviving retry's report is
-  // byte-comparable against that job's reference artifact; the injected
-  // first-attempt timeout (and the garbage files it strands) happens in
-  // the sweep's job fn, before any simulation.
-  defs.push_back(mm_def(MmMode::kSerial, 64, "selftest"));
-  defs.back().name = "selftest.timeout-once";
-  defs.back().timeout_first_attempt = true;
 
   return defs;
 }

@@ -8,8 +8,7 @@
 //
 // Every definition is fully deterministic: the factory builds a fresh
 // Workload with fixed sizes and seeds, so a job's report depends only on
-// its name — never on which worker ran it, in what order, or whether the
-// watchdog forced a retry.
+// its name — never on which worker ran it or in what order.
 #pragma once
 
 #include <functional>
@@ -58,11 +57,6 @@ struct ExperimentDef {
   /// (core::RunOptions::race_detect); a detected race comes back as a
   /// structured kRaceDetected outcome.
   bool race_detect = false;
-  /// Self-test fault injection: the sweep's job fn reports a watchdog
-  /// timeout on attempt 0 — after deliberately leaving partial artifact
-  /// files behind — and simulates normally on the retry. Exercises the
-  /// JobPool's pre-retry artifact scrub end to end.
-  bool timeout_first_attempt = false;
 };
 
 // The stream sets of Figures 1-2 (the rows and columns smt_figures

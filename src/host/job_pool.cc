@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -53,7 +52,6 @@ struct PoolInstruments {
         jobs_ok(reg.counter("pool.jobs_ok")),
         jobs_failed(reg.counter("pool.jobs_failed")),
         jobs_timeout(reg.counter("pool.jobs_timeout")),
-        jobs_retried(reg.counter("pool.jobs_retried")),
         attempts(reg.counter("pool.attempts")),
         watchdog_fires(reg.counter("pool.watchdog_fires")),
         queue_depth(reg.gauge("pool.queue_depth")),
@@ -73,7 +71,6 @@ struct PoolInstruments {
   Counter& jobs_ok;
   Counter& jobs_failed;
   Counter& jobs_timeout;
-  Counter& jobs_retried;
   Counter& attempts;
   Counter& watchdog_fires;
   Gauge& queue_depth;
@@ -86,62 +83,39 @@ JobResult run_one(const JobPoolConfig& cfg, const Job& job, size_t job_index,
                   int worker, Clock::time_point pool_start,
                   PoolInstruments* ins) {
   SMT_CHECK_MSG(static_cast<bool>(job.fn), job.name.c_str());
-  JobResult r;
   if (ins != nullptr) ins->jobs_started.inc();
-  for (int attempt = 0;; ++attempt) {
-    // A watchdog-killed attempt can die mid-write and leave partial
-    // artifacts behind; delete every declared artifact path before the
-    // retry so the files on disk after the job can only be the surviving
-    // attempt's bytes (a stale dump from attempt 0 must not shadow a
-    // clean retry that produced none).
-    if (attempt > 0) {
-      for (const std::string& path : job.artifacts) {
-        std::remove(path.c_str());
-      }
-    }
-    CancelToken token;
-    if (cfg.job_timeout.count() > 0) {
-      token.arm_deadline(Clock::now() + cfg.job_timeout);
-    }
-    const double begin_ms = ms_since(pool_start);
-    std::string message;
-    r.status = job.fn(token, attempt, &message);
-    r.message = std::move(message);
-    const double end_ms = ms_since(pool_start);
-    r.wall_ms += end_ms - begin_ms;
-    ++r.attempts;
-    // One fresh attempt after a watchdog kill; every job definition fixes
-    // its seeds, so the retry recomputes the identical simulation.
-    const bool will_retry =
-        r.status == JobStatus::kTimeout && attempt < cfg.timeout_retries;
-    if (ins != nullptr) {
-      ins->attempts.inc();
-      ins->attempt_wall_ms.observe(end_ms - begin_ms);
-      if (r.status == JobStatus::kTimeout) ins->watchdog_fires.inc();
-      if (will_retry) ins->jobs_retried.inc();
-    }
-    if (cfg.on_attempt) {
-      AttemptEvent e;
-      e.job = job_index;
-      e.worker = worker;
-      e.attempt = attempt;
-      e.status = r.status;
-      e.will_retry = will_retry;
-      e.begin_ms = begin_ms;
-      e.end_ms = end_ms;
-      cfg.on_attempt(e);
-    }
-    if (will_retry) continue;
-    if (ins != nullptr) {
-      ins->jobs_completed.inc();
-      switch (r.status) {
-        case JobStatus::kOk:      ins->jobs_ok.inc(); break;
-        case JobStatus::kFailed:  ins->jobs_failed.inc(); break;
-        case JobStatus::kTimeout: ins->jobs_timeout.inc(); break;
-      }
-    }
-    return r;
+  CancelToken token;
+  if (cfg.job_timeout.count() > 0) {
+    token.arm_deadline(Clock::now() + cfg.job_timeout);
   }
+  JobResult r;
+  const double begin_ms = ms_since(pool_start);
+  r.status = job.fn(token, &r.message);
+  const double end_ms = ms_since(pool_start);
+  r.wall_ms = end_ms - begin_ms;
+  if (ins != nullptr) {
+    ins->attempts.inc();
+    ins->attempt_wall_ms.observe(r.wall_ms);
+    ins->jobs_completed.inc();
+    switch (r.status) {
+      case JobStatus::kOk:      ins->jobs_ok.inc(); break;
+      case JobStatus::kFailed:  ins->jobs_failed.inc(); break;
+      case JobStatus::kTimeout:
+        ins->watchdog_fires.inc();
+        ins->jobs_timeout.inc();
+        break;
+    }
+  }
+  if (cfg.on_attempt) {
+    AttemptEvent e;
+    e.job = job_index;
+    e.worker = worker;
+    e.status = r.status;
+    e.begin_ms = begin_ms;
+    e.end_ms = end_ms;
+    cfg.on_attempt(e);
+  }
+  return r;
 }
 
 }  // namespace

@@ -7,15 +7,16 @@
 //     core::try_run_workload path and report failures as data.
 //   * Determinism: a job's *result artifacts* depend only on the job
 //     definition (every experiment fixes its seeds), never on worker
-//     count, scheduling order, or whether a retry happened — which is
-//     what makes parallel sweep reports byte-identical to serial ones.
-//   * Cooperative wall-clock watchdog: each attempt gets a CancelToken
-//     armed with a deadline; the simulator's cancel hook
+//     count or scheduling order — which is what makes parallel sweep
+//     reports byte-identical to serial ones.
+//   * Cooperative wall-clock watchdog: each job gets a CancelToken armed
+//     with a deadline; the simulator's cancel hook
 //     (cpu::Core::set_cancel_check) polls it and winds the run down
-//     cleanly. A job killed by the watchdog is retried once (fresh
-//     machine, same definition and seeds) before being reported as
-//     kTimeout. A job that ignores its token simply runs to its cycle
-//     budget — the watchdog cannot preempt, only request.
+//     cleanly. Every job runs exactly once: a watchdog-killed job ends as
+//     kTimeout, and re-running the sweep with the same --cache is the one
+//     way to finish it (a timeout is never cached, so only the timed-out
+//     jobs simulate again). A job that ignores its token simply runs to
+//     its cycle budget — the watchdog cannot preempt, only request.
 //   * Claim order is the jobs vector's order: workers take the next
 //     unclaimed job off one atomic cursor. A caller that knows how long
 //     its jobs run hands them over longest first (longest_first), so a
@@ -32,7 +33,7 @@
 
 namespace smt::host {
 
-/// Cooperative cancellation handle handed to each job attempt: expires
+/// Cooperative cancellation handle handed to each job: expires
 /// once its armed wall-clock deadline has passed (never, unarmed).
 class CancelToken {
  public:
@@ -52,48 +53,37 @@ class CancelToken {
   std::chrono::steady_clock::time_point deadline_{};
 };
 
-/// How a job ended, after retries.
+/// How a job ended.
 enum class JobStatus : uint8_t {
   kOk,
   kFailed,   // structured failure (deadlock, budget, verify, ...)
-  kTimeout,  // the watchdog expired the token on every allowed attempt
+  kTimeout,  // the watchdog expired the job's token
 };
 const char* name(JobStatus s);
 
 struct JobResult {
   JobStatus status = JobStatus::kOk;
   std::string message;   // failure detail; empty when ok
-  int attempts = 0;      // executions consumed (2 after a watchdog retry)
-  double wall_ms = 0.0;  // host wall-clock across all attempts
+  double wall_ms = 0.0;  // host wall-clock of the job's one run
 };
 
 struct Job {
   std::string name;
-  /// One attempt of the job. Must poll `token` (wire it into the
-  /// simulator's cancel check) and return kTimeout when it wound down
-  /// because the token expired; `attempt` is 0 first, 1 on the retry.
-  /// On kFailed/kTimeout, describe the failure in *message.
-  std::function<JobStatus(const CancelToken& token, int attempt,
-                          std::string* message)>
+  /// The job. Must poll `token` (wire it into the simulator's cancel
+  /// check) and return kTimeout when it wound down because the token
+  /// expired. On kFailed/kTimeout, describe the failure in *message.
+  std::function<JobStatus(const CancelToken& token, std::string* message)>
       fn;
-  /// Artifact paths this job writes (report, dump, ...). Deleted by the
-  /// pool before every retry attempt, so a watchdog-killed attempt's
-  /// partially written files can never survive beside — or be mistaken
-  /// for — the surviving attempt's output.
-  std::vector<std::string> artifacts;
 };
 
 /// One finished job attempt, as seen by the pool's observability hooks.
-/// Timestamps are host wall-clock milliseconds relative to run_jobs()
-/// entry, so a sweep trace's spans all share one epoch.
+/// Every job makes exactly one attempt, so its event carries the job's
+/// final status. Timestamps are host wall-clock milliseconds relative to
+/// run_jobs() entry, so a sweep trace's spans all share one epoch.
 struct AttemptEvent {
   size_t job = 0;    ///< index into the run_jobs() jobs vector
   int worker = 0;    ///< worker thread that ran the attempt [0, workers)
-  int attempt = 0;   ///< 0 first, 1 on the watchdog retry
   JobStatus status = JobStatus::kOk;
-  /// The watchdog killed this attempt and another one follows (the
-  /// job's final status is not yet known).
-  bool will_retry = false;
   double begin_ms = 0.0;
   double end_ms = 0.0;
 };
@@ -103,10 +93,8 @@ class MetricsRegistry;
 struct JobPoolConfig {
   /// Fixed number of worker threads (clamped to [1, #jobs]).
   int workers = 1;
-  /// Per-attempt wall-clock watchdog; zero disables it.
+  /// Per-job wall-clock watchdog; zero disables it.
   std::chrono::milliseconds job_timeout{0};
-  /// Extra attempts granted when the watchdog killed the previous one.
-  int timeout_retries = 1;
   /// Optional instrumentation, updated live while the pool runs (see
   /// host/metrics.h for the metric names the pool registers). Purely
   /// observational: the pool's scheduling and the jobs' artifacts are

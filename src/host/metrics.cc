@@ -260,11 +260,10 @@ std::vector<std::string> check_sweep_metrics(const JsonValue& metrics,
          counter("pool.jobs_failed") + counter("pool.jobs_timeout"),
          index_failed - index_lint_failed);
   expect("pool.attempts", counter("pool.attempts"), index_attempts);
-  expect("pool.attempts - pool.jobs_retried",
-         counter("pool.attempts") - counter("pool.jobs_retried"),
-         index_started);
+  expect("pool.attempts - pool.jobs_started",
+         counter("pool.attempts") - counter("pool.jobs_started"), 0);
   expect("pool.watchdog_fires", counter("pool.watchdog_fires"),
-         counter("pool.jobs_retried") + counter("pool.jobs_timeout"));
+         counter("pool.jobs_timeout"));
 
   // Result-cache counters. A sweep that ran without --cache must show
   // zero lookups; one that ran with it looks up every job it actually

@@ -176,9 +176,9 @@ std::string sweep_metrics_json(const MetricsRegistry& reg,
 ///   jobs_started == jobs_completed == started
 ///   jobs_ok == total - failed;  jobs_failed + jobs_timeout ==
 ///                                  failed - lint_failed
-///   attempts == sum(index jobs[].attempts) == started + jobs_retried
-///   watchdog_fires == jobs_retried + jobs_timeout  (retries only follow
-///                                                   watchdog timeouts)
+///   attempts == sum(index jobs[].attempts) == jobs_started (every job
+///     runs exactly once)
+///   watchdog_fires == jobs_timeout
 ///   attempt_wall_ms histogram: count == attempts, bucket counts sum to it
 ///   queue_depth gauge drained to 0 from a high watermark of
 ///     total - lint_failed (lint-failed jobs are never enqueued);

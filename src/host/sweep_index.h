@@ -35,7 +35,7 @@ struct IndexEntry {
   std::string outcome = "ok";  // "ok"; a core::RunStatus failure name
                                // (deadlock, cycle_budget_exceeded,
                                // verify_failed, race_detected); "timeout"
-                               // (the watchdog killed every attempt);
+                               // (the watchdog killed the job);
                                // "lint_failed" (withheld by --lint);
                                // "cache_verify_failed" (a hit diverged
                                // from its re-simulation); or
@@ -44,10 +44,10 @@ struct IndexEntry {
   std::string key;             // host::ResultKey hash; "" if not computed
   bool cached = false;         // artifacts came from the result cache,
                                // not a simulation
-  int attempts = 0;            // 2 after a watchdog retry; 0 if the job
-                               // never started
-  double wall_ms = 0.0;        // host wall-clock across all attempts
-  Cycle cycles = 0;            // simulated cycles of the final attempt
+  int attempts = 0;            // 1 for every job the pool ran; 0 if the
+                               // job never started
+  double wall_ms = 0.0;        // host wall-clock of the job's run
+  Cycle cycles = 0;            // simulated cycles
   bool verified = false;       // the workload's result check passed
   std::string report;          // report path relative to the output
                                // directory; "" if the job never started
@@ -59,7 +59,7 @@ struct IndexEntry {
 
 struct SweepIndex {
   int workers = 0;             // requested pool workers (--jobs)
-  int64_t job_timeout_ms = 0;  // per-attempt watchdog; 0 = off
+  int64_t job_timeout_ms = 0;  // per-job watchdog; 0 = off
   std::vector<IndexEntry> jobs;
 
   /// Number of jobs whose outcome is not "ok".

@@ -36,8 +36,7 @@ std::string sweep_trace_json(std::vector<AttemptEvent> events,
   std::sort(events.begin(), events.end(),
             [](const AttemptEvent& a, const AttemptEvent& b) {
               if (a.begin_ms != b.begin_ms) return a.begin_ms < b.begin_ms;
-              if (a.worker != b.worker) return a.worker < b.worker;
-              return a.attempt < b.attempt;
+              return a.worker < b.worker;
             });
 
   JsonWriter w;
@@ -53,27 +52,22 @@ std::string sweep_trace_json(std::vector<AttemptEvent> events,
 
   for (const AttemptEvent& e : events) {
     SMT_CHECK(e.job < job_names.size());
-    // The attempt span.
+    // The job's span.
     trace::begin_event(w, job_names[e.job], "X", e.worker, to_us(e.begin_ms));
     w.kv("dur", to_us(e.end_ms) - to_us(e.begin_ms));
     w.kv("cname", status_cname(e.status));
     w.key("args");
     w.begin_object();
     w.kv("status", name(e.status));
-    w.kv("attempt", e.attempt);
-    w.kv("will_retry", e.will_retry);
     w.end_object();
     w.end_object();
-    // Watchdog fire / retry decision as instants at the kill point.
+    // A watchdog fire as an instant at the kill point.
     if (e.status == JobStatus::kTimeout) {
-      const char* what =
-          e.will_retry ? "watchdog: retry" : "watchdog: give up";
-      trace::begin_event(w, what, "i", e.worker, to_us(e.end_ms));
+      trace::begin_event(w, "watchdog", "i", e.worker, to_us(e.end_ms));
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
       w.kv("job", job_names[e.job]);
-      w.kv("attempt", e.attempt);
       w.end_object();
       w.end_object();
     }

@@ -5,10 +5,10 @@
 // schedule becomes visible:
 //
 //   * one track (tid) per pool worker, named "worker N";
-//   * one complete ("X") span per job attempt, named after the job and
-//     colored by its JobStatus (ok = green, failed = red, watchdog
-//     timeout = yellow), with status/attempt in args;
-//   * instant events marking watchdog fires and the retry decision.
+//   * one complete ("X") span per job, named after the job and colored
+//     by its JobStatus (ok = green, failed = red, watchdog timeout =
+//     yellow), with the status in args;
+//   * one "watchdog" instant event per watchdog fire, at the kill point.
 //
 // Times are host wall-clock: 1 trace microsecond = 1 real microsecond,
 // relative to pool start. Being wall-clock data, the trace lives in its

@@ -30,8 +30,7 @@ namespace smt::host {
 namespace {
 
 Job make_job(std::string name,
-             std::function<JobStatus(const CancelToken&, int, std::string*)>
-                 fn) {
+             std::function<JobStatus(const CancelToken&, std::string*)> fn) {
   Job j;
   j.name = std::move(name);
   j.fn = std::move(fn);
@@ -44,7 +43,7 @@ TEST(JobPool, ResultsComeBackInJobOrder) {
     std::string jname = "j";
     jname += std::to_string(i);
     jobs.push_back(make_job(
-        jname, [i](const CancelToken&, int, std::string* message) {
+        jname, [i](const CancelToken&, std::string* message) {
           *message = "ran ";
           *message += std::to_string(i);
           return JobStatus::kOk;
@@ -59,7 +58,6 @@ TEST(JobPool, ResultsComeBackInJobOrder) {
     std::string expect = "ran ";
     expect += std::to_string(i);
     EXPECT_EQ(results[i].message, expect);
-    EXPECT_EQ(results[i].attempts, 1);
   }
 }
 
@@ -77,7 +75,7 @@ TEST(JobPool, OneFailureDoesNotStopTheOthers) {
     jname += std::to_string(i);
     jobs.push_back(make_job(
         jname,
-        [i, &executed](const CancelToken&, int, std::string* message) {
+        [i, &executed](const CancelToken&, std::string* message) {
           executed.fetch_add(1);
           if (i == 2) {
             *message = "synthetic failure";
@@ -103,7 +101,7 @@ TEST(JobPool, JobsRunConcurrentlyAcrossWorkers) {
   // Two jobs that each wait (bounded) for the other to start can only both
   // finish ok if the pool really runs them on different threads at once.
   std::atomic<int> started{0};
-  auto meet = [&started](const CancelToken&, int, std::string* message) {
+  auto meet = [&started](const CancelToken&, std::string* message) {
     started.fetch_add(1);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -124,13 +122,12 @@ TEST(JobPool, JobsRunConcurrentlyAcrossWorkers) {
   EXPECT_EQ(results[1].status, JobStatus::kOk);
 }
 
-TEST(JobPool, WatchdogExpiryRetriesOnceThenReportsTimeout) {
+TEST(JobPool, WatchdogExpiryReportsTimeoutAfterOneAttempt) {
   std::atomic<int> attempts_seen{0};
   Job job = make_job(
-      "stuck", [&attempts_seen](const CancelToken& token, int attempt,
+      "stuck", [&attempts_seen](const CancelToken& token,
                                 std::string* message) {
         attempts_seen.fetch_add(1);
-        EXPECT_EQ(attempt, attempts_seen.load() - 1);
         while (!token.expired()) std::this_thread::yield();
         *message = "token expired";
         return JobStatus::kTimeout;
@@ -140,32 +137,15 @@ TEST(JobPool, WatchdogExpiryRetriesOnceThenReportsTimeout) {
   cfg.job_timeout = std::chrono::milliseconds(20);
   const std::vector<JobResult> results = run_jobs(cfg, {job});
   EXPECT_EQ(results[0].status, JobStatus::kTimeout);
-  EXPECT_EQ(results[0].attempts, 2);
-  EXPECT_EQ(attempts_seen.load(), 2);
+  EXPECT_EQ(results[0].message, "token expired");
+  EXPECT_EQ(attempts_seen.load(), 1);
   EXPECT_GT(results[0].wall_ms, 0.0);
-}
-
-TEST(JobPool, TimeoutFollowedBySuccessEndsOk) {
-  Job job = make_job(
-      "flaky", [](const CancelToken&, int attempt, std::string* message) {
-        if (attempt == 0) {
-          *message = "first attempt timed out";
-          return JobStatus::kTimeout;
-        }
-        return JobStatus::kOk;
-      });
-  JobPoolConfig cfg;
-  cfg.workers = 1;
-  cfg.job_timeout = std::chrono::milliseconds(1000);
-  const std::vector<JobResult> results = run_jobs(cfg, {job});
-  EXPECT_EQ(results[0].status, JobStatus::kOk);
-  EXPECT_EQ(results[0].attempts, 2);
 }
 
 TEST(JobPool, StructuredFailureIsNotRetried) {
   std::atomic<int> attempts_seen{0};
   Job job = make_job(
-      "bad", [&attempts_seen](const CancelToken&, int, std::string*) {
+      "bad", [&attempts_seen](const CancelToken&, std::string*) {
         attempts_seen.fetch_add(1);
         return JobStatus::kFailed;
       });
@@ -175,43 +155,6 @@ TEST(JobPool, StructuredFailureIsNotRetried) {
   const std::vector<JobResult> results = run_jobs(cfg, {job});
   EXPECT_EQ(results[0].status, JobStatus::kFailed);
   EXPECT_EQ(attempts_seen.load(), 1);
-}
-
-TEST(JobPool, RetryScrubsDeclaredArtifacts) {
-  // A watchdog-style retry must never inherit the first attempt's
-  // half-written files: the pool deletes every declared artifact path
-  // before re-running the job.
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "jobpool_scrub_test";
-  fs::create_directories(dir);
-  const std::string artifact = (dir / "report.json").string();
-
-  std::string seen_on_retry = "unset";
-  Job job = make_job("scrubbed", [&](const CancelToken&, int attempt,
-                                     std::string* message) {
-    if (attempt == 0) {
-      std::ofstream(artifact) << "{\"partial\":";
-      *message = "injected timeout";
-      return JobStatus::kTimeout;
-    }
-    seen_on_retry = fs::exists(artifact) ? "stale file survived" : "clean";
-    std::ofstream(artifact) << "{\"ok\":true}";
-    return JobStatus::kOk;
-  });
-  job.artifacts = {artifact};
-  JobPoolConfig cfg;
-  cfg.workers = 1;
-  cfg.job_timeout = std::chrono::milliseconds(1000);
-  const std::vector<JobResult> results = run_jobs(cfg, {job});
-  EXPECT_EQ(results[0].status, JobStatus::kOk);
-  EXPECT_EQ(results[0].attempts, 2);
-  EXPECT_EQ(seen_on_retry, "clean");
-  std::ifstream in(artifact);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes, "{\"ok\":true}");
-  fs::remove_all(dir);
 }
 
 TEST(CancelToken, ExpiresOnlyOnceItsDeadlinePassed) {
@@ -257,7 +200,7 @@ TEST(ClaimOrder, OnePoolWorkerClaimsInThatOrderAndResultsLandInTheirSlots) {
   for (const size_t slot : submit) {
     jobs.push_back(make_job(
         "slot" + std::to_string(slot),
-        [&, slot](const CancelToken&, int, std::string* message) {
+        [&, slot](const CancelToken&, std::string* message) {
           claimed.push_back(slot);
           slots[slot] = "wrote " + std::to_string(slot);
           *message = slots[slot];
@@ -509,7 +452,7 @@ SweepIndex sample_index() {
   lint.key.clear();
   lint.report.clear();
   const IndexEntry timeout = index_entry(
-      "selftest.hang", "timeout", "wall-clock watchdog expired", 2, 61.5);
+      "selftest.hang", "timeout", "wall-clock watchdog expired", 1, 61.5);
   IndexEntry dead = index_entry(
       "selftest.deadlock", "deadlock",
       "no future event: \"cpu0\" halted\n\tawaiting IPI \\ from cpu1", 1,
@@ -739,7 +682,6 @@ TEST(Experiments, DynpartJobsDifferFromTheirStaticTwinOnlyInPartitioning) {
               core::machine_config_json(d.config));
     EXPECT_EQ(d.cycle_budget, twin->cycle_budget);
     EXPECT_EQ(d.race_detect, twin->race_detect);
-    EXPECT_EQ(d.timeout_first_attempt, twin->timeout_first_attempt);
 
     // Same programs, different key: only the config hash (and the
     // name) tells them apart.

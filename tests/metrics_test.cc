@@ -209,7 +209,7 @@ TEST(SweepMetrics, CheckNamesEachMismatch) {
   std::vector<Job> jobs(3);
   for (size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].name = "j" + std::to_string(i);
-    jobs[i].fn = [i](const CancelToken&, int, std::string* message) {
+    jobs[i].fn = [i](const CancelToken&, std::string* message) {
       if (i < 2) return JobStatus::kOk;
       *message = "deadlock";
       return JobStatus::kFailed;
@@ -225,7 +225,7 @@ TEST(SweepMetrics, CheckNamesEachMismatch) {
     IndexEntry e;
     e.name = jobs[i].name;
     e.outcome = results[i].status == JobStatus::kOk ? "ok" : "deadlock";
-    e.attempts = results[i].attempts;
+    e.attempts = 1;
     index.jobs.push_back(e);
   }
   const auto base = parse_json(sweep_metrics_json(reg, index, {}));
@@ -258,7 +258,10 @@ TEST(SweepMetrics, CheckNamesEachMismatch) {
       {"extra attempt",
        [&](JsonValue& m) { counter(m, "pool.attempts") = 4; },
        {"pool.attempts is 4, expected 3",
-        "pool.attempts - pool.jobs_retried is 4, expected 3"}},
+        "pool.attempts - pool.jobs_started is 1, expected 0"}},
+      {"watchdog fire without a timeout",
+       [&](JsonValue& m) { counter(m, "pool.watchdog_fires") = 1; },
+       {"pool.watchdog_fires is 1, expected 0"}},
       {"lookup without reuse",
        [&](JsonValue& m) { counter(m, "cache.lookups") = 1; },
        {"cache.lookups is 1, expected 0",

@@ -416,12 +416,13 @@ TEST(ChromeTrace, CheckNamesEachViolationInBothWriters) {
   const RunStats stats = run_spr_matmul(true, true, true);
   ASSERT_NE(stats.telemetry, nullptr);
   std::vector<host::AttemptEvent> attempts(3);
-  attempts[0] = {0, 0, 0, host::JobStatus::kOk, false, 0.0, 2.5};
-  attempts[1] = {1, 1, 0, host::JobStatus::kTimeout, true, 0.5, 4.0};
-  attempts[2] = {1, 1, 1, host::JobStatus::kFailed, false, 4.0, 6.0};
+  attempts[0] = {0, 0, host::JobStatus::kOk, 0.0, 2.5};
+  attempts[1] = {1, 1, host::JobStatus::kTimeout, 0.5, 4.0};
+  attempts[2] = {2, 1, host::JobStatus::kFailed, 4.0, 6.0};
   const std::string docs[] = {
       trace::chrome_trace_json(*stats.telemetry),
-      host::sweep_trace_json(attempts, {"mm.serial.n64", "bt.serial"}, 2)};
+      host::sweep_trace_json(attempts,
+                             {"mm.serial.n64", "bt.serial", "cg.serial"}, 2)};
 
   const auto events = [](JsonValue& d) -> std::vector<JsonValue>& {
     return d.object["traceEvents"].array;

@@ -9,16 +9,17 @@
 //                     ablation, full, streams, table1, sync, multiprog,
 //                     selftest) after any named jobs; with no names and
 //                     no manifest, runs "default"
-//   --cycle-budget N  per-job simulated-cycle budget override
-//   --timeout-ms N    per-attempt wall-clock watchdog (0 = off, default);
-//                     a watchdog-killed job is retried once
+//   --timeout-ms N    per-job wall-clock watchdog (0 = off, default). A
+//                     watchdog-killed job ends as "timeout" (exit 1) and
+//                     is never cached, so running again with the same
+//                     --cache finishes exactly the timed-out jobs
 //   --metrics FILE    write a smt-sweep-metrics/1 snapshot of the pool's
 //                     counters/gauges/histograms (watchdog fires, queue
 //                     depth, attempt wall times, per-worker busy time);
 //                     format and validator: src/host/metrics.h
 //   --trace FILE      write a Chrome trace-event (Perfetto-loadable)
 //                     timeline of the sweep: one track per worker, one
-//                     span per job attempt colored by its outcome
+//                     span per job colored by its outcome
 //   --profile         attach the per-PC attribution profiler to every
 //                     job: reports gain a `profile` section (hotspots and
 //                     port occupancy; tools/smt_annotate reads it, and
@@ -55,9 +56,13 @@
 //                     and Chrome-trace artifacts are not cached, so a hit
 //                     could not reproduce them).
 //   --cache-verify[=N]  determinism audit (requires --cache): re-simulate
-//                     every cache hit (or the first N of them) and
-//                     byte-compare report and dump against the stored
-//                     object. A divergence is reported as the structured
+//                     every cache hit, or with =N the first N hits in
+//                     claim order (longest baseline first, see below;
+//                     precisely, the hits among the first N jobs
+//                     claimed), and byte-compare report and dump against
+//                     the stored object. Each audited hit logs "cache hit
+//                     verified" (info level) with job=<name>. A divergence
+//                     is reported as the structured
 //                     outcome "cache_verify_failed" (job fails, fresh
 //                     artifacts win) — it means either nondeterminism or
 //                     a model change behind an unchanged key.
@@ -75,8 +80,9 @@
 // Every numeric value must be a whole decimal number in its option's
 // range; anything else is a usage error.
 //
-// Every job runs a fresh deterministic Machine simulation through the
-// non-aborting core::try_run_workload path on the host::JobPool, so one
+// Every job runs a fresh deterministic Machine simulation, within its
+// definition's cycle budget, through the non-aborting
+// core::try_run_workload path on the host::JobPool, so one
 // deadlocked or over-budget job cannot abort the process or lose the other
 // jobs' measurements. Per-job RunReport JSON artifacts land in <out>/reports/
 // (also for failed jobs — a partial report is still data), and a merged
@@ -103,7 +109,6 @@
 // malformed number or pipeview window); 3 when an artifact cannot be
 // written.
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <climits>
@@ -155,7 +160,6 @@ struct SweepOptions {
   std::string manifest;          // "" = none named
   std::string metrics_path;
   std::string trace_path;
-  smt::Cycle cycle_budget = 0;  // 0: use each definition's own budget
   long timeout_ms = 0;
   std::string cache_dir;        // "" = no result cache
   long cache_verify = -1;       // -1 off; LONG_MAX bare flag; N = sample
@@ -193,11 +197,10 @@ struct CacheCounters {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--jobs N] [--out DIR] [--manifest NAME]\n"
-               "       [--cycle-budget N] [--timeout-ms N]\n"
-               "       [--metrics FILE] [--trace FILE] [--profile]\n"
-               "       [--interference] [--telemetry] [--pipeview[=B:E]]\n"
-               "       [--cache DIR] [--cache-verify[=N]] [--lint]\n"
-               "       [--quiet] [--list] [experiment names...]\n",
+               "       [--timeout-ms N] [--metrics FILE] [--trace FILE]\n"
+               "       [--profile] [--interference] [--telemetry]\n"
+               "       [--pipeview[=B:E]] [--cache DIR] [--cache-verify[=N]]\n"
+               "       [--lint] [--quiet] [--list] [experiment names...]\n",
                argv0);
   return kExitUsage;
 }
@@ -285,8 +288,6 @@ bool parse_args(int argc, char** argv, SweepOptions* opt) {
       ok = text("--metrics", &opt->metrics_path);
     } else if (a == "--trace") {
       ok = text("--trace", &opt->trace_path);
-    } else if (a == "--cycle-budget") {
-      ok = number("--cycle-budget", &opt->cycle_budget, 1, UINT64_MAX);
     } else if (a == "--timeout-ms") {
       ok = number("--timeout-ms", &opt->timeout_ms, 0, INT32_MAX);
     } else if (a == "--cache") {
@@ -360,11 +361,8 @@ class Progress {
     smt::log::debug("attempt finished",
                     {{"job", job_name},
                      {"worker", e.worker},
-                     {"attempt", e.attempt},
                      {"status", smt::host::name(e.status)},
-                     {"wall_ms", e.end_ms - e.begin_ms},
-                     {"will_retry", e.will_retry}});
-    if (e.will_retry) return;  // job not finished yet
+                     {"wall_ms", e.end_ms - e.begin_ms}});
     ++done_;
     if (e.status != JobStatus::kOk) ++failed_;
     redraw();
@@ -448,9 +446,6 @@ int main(int argc, char** argv) {
 
   smt::host::MetricsRegistry metrics;
   CacheCounters cache_counters(metrics);
-  // Countdown of hits still to audit under --cache-verify.
-  std::atomic<long> verify_budget{opt.cache_verify == -1 ? 0
-                                                         : opt.cache_verify};
 
   // --lint: the static pre-run gate. A job with any error-severity
   // diagnostic is withheld from the pool entirely; its diagnostics go to
@@ -509,11 +504,13 @@ int main(int argc, char** argv) {
   for (const size_t i : submit) {
     const ExperimentDef& def = *defs[i];
     IndexEntry& rec = index.jobs[i];
+    // --cache-verify's sample: the first N jobs in claim order, fixed
+    // here rather than by which worker reaches its lookup first.
+    const bool audit = opt.cache_verify != -1 &&
+                       static_cast<long>(pool_jobs.size()) < opt.cache_verify;
     smt::host::Job& job = pool_jobs.emplace_back();
     const std::string key = smt::sanitize_artifact_key(def.name);
     rec.report = "reports/" + key + ".json";
-    const smt::Cycle budget =
-        opt.cycle_budget != 0 ? opt.cycle_budget : def.cycle_budget;
     const std::string report_path = opt.out_dir + "/" + rec.report;
     const std::string dump_rel = "dumps/" + key + ".dump.json";
     const std::string dump_path = opt.out_dir + "/" + dump_rel;
@@ -523,9 +520,8 @@ int main(int argc, char** argv) {
         opt.out_dir + "/traces/" + key + ".trace.json";
 
     job.name = def.name;
-    job.artifacts = {report_path, dump_path, kanata_path, trace_path};
-    job.fn = [&, budget, report_path, dump_rel, dump_path, kanata_path,
-              trace_path](const smt::host::CancelToken& token, int attempt,
+    job.fn = [&, audit, report_path, dump_rel, dump_path, kanata_path,
+              trace_path](const smt::host::CancelToken& token,
                           std::string* message) {
       smt::core::RunOptions ro;
       ro.race_detect = def.race_detect;
@@ -537,7 +533,7 @@ int main(int argc, char** argv) {
       // job's content address (and stays byte-identical to a cached
       // run's, modulo the "cached" field).
       const smt::host::ResultKey content_key =
-          smt::host::result_key(def, def.config, budget, ro);
+          smt::host::result_key(def, def.config, def.cycle_budget, ro);
       rec.key = content_key.hash();
 
       // The pool status the entry's outcome stands for.
@@ -550,7 +546,7 @@ int main(int argc, char** argv) {
       // The one artifact-materialisation path (cache hit, --cache-verify
       // divergence, fresh simulation): writes the report and any dump and
       // fills the entry from `r`, so the index only ever names a dump
-      // this attempt wrote. An unwritable report fails the job.
+      // this job wrote. An unwritable report fails the job.
       const auto materialize = [&](const smt::host::CachedResult& r,
                                    bool cached) {
         rec.outcome = r.outcome;
@@ -580,7 +576,7 @@ int main(int argc, char** argv) {
       const auto simulate = [&] {
         const std::unique_ptr<smt::core::Workload> w = def.make();
         const smt::core::RunOutcome o = smt::core::try_run_workload(
-            def.config, *w, budget,
+            def.config, *w, def.cycle_budget,
             [&token] { return token.expired(); }, ro);
         if (o.stats.pipeview != nullptr &&
             !smt::trace::write_kanata_file(*o.stats.pipeview, kanata_path)) {
@@ -603,16 +599,13 @@ int main(int argc, char** argv) {
             .dump_json = o.core_dump};
       };
 
-      // Cache lookup — first attempt only: a retry only ever follows a
-      // watchdog kill, and a cache hit cannot time out, so attempt 1
-      // always means "really simulate".
-      if (attempt == 0 && cache.has_value()) {
+      if (cache.has_value()) {
         cache_counters.lookups.inc();
         if (const std::optional<smt::host::CachedResult> hit =
                 cache->load(content_key)) {
           // Determinism audit: re-simulate a sample of hits and demand
           // byte-identical artifacts before trusting the cache.
-          if (verify_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
+          if (audit) {
             smt::host::CachedResult fresh = simulate();
             if (fresh.report_json != hit->report_json ||
                 fresh.dump_json != hit->dump_json) {
@@ -624,6 +617,7 @@ int main(int argc, char** argv) {
               return materialize(fresh, /*cached=*/false);
             }
             cache_counters.verified.inc();
+            smt::log::info("cache hit verified", {{"job", def.name}});
           }
           cache_counters.hits.inc();
           return materialize(*hit, /*cached=*/true);
@@ -631,21 +625,8 @@ int main(int argc, char** argv) {
         cache_counters.misses.inc();
       }
 
-      // Self-test fault injection: die by "watchdog" on the first
-      // attempt, stranding garbage where the artifacts belong — the
-      // pool's pre-retry scrub must remove them before the retry writes
-      // the real ones (sweep_smoke byte-compares the survivors).
-      if (def.timeout_first_attempt && attempt == 0) {
-        return materialize({.outcome = "timeout",
-                            .message = "injected first-attempt timeout",
-                            .report_json = "{\"partial\":",
-                            .dump_json = "{\"partial\":"},
-                           /*cached=*/false);
-      }
-
       // Even a failed run leaves a valid partial report, so the surviving
-      // measurements of a broken sweep are never lost; a watchdog retry
-      // simply rewrites it.
+      // measurements of a broken sweep are never lost.
       const smt::host::CachedResult r = simulate();
       const JobStatus st = materialize(r, /*cached=*/false);
       // Completed deterministic outcomes populate the cache; wall-clock
@@ -683,14 +664,14 @@ int main(int argc, char** argv) {
     progress.on_attempt(e, index.jobs[submit[e.job]].name);
   };
 
-  // Pool results scattered back to manifest slots; lint-failed slots
-  // keep attempts == 0.
+  // Pool results scattered back to manifest slots: the pool runs every
+  // job it is given exactly once; lint-failed slots keep attempts == 0.
   {
     const std::vector<smt::host::JobResult> pool_results =
         smt::host::run_jobs(pool, pool_jobs);
     for (size_t k = 0; k < pool_results.size(); ++k) {
       IndexEntry& e = index.jobs[submit[k]];
-      e.attempts = pool_results[k].attempts;
+      e.attempts = 1;
       e.wall_ms = pool_results[k].wall_ms;
     }
   }
