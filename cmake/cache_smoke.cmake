@@ -1,12 +1,20 @@
 # Result-cache smoke driver: exercise smt_sweep's content-addressed
 # store end to end. Invoked by ctest (see tools/CMakeLists.txt) as:
-#   cmake -DSWEEP=... -DCHECKER=... -DHISTORY=... -DOUT_DIR=...
-#         -P cache_smoke.cmake
+#   cmake -DSWEEP=... -DCHECKER=... -DHISTORY=... -DREGISTRY_SWEEP=...
+#         -DOUT_DIR=... -P cache_smoke.cmake
+#
+# REGISTRY_SWEEP is the registry_sweep fixture's cold default-manifest
+# sweep; its reports are the reference for every default job here. It is
+# only read: everything this script writes lands under OUT_DIR. The
+# manifest is the three n = 64 LU jobs, the cheapest default jobs, and
+# one self-test. Only phases 1, 3 and 5 simulate: the phases that test
+# cache handling seed their stores by copying phase 1's objects.
 #
 # Phases:
-#   1. cold: sweep a small manifest (one deterministically-failing
-#      self-test included — failures are results too) against an empty
-#      --cache. Every job misses; every completed outcome is stored.
+#   1. cold: sweep the manifest (one deterministically-failing self-test
+#      included — failures are results too) against an empty --cache.
+#      Every job misses; every completed outcome is stored; every ok
+#      job's report equals the fixture's byte for byte.
 #   2. warm: the same manifest against the same cache into a fresh out
 #      dir. Every job must hit ("cached":false must not appear), every
 #      report/dump must be byte-identical to the cold run's, and the
@@ -29,9 +37,11 @@
 #      cold sweep once a perturbed copy has been ingested over it;
 #      `list` refuses a malformed history file with exit 3.
 #   5. partial store: an interrupted sweep finishes through --cache.
-#      Two of the jobs swept into a fresh store, then all four into the
-#      same store and out dir: the stored two hit, only the other two
-#      simulate and store, and the two reports stay byte-identical.
+#      A fresh store and out dir seeded with two of the jobs, as a killed
+#      sweep leaves them (phase 1's objects; an object's directory is its
+#      index entry's key), then all four swept into them: the stored two
+#      hit, only the other two simulate and store, and the two reports
+#      stay byte-identical to the fixture's.
 #   6. guard rails: --pipeview or --telemetry with --cache must be
 #      refused up front.
 #   7. claim order: smt_sweep hands the pool its jobs longest first by
@@ -41,9 +51,27 @@
 #      <dir>, its first attempt is the job with the most baseline cycles,
 #      and reports and index (modulo wall_ms) stay byte-identical. A
 #      truncated baseline costs its job the estimate and nothing else.
+#      All three sweeps run against a copy of phase 1's store, so every
+#      job hits and nothing is simulated; a hit is claimed, traced and
+#      estimated like a miss.
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
-set(manifest mm.serial.n64 lu.serial.n64 bt.serial selftest.deadlock)
+set(default_jobs lu.serial.n64 lu.tlp-coarse.n64 lu.tlp-pfetch.n64)
+set(manifest ${default_jobs} selftest.deadlock)
+
+# same_as_fixture(RUN JOB...): each JOB's report in OUT_DIR/RUN equals
+# the fixture's byte for byte.
+function(same_as_fixture run)
+  foreach(job IN LISTS ARGN)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+      "${REGISTRY_SWEEP}/reports/${job}.json"
+      "${OUT_DIR}/${run}/reports/${job}.json" RESULT_VARIABLE cmp)
+    if(NOT cmp EQUAL 0)
+      message(FATAL_ERROR "${run} sweep report ${job}.json differs from the "
+        "registry sweep's")
+    endif()
+  endforeach()
+endfunction()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
 
@@ -68,6 +96,7 @@ if(NOT n EQUAL 4)
   message(FATAL_ERROR "cache holds ${n} objects after the cold sweep, "
     "expected 4")
 endif()
+same_as_fixture(cold ${default_jobs})
 execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/cold/reports"
   --metrics "${OUT_DIR}/cold/metrics.json"
   --index "${OUT_DIR}/cold/sweep_index.json" RESULT_VARIABLE rc)
@@ -187,7 +216,7 @@ check_history(0 "${OUT_DIR}/cold" "${OUT_DIR}/history" "the cold sweep")
 # One report's top-level cycles one higher: still a valid report, but no
 # longer the baseline.
 file(COPY "${OUT_DIR}/cold/" DESTINATION "${OUT_DIR}/bumped")
-set(bumped_report "${OUT_DIR}/bumped/reports/mm.serial.n64.json")
+set(bumped_report "${OUT_DIR}/bumped/reports/lu.tlp-coarse.n64.json")
 file(READ "${bumped_report}" report_json)
 bump_counter(report_json cycles)
 file(WRITE "${bumped_report}" "${report_json}")
@@ -215,7 +244,7 @@ check_history(1 "${OUT_DIR}/cold" "${OUT_DIR}/history-empty"
 
 # A history file whose only trajectory belongs to another config.
 file(COPY "${OUT_DIR}/history/" DESTINATION "${OUT_DIR}/history-other")
-set(other "${OUT_DIR}/history-other/BENCH_mm.serial.n64.json")
+set(other "${OUT_DIR}/history-other/BENCH_lu.tlp-coarse.n64.json")
 file(READ "${other}" other_json)
 string(REGEX REPLACE "\"config_hash\":\"[0-9a-f]+\""
   "\"config_hash\":\"0000000000000000\"" other_json "${other_json}")
@@ -245,18 +274,23 @@ if(NOT rc EQUAL 3)
     "exited ${rc}, not 3")
 endif()
 
-# Phase 5: a store holding part of the manifest, as a killed sweep leaves
-# it. Re-running the whole manifest into the same store and out dir
+# Phase 5: a store and out dir holding part of the manifest, as a killed
+# sweep leaves them: phase 1's objects and the fixture's reports for two
+# jobs. Re-running the whole manifest into the same store and out dir
 # simulates only the jobs the store lacks.
-set(stored mm.serial.n64 lu.serial.n64)
-execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/partial"
-  --cache "${OUT_DIR}/partial-cache" ${stored} RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "partial sweep failed: ${rc}")
-endif()
-foreach(job IN LISTS stored)
-  file(COPY "${OUT_DIR}/partial/reports/${job}.json"
-    DESTINATION "${OUT_DIR}/partial-saved")
+set(stored lu.serial.n64 lu.tlp-coarse.n64)
+string(JSON njobs LENGTH "${cold_index}" jobs)
+math(EXPR last "${njobs} - 1")
+foreach(i RANGE ${last})
+  string(JSON job GET "${cold_index}" jobs ${i} name)
+  list(FIND stored "${job}" at)
+  if(NOT at EQUAL -1)
+    string(JSON key GET "${cold_index}" jobs ${i} key)
+    file(COPY "${OUT_DIR}/cache/objects/${key}"
+      DESTINATION "${OUT_DIR}/partial-cache/objects")
+    file(COPY "${REGISTRY_SWEEP}/reports/${job}.json"
+      DESTINATION "${OUT_DIR}/partial/reports")
+  endif()
 endforeach()
 execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/partial"
   --cache "${OUT_DIR}/partial-cache"
@@ -272,15 +306,7 @@ foreach(needle "\"cache.hits\":2" "\"cache.misses\":2" "\"cache.stores\":2")
     message(FATAL_ERROR "finishing sweep metrics lack ${needle}")
   endif()
 endforeach()
-foreach(job IN LISTS stored)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    "${OUT_DIR}/partial-saved/${job}.json"
-    "${OUT_DIR}/partial/reports/${job}.json" RESULT_VARIABLE cmp)
-  if(NOT cmp EQUAL 0)
-    message(FATAL_ERROR "stored report ${job}.json changed when the sweep "
-      "was finished")
-  endif()
-endforeach()
+same_as_fixture(partial ${stored})
 execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/partial/reports"
   --metrics "${OUT_DIR}/partial/metrics.json"
   --index "${OUT_DIR}/partial/sweep_index.json" RESULT_VARIABLE rc)
@@ -291,7 +317,7 @@ endif()
 # Phase 6: incompatible-flag guards.
 foreach(option --pipeview --telemetry)
   execute_process(COMMAND "${SWEEP}" ${option} --cache "${OUT_DIR}/cache"
-    --out "${OUT_DIR}/never" bt.serial RESULT_VARIABLE rc
+    --out "${OUT_DIR}/never" lu.serial.n64 RESULT_VARIABLE rc
     ERROR_VARIABLE err)
   if(rc EQUAL 0)
     message(FATAL_ERROR "${option} with --cache was not refused")
@@ -323,13 +349,15 @@ function(first_attempt trace out)
 endfunction()
 
 # Its longest job is not listed first, so the two orders differ.
-set(order_manifest lu.serial.n64 mm.serial.n64 selftest.deadlock)
+set(order_manifest lu.serial.n64 lu.tlp-pfetch.n64 selftest.deadlock)
+file(COPY "${OUT_DIR}/cache/" DESTINATION "${OUT_DIR}/order-cache")
 
 # order_sweep(TAG CWD): sweeps order_manifest from working directory CWD
-# into ${OUT_DIR}/order-TAG; sets order_rc, order_log (stderr) and
-# order_first (the first job claimed).
+# into ${OUT_DIR}/order-TAG against the copy of phase 1's store; sets
+# order_rc, order_log (stderr) and order_first (the first job claimed).
 macro(order_sweep tag cwd)
   execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/order-${tag}"
+    --cache "${OUT_DIR}/order-cache"
     --trace "${OUT_DIR}/order-${tag}/sweep.trace.json" ${order_manifest}
     WORKING_DIRECTORY "${cwd}" RESULT_VARIABLE order_rc
     ERROR_VARIABLE order_log OUTPUT_QUIET)
@@ -383,8 +411,13 @@ if(NOT order_first STREQUAL first_listed OR
     "${order_first} first, not ${first_listed}: ${order_log}")
 endif()
 
-# The job with the most cycles, from the sweep's own index.
+# The job with the most cycles, from the sweep's own index, which must
+# be all hits.
 file(READ "${OUT_DIR}/order-manifest/sweep_index.json" order_index)
+string(FIND "${order_index}" "\"cached\":false" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "a claim-order sweep missed the copied store")
+endif()
 string(JSON njobs LENGTH "${order_index}" jobs)
 math(EXPR last "${njobs} - 1")
 set(longest "")

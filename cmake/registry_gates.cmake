@@ -5,9 +5,10 @@
 #   2. the reports, metrics and index validate (check_reports);
 #   3. Figures 3-5 rendered from the index equal tests/golden/figures.txt
 #      byte for byte;
-#   4. a warm sweep against the fixture's store hits on every job, its
-#      index equals the cold index apart from wall_ms and cached, and its
-#      artifacts validate.
+#   4. a warm sweep against the fixture's store hits on every job, each
+#      of its reports equals the cold one byte for byte, its index equals
+#      the cold index apart from wall_ms and cached, and its artifacts
+#      validate.
 # Step 4 is half of the end-to-end proof of the determinism contract the
 # result cache rests on: a key collision, a nondeterministic kernel or
 # host state leaking into reports would surface there. The other half,
@@ -56,6 +57,15 @@ string(FIND "${warm_index}" "\"cached\":false" missed)
 if(NOT missed EQUAL -1)
   message(FATAL_ERROR "the warm registry sweep missed the cache")
 endif()
+file(GLOB cold_reports "${DIR}/cold/reports/*.json")
+foreach(report IN LISTS cold_reports)
+  get_filename_component(fname "${report}" NAME)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${report}" "${DIR}/warm/reports/${fname}" RESULT_VARIABLE cmp)
+  if(NOT cmp EQUAL 0)
+    message(FATAL_ERROR "cached report ${fname} differs from the cold one")
+  endif()
+endforeach()
 file(READ "${DIR}/cold/sweep_index.json" cold_index)
 foreach(which cold warm)
   string(REGEX REPLACE "\"wall_ms\":[0-9.e+-]+" "\"wall_ms\":0"

@@ -2,7 +2,8 @@
 # manifest (Figures 3-5) into DIR/cold against a fresh result store in
 # DIR/store, with its metrics snapshot. Every registry check reads this
 # sweep instead of simulating the manifest again (registry_gates,
-# figures_smoke and StaticPerfRegistry.*; see tools/CMakeLists.txt).
+# figures_smoke, sweep_smoke, cache_smoke and StaticPerfRegistry.*; see
+# tools/CMakeLists.txt).
 # The whole of DIR is deleted first: result keys do not hash the
 # simulator's code, so a store kept across builds would hide a model
 # change. Run from the source root, so that smt_sweep claims the jobs

@@ -1,15 +1,26 @@
 # Sweep smoke driver: exercise the smt_sweep orchestrator end to end.
 # Invoked by ctest (see tools/CMakeLists.txt) as:
-#   cmake -DSWEEP=... -DCHECKER=... -DOUT_DIR=... -P sweep_smoke.cmake
+#   cmake -DSWEEP=... -DCHECKER=... -DREGISTRY_SWEEP=... -DOUT_DIR=...
+#     -P sweep_smoke.cmake
+#
+# REGISTRY_SWEEP is the registry_sweep fixture's cold default-manifest
+# sweep (one worker per hardware thread, claimed longest first, with
+# --metrics). It is the reference every report here is compared with,
+# and it is only read: everything this script writes lands under
+# OUT_DIR. The manifest is the three n = 64 LU jobs, the cheapest default
+# jobs that cover one context, two contexts and the halting SPR helper.
 #
 # Five phases:
-#   1. serial (--jobs 1) reference sweep over a small healthy manifest;
+#   1. serial (--jobs 1) sweep of the manifest: every report must be
+#      byte-identical to the fixture's (determinism gate across worker
+#      count and claim order), and piped stderr carries no \r progress;
 #   2. the same manifest on 4 workers with the observability artifacts
-#      (--metrics/--trace) enabled — every per-job report must be
-#      byte-identical to the serial run's (determinism gate: host-side
-#      metrics/tracing must not leak into simulation artifacts), and the
-#      metrics snapshot must cross-check against the sweep index;
-#   3. the manifest with deliberately failing self-test jobs injected —
+#      (--metrics/--trace) enabled — every per-job report must again be
+#      byte-identical to the fixture's (host-side metrics/tracing must
+#      not leak into simulation artifacts: phase 1 runs with neither, the
+#      fixture with --metrics only), and the metrics snapshot must
+#      cross-check against the sweep index;
+#   3. lu.serial.n64 with deliberately failing self-test jobs injected —
 #      the sweep must exit nonzero and name every failed job on stderr,
 #      yet still write a complete sweep_index.json, a valid
 #      (check_reports-clean) report for every job including the failed
@@ -17,15 +28,29 @@
 #      diagnosably; the index must cross-check against its metrics, and
 #      a copy whose "failed" count is edited to 0 must not;
 #   4. the manifest again with --pipeview — Kanata artifacts must appear
-#      per job while every report stays byte-identical to the serial
-#      reference (pipeline tracing must not leak into measurements);
-#   5. a real watchdog expiry: mm.serial.n64 under --timeout-ms 1 with a
+#      per job while every report stays byte-identical to the fixture's
+#      (pipeline tracing must not leak into measurements);
+#   5. a real watchdog expiry: lu.serial.n64 under --timeout-ms 1 with a
 #      --cache must end as "timeout" after one attempt (exit 1), store
 #      nothing, mark the kill with a "watchdog" instant in its sweep
 #      trace, and leave reports, trace, metrics and index that validate; the
 #      same --cache without the watchdog must then finish the job (one
-#      miss, exit 0) with a report byte-identical to the serial run's.
-set(manifest mm.serial.n64 mm.tlp-fine.n64 lu.serial.n64 bt.serial)
+#      miss, exit 0) with a report byte-identical to the fixture's.
+set(manifest lu.serial.n64 lu.tlp-coarse.n64 lu.tlp-pfetch.n64)
+
+# same_as_fixture(RUN JOB...): each JOB's report in OUT_DIR/RUN equals
+# the fixture's byte for byte.
+function(same_as_fixture run)
+  foreach(job IN LISTS ARGN)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+      "${REGISTRY_SWEEP}/reports/${job}.json"
+      "${OUT_DIR}/${run}/reports/${job}.json" RESULT_VARIABLE cmp)
+    if(NOT cmp EQUAL 0)
+      message(FATAL_ERROR "${run} sweep report ${job}.json differs from the "
+        "registry sweep's")
+    endif()
+  endforeach()
+endfunction()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
 
@@ -43,6 +68,19 @@ if(NOT cr_pos EQUAL -1)
   message(FATAL_ERROR "sweep emitted a \\r progress line on piped stderr")
 endif()
 
+list(LENGTH manifest expected)
+file(GLOB serial_reports "${OUT_DIR}/serial/reports/*.json")
+list(LENGTH serial_reports n)
+if(NOT n EQUAL expected)
+  message(FATAL_ERROR "serial sweep wrote ${n} reports, expected ${expected}")
+endif()
+same_as_fixture(serial ${manifest})
+execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/serial/reports"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serial sweep reports failed validation: ${rc}")
+endif()
+
 execute_process(COMMAND "${SWEEP}" --jobs 4 --out "${OUT_DIR}/parallel"
   --metrics "${OUT_DIR}/parallel/metrics.json"
   --trace "${OUT_DIR}/parallel/trace/sweep.trace.json"
@@ -50,27 +88,7 @@ execute_process(COMMAND "${SWEEP}" --jobs 4 --out "${OUT_DIR}/parallel"
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "parallel sweep failed: ${rc}")
 endif()
-
-list(LENGTH manifest expected)
-file(GLOB serial_reports "${OUT_DIR}/serial/reports/*.json")
-list(LENGTH serial_reports n)
-if(NOT n EQUAL expected)
-  message(FATAL_ERROR "serial sweep wrote ${n} reports, expected ${expected}")
-endif()
-foreach(report IN LISTS serial_reports)
-  get_filename_component(fname "${report}" NAME)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    "${report}" "${OUT_DIR}/parallel/reports/${fname}" RESULT_VARIABLE cmp)
-  if(NOT cmp EQUAL 0)
-    message(FATAL_ERROR "parallel report ${fname} differs from serial run")
-  endif()
-endforeach()
-
-execute_process(COMMAND "${CHECKER}" "${OUT_DIR}/serial/reports"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serial sweep reports failed validation: ${rc}")
-endif()
+same_as_fixture(parallel ${manifest})
 
 # Parallel pass also validates the Chrome trace and cross-checks the
 # metrics snapshot against the sweep index.
@@ -87,7 +105,7 @@ endif()
 # failure ride along with one healthy job.
 set(failing selftest.deadlock selftest.budget selftest.verify-fail)
 execute_process(COMMAND "${SWEEP}" --jobs 2 --out "${OUT_DIR}/injected"
-  --metrics "${OUT_DIR}/injected/metrics.json" mm.serial.n64 ${failing}
+  --metrics "${OUT_DIR}/injected/metrics.json" lu.serial.n64 ${failing}
   RESULT_VARIABLE rc ERROR_VARIABLE injected_err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "sweep with injected failures unexpectedly exited 0")
@@ -172,14 +190,7 @@ execute_process(COMMAND "${SWEEP}" --jobs 2 --pipeview
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "pipeview sweep failed: ${rc}")
 endif()
-foreach(report IN LISTS serial_reports)
-  get_filename_component(fname "${report}" NAME)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    "${report}" "${OUT_DIR}/pipeview/reports/${fname}" RESULT_VARIABLE cmp)
-  if(NOT cmp EQUAL 0)
-    message(FATAL_ERROR "pipeview report ${fname} differs from serial run")
-  endif()
-endforeach()
+same_as_fixture(pipeview ${manifest})
 file(GLOB kanata_files "${OUT_DIR}/pipeview/pipeview/*.kanata")
 list(LENGTH kanata_files n)
 if(NOT n EQUAL expected)
@@ -199,7 +210,7 @@ set(store "${OUT_DIR}/timeout_store")
 execute_process(COMMAND "${SWEEP}" --jobs 1 --timeout-ms 1 --cache "${store}"
   --out "${OUT_DIR}/timeout" --metrics "${OUT_DIR}/timeout/metrics.json"
   --trace "${OUT_DIR}/timeout/trace/sweep.trace.json"
-  mm.serial.n64 RESULT_VARIABLE rc ERROR_VARIABLE timeout_err)
+  lu.serial.n64 RESULT_VARIABLE rc ERROR_VARIABLE timeout_err)
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "watchdog sweep: exit ${rc}, want 1:\n${timeout_err}")
 endif()
@@ -228,7 +239,7 @@ endif()
 
 execute_process(COMMAND "${SWEEP}" --jobs 1 --cache "${store}"
   --out "${OUT_DIR}/finish" --metrics "${OUT_DIR}/finish/metrics.json"
-  mm.serial.n64 RESULT_VARIABLE rc)
+  lu.serial.n64 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "finishing sweep failed: ${rc}")
 endif()
@@ -238,8 +249,8 @@ if(NOT metrics MATCHES "\"cache.misses\":1[,}]")
     "job:\n${metrics}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  "${OUT_DIR}/serial/reports/mm.serial.n64.json"
-  "${OUT_DIR}/finish/reports/mm.serial.n64.json" RESULT_VARIABLE cmp)
+  "${REGISTRY_SWEEP}/reports/lu.serial.n64.json"
+  "${OUT_DIR}/finish/reports/lu.serial.n64.json" RESULT_VARIABLE cmp)
 if(NOT cmp EQUAL 0)
-  message(FATAL_ERROR "finished report differs from the serial run's")
+  message(FATAL_ERROR "finished report differs from the registry sweep's")
 endif()

@@ -25,11 +25,13 @@
 #         single-threaded; the job pool and metrics registry are what
 #         TSan is for.
 #
-# The tail sweeps the ablation, streams, table1, sync and multiprog
+# The tail sweeps the ablation, streams, table1, sync, multiprog and full
 # manifests once each: every job must match its committed bench/history
 # baseline exactly, and every paper table rendered from them (with the
 # registry_sweep fixture's index where a table needs default jobs) must
-# equal its golden file in tests/golden/.
+# equal its golden file in tests/golden/. The full manifest (n = 256 and
+# the full NAS sizes, about 100 s on 4 cores) is the only check of the
+# full-size Figures 3-5.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -200,10 +202,11 @@ done
 # golden files. The default manifest (Figures 3-5) was swept once by the
 # ctest step's registry_sweep fixture into build/registry_sweep/cold,
 # and its gates ran there (registry_gates); the kernel ablations and the
-# multiprogram table read that sweep too.
+# multiprogram table read that sweep too, and so do the full-size
+# Figures 3-5.
 registry_index=build/registry_sweep/cold/sweep_index.json
 make_temp_dir sweep_dir
-for manifest in ablation streams table1 sync multiprog; do
+for manifest in ablation streams table1 sync multiprog full; do
   ./build/tools/smt_sweep --quiet --manifest "$manifest" \
     --out "$sweep_dir/$manifest" > /dev/null
   ./build/tools/smt_history check --sweep "$sweep_dir/$manifest" \
@@ -227,3 +230,7 @@ diff -u tests/golden/sync.txt "$sweep_dir/sync.txt"
   --index "$sweep_dir/multiprog/sweep_index.json" --figure multiprog \
   > "$sweep_dir/multiprog.txt"
 diff -u tests/golden/multiprog.txt "$sweep_dir/multiprog.txt"
+./build/tools/smt_figures --index "$registry_index" \
+  --index "$sweep_dir/full/sweep_index.json" \
+  --figure 3 --figure 4 --figure 5 > "$sweep_dir/figures_full.txt"
+diff -u tests/golden/figures_full.txt "$sweep_dir/figures_full.txt"

@@ -240,8 +240,13 @@ class Parser {
     skip_ws();
     if (pos_ >= t_.size()) return false;
     const char c = t_[pos_];
-    if (c == '{') return parse_object(v);
-    if (c == '[') return parse_array(v);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) return false;
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(v) : parse_array(v);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       v.type = JsonValue::Type::kString;
       return parse_string(v.string);
@@ -317,6 +322,7 @@ class Parser {
 
   std::string_view t_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -92,8 +92,13 @@ double number_or(const JsonValue* obj, const std::string& key,
 std::string string_or(const JsonValue& obj, const std::string& key,
                       const std::string& fallback);
 
-/// Parses a complete JSON document; std::nullopt on any syntax error or
-/// trailing garbage.
+/// Deepest nesting of arrays and objects parse_json accepts. Every
+/// artifact the project writes nests at most 7 levels; the cap keeps the
+/// recursive reader's stack bounded on hostile input.
+inline constexpr int kMaxJsonDepth = 256;
+
+/// Parses a complete JSON document; std::nullopt on any syntax error,
+/// trailing garbage or nesting deeper than kMaxJsonDepth.
 std::optional<JsonValue> parse_json(std::string_view text);
 
 /// Serializes a parsed tree back to a canonical string: no whitespace,

@@ -90,6 +90,13 @@ TEST(Json, ParserRejectsMalformedDocuments) {
   EXPECT_FALSE(parse_json("{\"a\":1} trailing").has_value());
   EXPECT_FALSE(parse_json("\"unterminated").has_value());
   EXPECT_TRUE(parse_json("{\"a\": [1, {\"b\": null}]}").has_value());
+  // Nesting is capped, so a deep document is a parse error, not a stack
+  // overflow.
+  EXPECT_TRUE(parse_json(std::string(kMaxJsonDepth, '[') +
+                         std::string(kMaxJsonDepth, ']')).has_value());
+  EXPECT_FALSE(parse_json(std::string(kMaxJsonDepth + 1, '[') +
+                          std::string(kMaxJsonDepth + 1, ']')).has_value());
+  EXPECT_FALSE(parse_json(std::string(30000, '[')).has_value());
 }
 
 // ---------------------------------------------------------------------------
