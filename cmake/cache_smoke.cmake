@@ -7,7 +7,7 @@
 # sweep; its reports are the reference for every default job here. It is
 # only read: everything this script writes lands under OUT_DIR. The
 # manifest is the three n = 64 LU jobs, the cheapest default jobs, and
-# one self-test. Only phases 1, 3 and 5 simulate: the phases that test
+# one self-test. Only phases 1, 3, 5 and 8 simulate: the phases that test
 # cache handling seed their stores by copying phase 1's objects.
 #
 # Phases:
@@ -54,6 +54,14 @@
 #      All three sweeps run against a copy of phase 1's store, so every
 #      job hits and nothing is simulated; a hit is claimed, traced and
 #      estimated like a miss.
+#   8. divergent object: a copy of phase 1's store in which one
+#      counter of lu.serial.n64's stored report is one higher (still
+#      valid JSON, so the object loads as a hit). --cache-verify on that
+#      job must re-simulate it, count cache.verify_failed 1, end the job
+#      as cache_verify_failed, write the freshly simulated report (the
+#      fixture's bytes), not the planted ones, and exit non-zero. An
+#      audit that trusted the hit instead of re-simulating would pass
+#      phase 3 but not this one.
 include("${CMAKE_CURRENT_LIST_DIR}/bump_counter.cmake")
 
 set(default_jobs lu.serial.n64 lu.tlp-coarse.n64 lu.tlp-pfetch.n64)
@@ -465,3 +473,46 @@ if(order_first STREQUAL longest OR NOT order_log MATCHES "estimated=1 ")
     "still estimated it: first ${order_first}: ${order_log}")
 endif()
 same_outputs(truncated)
+
+# Phase 8: a planted divergent object must fail the audit.
+set(planted_job lu.serial.n64)
+file(COPY "${OUT_DIR}/cache/" DESTINATION "${OUT_DIR}/divergent-cache")
+string(JSON njobs LENGTH "${cold_index}" jobs)
+math(EXPR last "${njobs} - 1")
+set(planted_key "")
+foreach(i RANGE ${last})
+  string(JSON job GET "${cold_index}" jobs ${i} name)
+  if(job STREQUAL planted_job)
+    string(JSON planted_key GET "${cold_index}" jobs ${i} key)
+  endif()
+endforeach()
+set(planted "${OUT_DIR}/divergent-cache/objects/${planted_key}/report.json")
+if(planted_key STREQUAL "" OR NOT EXISTS "${planted}")
+  message(FATAL_ERROR "no stored object for ${planted_job}")
+endif()
+file(READ "${planted}" planted_json)
+bump_counter(planted_json uops_retired)
+string(JSON planted_schema GET "${planted_json}" schema)  # still valid JSON
+file(WRITE "${planted}" "${planted_json}")
+execute_process(COMMAND "${SWEEP}" --jobs 1 --out "${OUT_DIR}/divergent"
+  --cache "${OUT_DIR}/divergent-cache" --cache-verify
+  --metrics "${OUT_DIR}/divergent/metrics.json" ${planted_job}
+  RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "an audit of a divergent stored report exited 0")
+endif()
+file(READ "${OUT_DIR}/divergent/metrics.json" divergent_metrics)
+foreach(needle "\"cache.verify_failed\":1" "\"cache.verified\":0"
+    "\"cache.hits\":0")
+  string(FIND "${divergent_metrics}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "divergent-object audit metrics lack ${needle}")
+  endif()
+endforeach()
+file(READ "${OUT_DIR}/divergent/sweep_index.json" divergent_index)
+string(JSON outcome GET "${divergent_index}" jobs 0 outcome)
+if(NOT outcome STREQUAL "cache_verify_failed")
+  message(FATAL_ERROR "the divergent job ended ${outcome}, not "
+    "cache_verify_failed")
+endif()
+same_as_fixture(divergent ${planted_job})

@@ -64,6 +64,42 @@ Core::Core(const CoreConfig& cfg, mem::CacheHierarchy& hierarchy,
     t.unissued.reserve(ring);
     t.uq.init(static_cast<size_t>(cfg_.uop_queue_size));
   }
+  port_caps_ = port_caps(cfg_);
+  for (int i = 0; i < isa::kNumOpcodeValues; ++i) {
+    const auto op = static_cast<Opcode>(i);
+    latency_[i] = cfg_.latency(op);
+    divider_[i] = unpipelined_divider(isa::unit_class(op), cfg_);
+  }
+  update_limits();
+}
+
+void Core::decode(const isa::Instr& in, StaticUop* s) {
+  // Filled in place: a StaticUop returned by value and copied into the
+  // table cost about twice as much per instruction, and every job's
+  // set-up decodes its programs.
+  const isa::OpTraits& tr = isa::traits(in.op);
+  s->op = in.op;
+  s->unit = tr.unit;
+  s->is_branch = tr.is_branch;
+  s->is_load = tr.is_load && in.op != Opcode::kPrefetch;
+  s->is_store = tr.is_store;
+  s->is_prefetch = in.op == Opcode::kPrefetch;
+  s->prefetch_to_l1 = s->is_prefetch && in.imm != 0;
+  if (tr.writes_reg) s->dst = in.rd;
+
+  auto add_dep_reg = [s](isa::RegId reg) {
+    if (reg == isa::kNoReg) return;
+    SMT_CHECK(s->ndep_regs < s->dep_regs.size());
+    s->dep_regs[s->ndep_regs++] = reg;
+  };
+  if (in.op != Opcode::kIMovImm && in.op != Opcode::kFMovImm) {
+    add_dep_reg(in.rs1);
+  }
+  if (!in.use_imm && in.rs2 != isa::kNoReg) add_dep_reg(in.rs2);
+  if (tr.is_mem) {
+    add_dep_reg(in.mem.base);
+    add_dep_reg(in.mem.index);
+  }
 }
 
 void Core::load_program(CpuId cpu, const isa::Program& prog,
@@ -72,9 +108,14 @@ void Core::load_program(CpuId cpu, const isa::Program& prog,
   SMT_CHECK_MSG(t.mode == TMode::kIdle, "context already has a program");
   SMT_CHECK_MSG(!prog.empty(), "empty program");
   t.prog = &prog;
+  t.decoded.resize(prog.size());
+  for (size_t pc = 0; pc < prog.size(); ++pc) {
+    decode(prog.at(pc), &t.decoded[pc]);
+  }
   t.arch = init;
   t.arch.pc = 0;
   t.mode = TMode::kRunning;
+  update_limits();
 }
 
 void Core::subscribe(PipelineObserver* obs, HookSet hooks) {
@@ -91,10 +132,6 @@ bool Core::all_done() const {
   return true;
 }
 
-bool Core::partitioned(CpuId cpu) const {
-  return cfg_.static_partitioning && other_active(cpu);
-}
-
 bool Core::other_active(CpuId cpu) const {
   const Thread& o = threads_[idx(other(cpu))];
   switch (o.mode) {
@@ -107,25 +144,29 @@ bool Core::other_active(CpuId cpu) const {
   }
 }
 
-int Core::rob_limit(CpuId cpu) const {
-  return partitioned(cpu) ? cfg_.rob_size / 2 : cfg_.rob_size;
-}
-int Core::lq_limit(CpuId cpu) const {
-  return partitioned(cpu) ? cfg_.load_queue_size / 2 : cfg_.load_queue_size;
-}
-int Core::sb_limit(CpuId cpu) const {
-  return partitioned(cpu) ? cfg_.store_buffer_size / 2
-                          : cfg_.store_buffer_size;
-}
-int Core::uq_limit(CpuId cpu) const {
-  return partitioned(cpu) ? cfg_.uop_queue_size / 2 : cfg_.uop_queue_size;
-}
-
-int Core::sched_window_limit(CpuId cpu) const {
+Core::Limits Core::compute_limits(CpuId cpu) const {
   // The scheduler queues are split between active contexts like the other
   // buffering structures; this is the partitioning that caps per-thread
   // lookahead (and thus per-thread IPC) in SMT mode.
-  return partitioned(cpu) ? cfg_.sched_window / 2 : cfg_.sched_window;
+  const bool p = cfg_.static_partitioning && other_active(cpu);
+  const int div = p ? 2 : 1;
+  return {p,
+          cfg_.rob_size / div,
+          cfg_.load_queue_size / div,
+          cfg_.store_buffer_size / div,
+          cfg_.uop_queue_size / div,
+          cfg_.sched_window / div};
+}
+
+void Core::update_limits() {
+  // Exact between calls because a context's activeness (other_active)
+  // changes only in update_modes, after which step_cycle calls this
+  // whenever a mode changed, and in load_program, which calls it too: the
+  // one other mode change, fetch moving a context from kRunning to
+  // kHalting or kExiting, keeps it active.
+  for (int i = 0; i < kNumLogicalCpus; ++i) {
+    threads_[i].limits = compute_limits(static_cast<CpuId>(i));
+  }
 }
 
 void Core::link_producers(Thread& t, uint32_t slot) {
@@ -367,7 +408,7 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
       if (t.first_denied == kNoneDenied) t.first_denied = t.scan_pos;
       continue;
     }
-    const int div = unpipelined_divider(u.unit, cfg_);
+    const int div = divider_[static_cast<int>(u.op)];
     if (div >= 0 && dividers_[div].busy_until > now_) {
       if (t.first_denied == kNoneDenied) t.first_denied = t.scan_pos;
       continue;
@@ -383,7 +424,7 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
       if (u.is_prefetch) {  // fire-and-forget
         hier_.prefetch(u.addr, u.prefetch_to_l1, cpu, now_);
       }
-      done = now_ + cfg_.latency(u.op);
+      done = now_ + latency_[static_cast<int>(u.op)];
     }
     if (port >= 0) --caps_[port];
     if (div >= 0) dividers_[div] = {done, static_cast<int>(idx(cpu))};
@@ -442,7 +483,7 @@ void Core::scan_issue_blocks() {
       const RobEntry& e = t.rob[seq & rob_mask_];
       // The same candidate list and caps try_issue_one reads: with a
       // candidate port free, only a busy divider can have held it back.
-      const int div = unpipelined_divider(e.uop.unit, cfg_);
+      const int div = divider_[static_cast<int>(e.uop.op)];
       BlockReason reason = BlockReason::kPortConflict;
       bool sibling = false;
       int port = -1;
@@ -497,6 +538,7 @@ Core::Block Core::alloc_block(const Thread& t, CpuId cpu) const {
 }
 
 int Core::dispatch_thread(Thread& t, CpuId cpu) {
+  SMT_DCHECK(t.limits == compute_limits(cpu));
   int dispatched = 0;
   t.alloc_stall = {};
   while (dispatched < cfg_.dispatch_width && !t.uq.empty()) {
@@ -536,9 +578,9 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
   int fetched = 0;
   while (fetched < cfg_.fetch_width &&
          t.uq.size() < static_cast<size_t>(uq_limit(cpu))) {
-    SMT_DCHECK(t.arch.pc < t.prog->size());
-    const isa::Instr& in = t.prog->at(t.arch.pc);
-    const ExecResult r = exec_instr(in, t.arch, mem_);
+    const uint32_t pc = t.arch.pc;
+    SMT_DCHECK(pc < t.decoded.size());
+    const ExecResult r = exec_instr(t.prog->at(pc), t.arch, mem_);
     t.arch.pc = r.next_pc;
 
     if (r.special == ExecResult::Special::kExit) {
@@ -546,32 +588,21 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
       break;
     }
 
+    const StaticUop& s = t.decoded[pc];
     DynUop u;
     u.uid = uop_uid_next_++;
-    u.pc = static_cast<uint32_t>(&in - t.prog->code().data());
-    u.op = in.op;
-    u.unit = isa::unit_class(in.op);
-    u.is_branch = in.is_branch();
-    u.is_load = in.is_load() && in.op != Opcode::kPrefetch;
-    u.is_store = in.is_store();
-    u.is_prefetch = in.op == Opcode::kPrefetch;
-    u.prefetch_to_l1 = u.is_prefetch && in.imm != 0;
+    u.pc = pc;
+    u.op = s.op;
+    u.unit = s.unit;
+    u.dst = s.dst;
+    std::copy(s.dep_regs.begin(), s.dep_regs.end(), u.dep_regs);
+    u.ndep_regs = s.ndep_regs;
     u.addr = r.addr;
-    if (isa::traits(in.op).writes_reg) u.dst = in.rd;
-
-    auto add_dep_reg = [&u](isa::RegId reg) {
-      if (reg == isa::kNoReg) return;
-      SMT_DCHECK(u.ndep_regs < 4);
-      u.dep_regs[u.ndep_regs++] = reg;
-    };
-    if (in.op != Opcode::kIMovImm && in.op != Opcode::kFMovImm) {
-      add_dep_reg(in.rs1);
-    }
-    if (!in.use_imm && in.rs2 != isa::kNoReg) add_dep_reg(in.rs2);
-    if (in.is_mem()) {
-      add_dep_reg(in.mem.base);
-      add_dep_reg(in.mem.index);
-    }
+    u.is_load = s.is_load;
+    u.is_store = s.is_store;
+    u.is_prefetch = s.is_prefetch;
+    u.prefetch_to_l1 = s.prefetch_to_l1;
+    u.is_branch = s.is_branch;
 
     // Guest-access hook (happens-before race detection, sync-word
     // watchpoints): raised here because functional execution at fetch
@@ -581,7 +612,7 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
     const std::vector<PipelineObserver*>& accesses =
         subscribers(Hook::kGuestAccess);
     if (!accesses.empty() && (u.is_load || u.is_store) && !u.is_prefetch) {
-      const GuestAccess kind = in.op == Opcode::kXchg ? GuestAccess::kXchg
+      const GuestAccess kind = u.op == Opcode::kXchg ? GuestAccess::kXchg
                                : u.is_store           ? GuestAccess::kStore
                                                       : GuestAccess::kLoad;
       const uint64_t value =
@@ -645,6 +676,7 @@ bool Core::step_cycle() {
     update_modes(t, static_cast<CpuId>(i));
     if (t.mode != before) any = true;
   }
+  if (any) update_limits();
 
   // Retire: one context per cycle, alternating; a context with nothing
   // retirable donates the slot.
@@ -666,7 +698,7 @@ bool Core::step_cycle() {
   }
 
   // Issue: shared ports, round-robin starting with the preferred context.
-  caps_ = port_caps(cfg_);
+  caps_ = port_caps_;
   port_issued_ = {};
   uops_issued_ = {};
   for (Thread& t : threads_) {

@@ -28,7 +28,17 @@
 //                       (the paper's "resource stall cycles")
 //   5. fetch          — one context per cycle (alternating; a stalled
 //                       sibling donates its slot) runs the functional
-//                       interpreter and enqueues uops
+//                       interpreter and enqueues a copy of the
+//                       instruction's predecoded uop (the trace-cache
+//                       analog: load_program decodes every static
+//                       instruction once), filled in with its uid and
+//                       effective address
+//
+// The partition limits (ROB, load queue, store buffer, uop queue and
+// scheduler window, halved while the sibling is active) are worked out at
+// most once per cycle, right after the mode updates and only when a mode
+// changed, and the per-opcode latencies and divider assignments once per
+// Core, so no stage recomputes them per uop.
 //
 // Dependences are RAW-only on architectural registers (Netburst's 128
 // physical registers rename WAW/WAR away). The paper's |T| register-set ILP
@@ -256,8 +266,43 @@ class Core {
     size_t size_ = 0;
   };
 
+  /// The static part of a uop, decoded once per instruction by
+  /// load_program: everything DynUop holds except uid, pc and addr.
+  struct StaticUop {
+    isa::Opcode op = isa::Opcode::kNop;
+    isa::UnitClass unit = isa::UnitClass::kNone;
+    isa::RegId dst = isa::kNoReg;
+    uint8_t ndep_regs = 0;
+    std::array<isa::RegId, kLinksPerUop> dep_regs{};
+    bool is_branch = false;
+    bool is_load = false;
+    bool is_store = false;
+    bool is_prefetch = false;
+    bool prefetch_to_l1 = false;
+  };
+  static_assert(sizeof(StaticUop) <= 16);
+  /// Decodes `in` into `*s`, which must hold a default StaticUop.
+  static void decode(const isa::Instr& in, StaticUop* s);
+
+  /// A context's share of the partitioned structures; halved while
+  /// partitioned (static partitioning on and the sibling active).
+  struct Limits {
+    bool partitioned = false;
+    int rob = 0;
+    int lq = 0;
+    int sb = 0;
+    int uq = 0;
+    int sched_window = 0;
+    bool operator==(const Limits&) const = default;
+  };
+
   struct Thread {
     const isa::Program* prog = nullptr;
+    // decoded[pc] is prog->at(pc) predecoded (load_program).
+    std::vector<StaticUop> decoded;
+    // This context's limits, as compute_limits gives them; see
+    // update_limits for why they stay exact between updates.
+    Limits limits;
     ArchState arch;
     TMode mode = TMode::kIdle;
     Cycle fetch_stall_until = 0;
@@ -341,12 +386,16 @@ class Core {
 
   // --- helpers ---------------------------------------------------------
   bool other_active(CpuId cpu) const;
-  bool partitioned(CpuId cpu) const;
-  int rob_limit(CpuId cpu) const;
-  int sched_window_limit(CpuId cpu) const;
-  int lq_limit(CpuId cpu) const;
-  int sb_limit(CpuId cpu) const;
-  int uq_limit(CpuId cpu) const;
+  Limits compute_limits(CpuId cpu) const;
+  /// Stores compute_limits in both contexts' Thread::limits.
+  void update_limits();
+  bool partitioned(CpuId cpu) const { return limits(cpu).partitioned; }
+  int rob_limit(CpuId cpu) const { return limits(cpu).rob; }
+  int sched_window_limit(CpuId cpu) const { return limits(cpu).sched_window; }
+  int lq_limit(CpuId cpu) const { return limits(cpu).lq; }
+  int sb_limit(CpuId cpu) const { return limits(cpu).sb; }
+  int uq_limit(CpuId cpu) const { return limits(cpu).uq; }
+  const Limits& limits(CpuId cpu) const { return threads_[idx(cpu)].limits; }
   /// Whether the unissued uop `seq` of `t` may issue in cycle now_ as far
   /// as its dependences go: one compare, no dependence walk. The one
   /// readiness definition of the issue stage and of scan_issue_blocks.
@@ -426,8 +475,14 @@ class Core {
   int issue_pref_ = 0;
 
   // Per-cycle port budgets (indexed by IssuePort), refilled from
-  // port_caps(cfg_) in step_cycle.
+  // port_caps_ = port_caps(cfg_) in step_cycle.
   std::array<int, kNumIssuePorts> caps_{};
+  std::array<int, kNumIssuePorts> port_caps_{};
+
+  // Per opcode: cfg_.latency(op), and the unpipelined divider the op
+  // occupies (unpipelined_divider of its unit class; -1 for none).
+  std::array<Cycle, isa::kNumOpcodeValues> latency_{};
+  std::array<int, isa::kNumOpcodeValues> divider_{};
 
   // Per-cycle issue bookkeeping for interference attribution: which
   // context issued onto which port this cycle (reset with the caps;

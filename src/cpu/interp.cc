@@ -1,5 +1,7 @@
 #include "cpu/arch_state.h"
 
+#include <bit>
+
 #include "common/check.h"
 #include "cpu/config.h"
 
@@ -97,7 +99,7 @@ ExecResult exec_instr(const Instr& in, ArchState& st, mem::SimMemory& memory) {
       r.addr = effective_addr(in.mem, st);
       const uint64_t v = memory.read_u64(r.addr);
       r.loaded = v;
-      st.fregs[in.rd - isa::kNumIRegs] = memory.read_f64(r.addr);
+      st.fregs[in.rd - isa::kNumIRegs] = std::bit_cast<double>(v);
       break;
     }
     case Opcode::kFStore: {

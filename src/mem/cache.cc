@@ -1,14 +1,19 @@
 #include "mem/cache.h"
 
+#include <bit>
+
 namespace smt::mem {
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), num_sets_(cfg.num_sets()) {
+Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
+  const int num_sets = cfg_.num_sets();
   SMT_CHECK_MSG(cfg_.line_bytes > 0 && (cfg_.line_bytes & (cfg_.line_bytes - 1)) == 0,
                 "line size must be a power of two");
   SMT_CHECK_MSG(cfg_.assoc >= 1, "associativity must be >= 1");
-  SMT_CHECK_MSG(num_sets_ >= 1 && (num_sets_ & (num_sets_ - 1)) == 0,
+  SMT_CHECK_MSG(num_sets >= 1 && (num_sets & (num_sets - 1)) == 0,
                 "set count must be a power of two >= 1");
-  ways_.resize(static_cast<size_t>(num_sets_) * cfg_.assoc);
+  line_shift_ = std::countr_zero(static_cast<unsigned>(cfg_.line_bytes));
+  set_mask_ = static_cast<Addr>(num_sets - 1);
+  ways_.resize(static_cast<size_t>(num_sets) * cfg_.assoc);
 }
 
 Cache::AccessResult Cache::access(Addr addr, bool is_write) {

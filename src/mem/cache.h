@@ -62,13 +62,16 @@ class Cache {
     uint64_t lru = 0;  // last-touch stamp; smallest = LRU victim
   };
 
+  // line_bytes and the set count are powers of two (checked at
+  // construction), so the set index is a shift and a mask.
   int set_of(Addr line) const {
-    return static_cast<int>((line / cfg_.line_bytes) % num_sets_);
+    return static_cast<int>((line >> line_shift_) & set_mask_);
   }
 
   CacheConfig cfg_;
-  int num_sets_;
-  std::vector<Way> ways_;  // num_sets_ * assoc, row-major by set
+  int line_shift_ = 0;
+  Addr set_mask_ = 0;      // set count - 1
+  std::vector<Way> ways_;  // set count * assoc, row-major by set
   uint64_t stamp_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

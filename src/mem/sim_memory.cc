@@ -10,17 +10,26 @@ size_t page_offset(Addr a) { return a % SimMemory::kPageBytes; }
 }  // namespace
 
 uint8_t* SimMemory::page_for(Addr a) {
-  auto& slot = pages_[page_index(a)];
+  const uint64_t index = page_index(a);
+  if (index == memo_index_) return memo_page_;
+  auto& slot = pages_[index];
   if (!slot) {
     slot = std::make_unique<uint8_t[]>(kPageBytes);
     std::memset(slot.get(), 0, kPageBytes);
   }
-  return slot.get();
+  memo_index_ = index;
+  memo_page_ = slot.get();
+  return memo_page_;
 }
 
 const uint8_t* SimMemory::page_for(Addr a) const {
-  auto it = pages_.find(page_index(a));
-  return it == pages_.end() ? nullptr : it->second.get();
+  const uint64_t index = page_index(a);
+  if (index == memo_index_) return memo_page_;
+  auto it = pages_.find(index);
+  if (it == pages_.end()) return nullptr;
+  memo_index_ = index;
+  memo_page_ = it->second.get();
+  return memo_page_;
 }
 
 uint64_t SimMemory::read_u64(Addr a) const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,6 +58,13 @@ class SimMemory {
   const uint8_t* page_for(Addr a) const;  // nullptr if never written
 
   mutable std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
+  // The last page either page_for found or made: its index and bytes.
+  // Pages are never freed, so the pointer stays valid; it is never null
+  // (a const read of a never-written page does not update the memo).
+  // Const reads write it, so one SimMemory must not be read from two
+  // threads at once.
+  mutable uint64_t memo_index_ = std::numeric_limits<uint64_t>::max();
+  mutable uint8_t* memo_page_ = nullptr;
 };
 
 /// Bump allocator carving named regions out of the simulated address space.

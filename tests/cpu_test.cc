@@ -1451,6 +1451,201 @@ TEST(IssueStage, LongChainsAtATinyRobCountIdenticallyAcrossEventSkip) {
   check_skip_equivalence(p0, nullptr, tiny);
 }
 
+/// Records each issue's opcode, done cycle and issue cycle.
+class OpIssueRecorder : public cpu::PipelineObserver {
+ public:
+  struct Issue {
+    isa::Opcode op;
+    Cycle done;
+    Cycle now;
+  };
+  void on_issue(CpuId /*cpu*/, const cpu::DynUop& uop, int /*port*/,
+                Cycle done, Cycle now) override {
+    issues_.push_back({uop.op, done, now});
+  }
+  /// The issues of `op`, in issue order.
+  std::vector<Issue> of(isa::Opcode op) const {
+    std::vector<Issue> out;
+    for (const Issue& i : issues_) {
+      if (i.op == op) out.push_back(i);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<Issue> issues_;
+};
+
+/// Every opcode that issues without a memory access, each at least once
+/// (halt needs a waker and exit never issues), then two independent fdivs
+/// and two independent idivs.
+isa::Program every_alu_opcode() {
+  AsmBuilder a("every-alu-op");
+  a.imovi(IReg::R0, 7);
+  a.imovi(IReg::R1, 3);
+  a.fmovi(FReg::F0, 1.5);
+  a.fmovi(FReg::F1, 2.5);
+  a.iadd(IReg::R2, IReg::R0, IReg::R1);
+  a.isub(IReg::R2, IReg::R0, IReg::R1);
+  a.imov(IReg::R2, IReg::R0);
+  a.iand(IReg::R2, IReg::R0, IReg::R1);
+  a.ior(IReg::R2, IReg::R0, IReg::R1);
+  a.ixor(IReg::R2, IReg::R0, IReg::R1);
+  a.ishli(IReg::R2, IReg::R0, 2);
+  a.ishri(IReg::R2, IReg::R0, 1);
+  a.imul(IReg::R2, IReg::R0, IReg::R1);
+  a.fadd(FReg::F2, FReg::F0, FReg::F1);
+  a.fsub(FReg::F2, FReg::F0, FReg::F1);
+  a.fmul(FReg::F2, FReg::F0, FReg::F1);
+  a.fmov(FReg::F2, FReg::F0);
+  a.fneg(FReg::F2, FReg::F0);
+  Label skip = a.label();
+  a.bri(BrCond::kEq, IReg::R0, 0, skip);
+  a.bind(skip);
+  Label over = a.label();
+  a.jmp(over);
+  a.bind(over);
+  a.nop();
+  a.pause();
+  a.ipi();
+  a.fdiv(FReg::F3, FReg::F0, FReg::F1);
+  a.fdiv(FReg::F4, FReg::F0, FReg::F1);
+  a.idiv(IReg::R3, IReg::R0, IReg::R1);
+  a.idiv(IReg::R4, IReg::R0, IReg::R1);
+  a.exit();
+  return a.take();
+}
+
+TEST(IssueStage, EveryOpcodeIsDoneAtItsConfiguredLatency) {
+  // Distinct latencies, so an opcode timed with another opcode's latency
+  // shows; the divider settings are tried in all four combinations.
+  const isa::Program p = every_alu_opcode();
+  for (const bool fdiv_unpipelined : {false, true}) {
+    for (const bool idiv_unpipelined : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "fdiv_unpipelined "
+                                      << fdiv_unpipelined
+                                      << " idiv_unpipelined "
+                                      << idiv_unpipelined);
+      MachineConfig cfg;
+      cfg.core.lat_simple_alu = 2;
+      cfg.core.lat_shift = 3;
+      cfg.core.lat_fadd = 4;
+      cfg.core.lat_branch = 5;
+      cfg.core.lat_fmov = 6;
+      cfg.core.lat_fmul = 9;
+      cfg.core.lat_imul = 11;
+      cfg.core.lat_fdiv = 17;
+      cfg.core.lat_idiv = 23;
+      cfg.core.fdiv_unpipelined = fdiv_unpipelined;
+      cfg.core.idiv_unpipelined = idiv_unpipelined;
+      Machine m{cfg};
+      OpIssueRecorder rec;
+      m.core().add_observer(&rec);
+      m.load_program(kC0, p);
+      m.run();
+
+      const cpu::CoreConfig& c = m.config().core;
+      for (int i = 0; i < isa::kNumOpcodeValues; ++i) {
+        const auto op = static_cast<isa::Opcode>(i);
+        if (isa::traits(op).is_mem || op == isa::Opcode::kHalt ||
+            op == isa::Opcode::kExit) {
+          continue;
+        }
+        SCOPED_TRACE(isa::name(op));
+        const std::vector<OpIssueRecorder::Issue> issues = rec.of(op);
+        ASSERT_FALSE(issues.empty());
+        for (const OpIssueRecorder::Issue& u : issues) {
+          EXPECT_EQ(u.done, u.now + c.latency(op));
+        }
+      }
+      // The second of two independent divides waits for the first one's
+      // result exactly when that divider is unpipelined.
+      const auto fdivs = rec.of(isa::Opcode::kFDiv);
+      const auto idivs = rec.of(isa::Opcode::kIDiv);
+      ASSERT_EQ(fdivs.size(), 2u);
+      ASSERT_EQ(idivs.size(), 2u);
+      EXPECT_EQ(fdivs[1].now >= fdivs[0].done, fdiv_unpipelined);
+      EXPECT_EQ(idivs[1].now >= idivs[0].done, idiv_unpipelined);
+    }
+  }
+}
+
+/// Tracks cpu0's ROB occupancy from its dispatches and retirements and
+/// records the cycles of the dispatches that take it past `half` entries.
+class RobCrossingRecorder : public cpu::PipelineObserver {
+ public:
+  explicit RobCrossingRecorder(int half) : half_(half) {}
+  void on_dispatch(CpuId cpu, const cpu::DynUop& /*uop*/,
+                   Cycle now) override {
+    if (cpu != kC0) return;
+    if (++occupancy_ == half_ + 1) crossings_.push_back(now);
+  }
+  void on_retire(CpuId cpu, const cpu::DynUop& /*uop*/, int /*uops*/,
+                 Cycle /*now*/) override {
+    if (cpu == kC0) --occupancy_;
+  }
+  void on_halt_enter(CpuId cpu, Cycle now) override {
+    if (cpu == kC1) halt_fetched_ = now;
+  }
+  const std::vector<Cycle>& crossings() const { return crossings_; }
+  Cycle halt_fetched() const { return halt_fetched_; }
+
+ private:
+  int half_;
+  int occupancy_ = 0;
+  std::vector<Cycle> crossings_;
+  Cycle halt_fetched_ = 0;
+};
+
+TEST(IssueStage, RobPastHalfFollowsTheSiblingsHaltAndWakeAcrossEventSkip) {
+  // cpu0 fills its ROB behind a dependent fdiv chain. cpu1 halts at once;
+  // once it is asleep cpu0 may use the whole ROB, until cpu0's IPI wakes
+  // it, and again after it exits. The dispatches past half the ROB must
+  // land in the same cycles whether idle cycles are skipped or stepped.
+  AsmBuilder w("rob-filler");
+  w.fmovi(FReg::F0, 1.0);
+  w.fmovi(FReg::F8, 1.0);
+  w.imovi(IReg::R0, 0);
+  Label loop = w.here();
+  w.fdiv(FReg::F0, FReg::F0, FReg::F8);
+  for (int i = 0; i < 20; ++i) w.nop();
+  w.iaddi(IReg::R0, IReg::R0, 1);
+  w.bri(BrCond::kLt, IReg::R0, 200, loop);
+  w.ipi();
+  w.imovi(IReg::R0, 0);
+  Label tail = w.here();
+  w.fdiv(FReg::F0, FReg::F0, FReg::F8);
+  for (int i = 0; i < 20; ++i) w.nop();
+  w.iaddi(IReg::R0, IReg::R0, 1);
+  w.bri(BrCond::kLt, IReg::R0, 200, tail);
+  w.exit();
+  AsmBuilder s("sleeper");
+  s.halt();
+  s.exit();
+  const isa::Program p0 = w.take();
+  const isa::Program p1 = s.take();
+
+  std::vector<Cycle> crossings[2];
+  int i = 0;
+  for (const bool event_skip : {true, false}) {
+    MachineConfig cfg;
+    cfg.core.event_skip = event_skip;
+    Machine m{cfg};
+    RobCrossingRecorder rec(cfg.core.rob_size / 2);
+    m.core().add_observer(&rec);
+    m.load_program(kC0, p0);
+    m.load_program(kC1, p1);
+    m.run();
+    ASSERT_FALSE(rec.crossings().empty());
+    EXPECT_GT(rec.crossings().front(),
+              rec.halt_fetched() + cfg.core.halt_enter_cost);
+    crossings[i++] = rec.crossings();
+  }
+  // Past half while cpu1 is asleep, and again once it has exited.
+  EXPECT_GE(crossings[0].size(), 2u);
+  EXPECT_EQ(crossings[0], crossings[1]);
+}
+
 // ---------------------------------------------------------------------------
 // Generated programs: every uop issues after its RAW producers have issued
 // and no earlier than their results are done

@@ -1,6 +1,9 @@
 // Unit tests for the memory system: backing store, caches, timed hierarchy.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "common/types.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
@@ -52,6 +55,39 @@ TEST(SimMemory, ArrayHelpers) {
   EXPECT_DOUBLE_EQ(out[2], 3.0);
   m.fill_f64(0x3000, 4, 7.5);
   EXPECT_DOUBLE_EQ(m.read_f64(0x3000 + 24), 7.5);
+}
+
+TEST(SimMemory, ReadOfANeverWrittenPageAllocatesNothing) {
+  SimMemory m;
+  const Addr written = 3 * SimMemory::kPageBytes;
+  const Addr fresh = 7 * SimMemory::kPageBytes + 16;
+  m.write_u64(written, 11);
+  EXPECT_EQ(m.read_u64(fresh), 0u);
+  EXPECT_EQ(m.read_u64(fresh + 8), 0u);  // the same page again
+  EXPECT_EQ(m.num_pages(), 1u);
+  // The write after the read allocates the page and is read back.
+  m.write_u64(fresh, 42);
+  EXPECT_EQ(m.num_pages(), 2u);
+  EXPECT_EQ(m.read_u64(fresh), 42u);
+  EXPECT_EQ(m.read_u64(fresh + 8), 0u);
+  EXPECT_EQ(m.read_u64(written), 11u);
+}
+
+TEST(SimMemory, AlternatingPagesReturnTheirOwnWords) {
+  SimMemory m;
+  const Addr a = 0x10000;
+  const Addr b = a + 5 * SimMemory::kPageBytes;
+  for (uint64_t i = 0; i < 64; ++i) {
+    m.write_u64(a + 8 * i, 1000 + i);
+    m.write_u64(b + 8 * i, 2000 + i);
+    EXPECT_EQ(m.read_u64(a + 8 * i), 1000 + i);
+    EXPECT_EQ(m.read_u64(b + 8 * i), 2000 + i);
+  }
+  for (uint64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(m.read_u64(b + 8 * i), 2000 + i);
+    EXPECT_EQ(m.read_u64(a + 8 * i), 1000 + i);
+  }
+  EXPECT_EQ(m.num_pages(), 2u);
 }
 
 TEST(MemoryLayout, RegionsAreLineSeparatedAndAligned) {
@@ -148,6 +184,79 @@ TEST(Cache, FlushAllEmptiesEverySet) {
   for (Addr a = 0; a < 512; a += 64) c.access(a, false);
   c.flush_all();
   for (Addr a = 0; a < 512; a += 64) EXPECT_FALSE(c.probe(a));
+}
+
+/// A reference set-associative LRU cache that finds a line's set with `/`
+/// and `%`: per set, its lines from least to most recently used.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg), sets_(static_cast<size_t>(cfg.num_sets())) {}
+
+  Cache::AccessResult access(Addr addr, bool is_write) {
+    const Addr line = addr / cfg_.line_bytes * cfg_.line_bytes;
+    auto& set = sets_[(line / cfg_.line_bytes) % sets_.size()];
+    Cache::AccessResult r;
+    for (size_t i = 0; i < set.size(); ++i) {
+      if (set[i].line == line) {
+        Entry e = set[i];
+        e.dirty = e.dirty || is_write;
+        set.erase(set.begin() + static_cast<std::ptrdiff_t>(i));
+        set.push_back(e);
+        r.hit = true;
+        return r;
+      }
+    }
+    if (set.size() == static_cast<size_t>(cfg_.assoc)) {
+      r.evicted = true;
+      r.writeback = set.front().dirty;
+      r.evicted_line = set.front().line;
+      set.erase(set.begin());
+    }
+    set.push_back({line, is_write});
+    return r;
+  }
+
+ private:
+  struct Entry {
+    Addr line;
+    bool dirty;
+  };
+  CacheConfig cfg_;
+  std::vector<std::vector<Entry>> sets_;
+};
+
+TEST(Cache, SetIndexingMatchesADivideAndModuloReference) {
+  const CacheConfig geometries[] = {
+      {"one-set", 128, 2, 64},       // 1 set
+      {"32b-lines", 256, 2, 32},     // 4 sets of 32-byte lines
+      {"many-sets", 4096, 2, 32},    // 64 sets
+  };
+  for (const CacheConfig& g : geometries) {
+    SCOPED_TRACE(g.name);
+    Cache c(g);
+    ReferenceCache ref(g);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    int hits = 0;
+    int evictions = 0;
+    for (int i = 0; i < 4000; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      // Addresses over 16x the cache, byte-granular, so lines, sets and
+      // tags all vary.
+      const Addr addr = (x >> 20) % (16 * g.size_bytes);
+      const bool write = ((x >> 7) & 3) == 0;
+      const Cache::AccessResult got = c.access(addr, write);
+      const Cache::AccessResult want = ref.access(addr, write);
+      ASSERT_EQ(got.hit, want.hit) << "access " << i;
+      ASSERT_EQ(got.evicted, want.evicted) << "access " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+      ASSERT_EQ(got.evicted_line, want.evicted_line) << "access " << i;
+      hits += got.hit ? 1 : 0;
+      evictions += got.evicted ? 1 : 0;
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(evictions, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
